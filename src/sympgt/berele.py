@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .combinatorics import Partition, SymplecticTableau, canon, letter_parse
+from .combinatorics import SymplecticTableau, canon, letter_parse
 
 
 class PuncturedTableau:

@@ -4,7 +4,6 @@ functions, q-deformed pattern characters with their level recursion, and the
 Pieri difference operator."""
 from __future__ import annotations
 
-import threading
 from itertools import permutations, product
 from typing import Callable, Sequence
 
@@ -170,19 +169,23 @@ def qwhittaker_kernel(ctx: QSeriesCtx, nu: Sequence[int], lam: Sequence[int], n:
 
 
 _recursion_cache: dict = {}
-_recursion_lock = threading.Lock()
 
 
 def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> LaurentPoly:
-    """Level recursion for the q-deformed character: rank 1 is the
-    one-variable q-Hermite polynomial; rank n sums the kernel against the
-    rank n-1 character.  Memoized across the shared cache."""
+    """Level recursion for the q-deformed character of 2n levels: rank 1 is
+    the one-variable q-Hermite polynomial; rank n sums the two-slice kernel
+    against the rank n-1 character.  Odd level counts are not covered here:
+    they add one top slice over an even count (see ``dynamics._char``).
+
+    Memoized in ``_recursion_cache`` under ``(n, lam, q, exact)``.  The
+    exactness flag keeps ``q = 0.5`` and ``q = Fraction(1, 2)`` apart (they
+    compare and hash equal); the truncation depth is not in the key because
+    the recursion never reads it."""
     lam = canon(lam)
     if len(lam) > n:
         raise ValueError("shape has too many rows for the rank")
-    key = (n, lam, ctx.q, ctx.truncation)
-    with _recursion_lock:
-        hit = _recursion_cache.get(key)
+    key = (n, lam, ctx.q, ctx.exact)
+    hit = _recursion_cache.get(key)
     if hit is not None:
         return hit
     if n == 1:
@@ -204,8 +207,7 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
                 lifted = LaurentPoly(n, {e + (0,): c for e, c in lower.terms.items()})
                 kern_n = LaurentPoly(n, {(0,) * (n - 1) + e: c for e, c in ker.terms.items()})
                 result = result + lifted * kern_n
-    with _recursion_lock:
-        _recursion_cache[key] = result
+    _recursion_cache[key] = result
     return result
 
 

@@ -280,8 +280,6 @@ def _add_output_flags(p, default_fmt="json"):
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="sympgt", description=__doc__)
-    top.add_argument("--threads", type=int, default=1,
-                     help="internal parallelism hint (orchestration stays single-threaded)")
     sub = top.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("compute", help="exact character computations")

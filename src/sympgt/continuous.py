@@ -27,8 +27,12 @@ class ContinuousParams:
     def drift_table(self, N: int) -> tuple:
         """Level drifts: odd level 2i-1 carries lam_i, even level 2i carries
         -lam_i."""
-        return tuple(self.lam[(k - 1) // 2] * (1 if k % 2 else -1)
-                     for k in range(1, N + 1))
+        return _drift_ladder(self.lam, N)
+
+
+def _drift_ladder(lam: Sequence[float], N: int) -> tuple:
+    """Drifts of levels 1..N: lam_i on level 2i-1 and -lam_i on level 2i."""
+    return tuple(lam[(k - 1) // 2] * (1 if k % 2 else -1) for k in range(1, N + 1))
 
 
 def level_dim(k: int) -> int:
@@ -39,20 +43,35 @@ def level_dim(k: int) -> int:
 # operators and kernels
 # ---------------------------------------------------------------------------
 
+_STEPS = (-2, -1, 1, 2)
+
+
+def _half_laplacian(f: Callable, x: np.ndarray, val: float, h: float) -> tuple:
+    """sum(d^2/dx_i^2) f / 2 at x by 4th-order central differences, with the
+    stencil values f(x + k h e_n), k in _STEPS, along the last axis."""
+    out = 0.0
+    for i in range(len(x)):
+        pts = []
+        for k in _STEPS:
+            xp = x.copy()
+            xp[i] += k * h
+            pts.append(f(xp))
+        out += 0.5 * (-pts[3] + 16 * pts[2] - 30 * val + 16 * pts[1] - pts[0]) / (12 * h * h)
+    return out, pts
+
+
+def _first_derivative(pts: Sequence[float], h: float) -> float:
+    """4th-order central first derivative from the stencil values at _STEPS."""
+    return (pts[0] - 8 * pts[1] + 8 * pts[2] - pts[3]) / (12 * h)
+
+
 def h_b(f: Callable, x: Sequence[float], h: float = 1e-3) -> float:
     """Wall Toda operator sum(d^2/dx_i^2)/2 - sum e^{x_{i+1}-x_i} - e^{-x_n}
     via 4th-order central differences."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     val = f(x)
-    out = 0.0
-    for i in range(n):
-        pts = []
-        for k in (-2, -1, 1, 2):
-            xp = x.copy()
-            xp[i] += k * h
-            pts.append(f(xp))
-        out += 0.5 * (-pts[3] + 16 * pts[2] - 30 * val + 16 * pts[1] - pts[0]) / (12 * h * h)
+    out, _ = _half_laplacian(f, x, val, h)
     for i in range(n - 1):
         out -= math.exp(x[i + 1] - x[i]) * val
     out -= math.exp(-x[n - 1]) * val
@@ -65,17 +84,8 @@ def h_d(f: Callable, x: Sequence[float], theta: float, h: float = 1e-3) -> float
     x = np.asarray(x, dtype=float)
     n = len(x)
     val = f(x)
-    out = 0.0
-    d1_last = 0.0
-    for i in range(n):
-        pts = []
-        for k in (-2, -1, 1, 2):
-            xp = x.copy()
-            xp[i] += k * h
-            pts.append(f(xp))
-        out += 0.5 * (-pts[3] + 16 * pts[2] - 30 * val + 16 * pts[1] - pts[0]) / (12 * h * h)
-        if i == n - 1:
-            d1_last = (pts[0] - 8 * pts[1] + 8 * pts[2] - pts[3]) / (12 * h)
+    out, pts = _half_laplacian(f, x, val, h)
+    d1_last = _first_derivative(pts, h)
     for i in range(n - 1):
         out -= math.exp(x[i + 1] - x[i]) * val
     out += math.exp(-x[n - 1]) * (d1_last - theta * val)
@@ -89,19 +99,9 @@ def h_d_adjoint(f: Callable, y: Sequence[float], theta: float,
     y = np.asarray(y, dtype=float)
     n = len(y)
     val = f(y)
-    out = 0.0
-    d1_last = 0.0
-    for i in range(n):
-        pts = []
-        for k in (-2, -1, 1, 2):
-            yp = y.copy()
-            yp[i] += k * h
-            pts.append(f(yp))
-        out += 0.5 * (-pts[3] + 16 * pts[2] - 30 * val + 16 * pts[1] - pts[0]) / (12 * h * h)
-        if i == n - 1:
-            g = [math.exp(-(y[n - 1] + k * h)) * p
-                 for k, p in zip((-2, -1, 1, 2), pts)]
-            d1_last = (g[0] - 8 * g[1] + 8 * g[2] - g[3]) / (12 * h)
+    out, pts = _half_laplacian(f, y, val, h)
+    d1_last = _first_derivative([math.exp(-(y[n - 1] + k * h)) * p
+                                 for k, p in zip(_STEPS, pts)], h)
     for i in range(n - 1):
         out -= math.exp(y[i + 1] - y[i]) * val
     out -= d1_last + theta * math.exp(-y[n - 1]) * val
@@ -339,8 +339,7 @@ def polymer_z(rng, N: int, lam: Sequence[float], t: float, steps: int,
               replicas: int) -> np.ndarray:
     """Z^N(t) samples: nested simplex integral via the running log-sum-exp
     recurrence I_k(t) = e^{b_k(t)} int_0^t e^{-b_k(s)} I_{k-1}(s) ds."""
-    bar = [lam[(k - 1) // 2] * (1 if k % 2 else -1) for k in range(1, N + 1)]
-    b = _bm_paths(rng, bar, t, steps, replicas)
+    b = _bm_paths(rng, _drift_ladder(lam, N), t, steps, replicas)
     dt = t / steps
     logw = _log_trapz_weights(steps, dt)[None, :]
     log_i = np.zeros((replicas, steps + 1))
@@ -368,8 +367,7 @@ def polymer_identity_check(N: int, lam: Sequence[float], t: float,
                            steps: int = 512) -> dict:
     """Two-sample KS between Z^N(t) and log int_0^t e^{Y^N}: the reversed
     drift vector for Y is the drift ladder of Z read backwards."""
-    bar = [lam[(k - 1) // 2] * (1 if k % 2 else -1) for k in range(1, N + 1)]
-    nu = list(reversed(bar))
+    nu = list(reversed(_drift_ladder(lam, N)))
     ss = np.random.SeedSequence(seed).spawn(2)
     z = polymer_z(np.random.Generator(np.random.Philox(ss[0])),
                   N, lam, t, steps, replicas)

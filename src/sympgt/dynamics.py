@@ -6,13 +6,13 @@ the intertwining identities that make the bottom level autonomous."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebra import INF, QSeriesCtx, Scalar, _f
-from .characters import qwhittaker_pattern_sum, slice_binomials
+from .characters import qwhittaker_recursion, slice_binomials
 from .combinatorics import (
     GTPattern,
     canon,
@@ -253,23 +253,52 @@ def step_randomized(state: PatternState, ctx: QSeriesCtx, a: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
+# character oracle
+# ---------------------------------------------------------------------------
+
+_char_cache: dict = {}
+
+
+def _char(N: int, z, ctx: QSeriesCtx, a: Sequence) -> Scalar:
+    """Pattern character of N levels with bottom level z, evaluated at a.
+    Even N is the rank-N/2 level recursion.  Odd N adds the unmatched slice
+    between levels N-1 and N to the even character below it:
+    sum_x a_n^{|z|-|x|} slice_binomials(N, x, z) char(N-1, x).
+
+    Memoized in ``_char_cache`` under ``(N, z, q, exact, a, types of a)``:
+    the exactness flag and the types keep exact and float values apart,
+    since ``0.5 == Fraction(1, 2)`` and ``1.0 == Fraction(1)`` compare and
+    hash equal."""
+    if N == 0:
+        return 1
+    z = canon(z)
+    pt = tuple(a[:(N + 1) // 2])
+    key = (N, z, ctx.q, ctx.exact, pt, tuple(map(type, pt)))
+    value = _char_cache.get(key)
+    if value is None:
+        if N % 2 == 0:
+            value = qwhittaker_recursion(N // 2, z, ctx).evaluate(pt)
+        else:
+            top = padded(z, level_len(N))
+            value = sum(_slice_weight(N, x, top, ctx, a) * _char(N - 1, x, ctx, a)
+                        for x in interlacings(top, level_len(N - 1)))
+        _char_cache[key] = value
+    return value
+
+
+def _slice_weight(N: int, lower, upper, ctx: QSeriesCtx, a: Sequence) -> Scalar:
+    """Lambda weight of the bottom slice (level N-1 over level N)."""
+    return _f(bar_a(a, N)) ** (sum(upper) - sum(lower)) * slice_binomials(ctx, N, lower, upper)
+
+
+# ---------------------------------------------------------------------------
 # initial sampling
 # ---------------------------------------------------------------------------
 
-def _char_value(N: int, z: tuple, ctx: QSeriesCtx, a: Sequence, cache: dict) -> float:
-    key = (N, z)
-    if key not in cache:
-        nvars = (N + 1) // 2
-        poly = qwhittaker_pattern_sum(N, z, ctx)
-        cache[key] = float(poly.evaluate(tuple(float(x) for x in a[:nvars])))
-    return cache[key]
-
-
 def sample_initial(z: Sequence[int], N: int, ctx: QSeriesCtx, a: Sequence[float],
-                   rng, _cache: Optional[dict] = None) -> PatternState:
+                   rng) -> PatternState:
     """Exact draw from the normalized pattern weights with bottom level z, by
     sampling each level's conditional distribution from the bottom up."""
-    cache = _cache if _cache is not None else {}
     levels = [padded(z, level_len(N))]
     for k in range(N, 1, -1):
         cur = levels[0]
@@ -278,7 +307,7 @@ def sample_initial(z: Sequence[int], N: int, ctx: QSeriesCtx, a: Sequence[float]
         for x in cands:
             w = float(bar_a(a, k)) ** (sum(cur) - sum(x)) \
                 * float(slice_binomials(ctx, k, x, cur)) \
-                * _char_value(k - 1, canon(x), ctx, a, cache)
+                * float(_char(k - 1, x, ctx, a))
             weights.append(w)
         tot = sum(weights)
         u = rng.random() * tot
@@ -316,8 +345,7 @@ class GeneratorMatrix:
         return Q
 
 
-def shape_rate(N: int, z: tuple, zp: tuple, ctx: QSeriesCtx, a: Sequence,
-               cache: dict) -> Scalar:
+def shape_rate(N: int, z: tuple, zp: tuple, ctx: QSeriesCtx, a: Sequence) -> Scalar:
     """Off-diagonal bottom-level rate: character ratio times the one-box
     factor (zero unless the shapes differ by one box)."""
     l = level_len(N)
@@ -334,12 +362,7 @@ def shape_rate(N: int, z: tuple, zp: tuple, ctx: QSeriesCtx, a: Sequence,
         f = 1 - _qpow(q, z_p[i - 1] - _coord(z_p, i + 1))
     if f == 0:
         return 0
-    key_n, key_d = (N, canon(zp)), (N, canon(z))
-    for key in (key_n, key_d):
-        if key not in cache:
-            nvars = (N + 1) // 2
-            cache[key] = qwhittaker_pattern_sum(N, key[1], ctx).evaluate(tuple(a[:nvars]))
-    return cache[key_n] / cache[key_d] * f
+    return _char(N, zp, ctx, a) / _char(N, z, ctx, a) * f
 
 
 def shape_diagonal(N: int, z: tuple, ctx: QSeriesCtx, a: Sequence) -> Scalar:
@@ -357,7 +380,6 @@ def build_generator(N: int, C: int, ctx: QSeriesCtx, a: Sequence) -> GeneratorMa
     l = level_len(N)
     states = sorted(z for z in partitions_max_weight(l, C * l) if part(z, 1) <= C)
     index = {z: i for i, z in enumerate(states)}
-    cache: dict = {}
     rows, diag, boundary = [], [], []
     for z in states:
         row = {}
@@ -371,7 +393,7 @@ def build_generator(N: int, C: int, ctx: QSeriesCtx, a: Sequence) -> GeneratorMa
                 zp_c = canon(zp)
                 if zp_c not in index:
                     continue
-                rate = shape_rate(N, z, zp_c, ctx, a, cache)
+                rate = shape_rate(N, z, zp_c, ctx, a)
                 if rate != 0:
                     row[index[zp_c]] = row.get(index[zp_c], 0) + rate
         rows.append(row)
@@ -384,21 +406,8 @@ def build_generator(N: int, C: int, ctx: QSeriesCtx, a: Sequence) -> GeneratorMa
 # intertwining verification
 # ---------------------------------------------------------------------------
 
-def _char(N: int, z, ctx: QSeriesCtx, a: Sequence, cache: dict) -> Scalar:
-    key = (N, canon(z))
-    if key not in cache:
-        nvars = (N + 1) // 2
-        cache[key] = qwhittaker_pattern_sum(N, key[1], ctx).evaluate(tuple(a[:nvars]))
-    return cache[key]
-
-
-def _slice_weight(N: int, lower, upper, ctx: QSeriesCtx, a: Sequence) -> Scalar:
-    """Lambda weight of the bottom slice (level N-1 over level N)."""
-    return _f(bar_a(a, N)) ** (sum(upper) - sum(lower)) * slice_binomials(ctx, N, lower, upper)
-
-
-def _m_two_level(N: int, x, y, ctx, a, cache) -> Scalar:
-    return _slice_weight(N, x, y, ctx, a) * _char(N - 1, x, ctx, a, cache) / _char(N, y, ctx, a, cache)
+def _m_two_level(N: int, x, y, ctx, a) -> Scalar:
+    return _slice_weight(N, x, y, ctx, a) * _char(N - 1, x, ctx, a) / _char(N, y, ctx, a)
 
 
 def _bump(v, i, s):
@@ -411,8 +420,7 @@ def _is_partition(v) -> bool:
     return all(v[i] >= v[i + 1] for i in range(len(v) - 1)) and v[-1] >= 0
 
 
-def helper_row_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequence,
-                          cache: dict) -> dict:
+def helper_row_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequence) -> dict:
     """Nonzero off-diagonal helper-matrix entries out of the two-level state
     (x, y), where x is the level above the bottom level y.  Covers both the
     even-bottom and odd-bottom tables."""
@@ -422,7 +430,7 @@ def helper_row_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequen
     out: dict = {}
 
     def qrate(xp):
-        return shape_rate(N - 1, canon(x), canon(xp), ctx, a, cache)
+        return shape_rate(N - 1, canon(x), canon(xp), ctx, a)
 
     # moves of the upper shape x, driving y along when they collide
     for i in range(1, lx + 1):
@@ -473,11 +481,10 @@ def verify_intertwining_randomized(N: int, probes: Sequence, ctx: QSeriesCtx,
         Q(y, y') m(x', y') = sum_x m(x, y) A((x, y), (x', y')).
 
     Returns a list of (probe, y, lhs, rhs, ok)."""
-    cache: dict = {}
     results = []
     for xp, yp in probes:
         xp, yp = tuple(xp), tuple(yp)
-        m_target = _m_two_level(N, xp, yp, ctx, a, cache)
+        m_target = _m_two_level(N, xp, yp, ctx, a)
         ys = {tuple(padded(canon(yp), len(yp)))}
         for i in range(1, len(yp) + 1):
             for s in (1, -1):
@@ -488,13 +495,13 @@ def verify_intertwining_randomized(N: int, probes: Sequence, ctx: QSeriesCtx,
             if canon(y) == canon(yp):
                 lhs = shape_diagonal(N, canon(y), ctx, a) * m_target
             else:
-                lhs = shape_rate(N, canon(y), canon(yp), ctx, a, cache) * m_target
+                lhs = shape_rate(N, canon(y), canon(yp), ctx, a) * m_target
             rhs: Scalar = 0
             for x in interlacings(padded(y, level_len(N)), level_len(N - 1)):
-                m_src = _m_two_level(N, x, tuple(y), ctx, a, cache)
+                m_src = _m_two_level(N, x, tuple(y), ctx, a)
                 if (x, tuple(y)) == (xp, yp):
                     rhs = rhs + m_src * helper_diag_randomized(N, x, tuple(y), ctx, a)
-                row = helper_row_randomized(N, x, tuple(y), ctx, a, cache)
+                row = helper_row_randomized(N, x, tuple(y), ctx, a)
                 rhs = rhs + m_src * row.get((xp, yp), 0)
             results.append(((xp, yp), tuple(y), lhs, rhs, lhs == rhs))
     return results
@@ -503,7 +510,7 @@ def verify_intertwining_randomized(N: int, probes: Sequence, ctx: QSeriesCtx,
 # --- cascade (three-level) helper ------------------------------------------
 
 def helper_row_cascade(n: int, x: tuple, y: tuple, z: tuple, ctx: QSeriesCtx,
-                       a: Sequence, cache: dict) -> dict:
+                       a: Sequence) -> dict:
     """Nonzero off-diagonal entries of the cascade helper matrix out of
     (x, y, z) with x of length n-1 and y, z of length n."""
     out: dict = {}
@@ -513,7 +520,7 @@ def helper_row_cascade(n: int, x: tuple, y: tuple, z: tuple, ctx: QSeriesCtx,
             out[tgt] = out.get(tgt, 0) + v
 
     def qx(xp):
-        return shape_rate(2 * (n - 1), canon(x), canon(xp), ctx, a, cache)
+        return shape_rate(2 * (n - 1), canon(x), canon(xp), ctx, a)
 
     an = _f(a[n - 1])
     # upward moves of the collapsed lower block
@@ -563,7 +570,6 @@ def verify_intertwining_cascade(n: int, probes: Sequence, ctx: QSeriesCtx,
                                 a: Sequence) -> list:
     """Exact check of the cascade helper identity for three-level probes
     (x', y', z'):  Q(z, z') m(x', y', z') = sum m(x, y, z) A(...)."""
-    cache: dict = {}
     an = _f(a[n - 1])
     diag = -sum(_f(ai) + 1 / _f(ai) for ai in a[:n])
     results = []
@@ -572,7 +578,7 @@ def verify_intertwining_cascade(n: int, probes: Sequence, ctx: QSeriesCtx,
         # weight of the two bottom slices over the collapsed block of rank n-1
         w = an ** (2 * sum(y) - sum(x) - sum(z)) \
             * slice_binomials(ctx, 2 * n - 1, x, y) * slice_binomials(ctx, 2 * n, y, z)
-        return w * _char(2 * (n - 1), x, ctx, a, cache) / _char(2 * n, z, ctx, a, cache)
+        return w * _char(2 * (n - 1), x, ctx, a) / _char(2 * n, z, ctx, a)
 
     for xp, yp, zp in probes:
         xp, yp, zp = tuple(xp), tuple(yp), tuple(zp)
@@ -587,14 +593,14 @@ def verify_intertwining_cascade(n: int, probes: Sequence, ctx: QSeriesCtx,
             if canon(z) == canon(zp):
                 lhs = diag * m_target
             else:
-                lhs = shape_rate(2 * n, canon(z), canon(zp), ctx, a, cache) * m_target
+                lhs = shape_rate(2 * n, canon(z), canon(zp), ctx, a) * m_target
             rhs: Scalar = 0
             for y in interlacings(z, n):
                 for x in interlacings(y, n - 1):
                     m_src = m3(x, tuple(y), tuple(z))
                     if (x, tuple(y), tuple(z)) == (xp, yp, zp):
                         rhs = rhs + m_src * diag
-                    row = helper_row_cascade(n, x, tuple(y), tuple(z), ctx, a, cache)
+                    row = helper_row_cascade(n, x, tuple(y), tuple(z), ctx, a)
                     rhs = rhs + m_src * row.get((xp, yp, zp), 0)
             results.append(((xp, yp, zp), tuple(z), lhs, rhs, lhs == rhs))
     return results
@@ -627,11 +633,10 @@ def simulate(config: SimConfig) -> dict:
     if config.model == "berele" and config.N % 2:
         raise ValueError("cascade model needs even N")
     hist: dict = {}
-    cache: dict = {}
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
     for ss in seeds:
         rng = np.random.Generator(np.random.Philox(ss))
-        st = sample_initial(config.start, config.N, ctx, config.a, rng, cache)
+        st = sample_initial(config.start, config.N, ctx, config.a, rng)
         while True:
             prev = [list(lv) for lv in st.levels]
             prev_clock = st.clock

@@ -20,7 +20,6 @@ Evaluable = Union[LaurentPoly, Callable, np.ndarray, complex, float, int]
 def _poch_grid(x: np.ndarray, q: float, terms: int) -> np.ndarray:
     """Truncated (x;q)_infinity on an array."""
     out = np.ones_like(x, dtype=complex)
-    p = np.ones_like(x, dtype=complex) * 1.0
     qk = 1.0
     for _ in range(terms):
         out = out * (1 - x * qk)

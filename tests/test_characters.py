@@ -151,3 +151,21 @@ def test_cauchy_identity_truncation():
     assert r8 < (2 / 3) ** 9 / (1 - 2 / 3) * 4
     assert r12 < 0.3 * r8
     assert cauchy_identity_check(2, 6, (F(1, 2), F(2, 5)), (F(0), F(0))) == 0
+
+
+def test_recursion_memo_keeps_exact_and_float_apart():
+    # 0.375 == F(3, 8) and the two hash alike; each must get its own entry
+    floats = qwhittaker_recursion(1, (2,), QSeriesCtx(0.375))
+    exact = qwhittaker_recursion(1, (2,), QSeriesCtx(F(3, 8)))
+    assert all(isinstance(c, float) for c in floats.terms.values())
+    assert all(isinstance(c, F) for c in exact.terms.values())
+    assert exact == q_hermite(QSeriesCtx(F(3, 8)), 2)
+    exact2 = qwhittaker_recursion(2, (2, 1), QSeriesCtx(F(3, 8)))
+    floats2 = qwhittaker_recursion(2, (2, 1), QSeriesCtx(0.375))
+    assert all(isinstance(c, F) for c in exact2.terms.values())
+    assert all(isinstance(c, float) for c in floats2.terms.values())
+
+
+def test_recursion_memo_ignores_truncation():
+    short = qwhittaker_recursion(2, (3, 1), QSeriesCtx(0.3, truncation=10))
+    assert qwhittaker_recursion(2, (3, 1), QSeriesCtx(0.3, truncation=80)) is short

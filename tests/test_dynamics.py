@@ -5,13 +5,15 @@ import pytest
 from scipy.linalg import expm
 
 from sympgt.algebra import QSeriesCtx
-from sympgt.combinatorics import interlacings
+from sympgt.characters import qwhittaker_pattern_sum
+from sympgt.combinatorics import interlacings, level_len, partitions_max_weight
 from sympgt.dynamics import (
     GeneratorMatrix,
     PatternState,
     SimConfig,
     L_rate,
     R_rate,
+    _char,
     _right_impulse,
     bar_a,
     build_generator,
@@ -93,9 +95,38 @@ def test_randomized_matches_helper_rows_two_levels():
     for r, k, j, s in randomized_rates(st, ctx, a):
         if k == 2:
             rates[(x, (y[0] + s,))] = rates.get((x, (y[0] + s,)), 0) + r
-    row = helper_row_randomized(2, x, y, ctx, a, {})
+    row = helper_row_randomized(2, x, y, ctx, a)
     assert rates[(x, (4,))] == pytest.approx(float(row[(x, (4,))]))
     assert rates[(x, (2,))] == pytest.approx(float(row[(x, (2,))]))
+
+
+@pytest.mark.parametrize("q", [F(0), F(1, 3)])
+def test_char_oracle_matches_pattern_sum_exactly(q):
+    # odd N is the slice sum over the even recursion: only this test pins it
+    ctx = QSeriesCtx(q)
+    a = (F(6, 5), F(3, 7), F(5, 2))
+    for N in range(1, 6):
+        for z in partitions_max_weight(level_len(N), 4):
+            got = _char(N, z, ctx, a)
+            assert isinstance(got, F)
+            assert got == qwhittaker_pattern_sum(N, z, ctx).evaluate(a[:(N + 1) // 2])
+
+
+def test_char_oracle_matches_pattern_sum_float():
+    ctx = QSeriesCtx(0.5)
+    a = (1.2, 0.9, 1.7)
+    for N in range(1, 6):
+        for z in partitions_max_weight(level_len(N), 4):
+            expect = qwhittaker_pattern_sum(N, z, ctx).evaluate(a[:(N + 1) // 2])
+            assert _char(N, z, ctx, a) == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def test_char_memo_keeps_exact_and_float_apart():
+    exact_ctx = QSeriesCtx(F(1, 2))
+    assert isinstance(_char(3, (2, 1), QSeriesCtx(0.5), (1.0, 1.0)), float)
+    assert isinstance(_char(3, (2, 1), exact_ctx, (F(1), F(1))), F)
+    assert isinstance(_char(2, (3,), exact_ctx, (1.0,)), float)
+    assert isinstance(_char(2, (3,), exact_ctx, (F(1),)), F)
 
 
 def test_generator_rows_conserve_even():
@@ -215,6 +246,23 @@ def test_simulate_randomized_matches_generator():
     emp /= emp.sum()
     tv = 0.5 * np.abs(emp - p).sum()
     assert tv < 0.06
+
+
+def test_simulate_seeded_histograms_are_pinned():
+    # histograms recorded with characters from the pattern sum: the oracle
+    # behind the initial law must leave the sampled stream unchanged
+    cfg = SimConfig("randomized", 3, (1.2, 0.9), 0.5, 0.8, 300, 5, start=(2, 1))
+    assert simulate(cfg) == {
+        (1,): 4, (1, 1): 7, (2,): 19, (2, 1): 35, (2, 2): 6, (3,): 35,
+        (3, 1): 56, (3, 2): 12, (4,): 23, (4, 1): 38, (4, 2): 13, (4, 3): 1,
+        (5,): 10, (5, 1): 21, (5, 2): 6, (5, 3): 2, (6,): 1, (6, 1): 4,
+        (6, 2): 1, (6, 3): 2, (7,): 1, (7, 1): 2, (7, 2): 1}
+    cfg = SimConfig("berele", 4, (1.1, 0.8), 0.4, 0.5, 300, 5, start=(2, 1))
+    assert simulate(cfg) == {
+        (1,): 1, (1, 1): 4, (2,): 4, (2, 1): 46, (2, 2): 20, (3,): 5,
+        (3, 1): 63, (3, 2): 31, (3, 3): 2, (4,): 13, (4, 1): 48, (4, 2): 16,
+        (4, 3): 2, (5,): 3, (5, 1): 19, (5, 2): 11, (5, 3): 5, (6, 1): 6,
+        (7, 1): 1}
 
 
 def test_simulate_validates_patterns():
