@@ -2,13 +2,17 @@
 
 Each check returns a report dict with at least ``name``, ``passed`` and
 ``seconds``; soft checks additionally carry ``soft=True`` and never fail the
-whole run.  The registry drives both the acceptance test suite and the
-``verify all`` CLI subcommand, so a pass here is exactly a pass there.
+whole run.  A check that raises is recorded by ``run_all`` as a hard
+failure carrying ``error`` ("<Type>: <message>") and ``traceback``, and the
+checks after it still run.  The registry drives both the acceptance test
+suite and the ``verify all`` CLI subcommand, so a pass here is exactly a
+pass there.
 """
 from __future__ import annotations
 
 import random
 import time
+import traceback
 from fractions import Fraction as F
 
 import numpy as np
@@ -406,12 +410,25 @@ REGISTRY = [
 ]
 
 
+def _run_check(name: str, fn) -> dict:
+    """Run one check; an exception becomes a hard failed report carrying the
+    error and its traceback, so the checks after it still run."""
+    t0 = time.time()
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - ledger boundary, reported
+        return {"name": name, "passed": False, "soft": False,
+                "seconds": round(time.time() - t0, 3),
+                "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc()}
+
+
 def run_all(quick: bool = False, names=None) -> dict:
     """Run the registry (optionally the quick subset or a named subset) and
     return a machine-readable ledger."""
     selected = [(nm, fn) for nm, fn, q in REGISTRY
                 if (names is None or nm in names) and (not quick or q or names)]
-    reports = [fn() for _, fn in selected]
+    reports = [_run_check(nm, fn) for nm, fn in selected]
     hard_failures = [r["name"] for r in reports if not r["passed"] and not r["soft"]]
     return {"checks": reports, "passed": not hard_failures,
             "hard_failures": hard_failures, "quick": quick,

@@ -5,6 +5,12 @@ Rationals are written ``p/q`` on the command line; flags that genuinely take
 floats say so.  Every stochastic subcommand requires ``--seed`` and identical
 flags + seed give byte-identical output.  Reports embed the truncation depths,
 quadrature sizes, tolerances and seeds that produced them.
+
+Schema ``sympgt-report/2`` replaces ``sympgt-report/1``: ``simulate`` and
+``sde`` now advance all replicas as one batch drawn from one Philox stream
+per seed, so a seed gives different (equally distributed) samples than it
+did under schema 1.  Bad input (a ``ValueError``) exits with code 2 and a
+one-line message on stderr.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-SCHEMA = "sympgt-report/1"
+SCHEMA = "sympgt-report/2"
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +175,12 @@ def _cmd_moments(args) -> int:
 
 def _cmd_limit(args) -> int:
     from .limits import convergence_table
-    rows = convergence_table(args.n, args.lam, args.x, args.eps)
+    n, xs = args.n, args.x
+    if len(xs) % n:
+        raise ValueError(f"--x takes points of {n} coordinates each, "
+                         f"but got {len(xs)} numbers")
+    points = xs if n == 1 else [xs[i:i + n] for i in range(0, len(xs), n)]
+    rows = convergence_table(n, args.lam, points, args.eps)
     out_rows = [{"x": r["x"], "eps": r["eps"],
                  "value_re": float(r["value"].real),
                  "value_im": float(r["value"].imag),
@@ -333,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", help="scaled-character convergence table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=_floats, required=True)
-    p.add_argument("--x", type=_floats, required=True)
+    p.add_argument("--x", type=_floats, required=True,
+                   help="points, n numbers each: with --n 2, '0,-1,1,0' is (0,-1), (1,0)")
     p.add_argument("--eps", type=_floats, required=True)
     _add_output_flags(p, "csv")
     p.set_defaults(fn=_cmd_limit)
@@ -416,7 +428,11 @@ def _glue_negative_lists(argv):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_glue_negative_lists(argv))
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"sympgt {args.cmd}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

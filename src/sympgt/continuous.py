@@ -248,25 +248,33 @@ def phi_eigen_residual(n: int, lam: Sequence[float], x, h: float = 1e-3,
 # ---------------------------------------------------------------------------
 
 def _sde_drift(levels: list, bar: tuple) -> list:
-    """Drift vector per level: Brownian drift plus interaction terms."""
+    """Drift vector per level: Brownian drift plus interaction terms.  A
+    level's coordinates run along its last axis; leading axes (one row per
+    replica) broadcast, so 1-D levels give the drift of a single pattern."""
     out = []
     for k in range(1, len(levels) + 1):
         x = levels[k - 1]
         below = levels[k - 2] if k > 1 else None
-        l = len(x)
-        d = np.full(l, bar[k - 1])
+        l = x.shape[-1]
+        d = np.full(x.shape, float(bar[k - 1]))
         if k == 1:
-            d[0] += math.exp(-x[0])
+            d[..., 0] += np.exp(-x[..., 0])
             out.append(d)
             continue
-        d[0] += math.exp(below[0] - x[0])
+        d[..., 0] += np.exp(below[..., 0] - x[..., 0])
         for m in range(1, l):
             if k % 2 == 1 and m == l - 1:
-                d[m] += math.exp(-x[m]) - math.exp(x[m] - below[m - 1])
+                d[..., m] += np.exp(-x[..., m]) - np.exp(x[..., m] - below[..., m - 1])
             else:
-                d[m] += math.exp(below[m] - x[m]) - math.exp(x[m] - below[m - 1])
+                d[..., m] += (np.exp(below[..., m] - x[..., m])
+                              - np.exp(x[..., m] - below[..., m - 1]))
         out.append(d)
     return out
+
+
+def _max_abs(drift: list) -> np.ndarray:
+    """Largest |drift| coordinate of each replica, over all levels."""
+    return np.max([np.abs(d).max(axis=-1) for d in drift], axis=0)
 
 
 def wedge_start(N: int, gap: float = 8.0, top: float = 0.0) -> list:
@@ -283,35 +291,47 @@ def wedge_start(N: int, gap: float = 8.0, top: float = 0.0) -> list:
 def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
                  h: float, replicas: int, seed: int,
                  max_substeps: int = 4096) -> dict:
-    """Euler-Maruyama paths; returns bottom-level endpoints and the count of
-    replicas discarded after exceeding the substep budget."""
+    """Euler-Maruyama paths of all replicas as one batch; returns the
+    bottom-level endpoints and the count of replicas flagged, either for a
+    substep whose largest drift times the substep exceeds 50 or for a
+    non-finite endpoint.
+
+    All replicas share one grid of outer steps of length h.  At the start of
+    each outer step a replica splits it into nsub equal substeps, nsub =
+    ceil(2 max(1, step max|drift|)) capped at max_substeps; the substeps then
+    advance in lockstep over the replicas that still have one left.  All
+    draws come from one ``Philox(SeedSequence(seed))`` stream: each substep
+    draws, over the replicas it advances, one block of standard normals of
+    shape (replicas, level size) per level, level 1 first."""
     bar = params.drift_table(N)
-    ss = np.random.SeedSequence(seed)
-    bottoms = []
-    flagged = 0
-    for child in ss.spawn(replicas):
-        rng = np.random.Generator(np.random.Philox(child))
-        levels = [lv.copy() for lv in x0]
-        clock, ok = 0.0, True
-        while clock < t - 1e-12 and ok:
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    levels = [np.tile(np.asarray(lv, dtype=float), (replicas, 1)) for lv in x0]
+    ok = np.ones(replicas, dtype=bool)
+    clock = 0.0
+    # exp overflows to inf on runaway paths, and inf - inf gives NaN drifts;
+    # a non-finite largest drift fails the substep test, so those replicas
+    # are flagged
+    with np.errstate(over="ignore", invalid="ignore"):
+        while clock < t - 1e-12:
             step = min(h, t - clock)
-            drift = _sde_drift(levels, bar)
-            scale = max(1.0, step * max(float(np.max(np.abs(d))) for d in drift))
-            nsub = min(max_substeps, max(1, int(math.ceil(2 * scale))))
-            sub = step / nsub
-            for _ in range(nsub):
-                drift = _sde_drift(levels, bar)
-                if max(float(np.max(np.abs(d))) for d in drift) * sub > 50.0:
-                    ok = False
-                    break
-                for j, d in enumerate(drift):
-                    levels[j] = levels[j] + sub * d + math.sqrt(sub) * rng.standard_normal(len(d))
+            live = np.flatnonzero(ok)
+            scale = np.maximum(1.0, step * _max_abs(_sde_drift([lv[live] for lv in levels], bar)))
+            nsub = np.fmin(max_substeps, np.maximum(1, np.ceil(2 * scale)))
+            for s in range(int(nsub.max(initial=0))):
+                busy = (nsub > s) & ok[live]
+                rows, sub = live[busy], step / nsub[busy, None]
+                x = [lv[rows] for lv in levels]
+                drift = _sde_drift(x, bar)
+                blown = ~(_max_abs(drift) * sub[:, 0] <= 50.0)
+                ok[rows[blown]] = False
+                rows, sub = rows[~blown], sub[~blown]
+                for lv, xv, d in zip(levels, x, drift):
+                    noise = rng.standard_normal((len(rows), lv.shape[1]))
+                    lv[rows] = xv[~blown] + sub * d[~blown] + np.sqrt(sub) * noise
             clock += step
-        if ok and all(np.isfinite(lv).all() for lv in levels):
-            bottoms.append(levels[N - 1].copy())
-        else:
-            flagged += 1
-    return {"bottom": np.array(bottoms), "flagged": flagged}
+    for lv in levels:
+        ok &= np.isfinite(lv).all(axis=1)
+    return {"bottom": levels[N - 1][ok], "flagged": int(replicas - ok.sum())}
 
 
 # ---------------------------------------------------------------------------

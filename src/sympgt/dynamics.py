@@ -1,13 +1,14 @@
 """Continuous-time Markov dynamics on wall-restricted patterns: the cascade
 process driven by edge clocks, the fully randomized process where every
-particle carries its own clock, exact generator assembly for the bottom-level
-shape chain, level-conditional initial sampling, and exact verification of
-the intertwining identities that make the bottom level autonomous."""
+particle carries its own clock (both simulated for all replicas at once, as
+numpy batches), exact generator assembly for the bottom-level shape chain,
+level-conditional initial sampling, and exact verification of the
+intertwining identities that make the bottom level autonomous."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,173 +84,180 @@ def bar_a(a: Sequence, k: int):
 
 
 # ---------------------------------------------------------------------------
-# state and events
+# replica batches
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PatternState:
-    levels: list           # mutable list of lists, level k at index k-1
-    clock: float = 0.0
+class _Layout:
+    """Columns of a batch of N-level patterns, one replica per row.
 
-    @property
-    def N(self) -> int:
-        return len(self.levels)
+    Particle (k, j), 1 <= j <= level_len(k), sits in column off[k] + j - 1.
+    Two sentinel columns follow the P particles: column P holds +inf (the
+    coordinate v_0) and column P + 1 holds 0 (coordinates past the end of a
+    level), so ``col[k, i]`` turns every ``_coord(level k, i)`` into one
+    gather.  Rows 0 and N + 1 of ``col`` stand for the empty levels around
+    the pattern."""
 
-    def pattern(self) -> GTPattern:
-        return GTPattern([tuple(lv) for lv in self.levels])
+    def __init__(self, N: int):
+        self.N = N
+        lens = [0] + [level_len(k) for k in range(1, N + 1)] + [0]
+        self.lens = np.array(lens)
+        self.off = np.concatenate(([0], np.cumsum(lens)))[:-1]
+        self.P = P = sum(lens)
+        self.inf, self.zero = P, P + 1
+        self.col = np.full((N + 2, max(lens) + 2), self.zero)
+        self.col[:, 0] = self.inf
+        for k in range(1, N + 1):
+            self.col[k, 1:lens[k] + 1] = self.off[k] + np.arange(lens[k])
+        # level and index of every particle, in column order
+        self.k = k = np.repeat(np.arange(1, N + 1), lens[1:N + 1])
+        self.j = j = np.arange(P) - self.off[k] + 1
+        # the particle a push reaches next: same index one level down for a
+        # right move, next index for a left move; +inf where there is none,
+        # since +inf never equals a coordinate
+        self.below_right, self.below_left = (
+            np.where(c == self.zero, self.inf, c)
+            for c in (self.col[k + 1, j], self.col[k + 1, j + 1]))
 
-    def bottom(self) -> tuple:
-        return canon(self.levels[-1])
+    def level(self, k: int) -> slice:
+        return slice(self.off[k], self.off[k] + self.lens[k])
+
+    def empty(self, replicas: int) -> np.ndarray:
+        """A batch with every particle at 0 and the sentinels set."""
+        S = np.zeros((replicas, self.P + 2))
+        S[:, self.inf] = math.inf
+        return S
+
+    def pattern(self, row) -> GTPattern:
+        return GTPattern([row[self.level(k)] for k in range(1, self.N + 1)])
 
 
-@dataclass
-class EventLogEntry:
-    time: float
-    level: int
-    index: int
-    direction: int          # +1 right, -1 left
-    cause: str              # own-clock | push | pull
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den == 0, as in r_prob and l_prob."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
 
-def zero_state(N: int) -> PatternState:
-    return PatternState([[0] * level_len(k) for k in range(1, N + 1)])
+def _distinct_rows(rows: np.ndarray) -> tuple:
+    """(distinct rows, index of each row's distinct row, counts): what
+    ``np.unique(rows, axis=0, ...)`` returns, by a lexicographic argsort
+    instead of its much slower sort of rows as structured records."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    group = np.empty(len(rows), dtype=int)
+    group[order] = np.cumsum(first) - 1
+    return rows[first], group, np.diff(np.append(np.flatnonzero(first), len(rows)))
 
 
-# ---------------------------------------------------------------------------
-# cascade dynamics (edge clocks only)
-# ---------------------------------------------------------------------------
+def _event_rates(S: np.ndarray, lay: _Layout, ctx: QSeriesCtx, model: str,
+                 a: Sequence[float]) -> np.ndarray:
+    """Rates of the events of each replica (row) of S.
 
-def _after_right(ctx, snap, levels, k, j, rng, log, t):
-    """Particle (k, j) just moved right; propagate the move downward."""
-    N = len(levels)
-    if k == N:
-        return
-    if rng.random() < float(r_prob(ctx, snap[k - 1], snap[k], j)):
-        levels[k][j - 1] += 1
-        log.append(EventLogEntry(t, k + 1, j, +1, "push"))
-        _after_right(ctx, snap, levels, k + 1, j, rng, log, t)
+    Cascade model: the edge clock of level k rings at rate bar_a(a, k),
+    whatever the state.  Randomized model: columns 0..P-1 are the right
+    jumps a_k R_rate, columns P..2P-1 the left jumps L_rate / a_k of every
+    particle, in the arithmetic order of R_rate and L_rate; q ** inf == 0
+    plays the part of _qpow.  The denominators are 1 - q^e with e >= 1 on
+    any valid pattern, so they never vanish."""
+    ak = np.array([float(bar_a(a, k)) for k in range(1, lay.N + 1)])
+    if model == "berele":
+        return np.broadcast_to(ak, (len(S), lay.N))
+    q, col, k, j = float(ctx.q), lay.col, lay.k, lay.j
+    C, Cm, Cp = S[:, col[k, j]], S[:, col[k, j - 1]], S[:, col[k, j + 1]]
+    Um, U = S[:, col[k - 1, j - 1]], S[:, col[k - 1, j]]
+    right = (1 - q ** (Um - C)) * (1 - q ** (C - Cp + 1)) / (1 - q ** (C - U + 1))
+    left = (1 - q ** (C - U)) * (1 - q ** (Cm - C + 1)) / (1 - q ** (Um - C + 1))
+    return np.concatenate([ak[k - 1] * right, left / ak[k - 1]], axis=1)
+
+
+def _push_chain(S: np.ndarray, lay: _Layout, c: np.ndarray, step: np.ndarray) -> None:
+    """Move particle column c of each row by step (+1 or -1), and push the
+    particle of the next level that sat at the same position (same index for
+    right moves, next index for left moves), level by level."""
+    rows = np.arange(len(S))
+    while rows.size:
+        old = S[rows, c]
+        S[rows, c] = old + step
+        nxt = np.where(step > 0, lay.below_right[c], lay.below_left[c])
+        more = S[rows, nxt] == old
+        rows, c, step = rows[more], nxt[more], step[more]
+
+
+_IMPULSE, _AFTER_RIGHT, _AFTER_LEFT = 0, 1, 2
+
+
+def _cascade(S: np.ndarray, lay: _Layout, ctx: QSeriesCtx, level: np.ndarray, rng) -> None:
+    """Right impulse of particle (level, 1) in each row of S, with the
+    push/pull cascade run to the bottom level.
+
+    Each row carries a state (impulse / after-right / after-left, k, j) that
+    moves down at most one level per iteration:
+
+    * impulse at (k, j): a wall particle (last index of an odd level k < N)
+      draws a uniform against r_prob; on success (k, j) and (k+1, j) move
+      right and the state is after-right at (k+1, j), on failure (k+1, j)
+      moves left and the state is after-left at (k+1, j).  Any other particle
+      moves right and the state is after-right at (k, j).
+    * after-right at (k < N, j): on a uniform below r_prob, (k+1, j) moves
+      right and the state is after-right at (k+1, j); otherwise it is an
+      impulse at (k+1, j+1).
+    * after-left at (k < N, j): on a uniform below l_prob, (k+1, j+1) moves
+      left and the state is after-left at (k+1, j+1); otherwise (k+1, j)
+      moves left and the state is after-left at (k+1, j).
+
+    Probabilities are read from a snapshot taken before the event.  Each
+    iteration draws ``rng.random(n)`` once, one uniform per row that needs
+    one, in row order."""
+    N, col, q = lay.N, lay.col, float(ctx.q)
+    snap = S.copy()
+    rows = np.arange(len(S))
+    k = np.asarray(level)
+    j = np.ones_like(k)
+    mode = np.full_like(k, _IMPULSE)
+    while rows.size:
+        going = (mode == _IMPULSE) | (k < N)
+        rows, k, j, mode = rows[going], k[going], j[going], mode[going]
+        impulse = mode == _IMPULSE
+        wall = impulse & (k % 2 == 1) & (j == lay.lens[k]) & (k < N)
+        draws = wall | ~impulse
+        u = np.ones(len(rows))
+        u[draws] = rng.random(int(draws.sum()))
+        # r_prob(level k, level k+1, j) and l_prob(level k, level k+1, j)
+        x = lambda i: snap[rows, col[k, j + i]]
+        y = lambda i: snap[rows, col[k + 1, j + i]]
+        r = _ratio(q ** (y(0) - x(0)) * (1 - q ** (x(-1) - y(0))), 1 - q ** (x(-1) - x(0)))
+        l = _ratio(q ** (x(0) - y(1)) * (1 - q ** (y(1) - x(1))), 1 - q ** (x(0) - x(1)))
+        right, left = mode == _AFTER_RIGHT, mode == _AFTER_LEFT
+        ok = u < np.where(left, l, r)
+        here, there = col[k, j], col[k + 1, j]
+        moved = impulse & (~wall | ok)
+        S[rows[moved], here[moved]] += 1
+        moved = (wall | right) & ok
+        S[rows[moved], there[moved]] += 1
+        moved = (wall | left) & ~ok
+        S[rows[moved], there[moved]] -= 1
+        moved = left & ok
+        S[rows[moved], col[k[moved] + 1, j[moved] + 1]] -= 1
+        mode = np.where(impulse, np.where(wall & ~ok, _AFTER_LEFT, _AFTER_RIGHT),
+                        np.where(right & ~ok, _IMPULSE, mode))
+        j = j + ((right & ~ok) | (left & ok))
+        k = k + draws
+
+
+def _apply_events(S: np.ndarray, lay: _Layout, ctx: QSeriesCtx, model: str,
+                  cum: np.ndarray, rng) -> None:
+    """One event in each row of S, chosen by inverse CDF on the row's
+    cumulative rates ``cum`` with one uniform per row: the first event whose
+    cumulative rate exceeds the uniform times the total, so a zero-rate event
+    is never chosen."""
+    total = cum[:, -1]
+    # a uniform just below 1 times total can round up to total
+    u = np.minimum(rng.random(len(S)) * total, np.nextafter(total, 0))
+    event = (cum <= u[:, None]).sum(axis=1)
+    if model == "berele":
+        _cascade(S, lay, ctx, event + 1, rng)
     else:
-        _right_impulse(ctx, snap, levels, k + 1, j + 1, rng, log, t)
-
-
-def _after_left(ctx, snap, levels, k, j, rng, log, t):
-    """Particle (k, j) just moved left; trigger one lower neighbour left."""
-    N = len(levels)
-    if k == N:
-        return
-    if rng.random() < float(l_prob(ctx, snap[k - 1], snap[k], j)):
-        levels[k][j] -= 1
-        log.append(EventLogEntry(t, k + 1, j + 1, -1, "pull"))
-        _after_left(ctx, snap, levels, k + 1, j + 1, rng, log, t)
-    else:
-        levels[k][j - 1] -= 1
-        log.append(EventLogEntry(t, k + 1, j, -1, "pull"))
-        _after_left(ctx, snap, levels, k + 1, j, rng, log, t)
-
-
-def _right_impulse(ctx, snap, levels, k, j, rng, log, t):
-    """Particle (k, j) attempts a right jump.  A wall particle (last index of
-    an odd level) can be suppressed, converting the move into a left pull of
-    the particle below; every other attempt succeeds."""
-    N = len(levels)
-    if k % 2 == 1 and j == (k + 1) // 2 and k < N:
-        if rng.random() < float(r_prob(ctx, snap[k - 1], snap[k], j)):
-            levels[k - 1][j - 1] += 1
-            log.append(EventLogEntry(t, k, j, +1, "push"))
-            levels[k][j - 1] += 1
-            log.append(EventLogEntry(t, k + 1, j, +1, "push"))
-            _after_right(ctx, snap, levels, k + 1, j, rng, log, t)
-        else:
-            levels[k][j - 1] -= 1
-            log.append(EventLogEntry(t, k + 1, j, -1, "pull"))
-            _after_left(ctx, snap, levels, k + 1, j, rng, log, t)
-    else:
-        levels[k - 1][j - 1] += 1
-        log.append(EventLogEntry(t, k, j, +1, "push"))
-        _after_right(ctx, snap, levels, k, j, rng, log, t)
-
-
-def step_berele(state: PatternState, ctx: QSeriesCtx, a: Sequence[float],
-                rng, log: Optional[list] = None) -> PatternState:
-    """One exponential event of the cascade dynamics (N must be even): an
-    edge particle fires and the push/pull cascade runs to the bottom."""
-    N = state.N
-    if N % 2:
-        raise ValueError("cascade dynamics requires an even number of levels")
-    rates = [float(bar_a(a, k)) for k in range(1, N + 1)]
-    total = sum(rates)
-    state.clock += rng.exponential(1.0 / total)
-    u = rng.random() * total
-    k = 1
-    while u > rates[k - 1]:
-        u -= rates[k - 1]
-        k += 1
-    if log is None:
-        log = []
-    snap = [list(lv) for lv in state.levels]
-    log.append(EventLogEntry(state.clock, k, 1, +1, "own-clock"))
-    _right_impulse(ctx, snap, state.levels, k, 1, rng, log, state.clock)
-    return state
-
-
-# ---------------------------------------------------------------------------
-# fully randomized dynamics (a clock on every particle)
-# ---------------------------------------------------------------------------
-
-def randomized_rates(state: PatternState, ctx: QSeriesCtx, a: Sequence[float]) -> list:
-    """All active jump rates as (rate, k, j, direction)."""
-    out = []
-    for k in range(1, state.N + 1):
-        upper = state.levels[k - 2] if k > 1 else ()
-        cur = state.levels[k - 1]
-        ak = float(bar_a(a, k))
-        for j in range(1, len(cur) + 1):
-            r = ak * float(R_rate(ctx, upper, cur, j))
-            if r > 0:
-                out.append((r, k, j, +1))
-            l = float(L_rate(ctx, upper, cur, j)) / ak
-            if l > 0:
-                out.append((l, k, j, -1))
-    return out
-
-
-def _apply_push_chain(state: PatternState, k: int, j: int, direction: int,
-                      log: Optional[list], t: float, cause: str) -> None:
-    """Move particle (k, j) and push lower particles that sat at the same
-    position (same index for right moves, shifted index for left moves)."""
-    levels = state.levels
-    while True:
-        old = levels[k - 1][j - 1]
-        levels[k - 1][j - 1] += direction
-        if log is not None:
-            log.append(EventLogEntry(t, k, j, direction, cause))
-        cause = "push"
-        if k == state.N:
-            return
-        nxt = j if direction > 0 else j + 1
-        below = levels[k]
-        if nxt <= len(below) and below[nxt - 1] == old:
-            k, j = k + 1, nxt
-            continue
-        return
-
-
-def step_randomized(state: PatternState, ctx: QSeriesCtx, a: Sequence[float],
-                    rng, log: Optional[list] = None) -> PatternState:
-    """One event of the fully randomized dynamics via competing exponentials."""
-    rates = randomized_rates(state, ctx, a)
-    total = sum(r for r, *_ in rates)
-    state.clock += rng.exponential(1.0 / total)
-    u = rng.random() * total
-    for r, k, j, direction in rates:
-        if u <= r:
-            _apply_push_chain(state, k, j, direction, log, state.clock, "own-clock")
-            return state
-        u -= r
-    # numerical guard: take the last event
-    r, k, j, direction = rates[-1]
-    _apply_push_chain(state, k, j, direction, log, state.clock, "own-clock")
-    return state
+        _push_chain(S, lay, event % lay.P, np.where(event < lay.P, 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -296,31 +304,33 @@ def _slice_weight(N: int, lower, upper, ctx: QSeriesCtx, a: Sequence) -> Scalar:
 # ---------------------------------------------------------------------------
 
 def sample_initial(z: Sequence[int], N: int, ctx: QSeriesCtx, a: Sequence[float],
-                   rng) -> PatternState:
-    """Exact draw from the normalized pattern weights with bottom level z, by
-    sampling each level's conditional distribution from the bottom up."""
-    levels = [padded(z, level_len(N))]
+                   rng, replicas: int) -> np.ndarray:
+    """Exact draws of `replicas` patterns from the normalized pattern weights
+    with bottom level z, as a batch laid out by ``_Layout(N)``: each level's
+    conditional law given the level below it, from the bottom up.
+
+    For each level N-1, ..., 1 in turn, one uniform per replica is drawn.
+    Replicas are grouped by their current row; each group's candidate
+    weights are computed once, and a replica takes the first candidate whose
+    cumulative weight reaches its uniform times the total.  Every distinct
+    pattern drawn is validated."""
+    lay = _Layout(N)
+    S = lay.empty(replicas)
+    S[:, lay.level(N)] = padded(z, level_len(N))
     for k in range(N, 1, -1):
-        cur = levels[0]
-        cands = list(interlacings(cur, level_len(k - 1)))
-        weights = []
-        for x in cands:
-            w = float(bar_a(a, k)) ** (sum(cur) - sum(x)) \
-                * float(slice_binomials(ctx, k, x, cur)) \
-                * float(_char(k - 1, x, ctx, a))
-            weights.append(w)
-        tot = sum(weights)
-        u = rng.random() * tot
-        for x, w in zip(cands, weights):
-            if u <= w:
-                levels.insert(0, x)
-                break
-            u -= w
-        else:
-            levels.insert(0, cands[-1])
-    st = PatternState([list(lv) for lv in levels])
-    st.pattern().validate()
-    return st
+        u = rng.random(replicas)
+        tops, group, _ = _distinct_rows(S[:, lay.level(k)])
+        for g, top in enumerate(map(tuple, tops.astype(int).tolist())):
+            cands = list(interlacings(top, level_len(k - 1)))
+            cum = np.cumsum([float(bar_a(a, k)) ** (sum(top) - sum(x))
+                             * float(slice_binomials(ctx, k, x, top))
+                             * float(_char(k - 1, x, ctx, a)) for x in cands])
+            members = np.flatnonzero(group == g)
+            pick = np.searchsorted(cum, u[members] * cum[-1], side="left")
+            S[members, lay.level(k - 1)] = np.array(cands)[np.minimum(pick, len(cands) - 1)]
+    for row in _distinct_rows(S)[0]:
+        lay.pattern(row).validate()
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -624,27 +634,33 @@ class SimConfig:
 
 
 def simulate(config: SimConfig) -> dict:
-    """Run independent replicas with per-replica splittable streams; returns
-    a histogram {bottom shape: count} at time t."""
+    """Run `config.replicas` independent replicas as one batch; returns a
+    histogram {bottom shape: count} at time t.
+
+    All draws come from one ``Philox(SeedSequence(config.seed))`` stream, in
+    this order: ``sample_initial`` draws the initial patterns; then each
+    round, over the replicas still running, draws one standard exponential
+    per replica (its waiting time is that draw over its total rate), retires
+    the replicas whose clock passes t with their state unchanged, and draws
+    one uniform per remaining replica to pick its event; the cascade then
+    draws its uniforms level by level (see ``_cascade``).  The same seed and
+    config give the same histogram."""
     if config.t <= 0:
         raise ValueError("time horizon must be positive")
-    ctx = QSeriesCtx(config.q, truncation=config.truncation)
-    step = step_berele if config.model == "berele" else step_randomized
     if config.model == "berele" and config.N % 2:
         raise ValueError("cascade model needs even N")
-    hist: dict = {}
-    seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
-    for ss in seeds:
-        rng = np.random.Generator(np.random.Philox(ss))
-        st = sample_initial(config.start, config.N, ctx, config.a, rng)
-        while True:
-            prev = [list(lv) for lv in st.levels]
-            prev_clock = st.clock
-            step(st, ctx, config.a, rng)
-            if st.clock > config.t:
-                st.levels = prev
-                st.clock = prev_clock
-                break
-        key = st.bottom()
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    ctx = QSeriesCtx(config.q, truncation=config.truncation)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    lay = _Layout(config.N)
+    S = sample_initial(config.start, config.N, ctx, config.a, rng, config.replicas)
+    clock = np.zeros(len(S))
+    finished = [S[:0, lay.level(config.N)]]     # zero replicas: an empty histogram
+    while len(S):
+        cum = np.cumsum(_event_rates(S, lay, ctx, config.model, config.a), axis=1)
+        clock += rng.standard_exponential(len(S)) / cum[:, -1]
+        running = clock <= config.t
+        finished.append(S[~running][:, lay.level(config.N)])
+        S, clock, cum = S[running], clock[running], cum[running]
+        _apply_events(S, lay, ctx, config.model, cum, rng)
+    shapes, _, counts = _distinct_rows(np.concatenate(finished))
+    return {canon(z): int(c) for z, c in zip(shapes, counts)}

@@ -115,6 +115,20 @@ def test_sde_reproducible_and_finite():
     assert np.isfinite(r1["bottom"]).all()
 
 
+def test_sde_bottom_law_matches_scalar_engine():
+    # `sde --N 2 --lambda 0.9 --t 1` (h = 1e-3, wedge start) with the earlier
+    # per-replica scalar engine, 1000 replicas, seed 1: bottom mean and std
+    ref_n, ref_mean, ref_std = 1000, 0.11722017943306022, 0.6589193630118396
+    rep = sde_simulate(2, ContinuousParams(1, (0.9,)), wedge_start(2), t=1.0,
+                       h=1e-3, replicas=2000, seed=1)
+    assert rep["flagged"] == 0
+    b = rep["bottom"][:, 0]
+    n, mean, std = len(b), b.mean(), b.std()
+    # within 4 standard errors of the difference of two independent samples
+    assert abs(mean - ref_mean) < 4 * math.sqrt(ref_std ** 2 / ref_n + std ** 2 / n)
+    assert abs(std - ref_std) < 4 * math.sqrt(ref_std ** 2 / (2 * ref_n) + std ** 2 / (2 * n))
+
+
 def test_wedge_start_shape():
     x0 = wedge_start(4)
     assert [len(lv) for lv in x0] == [1, 1, 2, 2]

@@ -6,28 +6,26 @@ from scipy.linalg import expm
 
 from sympgt.algebra import QSeriesCtx
 from sympgt.characters import qwhittaker_pattern_sum
-from sympgt.combinatorics import interlacings, level_len, partitions_max_weight
+from sympgt.combinatorics import (enumerate_patterns, interlacings, level_len,
+                                  partitions_max_weight)
 from sympgt.dynamics import (
-    GeneratorMatrix,
-    PatternState,
     SimConfig,
     L_rate,
     R_rate,
+    _apply_events,
+    _cascade,
     _char,
-    _right_impulse,
+    _event_rates,
+    _Layout,
     bar_a,
     build_generator,
     helper_row_randomized,
     l_prob,
     r_prob,
-    randomized_rates,
     sample_initial,
     simulate,
-    step_berele,
-    step_randomized,
     verify_intertwining_cascade,
     verify_intertwining_randomized,
-    zero_state,
 )
 
 
@@ -37,22 +35,62 @@ class StubRng:
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self):
-        return self.values.pop(0)
+    def random(self, n):
+        assert len(self.values) >= n
+        out, self.values = self.values[:n], self.values[n:]
+        return np.array(out, dtype=float)
 
-    def exponential(self, scale):
-        return scale
+
+def _batch(patterns):
+    """Batch laid out by _Layout(N) holding the given N-level patterns."""
+    lay = _Layout(len(patterns[0]))
+    S = lay.empty(len(patterns))
+    for row, levels in zip(S, patterns):
+        for k, lv in enumerate(levels, start=1):
+            row[lay.level(k)] = lv
+    return lay, S
+
+
+def _levels(lay, row):
+    return [list(map(int, lv)) for lv in lay.pattern(row).levels]
 
 
 def test_rank_one_randomized_rates():
-    q = F(1, 2)
-    ctx = QSeriesCtx(q)
-    a = (F(3, 2),)
-    st = PatternState([[4]])
-    rates = randomized_rates(st, ctx, a)
-    assert (F(3, 2), 1, 1, +1) in rates
-    assert (F(2, 3) * (1 - q ** 4), 1, 1, -1) in rates
-    assert len(rates) == 2
+    lay, S = _batch([[(4,)]])
+    rates = _event_rates(S, lay, QSeriesCtx(0.5), "randomized", (1.5,))
+    # right: a; left: (1 - q^4) / a
+    assert rates.tolist() == [[1.5, (1 - 0.5 ** 4) / 1.5]]
+
+
+def test_batched_rates_equal_exact_rates():
+    # every pattern with N <= 5 and bottom weight <= 4: the batched float
+    # rates follow the scalar float R_rate/L_rate arithmetic (numpy's power
+    # may differ from the C library's pow in the last bit, hence a few ulps)
+    # and agree with the exact rates to rounding
+    a_exact = (F(6, 5), F(3, 7), F(5, 2))
+    a = tuple(map(float, a_exact))
+    exact, ctx = QSeriesCtx(F(1, 3)), QSeriesCtx(1 / 3)
+    for N in range(1, 6):
+        patterns = [p.levels for z in partitions_max_weight(level_len(N), 4)
+                    for p in enumerate_patterns(z, N)]
+        lay, S = _batch(patterns)
+        got = _event_rates(S, lay, ctx, "randomized", a)
+        for row, levels in zip(got, patterns):
+            expect_float, expect_exact = [], []
+            for side in (R_rate, L_rate):
+                for k, cur in enumerate(levels, start=1):
+                    upper = levels[k - 2] if k > 1 else ()
+                    for j in range(1, len(cur) + 1):
+                        f = float(side(ctx, upper, cur, j))
+                        e = side(exact, upper, cur, j)
+                        if side is R_rate:
+                            expect_float.append(float(bar_a(a, k)) * f)
+                            expect_exact.append(float(bar_a(a_exact, k) * e))
+                        else:
+                            expect_float.append(f / float(bar_a(a, k)))
+                            expect_exact.append(float(e / bar_a(a_exact, k)))
+            assert row.tolist() == pytest.approx(expect_float, rel=1e-14, abs=0)
+            assert row.tolist() == pytest.approx(expect_exact, rel=1e-13, abs=0)
 
 
 def test_wall_probabilities():
@@ -66,23 +104,51 @@ def test_wall_probabilities():
 
 
 def test_cascade_branches_rank_one():
-    q = 0.5
-    ctx = QSeriesCtx(q)
-    # wall succeeds: both particles move right
-    st = [[1], [3]]
-    snap = [list(l) for l in st]
-    _right_impulse(ctx, snap, st, 1, 1, StubRng([0.2]), [], 0.0)
-    assert st == [[2], [4]]
-    # wall suppressed: lower particle pulled left
-    st = [[1], [3]]
-    snap = [list(l) for l in st]
-    _right_impulse(ctx, snap, st, 1, 1, StubRng([0.9]), [], 0.0)
-    assert st == [[1], [2]]
-    # bottom edge clock always moves right
-    st = [[1], [3]]
-    snap = [list(l) for l in st]
-    _right_impulse(ctx, snap, st, 2, 1, StubRng([]), [], 0.0)
-    assert st == [[1], [4]]
+    ctx = QSeriesCtx(0.5)
+    # rows: wall succeeds (both particles move right), wall suppressed (lower
+    # particle pulled left), bottom edge clock (always moves right, no draw)
+    lay, S = _batch([[(1,), (3,)]] * 3)
+    rng = StubRng([0.2, 0.9])
+    _cascade(S, lay, ctx, np.array([1, 1, 2]), rng)
+    assert not rng.values
+    assert [_levels(lay, row) for row in S] == [[[2], [4]], [[1], [2]], [[1], [4]]]
+
+
+def test_cascade_branches_rank_two():
+    # N = 4 reaches the wall particle of level 3 and pulls through two
+    # levels; each uniform sits 1e-9 below (success) or above (failure) the
+    # probability the scalar r_prob/l_prob give on the pre-event pattern
+    ctx = QSeriesCtx(0.4)
+    start = [(2,), (3,), (4, 1), (5, 2)]
+    r = lambda k, j: float(r_prob(ctx, start[k - 1], start[k], j))
+    l = lambda k, j: float(l_prob(ctx, start[k - 1], start[k], j))
+    yes = lambda p: p - 1e-9
+    no = lambda p: p + 1e-9
+    cases = [
+        # edge clock of level 2: (2,1) right; (3,1) pushed; (4,1) pushed
+        (2, [yes(r(2, 1)), yes(r(3, 1))], [(2,), (4,), (5, 1), (6, 2)]),
+        # ... (4,1) not pushed: impulse on (4,2)
+        (2, [yes(r(2, 1)), no(r(3, 1))], [(2,), (4,), (5, 1), (5, 3)]),
+        # (3,1) not pushed: wall impulse on (3,2), which moves with (4,2)
+        (2, [no(r(2, 1)), yes(r(3, 2))], [(2,), (4,), (4, 2), (5, 3)]),
+        # ... the wall suppresses it: (4,2) pulled left
+        (2, [no(r(2, 1)), no(r(3, 2))], [(2,), (4,), (4, 1), (5, 1)]),
+        # wall of level 1 suppressed: (2,1) left, then (3,2) left, then
+        # (4,2) left, since l_prob at the wall of level 3 is 0
+        (1, [no(r(1, 1)), yes(l(2, 1)), no(l(3, 2))], [(2,), (2,), (4, 0), (5, 1)]),
+        # ... (3,1) left, then (4,2) left
+        (1, [no(r(1, 1)), no(l(2, 1)), yes(l(3, 1))], [(2,), (2,), (3, 1), (5, 1)]),
+        # ... (3,1) left, then (4,1) left
+        (1, [no(r(1, 1)), no(l(2, 1)), no(l(3, 1))], [(2,), (2,), (3, 1), (4, 2)]),
+    ]
+    assert l(3, 2) == 0
+    for level, uniforms, expect in cases:
+        lay, S = _batch([start])
+        rng = StubRng(uniforms)
+        _cascade(S, lay, ctx, np.array([level]), rng)
+        assert not rng.values
+        assert _levels(lay, S[0]) == [list(lv) for lv in expect]
+        lay.pattern(S[0]).validate()
 
 
 def test_randomized_matches_helper_rows_two_levels():
@@ -90,14 +156,11 @@ def test_randomized_matches_helper_rows_two_levels():
     q, a = F(1, 2), (F(2, 1),)
     ctx = QSeriesCtx(q)
     x, y = (1,), (3,)
-    st = PatternState([[1], [3]])
-    rates = {}
-    for r, k, j, s in randomized_rates(st, ctx, a):
-        if k == 2:
-            rates[(x, (y[0] + s,))] = rates.get((x, (y[0] + s,)), 0) + r
+    lay, S = _batch([[x, y]])
+    right, left = _event_rates(S, lay, QSeriesCtx(0.5), "randomized", (2.0,))[0, [1, 3]]
     row = helper_row_randomized(2, x, y, ctx, a)
-    assert rates[(x, (4,))] == pytest.approx(float(row[(x, (4,))]))
-    assert rates[(x, (2,))] == pytest.approx(float(row[(x, (2,))]))
+    assert right == pytest.approx(float(row[(x, (4,))]))
+    assert left == pytest.approx(float(row[(x, (2,))]))
 
 
 @pytest.mark.parametrize("q", [F(0), F(1, 3)])
@@ -208,61 +271,61 @@ def test_sample_initial_distribution():
                         for x in range(4)])
     weights /= weights.sum()
     rng = np.random.Generator(np.random.Philox(12345))
-    counts = np.zeros(4)
-    n_draws = 4000
-    for _ in range(n_draws):
-        st = sample_initial((3,), 2, ctx, a, rng)
-        counts[st.levels[0][0]] += 1
-    emp = counts / n_draws
-    assert np.abs(emp - weights).max() < 0.03
+    n_draws = 40000
+    S = sample_initial((3,), 2, ctx, a, rng, n_draws)
+    assert (S[:, 1] == 3).all()
+    emp = np.bincount(S[:, 0].astype(int), minlength=4) / n_draws
+    assert np.abs(emp - weights).max() < 0.01
+
+
+def _tv_to_generator(cfg, C, ctx, a):
+    """TV distance between a simulated histogram and the time-t row of
+    expm(t Q) of the truncated shape-chain generator."""
+    hist = simulate(cfg)
+    gen = build_generator(cfg.N, C, ctx, a)
+    p = expm(cfg.t * gen.dense())[gen.index[cfg.start], :]
+    emp = np.zeros(len(gen.states))
+    for shape, c in hist.items():
+        emp[gen.index[shape]] += c
+    emp /= cfg.replicas
+    return 0.5 * np.abs(emp - p).sum()
 
 
 def test_simulate_berele_matches_generator():
-    q, a, t = 0.5, (1.0,), 1.0
-    cfg = SimConfig(model="berele", N=2, a=a, q=q, t=t, replicas=4000, seed=7)
-    hist = simulate(cfg)
-    gen = build_generator(2, 30, QSeriesCtx(F(1, 2)), (F(1, 1),))
-    Q = gen.dense()
-    p = expm(t * Q)[gen.index[()], :]
-    emp = np.zeros(len(gen.states))
-    for shape, c in hist.items():
-        emp[gen.index[shape]] += c
-    emp /= emp.sum()
-    tv = 0.5 * np.abs(emp - p).sum()
-    assert tv < 0.05
+    cfg = SimConfig(model="berele", N=2, a=(1.0,), q=0.5, t=1.0, replicas=50000, seed=7)
+    assert _tv_to_generator(cfg, 30, QSeriesCtx(F(1, 2)), (F(1, 1),)) < 0.015
 
 
 def test_simulate_randomized_matches_generator():
-    q, t = 0.5, 0.8
-    a = (1.2, 0.9)
-    cfg = SimConfig(model="randomized", N=3, a=a, q=q, t=t, replicas=3000, seed=11)
-    hist = simulate(cfg)
-    gen = build_generator(3, 12, QSeriesCtx(F(1, 2)), (F(6, 5), F(9, 10)))
-    Q = gen.dense()
-    p = expm(t * Q)[gen.index[()], :]
-    emp = np.zeros(len(gen.states))
-    for shape, c in hist.items():
-        emp[gen.index[shape]] += c
-    emp /= emp.sum()
-    tv = 0.5 * np.abs(emp - p).sum()
-    assert tv < 0.06
+    cfg = SimConfig(model="randomized", N=3, a=(1.2, 0.9), q=0.5, t=0.8,
+                    replicas=50000, seed=11)
+    assert _tv_to_generator(cfg, 12, QSeriesCtx(F(1, 2)), (F(6, 5), F(9, 10))) < 0.015
+
+
+@pytest.mark.parametrize("model", ["randomized", "berele"])
+def test_simulate_rank_two_matches_generator(model):
+    # N <= 3 never reaches the wall particles of level 3: only N = 4 runs
+    # check the cascade branches there against the generator
+    cfg = SimConfig(model=model, N=4, a=(1.1, 0.8), q=0.4, t=0.5,
+                    replicas=50000, seed=13, start=(2, 1))
+    assert _tv_to_generator(cfg, 10, QSeriesCtx(0.4), (1.1, 0.8)) < 0.02
 
 
 def test_simulate_seeded_histograms_are_pinned():
-    # histograms recorded with characters from the pattern sum: the oracle
-    # behind the initial law must leave the sampled stream unchanged
+    # histograms recorded with the batched engine: one Philox stream per
+    # seed, so any change to the draw order shows here
     cfg = SimConfig("randomized", 3, (1.2, 0.9), 0.5, 0.8, 300, 5, start=(2, 1))
     assert simulate(cfg) == {
-        (1,): 4, (1, 1): 7, (2,): 19, (2, 1): 35, (2, 2): 6, (3,): 35,
-        (3, 1): 56, (3, 2): 12, (4,): 23, (4, 1): 38, (4, 2): 13, (4, 3): 1,
-        (5,): 10, (5, 1): 21, (5, 2): 6, (5, 3): 2, (6,): 1, (6, 1): 4,
-        (6, 2): 1, (6, 3): 2, (7,): 1, (7, 1): 2, (7, 2): 1}
+        (1,): 2, (1, 1): 6, (2,): 23, (2, 1): 37, (3,): 29, (3, 1): 51,
+        (3, 2): 15, (3, 3): 1, (4,): 13, (4, 1): 53, (4, 2): 13, (4, 3): 1,
+        (5,): 6, (5, 1): 18, (5, 2): 14, (6,): 2, (6, 1): 8, (6, 2): 2,
+        (6, 3): 1, (7, 1): 4, (8, 1): 1}
     cfg = SimConfig("berele", 4, (1.1, 0.8), 0.4, 0.5, 300, 5, start=(2, 1))
     assert simulate(cfg) == {
-        (1,): 1, (1, 1): 4, (2,): 4, (2, 1): 46, (2, 2): 20, (3,): 5,
-        (3, 1): 63, (3, 2): 31, (3, 3): 2, (4,): 13, (4, 1): 48, (4, 2): 16,
-        (4, 3): 2, (5,): 3, (5, 1): 19, (5, 2): 11, (5, 3): 5, (6, 1): 6,
-        (7, 1): 1}
+        (1,): 4, (1, 1): 1, (2,): 8, (2, 1): 52, (2, 2): 12, (3,): 13,
+        (3, 1): 88, (3, 2): 24, (3, 3): 4, (4,): 7, (4, 1): 32, (4, 2): 15,
+        (4, 3): 4, (5,): 4, (5, 1): 14, (5, 2): 7, (5, 3): 4, (6, 2): 4,
+        (6, 3): 1, (7, 1): 1, (8, 1): 1}
 
 
 def test_simulate_validates_patterns():
@@ -277,24 +340,28 @@ def test_simulate_validates_patterns():
 
 
 def test_berele_requires_even_levels():
-    st = zero_state(3)
-    rng = np.random.Generator(np.random.Philox(1))
+    cfg = SimConfig(model="berele", N=3, a=(1.0, 1.0), q=0.5, t=1.0,
+                    replicas=10, seed=1)
     with pytest.raises(ValueError):
-        step_berele(st, QSeriesCtx(0.5), (1.0, 1.0), rng)
+        simulate(cfg)
 
 
 def test_step_preserves_interlacing():
-    rng = np.random.Generator(np.random.Philox(42))
+    # 300 rounds of one event per replica on a 64-replica batch, every
+    # replica validated after every round; the sentinels never move
     ctx = QSeriesCtx(0.5)
     a = (1.2, 0.8)
-    st = zero_state(4)
-    for _ in range(300):
-        step_randomized(st, ctx, a, rng)
-        st.pattern().validate()
-    st = zero_state(4)
-    for _ in range(300):
-        step_berele(st, ctx, a, rng)
-        st.pattern().validate()
+    for model in ("randomized", "berele"):
+        rng = np.random.Generator(np.random.Philox(42))
+        lay = _Layout(4)
+        S = lay.empty(64)
+        for _ in range(300):
+            cum = np.cumsum(_event_rates(S, lay, ctx, model, a), axis=1)
+            _apply_events(S, lay, ctx, model, cum, rng)
+            for row in S:
+                lay.pattern(row).validate()
+        assert (S[:, lay.inf] == np.inf).all() and (S[:, lay.zero] == 0).all()
+        assert S[:, :lay.P].sum() > 0
 
 
 def test_bar_a_interleaving():
