@@ -194,9 +194,17 @@ def _cmd_limit(args) -> int:
 
 def _cmd_sde(args) -> int:
     import numpy as np
-    from .continuous import ContinuousParams, sde_simulate, wedge_start
+    from .continuous import ContinuousParams, level_dim, sde_simulate, wedge_start
     params = ContinuousParams(len(args.lam), args.lam)
-    x0 = args.start if args.start else wedge_start(args.N)
+    x0 = wedge_start(args.N)
+    if args.start:
+        sizes = [level_dim(k) for k in range(1, args.N + 1)]
+        if len(args.start) != sum(sizes):
+            raise ValueError(f"--start takes {sum(sizes)} coordinates for --N {args.N} "
+                             f"(levels 1..{args.N} of sizes {','.join(map(str, sizes))}), "
+                             f"but got {len(args.start)}")
+        ends = np.cumsum(sizes)
+        x0 = [np.array(args.start[e - l:e]) for l, e in zip(sizes, ends)]
     rep = sde_simulate(args.N, params, x0, args.t, args.h,
                        args.replicas, args.seed)
     bottom = rep["bottom"]
@@ -357,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--replicas", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--start", type=_shape, default=())
+    p.add_argument("--start", type=_floats, default=(),
+                   help="start coordinates, level 1 first, level k holding ceil(k/2); "
+                        "default: a wedge near minus infinity")
     _add_output_flags(p)
     p.set_defaults(fn=_cmd_sde)
 
@@ -405,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_LIST_FLAGS = {"--x", "--eps", "--lambda", "--a", "--k"}
+_LIST_FLAGS = {"--x", "--eps", "--lambda", "--a", "--k", "--start"}
 
 
 def _glue_negative_lists(argv):

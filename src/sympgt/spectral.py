@@ -1,9 +1,18 @@
 """Torus quadrature for the hyperoctahedral inner product, the time-t law of
 the bottom shape, the Koornwinder difference operator, moment formulas by
 three independent routes (law summation, operator powers, nested contour
-integrals) and a Gram-Schmidt probe for the t0-deformed family."""
+integrals) and a Gram-Schmidt probe for the t0-deformed family.
+
+Inner products against a Laurent polynomial come from Fourier coefficients,
+not from evaluating the polynomial on the grid: on the uniform N^n grid the
+trapezoid mean of F x^-e w is entry [e mod N] of fftn(F w) / N^n.  So one
+FFT of F w serves every polynomial paired with F, and two polynomials pair
+through the spectrum of the weight alone.  The weight itself is a real
+product of 1-D factors |(e^{i phi};q)_inf|^2, each evaluated once on the
+N-point circle and gathered onto the grid by index."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -27,65 +36,75 @@ def _poch_grid(x: np.ndarray, q: float, terms: int) -> np.ndarray:
     return out
 
 
-def poly_on_grid(poly: LaurentPoly, grids: Sequence[np.ndarray]) -> np.ndarray:
-    total = np.zeros(np.broadcast(*grids).shape if len(grids) > 1 else grids[0].shape,
-                     dtype=complex)
-    for exps, c in poly.terms.items():
-        term = complex(c) * np.ones_like(total)
-        for g, e in zip(grids, exps):
-            if e:
-                term = term * g ** e
-        total = total + term
-    return total
+def pochhammer_depth(q: float) -> int:
+    """Default truncation of (x;q)_infinity: at least 60 factors, and enough
+    that |q|^K < 1e-17."""
+    if abs(q) < 1e-17:
+        return 60
+    return max(60, math.floor(math.log(1e-17) / math.log(abs(q))) + 1)
 
 
+# (n, q, t0, truncation) -> probe residual, for constructions that passed
 _truncation_checked: dict = {}
 
 
 @dataclass
 class TorusQuadrature:
     """Uniform trapezoid nodes on the n-torus with the orthogonality weight
-    cached; spectrally accurate for Laurent-polynomial integrands."""
+    cached; spectrally accurate for Laurent-polynomial integrands.  A
+    truncation of 0 means ``pochhammer_depth(q)``."""
     n: int
     nodes: int = 0
     q: float = 0.5
     t0: float = 0.0
-    truncation: int = 60
+    truncation: int = 0
+    _weight_spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
         if self.nodes == 0:
             self.nodes = 4096 if self.n == 1 else 512
-        theta = 2 * np.pi * np.arange(self.nodes) / self.nodes
-        circle = np.exp(1j * theta)
-        shape = [1] * self.n
-        self.grids = []
-        for j in range(self.n):
-            s = shape.copy()
-            s[j] = self.nodes
-            self.grids.append(circle.reshape(s))
-        self.weight = self._weight(self.truncation)
-        key = (self.n, self.q, self.t0)
+        if self.truncation == 0:
+            self.truncation = pochhammer_depth(self.q)
+        key = (self.n, self.q, self.t0, self.truncation)
         if key not in _truncation_checked:
-            ref = self._weight(200, probe=True)
-            cur = self._weight(self.truncation, probe=True)
-            _truncation_checked[key] = float(np.abs(ref - cur).max())
-            if _truncation_checked[key] > 1e-10:
-                raise ValueError("pochhammer truncation too short for this q")
-        wmax = float(np.abs(self.weight.imag).max())
-        if wmax > 1e-9:
-            raise ValueError("weight not real on the torus")
-        self.weight = self.weight.real
+            # 16 points off the zeros of the weight: axis j is shifted by 0.7 j,
+            # since a_j = a_k would zero every pair factor
+            probe = [np.exp(1j * (2 * np.pi * np.arange(16) / 16 + 0.1 + 0.7 * j))
+                     for j in range(self.n)]
+            cur = self._weight(self.truncation, probe)
+            residual = float(np.abs(self._weight(2 * self.truncation, probe) - cur).max())
+            if residual > 1e-10:
+                raise ValueError(f"pochhammer truncation {self.truncation} too short "
+                                 f"for q = {self.q} (residual {residual:.1e}); raise it")
+            # relative: at q = 0.9 the weight reaches 1e7, whose rounding
+            # alone exceeds an absolute 1e-9
+            if float(np.abs(cur.imag).max()) > 1e-9 * float(np.abs(cur).max()):
+                raise ValueError("weight not real on the torus")
+            _truncation_checked[key] = residual
+        N = self.nodes
+        circle = np.exp(2j * np.pi * np.arange(N) / N)
+        idx = [np.arange(N).reshape([N if k == j else 1 for k in range(self.n)])
+               for j in range(self.n)]
+        self.grids = [circle[i] for i in idx]
+        # |(e^{i phi};q)_inf|^2 at phi = 2 pi m / N: the weight is a product of
+        # these at 2 theta_j and theta_j +- theta_k, gathered by index mod N
+        factor = np.abs(_poch_grid(circle, self.q, self.truncation)) ** 2
+        single = factor[2 * np.arange(N) % N]
+        if self.t0:
+            single = single / np.abs(_poch_grid(self.t0 * circle, self.q,
+                                                self.truncation)) ** 2
+        self.weight = np.ones([N] * self.n)
+        for j in range(self.n):
+            self.weight *= single[idx[j]]
+            for k in range(j + 1, self.n):
+                self.weight *= factor[(idx[j] + idx[k]) % N] * factor[(idx[k] - idx[j]) % N]
 
-    def _weight(self, terms: int, probe: bool = False) -> np.ndarray:
-        if probe:
-            theta = 2 * np.pi * np.arange(16) / 16 + 0.1
-            circle = np.exp(1j * theta)
-            grids = [circle] * self.n
-        else:
-            grids = self.grids
+    def _weight(self, terms: int, grids: Sequence[np.ndarray]) -> np.ndarray:
+        """The weight as the complex product of its 2n + 4 binom(n, 2)
+        Pochhammer symbols (2n more with t0) at the given points."""
         q = self.q
-        w = np.ones(np.broadcast(*grids).shape if self.n > 1 else grids[0].shape,
-                    dtype=complex)
+        w = np.ones(np.broadcast(*grids).shape, dtype=complex)
         for j in range(self.n):
             aj = grids[j]
             w = w * _poch_grid(aj ** 2, q, terms) * _poch_grid(aj ** -2, q, terms)
@@ -99,12 +118,40 @@ class TorusQuadrature:
                       * _poch_grid(aj / ak, q, terms) * _poch_grid(1 / (aj * ak), q, terms)
         return w
 
-    def values(self, f: Evaluable) -> np.ndarray:
-        if isinstance(f, LaurentPoly):
-            return poly_on_grid(f, self.grids)
+    def values(self, f: Union[Callable, np.ndarray, complex, float, int]) -> np.ndarray:
         if callable(f):
             return f(*self.grids)
         return np.asarray(f, dtype=complex) * np.ones_like(self.weight, dtype=complex)
+
+    def spectrum(self, F: Optional[np.ndarray] = None) -> np.ndarray:
+        """fftn(F * weight) / weight.size: entry [e mod nodes] is the grid mean
+        of F * x^-e * weight.  Without F, the spectrum of the weight, cached."""
+        if F is not None:
+            return np.fft.fftn(F * self.weight) / self.weight.size
+        if self._weight_spectrum is None:
+            self._weight_spectrum = np.fft.fftn(self.weight) / self.weight.size
+        return self._weight_spectrum
+
+
+def _terms(p: LaurentPoly) -> tuple:
+    """Exponents (terms x nvars) and complex coefficients of p."""
+    exps = np.array(list(p.terms), dtype=np.intp).reshape(len(p.terms), p.nvars)
+    return exps, np.array([complex(c) for c in p.terms.values()])
+
+
+def _against(spec: np.ndarray, g: LaurentPoly) -> complex:
+    """Grid mean of F conj(g) w from the spectrum of F w."""
+    exps, coef = _terms(g)
+    return complex(np.conj(coef) @ spec[tuple((exps % spec.shape[0]).T)])
+
+
+def _pair(f: LaurentPoly, g: LaurentPoly, quad: TorusQuadrature) -> complex:
+    """Grid mean of f conj(g) w: the double sum of f_e conj(g_d) against the
+    weight spectrum at d - e."""
+    ef, cf = _terms(f)
+    eg, cg = _terms(g)
+    diff = (eg[None, :, :] - ef[:, None, :]) % quad.nodes
+    return complex(cf @ quad.spectrum()[tuple(np.moveaxis(diff, -1, 0))] @ np.conj(cg))
 
 
 def _group_order(n: int) -> int:
@@ -113,9 +160,19 @@ def _group_order(n: int) -> int:
 
 
 def inner_product(f: Evaluable, g: Evaluable, quad: TorusQuadrature) -> complex:
-    F = quad.values(f)
-    G = quad.values(g)
-    return complex(np.mean(F * np.conj(G) * quad.weight) / _group_order(quad.n))
+    """Grid mean of f conj(g) w over the group order.  A polynomial g is read
+    against the Fourier coefficients of f w (or of w, when f is a polynomial
+    too); two callables or arrays take the grid mean."""
+    if isinstance(g, LaurentPoly):
+        if isinstance(f, LaurentPoly):
+            ip = _pair(f, g, quad)
+        else:
+            ip = _against(quad.spectrum(quad.values(f)), g)
+    elif isinstance(f, LaurentPoly):
+        return inner_product(g, f, quad).conjugate()
+    else:
+        ip = np.mean(quad.values(f) * np.conj(quad.values(g)) * quad.weight)
+    return complex(ip) / _group_order(quad.n)
 
 
 def norm_squared_factor(z: Sequence[int], n: int, ctx: QSeriesCtx) -> float:
@@ -160,8 +217,8 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     the exponential generating function, normalized by exp(sum(a+1/a) t)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    ctx = ctx or QSeriesCtx(q)
     quad = quad or TorusQuadrature(n, q=q)
+    ctx = ctx or QSeriesCtx(q, truncation=quad.truncation)
     a = tuple(float(x) for x in a)
     states = sorted(z for z in partitions_max_weight(n, window * n)
                     if part(z, 1) <= window)
@@ -169,11 +226,12 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     pi_vals = np.exp(two_t_cos)
     norm = pi_norm(a, t)
     wmax = float(np.abs(pi_vals * quad.weight).max())
+    spec = quad.spectrum(pi_vals)
     table, noise = {}, {}
     for z in states:
         poly = qwhittaker_recursion(n, z, ctx)
         nf = norm_squared_factor(z, n, ctx)
-        coeff = inner_product(pi_vals, poly, quad) * nf
+        coeff = _against(spec, poly) / _group_order(n) * nf
         at_a = float(poly.evaluate(a))
         p = at_a * coeff.real / norm
         table[z] = max(p, 0.0) if abs(p) > 1e-15 else 0.0
@@ -182,6 +240,9 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     if defect > tol:
         raise ValueError(f"window mass defect {defect:.2e} exceeds {tol:.0e}; "
                          "enlarge the window")
+    if defect < -tol:
+        raise ValueError(f"window mass defect {defect:.2e} is below -{tol:.0e}: states "
+                         "past the quadrature noise floor add mass; shrink the window")
     return LawTable(n, t, a, q, table, defect, noise)
 
 
@@ -324,9 +385,24 @@ def contour_moment(n: int, k: int, t: float, a: Sequence[float], q: float,
 
 def _direct_moment_rank_one(k: int, t: float, a: float, q: float,
                             zmax: int = 40, dps: int = 40, nodes: int = 512) -> float:
-    """High-precision direct sum for n=1: the torus integrals are real, the
-    rank-1 characters obey a three-term recurrence, and q^{-kz} amplification
-    is absorbed by extended precision."""
+    """High-precision direct sum sum_z q^{-kz} p_z for n=1 over the law of
+    ``_rank_one_law``; q^{-kz} amplification is absorbed by extended precision."""
+    import mpmath as mp
+
+    law_z = _rank_one_law(t, a, q, zmax, dps, nodes)
+    with mp.workdps(dps):
+        qm = mp.mpf(q)
+        total = mp.mpf(0)
+        for z, p_z in enumerate(law_z):
+            total += qm ** (-k * z) * p_z
+        return float(total)
+
+
+@functools.lru_cache(maxsize=8)
+def _rank_one_law(t: float, a: float, q: float, zmax: int, dps: int, nodes: int) -> tuple:
+    """p_z for z = 0..zmax at rank 1 in mpmath precision dps: the torus
+    integrals are real and the rank-1 characters obey a three-term
+    recurrence."""
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -352,20 +428,19 @@ def _direct_moment_rank_one(k: int, t: float, a: float, q: float,
         v_prev, v_cur = mp.mpf(1), am + 1 / am
         qq_z = mp.mpf(1)
         norm = mp.e ** ((am + 1 / am) * tm)
-        total = mp.mpf(0)
+        out = []
         for z in range(zmax + 1):
             hz = h_prev if z == 0 else h_cur
             vz = v_prev if z == 0 else v_cur
             ip = mp.fsum(p * w * h for p, w, h in zip(pi_vals, weight, hz)) / (2 * nodes)
-            p_z = vz * (qq_inf / qq_z) * ip / norm
-            total += qm ** (-k * z) * p_z
+            out.append(vz * (qq_inf / qq_z) * ip / norm)
             qq_z *= 1 - qm ** (z + 1)
             if z >= 1:
                 fac = 1 - qm ** z
                 h_prev, h_cur = h_cur, [2 * c * hc - fac * hp
                                         for c, hc, hp in zip(cos1, h_cur, h_prev)]
                 v_prev, v_cur = v_cur, (am + 1 / am) * v_cur - fac * v_prev
-        return float(total)
+        return tuple(out)
 
 
 def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
@@ -398,18 +473,15 @@ def orthogonality_matrix(n: int, shapes: Sequence, q: float,
                          ctx: Optional[QSeriesCtx] = None) -> np.ndarray:
     """Matrix <P_lam, P_mu> * norm factor; the identity when orthogonality
     holds for the recursion-defined family."""
-    ctx = ctx or QSeriesCtx(q)
     quad = quad or TorusQuadrature(n, q=q)
+    ctx = ctx or QSeriesCtx(q, truncation=quad.truncation)
     polys = [qwhittaker_recursion(n, tuple(z), ctx) for z in shapes]
-    vals = [quad.values(p) for p in polys]
     m = len(shapes)
     out = np.zeros((m, m))
     for i in range(m):
         ni = norm_squared_factor(shapes[i], n, ctx)
         for j in range(m):
-            ip = complex(np.mean(vals[i] * np.conj(vals[j]) * quad.weight)
-                         / _group_order(n))
-            out[i, j] = ip.real * ni
+            out[i, j] = inner_product(polys[i], polys[j], quad).real * ni
     return out
 
 
@@ -417,8 +489,8 @@ def reconstruct(g: Evaluable, points: Sequence, n: int, q: float, max_weight: in
                 quad: Optional[TorusQuadrature] = None) -> list:
     """Completeness probe: expand g in the orthogonal family truncated at
     |shape| <= max_weight and re-evaluate at the given torus points."""
-    ctx = QSeriesCtx(q)
     quad = quad or TorusQuadrature(n, q=q)
+    ctx = QSeriesCtx(q, truncation=quad.truncation)
     shapes = [z for z in partitions_max_weight(n, max_weight)]
     out = []
     coeffs = []
@@ -444,20 +516,17 @@ def gram_schmidt_koornwinder(n: int, q: float, t0: float, max_weight: int,
     shapes = sorted(partitions_max_weight(n, max_weight),
                     key=lambda z: (sum(z), z))
     family: dict = {}
-    vals: dict = {}
     norms: dict = {}
     for lam in shapes:
+        # modified Gram-Schmidt: project the running p on each earlier member
         p = monomial_symmetric(n, lam).map_coefficients(float)
-        v = quad.values(p)
         for mu in family:
-            c = complex(np.mean(v * np.conj(vals[mu]) * quad.weight)) / norms[mu]
-            p = p + family[mu] * LaurentPoly.constant(n, -c.real)
-            v = v - c.real * vals[mu]
-        nrm = complex(np.mean(v * np.conj(v) * quad.weight)).real
+            c = _pair(p, family[mu], quad).real / norms[mu]
+            p = p + family[mu] * LaurentPoly.constant(n, -c)
+        nrm = _pair(p, p, quad).real
         if abs(nrm) < 1e-10:
             raise ValueError("Gram matrix numerically singular")
         family[lam] = p
-        vals[lam] = v
         norms[lam] = nrm
     return family
 

@@ -1,7 +1,34 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from sympgt import cli
+from sympgt import acceptance, cli
 from sympgt.acceptance import check_scaling_limit
+
+REFERENCE = json.loads((Path(__file__).parent / "data" / "torus_reference.json").read_text())
+
+
+def test_quick_ledger_passes():
+    ledger = acceptance.run_all(quick=True)
+    quick = [name for name, _fn, q in acceptance.REGISTRY if q]
+    assert ledger["passed"] and ledger["soft_failures"] == []
+    assert [r["name"] for r in ledger["checks"]] == quick
+    by_name = {r["name"]: r for r in ledger["checks"]}
+    ortho = by_name["orthogonality"]
+    assert max(ortho["rank1_max_error"], ortho["rank2_max_error"]) <= 1e-13
+    assert (by_name["moments-three-way"]["worst_relative"]
+            == REFERENCE["moments_three_way_worst_relative"])
+    dists = by_name["orthogonality-conjecture"]["coefficient_distances"]
+    for lam, d in REFERENCE["orthogonality_conjecture"].items():
+        assert abs(dists[lam] - d) <= 1e-12
+
+
+def test_simulation_vs_law_is_unchanged():
+    rep = acceptance.check_simulation_vs_law()
+    assert rep["passed"]
+    for key, tv in REFERENCE["simulation_vs_law"].items():
+        assert abs(rep[key] - tv) <= 1e-12
 
 
 def test_scaling_limit_check_passes():
@@ -17,8 +44,6 @@ def test_threads_flag_is_rejected():
 
 
 def test_crashing_check_is_a_failed_report(monkeypatch):
-    from sympgt import acceptance
-
     def crashes():
         raise RuntimeError("boom")
 

@@ -1,11 +1,13 @@
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sympgt.algebra import INF, QSeriesCtx, big_q_hermite, q_hermite, q_pochhammer
-from sympgt.characters import qwhittaker_recursion
+from sympgt.algebra import INF, LaurentPoly, QSeriesCtx, big_q_hermite, q_hermite, q_pochhammer
+from sympgt.characters import monomial_symmetric, qwhittaker_recursion
 from sympgt.dynamics import build_generator
 from sympgt.spectral import (
     ContourSpec,
@@ -19,8 +21,11 @@ from sympgt.spectral import (
     moments,
     norm_squared_factor,
     orthogonality_matrix,
+    pochhammer_depth,
     reconstruct,
 )
+
+REFERENCE = json.loads((Path(__file__).parent / "data" / "torus_reference.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +189,78 @@ def test_conjecture_probe_rank_two_reported():
         d = conjecture_distance(2, lam, q, t0, family=fam)
         assert math.isfinite(d)
         assert d < 0.1  # loose sanity bound; the probe is reported, not gated
+
+
+def _grid_values(poly, quad):
+    """poly evaluated term by term on the quadrature grid."""
+    total = np.zeros(quad.weight.shape, dtype=complex)
+    for exps, c in poly.terms.items():
+        term = complex(c)
+        for g, e in zip(quad.grids, exps):
+            term = term * g ** e
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("n, nodes", [(1, 64), (2, 32)])
+def test_fft_inner_product_equals_grid_mean(n, nodes):
+    quad = TorusQuadrature(n, nodes=nodes, q=0.4, t0=0.2)
+    ctx = QSeriesCtx(0.4)
+    # terms off the symmetric ones, so that a sign or index slip shows
+    f = qwhittaker_recursion(n, (2, 1)[:n], ctx) + LaurentPoly.monomial((1,) * n, 0.3)
+    g = (monomial_symmetric(n, (3,)).map_coefficients(float)
+         + LaurentPoly.monomial((2,) + (-1,) * (n - 1), 0.5j))
+    F_, G = _grid_values(f, quad), _grid_values(g, quad)
+    order = 2 ** n * math.factorial(n)
+
+    def mean(a, b):
+        return complex(np.mean(a * np.conj(b) * quad.weight)) / order
+
+    def pi(*xs):
+        return np.exp(0.7 * xs[0] + sum(0.2 / x for x in xs))
+
+    cases = [(inner_product(f, g, quad), mean(F_, G)),
+             (inner_product(g, g, quad), mean(G, G)),
+             (inner_product(pi, g, quad), mean(pi(*quad.grids), G)),
+             (inner_product(g, pi, quad), mean(G, pi(*quad.grids)))]
+    for got, want in cases:
+        assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("n, nodes, t0", [(1, 64, 0.0), (2, 48, 0.0), (2, 32, 0.3)])
+def test_real_weight_equals_complex_product(n, nodes, t0):
+    quad = TorusQuadrature(n, nodes=nodes, q=0.5, t0=t0)
+    ref = quad._weight(quad.truncation, quad.grids)
+    assert quad.weight.dtype == np.float64
+    assert np.abs(quad.weight - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_short_truncation_raises_on_every_construction():
+    TorusQuadrature(1, nodes=64, q=0.5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="truncation 5 too short"):
+            TorusQuadrature(1, nodes=64, q=0.5, truncation=5)
+        with pytest.raises(ValueError, match="truncation 60 too short"):
+            TorusQuadrature(1, nodes=64, q=0.9, truncation=60)
+        # the probe points must not sit on a_1 = a_2, where every rank-2 weight is 0
+        with pytest.raises(ValueError, match="truncation 30 too short"):
+            TorusQuadrature(2, nodes=16, q=0.5, truncation=30)
+
+
+def test_default_truncation_follows_q():
+    assert pochhammer_depth(0.5) == 60 and pochhammer_depth(0.0) == 60
+    assert 0.9 ** pochhammer_depth(0.9) < 1e-17 <= 0.9 ** (pochhammer_depth(0.9) - 1)
+    assert TorusQuadrature(1, nodes=64, q=0.9).truncation == pochhammer_depth(0.9)
+
+
+def test_law_matches_grid_quadrature_reference():
+    lt = law(2, 0.25, (1, 1), 0.5, 8)
+    ref = {tuple(json.loads(z)): v for z, v in REFERENCE["law_n2"].items()}
+    assert set(lt.table) == set(ref)
+    for z, v in ref.items():
+        assert abs(lt.table[z] - v["p"]) <= v["noise"]
+        assert lt.noise[z] == pytest.approx(v["noise"], rel=1e-12)
+    lt1 = law(1, 2.0, (1.0,), 0.5, 40)
+    ref1 = {tuple(json.loads(z)): p for z, p in REFERENCE["law_n1"].items()}
+    assert set(lt1.table) == set(ref1)
+    assert max(abs(lt1.table[z] - p) for z, p in ref1.items()) <= 1e-13
