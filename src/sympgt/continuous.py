@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 
 @dataclass(frozen=True)
@@ -338,15 +337,10 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
 # polymer partition functions
 # ---------------------------------------------------------------------------
 
-def _bm_paths(rng, drifts: Sequence[float], t: float, steps: int,
-              replicas: int) -> np.ndarray:
-    """Brownian paths array of shape (len(drifts), replicas, steps+1)."""
-    dt = t / steps
-    inc = rng.standard_normal((len(drifts), replicas, steps)) * math.sqrt(dt)
-    inc += np.asarray(drifts)[:, None, None] * dt
-    paths = np.concatenate([np.zeros((len(drifts), replicas, 1)),
-                            np.cumsum(inc, axis=2)], axis=2)
-    return paths
+_BLOCK = 256
+# a row whose entries span more than this many e-folds underflows in
+# exp(a - max); such rows keep the exact np.logaddexp.accumulate
+_WIDE = 700.0
 
 
 def _log_trapz_weights(steps: int, dt: float) -> np.ndarray:
@@ -355,47 +349,120 @@ def _log_trapz_weights(steps: int, dt: float) -> np.ndarray:
     return np.log(w)
 
 
+def _log_cumsum_exp(a: np.ndarray) -> int:
+    """Replace each row of the 2-D array ``a`` by its running log-sum-exp
+    log(cumsum(exp(a - m))) + m, m the row max, in place; rows wider than
+    _WIDE (max - min) use np.logaddexp.accumulate instead.  Returns the
+    number of such wide rows."""
+    m = a.max(axis=1, keepdims=True)
+    wide = np.flatnonzero(m[:, 0] - a.min(axis=1) > _WIDE)
+    exact = np.logaddexp.accumulate(a[wide], axis=1)
+    a -= m
+    np.exp(a, out=a)
+    np.cumsum(a, axis=1, out=a)
+    with np.errstate(divide="ignore"):  # wide rows may underflow to log(0)
+        np.log(a, out=a)
+    a += m
+    a[wide] = exact
+    return len(wide)
+
+
+def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
+                     replicas: int, integrated: bool) -> tuple:
+    """Samples of the nested recurrence log I_k = b_k + log int_0^. e^{log
+    I_{k-1} - b_k} (trapezoid in log space) over the levels b_k, and the
+    count of rows that took the wide-row path of _log_cumsum_exp.
+
+    Without ``integrated`` the recurrence starts at log I = 0 and the sample
+    is log I_N(t); with it, log I_1 = b_1 and the sample is
+    log int_0^t e^{log I_N(s)} ds.  Level k's Brownian path (drift
+    drifts[k], started at 0) is drawn _BLOCK replicas at a time, level-major
+    then replica-major, so the normals are those of one (levels, replicas,
+    steps) draw; only the running log-integral of shape (replicas, steps+1)
+    is kept between levels."""
+    dt = t / steps
+    sqrt_dt = math.sqrt(dt)
+    logw = _log_trapz_weights(steps, dt)
+    log_i = np.zeros((replicas, steps + 1))
+    noise = np.empty((_BLOCK, steps))
+    path = np.zeros((_BLOCK, steps + 1))
+    wide = 0
+    for k, drift in enumerate(drifts):
+        for r0 in range(0, replicas, _BLOCK):
+            rows = log_i[r0:r0 + _BLOCK]
+            inc, b = noise[:len(rows)], path[:len(rows)]
+            rng.standard_normal(out=inc)
+            inc *= sqrt_dt
+            inc += drift * dt
+            np.cumsum(inc, axis=1, out=b[:, 1:])
+            if integrated and k == 0:
+                rows[...] = b
+                continue
+            rows -= b
+            rows += logw
+            wide += _log_cumsum_exp(rows)
+            rows += b
+    if not integrated:
+        return log_i[:, -1].copy(), wide  # a copy, so log_i can be freed
+    # max-shifted log-sum-exp of the trapezoid terms, in place
+    log_i += logw
+    m = log_i.max(axis=1)
+    log_i -= m[:, None]
+    np.exp(log_i, out=log_i)
+    return np.log(log_i.sum(axis=1)) + m, wide
+
+
 def polymer_z(rng, N: int, lam: Sequence[float], t: float, steps: int,
               replicas: int) -> np.ndarray:
     """Z^N(t) samples: nested simplex integral via the running log-sum-exp
-    recurrence I_k(t) = e^{b_k(t)} int_0^t e^{-b_k(s)} I_{k-1}(s) ds."""
-    b = _bm_paths(rng, _drift_ladder(lam, N), t, steps, replicas)
-    dt = t / steps
-    logw = _log_trapz_weights(steps, dt)[None, :]
-    log_i = np.zeros((replicas, steps + 1))
-    for k in range(N):
-        arg = log_i - b[k] + logw
-        log_i = b[k] + np.logaddexp.accumulate(arg, axis=1)
-    return log_i[:, -1]
+    recurrence I_k(t) = e^{b_k(t)} int_0^t e^{-b_k(s)} I_{k-1}(s) ds.
+
+    Streamed: each level's Brownian increments are drawn and integrated
+    _BLOCK replicas at a time, in the order of one (N, replicas, steps)
+    normal draw, and only one (replicas, steps + 1) running log-integral
+    lives between levels."""
+    return _polymer_samples(rng, _drift_ladder(lam, N), t, steps, replicas,
+                            integrated=False)[0]
 
 
 def polymer_y_integral(rng, N: int, nu: Sequence[float], t: float, steps: int,
                        replicas: int) -> np.ndarray:
-    """log int_0^t e^{Y^N(s)} ds samples, Y built on drifts nu."""
-    g = _bm_paths(rng, nu, t, steps, replicas)
-    dt = t / steps
-    logw = _log_trapz_weights(steps, dt)[None, :]
-    log_j = g[0]
-    for k in range(1, N):
-        arg = log_j - g[k] + logw
-        log_j = g[k] + np.logaddexp.accumulate(arg, axis=1)
-    return np.squeeze(np.logaddexp.reduce(log_j + logw, axis=1))
+    """log int_0^t e^{Y^N(s)} ds samples, Y built on drifts nu (streamed as
+    in polymer_z)."""
+    return _polymer_samples(rng, nu[:N], t, steps, replicas, integrated=True)[0]
 
 
 def polymer_identity_check(N: int, lam: Sequence[float], t: float,
                            replicas: int, seed: int,
                            steps: int = 512) -> dict:
     """Two-sample KS between Z^N(t) and log int_0^t e^{Y^N}: the reversed
-    drift vector for Y is the drift ladder of Z read backwards."""
-    nu = list(reversed(_drift_ladder(lam, N)))
+    drift vector for Y is the drift ladder of Z read backwards.  ``stats``
+    counts the rows, over both samples and all levels, that took the exact
+    wide-row path of the running log-sum-exp."""
+    if N < 1:
+        raise ValueError(f"--N must be at least 1, got {N}")
+    if len(lam) < level_dim(N):
+        raise ValueError(f"--lambda needs at least {level_dim(N)} values for --N {N}, "
+                         f"got {len(lam)}")
+    if not t > 0:
+        raise ValueError(f"--t must be positive, got {t}")
+    if replicas < 1:
+        raise ValueError(f"--replicas must be at least 1, got {replicas}")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    # scipy.stats takes about 1 s to import, so only a KS test pays for it
+    from scipy.stats import ks_2samp
+
+    ladder = _drift_ladder(lam, N)
     ss = np.random.SeedSequence(seed).spawn(2)
-    z = polymer_z(np.random.Generator(np.random.Philox(ss[0])),
-                  N, lam, t, steps, replicas)
-    y = polymer_y_integral(np.random.Generator(np.random.Philox(ss[1])),
-                           N, nu, t, steps, replicas)
+    z, wide_z = _polymer_samples(np.random.Generator(np.random.Philox(ss[0])),
+                                 ladder, t, steps, replicas, integrated=False)
+    y, wide_y = _polymer_samples(np.random.Generator(np.random.Philox(ss[1])),
+                                 ladder[::-1], t, steps, replicas, integrated=True)
     stat, pvalue = ks_2samp(z, y)
     return {"ks": float(stat), "pvalue": float(pvalue),
             "replicas": replicas, "steps": steps,
             "z_mean": float(np.mean(z)), "y_mean": float(np.mean(y)),
+            "stats": {"wide_rows": wide_z + wide_y},
             "conditional": "distributional identity holds unconditionally; "
                            "links to pattern diffusions remain conjectural"}

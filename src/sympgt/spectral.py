@@ -402,7 +402,8 @@ def _direct_moment_rank_one(k: int, t: float, a: float, q: float,
 def _rank_one_law(t: float, a: float, q: float, zmax: int, dps: int, nodes: int) -> tuple:
     """p_z for z = 0..zmax at rank 1 in mpmath precision dps: the torus
     integrals are real and the rank-1 characters obey a three-term
-    recurrence."""
+    recurrence.  The weight's Pochhammer product and (q;q)_inf keep
+    pochhammer_depth(q) factors, and at least 200 and 400."""
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -410,16 +411,17 @@ def _rank_one_law(t: float, a: float, q: float, zmax: int, dps: int, nodes: int)
         theta = [2 * mp.pi * j / nodes for j in range(nodes)]
         cos1 = [mp.cos(th) for th in theta]
         cos2 = [mp.cos(2 * th) for th in theta]
+        depth = pochhammer_depth(q)
         weight = []
         for c2 in cos2:
             w, qk = mp.mpf(1), mp.mpf(1)
-            for _ in range(200):
+            for _ in range(max(200, depth)):
                 w *= 1 - 2 * qk * c2 + qk ** 2
                 qk *= qm
             weight.append(w)
         pi_vals = [mp.e ** (2 * tm * c) for c in cos1]
         qq_inf, qk = mp.mpf(1), qm
-        for _ in range(400):
+        for _ in range(max(400, depth)):
             qq_inf *= 1 - qk
             qk *= qm
         # recurrence over the character degree on nodes and at the real point

@@ -24,6 +24,14 @@ def test_quick_ledger_passes():
         assert abs(dists[lam] - d) <= 1e-12
 
 
+@pytest.mark.slow
+def test_full_ledger_passes():
+    ledger = acceptance.run_all()
+    assert len(ledger["checks"]) == len(acceptance.REGISTRY) == 15
+    assert all(r["passed"] for r in ledger["checks"]), ledger["soft_failures"]
+    assert ledger["passed"]
+
+
 def test_simulation_vs_law_is_unchanged():
     rep = acceptance.check_simulation_vs_law()
     assert rep["passed"]

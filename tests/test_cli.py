@@ -117,6 +117,14 @@ def test_subcommand_runs(capsys, argv, check):
      "--start takes 4 coordinates for --N 3"),
     (["law", "--n", "1", "--t", "1", "--a", "1", "--q", "0.9"],
      "shrink the window"),
+    (["polymer", "--N", "3", "--lambda", "0.9", "--replicas", "10", "--seed", "1"],
+     "--lambda needs at least 2 values for --N 3"),
+    (["polymer", "--N", "0", "--replicas", "10", "--seed", "1"],
+     "--N must be at least 1"),
+    (["polymer", "--N", "1", "--t", "-1", "--replicas", "10", "--seed", "1"],
+     "--t must be positive"),
+    (["polymer", "--N", "1", "--replicas", "0", "--seed", "1"],
+     "--replicas must be at least 1"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -1,15 +1,25 @@
 """Diffusion-level checks: kernels, Phi family, SDEs, polymer identity."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sympgt.continuous import (ContinuousParams, _sde_drift, grad_log_phi,
-                               h_b, h_d, phi, phi2_bessel,
+import sympgt
+from sympgt.continuous import (_BLOCK, _WIDE, ContinuousParams, _drift_ladder,
+                               _log_cumsum_exp, _polymer_samples, _sde_drift,
+                               grad_log_phi, h_b, h_d, phi, phi2_bessel,
                                phi_eigen_residual, polymer_identity_check,
-                               q_nn, q_nnm1, sde_simulate,
-                               verify_operator_identities, wedge_start)
+                               polymer_y_integral, polymer_z, q_nn, q_nnm1,
+                               sde_simulate, verify_operator_identities,
+                               wedge_start)
+
+POLYMER = json.loads((Path(__file__).parent / "data" / "polymer_reference.json").read_text())
 
 
 def test_params_validation():
@@ -150,3 +160,115 @@ def test_polymer_identity_rank_two_reported():
     rep = polymer_identity_check(2, (0.8,), 1.0, replicas=20000, seed=8)
     # soft: reported, generous bound guards against statistical flukes
     assert rep["ks"] <= 0.03
+
+
+def test_log_cumsum_exp_matches_logaddexp_accumulate():
+    # random-walk rows, every third one spanning more than _WIDE
+    a = np.cumsum(np.random.default_rng(1).standard_normal((30, 513)), axis=1)
+    a[::3] += np.linspace(0.0, 1.5 * _WIDE, 513)
+    wide = (a.max(axis=1) - a.min(axis=1)) > _WIDE
+    assert wide.sum() == 10
+    ref = np.logaddexp.accumulate(a, axis=1)
+    got = a.copy()
+    assert _log_cumsum_exp(got) == 10
+    assert np.array_equal(got[wide], ref[wide])
+    assert np.abs(got[~wide] - ref[~wide]).max() <= 1e-13
+    # a block of ordinary rows only
+    ordinary = a[~wide].copy()
+    assert _log_cumsum_exp(ordinary) == 0
+    assert np.abs(ordinary - ref[~wide]).max() <= 1e-13
+
+
+def test_blockwise_draws_equal_one_draw():
+    levels, replicas, steps = 3, 2 * _BLOCK + 37, 16
+    one = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
+    whole = one.standard_normal((levels, replicas, steps))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
+    buf = np.empty((_BLOCK, steps))
+    for k in range(levels):
+        for r0 in range(0, replicas, _BLOCK):
+            want = whole[k, r0:r0 + _BLOCK]
+            block = buf[:len(want)]
+            rng.standard_normal(out=block)
+            assert np.array_equal(block, want)
+
+
+def _reference_samples(rng, drifts, t, steps, replicas, integrated):
+    """The unstreamed sampler: one (levels, replicas, steps) draw and
+    np.logaddexp ufunc loops."""
+    dt = t / steps
+    inc = rng.standard_normal((len(drifts), replicas, steps)) * math.sqrt(dt)
+    inc += np.asarray(drifts)[:, None, None] * dt
+    b = np.concatenate([np.zeros((len(drifts), replicas, 1)), np.cumsum(inc, axis=2)], axis=2)
+    logw = np.log(np.r_[dt / 2, np.full(steps - 1, dt), dt / 2])
+    log_i = b[0] if integrated else np.zeros((replicas, steps + 1))
+    for k in range(1 if integrated else 0, len(drifts)):
+        log_i = b[k] + np.logaddexp.accumulate(log_i - b[k] + logw, axis=1)
+    return np.logaddexp.reduce(log_i + logw, axis=1) if integrated else log_i[:, -1]
+
+
+@pytest.mark.parametrize("t", [2.0, 400.0])
+def test_streamed_polymer_matches_unstreamed_reference(t):
+    # at t = 400 one level of each sample mixes wide and ordinary rows in a block
+    drifts, replicas = _drift_ladder((0.9, 0.4), 3), _BLOCK + 45
+    for integrated in (False, True):
+        ref = _reference_samples(np.random.Generator(np.random.Philox(2)), drifts,
+                                 t, 64, replicas, integrated)
+        got, wide = _polymer_samples(np.random.Generator(np.random.Philox(2)), drifts,
+                                     t, 64, replicas, integrated)
+        assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+        assert (wide == 0) if t == 2.0 else (0 < wide < replicas)
+
+
+@pytest.mark.parametrize("case", POLYMER["ledger"], ids=lambda c: f"N{c['N']}")
+def test_polymer_identity_ledger_figures_are_unchanged(case):
+    rep = polymer_identity_check(case["N"], tuple(case["lam"]), case["t"],
+                                 replicas=case["replicas"], seed=case["seed"])
+    assert (rep["ks"], rep["pvalue"]) == (case["ks"], case["pvalue"])
+    assert rep["z_mean"] == pytest.approx(case["z_mean"], abs=1e-12)
+    assert rep["y_mean"] == pytest.approx(case["y_mean"], abs=1e-12)
+    assert rep["stats"] == {"wide_rows": 0}
+
+
+@pytest.mark.parametrize("case", POLYMER["summaries"],
+                         ids=lambda c: f"N{c['N']}-t{c['t']:g}")
+def test_polymer_samples_are_unchanged(case):
+    N, lam, t = case["N"], tuple(case["lam"]), case["t"]
+    ss = np.random.SeedSequence(case["seed"]).spawn(2)
+    z = polymer_z(np.random.Generator(np.random.Philox(ss[0])), N, lam, t, 512,
+                  case["replicas"])
+    y = polymer_y_integral(np.random.Generator(np.random.Philox(ss[1])), N,
+                           tuple(reversed(_drift_ladder(lam, N))), t, 512, case["replicas"])
+    levels = POLYMER["quantile_levels"]
+    for got, ref in [(np.quantile(z, levels), case["z"]), (np.quantile(y, levels), case["y"])]:
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_polymer_wide_rows_are_reported():
+    rep = polymer_identity_check(2, (0.9, 0.4), 2000.0, replicas=300, seed=5)
+    # every row of both Z levels and of the one Y recurrence level is wide
+    assert rep["stats"] == {"wide_rows": 3 * 300}
+    assert math.isfinite(rep["z_mean"]) and math.isfinite(rep["y_mean"])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(N=0, lam=(0.9,), t=1.0, replicas=10), "--N must be at least 1"),
+    (dict(N=3, lam=(0.9,), t=1.0, replicas=10), "--lambda needs at least 2 values"),
+    (dict(N=1, lam=(0.9,), t=-1.0, replicas=10), "--t must be positive"),
+    (dict(N=1, lam=(0.9,), t=1.0, replicas=0), "--replicas must be at least 1"),
+    (dict(N=1, lam=(0.9,), t=1.0, replicas=10, steps=0), "steps must be at least 1"),
+])
+def test_polymer_identity_check_rejects_bad_input(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        polymer_identity_check(seed=1, **kwargs)
+
+
+def test_importing_every_module_leaves_scipy_stats_unloaded():
+    code = ("import importlib, pkgutil, sys, sympgt, sympgt.cli\n"
+            "for m in pkgutil.iter_modules(sympgt.__path__):\n"
+            "    importlib.import_module('sympgt.' + m.name)\n"
+            "print('scipy.stats' in sys.modules)")
+    src = str(Path(sympgt.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

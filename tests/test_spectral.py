@@ -146,6 +146,13 @@ def test_moments_three_way():
                 assert abs(vals[i] - vals[j]) <= 1e-6 * abs(vals[j])
 
 
+def test_moments_three_way_at_q_near_one():
+    # the direct route's mpmath weight and (q;q)_inf follow pochhammer_depth(q)
+    m = moments(1, 1, 1.0, (1.3,), 0.9, window=25)
+    vals = [m["direct"], m["operator"], m["contour"]]
+    assert max(vals) - min(vals) <= 1e-12 * abs(vals[0])
+
+
 def test_moments_trivial_cases():
     m = moments(1, 0, 1.0, (1.3,), 0.5)
     assert all(abs(v - 1) < 1e-9 for v in m.values())
