@@ -276,8 +276,7 @@ def check_simulation_vs_law():
     truncated matrix exponential (TV <= 0.01) and the torus-integral law
     (TV <= 0.02), 1e5 replicas."""
     from scipy.linalg import expm
-    cfg = SimConfig("randomized", 2, (1.0,), 0.5, 2.0, 100000, 20260826,
-                    start=(), truncation=40)
+    cfg = SimConfig("randomized", 2, (1.0,), 0.5, 2.0, 100000, 20260826)
     hist = simulate(cfg)
     total = sum(hist.values())
     emp = {z: c / total for z, c in hist.items()}

@@ -172,10 +172,14 @@ _recursion_cache: dict = {}
 
 
 def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> LaurentPoly:
-    """Level recursion for the q-deformed character of 2n levels: rank 1 is
-    the one-variable q-Hermite polynomial; rank n sums the two-slice kernel
-    against the rank n-1 character.  Odd level counts are not covered here:
-    they add one top slice over an even count (see ``dynamics._char``).
+    """Level recursion for the q-deformed character of 2n levels, as a
+    Laurent polynomial: rank 1 is the one-variable q-Hermite polynomial;
+    rank n sums the two-slice kernel against the rank n-1 character.  The
+    symbolic build serves where the whole polynomial is needed: ``compute``,
+    the torus coefficients of ``law``, ``orthogonality_matrix``,
+    ``reconstruct``, the Gram-Schmidt probe and the ledger's exact
+    identities.  The dynamics evaluate characters at a point by the slice
+    recursion of ``dynamics._char`` instead.
 
     Memoized in ``_recursion_cache`` under ``(n, lam, q, exact)``.  The
     exactness flag keeps ``q = 0.5`` and ``q = Fraction(1, 2)`` apart (they

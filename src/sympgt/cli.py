@@ -3,13 +3,15 @@ insertion traces, simulators and limit tables.
 
 Rationals are written ``p/q`` on the command line; flags that genuinely take
 floats say so.  Every stochastic subcommand requires ``--seed`` and identical
-flags + seed give byte-identical output.  Reports embed the truncation depths,
-quadrature sizes, tolerances and seeds that produced them.
+flags + seed give byte-identical output.  Reports embed the quadrature sizes,
+tolerances and seeds that produced them.
 
 Schema ``sympgt-report/2`` replaces ``sympgt-report/1``: ``simulate`` and
 ``sde`` now advance all replicas as one batch drawn from one Philox stream
 per seed, so a seed gives different (equally distributed) samples than it
-did under schema 1.  Bad input (a ``ValueError``) exits with code 2 and a
+did under schema 1.  The ``simulate`` report has dropped its ``truncation``
+key, and ``simulate`` its ``--truncation`` flag: the simulator reads no
+truncation depth.  Bad input (a ``ValueError``) exits with code 2 and a
 one-line message on stderr.
 """
 from __future__ import annotations
@@ -131,8 +133,7 @@ def _cmd_berele(args) -> int:
 def _cmd_simulate(args) -> int:
     from .dynamics import SimConfig, simulate
     cfg = SimConfig(args.model, args.N, args.a, args.q, args.t,
-                    args.replicas, args.seed, start=args.start,
-                    truncation=args.truncation)
+                    args.replicas, args.seed, start=args.start)
     hist = simulate(cfg)
     total = sum(hist.values())
     rows = [{"shape": ",".join(map(str, z)) or "0", "count": c,
@@ -140,8 +141,7 @@ def _cmd_simulate(args) -> int:
             for z, c in sorted(hist.items())]
     _emit({"schema": SCHEMA, "model": args.model, "N": args.N,
            "a": list(args.a), "q": args.q, "t": args.t,
-           "replicas": args.replicas, "seed": args.seed,
-           "truncation": args.truncation, "rows": rows},
+           "replicas": args.replicas, "seed": args.seed, "rows": rows},
           args, ["shape", "count", "frequency"])
     return 0
 
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--start", type=_shape, default=())
-    p.add_argument("--truncation", type=int, default=60)
     _add_output_flags(p, "csv")
     p.set_defaults(fn=_cmd_simulate)
 

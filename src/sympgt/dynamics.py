@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import INF, QSeriesCtx, Scalar, _f
-from .characters import qwhittaker_recursion, slice_binomials
+from .characters import slice_binomials
 from .combinatorics import (
     GTPattern,
     canon,
@@ -78,9 +78,10 @@ def L_rate(ctx: QSeriesCtx, upper: Sequence[int], cur: Sequence[int], j: int) ->
 
 
 def bar_a(a: Sequence, k: int):
-    """Interleaved rate vector: odd levels carry a_l, even levels 1/a_l."""
+    """Interleaved rate vector: odd levels carry a_l, even levels 1/a_l
+    (exact for an integer a_l)."""
     l = (k + 1) // 2
-    return a[l - 1] if k % 2 else 1 / a[l - 1]
+    return _f(a[l - 1]) if k % 2 else 1 / _f(a[l - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +269,11 @@ _char_cache: dict = {}
 
 
 def _char(N: int, z, ctx: QSeriesCtx, a: Sequence) -> Scalar:
-    """Pattern character of N levels with bottom level z, evaluated at a.
-    Even N is the rank-N/2 level recursion.  Odd N adds the unmatched slice
-    between levels N-1 and N to the even character below it:
-    sum_x a_n^{|z|-|x|} slice_binomials(N, x, z) char(N-1, x).
+    """Pattern character of N levels with bottom level z, evaluated at a, by
+    one slice recursion for every N: the bottom slice weight times the
+    character of the N-1 levels above it, summed over the levels x that
+    interlace with z,
+    sum_x bar_a(a, N)^{|z|-|x|} slice_binomials(N, x, z) char(N-1, x).
 
     Memoized in ``_char_cache`` under ``(N, z, q, exact, a, types of a)``:
     the exactness flag and the types keep exact and float values apart,
@@ -284,19 +286,16 @@ def _char(N: int, z, ctx: QSeriesCtx, a: Sequence) -> Scalar:
     key = (N, z, ctx.q, ctx.exact, pt, tuple(map(type, pt)))
     value = _char_cache.get(key)
     if value is None:
-        if N % 2 == 0:
-            value = qwhittaker_recursion(N // 2, z, ctx).evaluate(pt)
-        else:
-            top = padded(z, level_len(N))
-            value = sum(_slice_weight(N, x, top, ctx, a) * _char(N - 1, x, ctx, a)
-                        for x in interlacings(top, level_len(N - 1)))
+        top = padded(z, level_len(N))
+        value = sum(_slice_weight(N, x, top, ctx, a) * _char(N - 1, x, ctx, a)
+                    for x in interlacings(top, level_len(N - 1)))
         _char_cache[key] = value
     return value
 
 
 def _slice_weight(N: int, lower, upper, ctx: QSeriesCtx, a: Sequence) -> Scalar:
     """Lambda weight of the bottom slice (level N-1 over level N)."""
-    return _f(bar_a(a, N)) ** (sum(upper) - sum(lower)) * slice_binomials(ctx, N, lower, upper)
+    return bar_a(a, N) ** (sum(upper) - sum(lower)) * slice_binomials(ctx, N, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +321,8 @@ def sample_initial(z: Sequence[int], N: int, ctx: QSeriesCtx, a: Sequence[float]
         tops, group, _ = _distinct_rows(S[:, lay.level(k)])
         for g, top in enumerate(map(tuple, tops.astype(int).tolist())):
             cands = list(interlacings(top, level_len(k - 1)))
-            cum = np.cumsum([float(bar_a(a, k)) ** (sum(top) - sum(x))
-                             * float(slice_binomials(ctx, k, x, top))
-                             * float(_char(k - 1, x, ctx, a)) for x in cands])
+            cum = np.cumsum([float(_slice_weight(k, x, top, ctx, a) * _char(k - 1, x, ctx, a))
+                             for x in cands])
             members = np.flatnonzero(group == g)
             pick = np.searchsorted(cum, u[members] * cum[-1], side="left")
             S[members, lay.level(k - 1)] = np.array(cands)[np.minimum(pick, len(cands) - 1)]
@@ -434,8 +432,6 @@ def helper_row_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequen
     """Nonzero off-diagonal helper-matrix entries out of the two-level state
     (x, y), where x is the level above the bottom level y.  Covers both the
     even-bottom and odd-bottom tables."""
-    n = (N + 1) // 2
-    an = a[n - 1]
     lx = len(x)
     out: dict = {}
 
@@ -463,7 +459,7 @@ def helper_row_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequen
                     tgt = (dn, y)
                 out[tgt] = out.get(tgt, 0) + r
     # own moves of the bottom level y
-    aN = _f(bar_a(a, N))
+    aN = bar_a(a, N)
     for i in range(1, len(y) + 1):
         r = aN * R_rate(ctx, x, y, i)
         if r != 0:
@@ -475,9 +471,8 @@ def helper_row_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequen
 
 
 def helper_diag_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequence) -> Scalar:
-    n = (N + 1) // 2
     d = shape_diagonal(N - 1, canon(x), ctx, a)
-    aN = _f(bar_a(a, N))
+    aN = bar_a(a, N)
     for i in range(1, len(y) + 1):
         d = d - aN * R_rate(ctx, x, y, i) - L_rate(ctx, x, y, i) / aN
     return d
@@ -580,19 +575,17 @@ def verify_intertwining_cascade(n: int, probes: Sequence, ctx: QSeriesCtx,
                                 a: Sequence) -> list:
     """Exact check of the cascade helper identity for three-level probes
     (x', y', z'):  Q(z, z') m(x', y', z') = sum m(x, y, z) A(...)."""
-    an = _f(a[n - 1])
-    diag = -sum(_f(ai) + 1 / _f(ai) for ai in a[:n])
     results = []
 
     def m3(x, y, z):
         # weight of the two bottom slices over the collapsed block of rank n-1
-        w = an ** (2 * sum(y) - sum(x) - sum(z)) \
-            * slice_binomials(ctx, 2 * n - 1, x, y) * slice_binomials(ctx, 2 * n, y, z)
+        w = _slice_weight(2 * n - 1, x, y, ctx, a) * _slice_weight(2 * n, y, z, ctx, a)
         return w * _char(2 * (n - 1), x, ctx, a) / _char(2 * n, z, ctx, a)
 
     for xp, yp, zp in probes:
         xp, yp, zp = tuple(xp), tuple(yp), tuple(zp)
         m_target = m3(xp, yp, zp)
+        diag = shape_diagonal(2 * n, canon(zp), ctx, a)
         zs = {zp}
         for i in range(1, n + 1):
             for s in (1, -1):
@@ -630,7 +623,6 @@ class SimConfig:
     replicas: int
     seed: int
     start: tuple = ()               # bottom shape of the initial law
-    truncation: int = 60
 
 
 def simulate(config: SimConfig) -> dict:
@@ -649,7 +641,7 @@ def simulate(config: SimConfig) -> dict:
         raise ValueError("time horizon must be positive")
     if config.model == "berele" and config.N % 2:
         raise ValueError("cascade model needs even N")
-    ctx = QSeriesCtx(config.q, truncation=config.truncation)
+    ctx = QSeriesCtx(config.q)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
     lay = _Layout(config.N)
     S = sample_initial(config.start, config.N, ctx, config.a, rng, config.replicas)

@@ -42,12 +42,6 @@ class ScalingCtx:
             self._L = np.concatenate([self._L, self._L[-1] + np.cumsum(steps)])
         return self._L
 
-    def log_qbinomial(self, n: int, k: int) -> float:
-        if not 0 <= k <= n:
-            raise ValueError("binomial index out of range")
-        L = self.log_pochhammer(n)
-        return L[n] - L[k] - L[n - k]
-
     def f_scaled(self, alpha: int, y: float) -> float:
         """f_alpha(y,eps) e^{-A(eps)}; tends to e^{e^{-y}} (alpha=1) or 1."""
         k = self._floor(y) + alpha * self.m
@@ -149,10 +143,6 @@ def so3_whittaker(lam: complex, x: float) -> float:
     return 2.0 * bessel_k(2 * lam, 2.0 * math.exp(-x / 2.0))
 
 
-def _grid(lo: float, hi: float, nodes: int) -> np.ndarray:
-    return np.linspace(lo, hi, nodes)
-
-
 def so_whittaker(n: int, lam, x, nodes: int = 2000) -> complex:
     """Givental integral for the so(2n+1) Whittaker function, n <= 2.
     lam may be complex (imaginary values give the oscillatory regime)."""
@@ -160,7 +150,7 @@ def so_whittaker(n: int, lam, x, nodes: int = 2000) -> complex:
         lam1 = complex(lam[0]) if isinstance(lam, (tuple, list)) else complex(lam)
         xv = float(x[0]) if isinstance(x, (tuple, list)) else float(x)
         half = 0.5 * (30.0 + abs(xv))
-        u = _grid(xv / 2.0 - half, xv / 2.0 + half, nodes)
+        u = np.linspace(xv / 2.0 - half, xv / 2.0 + half, nodes)
         f = np.exp(lam1 * (2 * u - xv) - np.exp(-u) - np.exp(u - xv))
         return complex(np.trapezoid(f, u))
     if n != 2:
@@ -170,10 +160,10 @@ def so_whittaker(n: int, lam, x, nodes: int = 2000) -> complex:
     lo = min(x2, 0.0) - 15.0
     hi = max(x1, 0.0) + 15.0
     nn = max(80, nodes // 16)
-    u = _grid(lo, hi, nn)
+    u = np.linspace(lo, hi, nn)
     # inner so3 values on the grid, one vectorized double integral
     half = 0.5 * (30.0 + max(abs(lo), abs(hi)))
-    v = _grid((lo + hi) / 4.0 - half, (lo + hi) / 4.0 + half, nodes)
+    v = np.linspace((lo + hi) / 4.0 - half, (lo + hi) / 4.0 + half, nodes)
     f1 = np.exp(l1 * (2 * v[None, :] - u[:, None])
                 - np.exp(-v[None, :]) - np.exp(v[None, :] - u[:, None]))
     psi1 = np.trapezoid(f1, v, axis=1)

@@ -49,6 +49,10 @@ def test_threads_flag_is_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--threads", "2", "verify", "all", "--quick"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--model", "randomized", "--N", "2", "--a", "1", "--q", "0.5",
+                  "--t", "1", "--replicas", "10", "--seed", "1", "--truncation", "40"])
+    assert exc.value.code == 2
 
 
 def test_crashing_check_is_a_failed_report(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from sympgt.algebra import QSeriesCtx
-from sympgt.characters import qwhittaker_pattern_sum
+from sympgt.characters import qwhittaker_pattern_sum, qwhittaker_recursion
 from sympgt.combinatorics import (enumerate_patterns, interlacings, level_len,
                                   partitions_max_weight)
 from sympgt.dynamics import (
@@ -165,10 +165,10 @@ def test_randomized_matches_helper_rows_two_levels():
 
 @pytest.mark.parametrize("q", [F(0), F(1, 3)])
 def test_char_oracle_matches_pattern_sum_exactly(q):
-    # odd N is the slice sum over the even recursion: only this test pins it
+    # the slice recursion against the definition, a sum over whole patterns
     ctx = QSeriesCtx(q)
     a = (F(6, 5), F(3, 7), F(5, 2))
-    for N in range(1, 6):
+    for N in range(1, 7):
         for z in partitions_max_weight(level_len(N), 4):
             got = _char(N, z, ctx, a)
             assert isinstance(got, F)
@@ -178,14 +178,39 @@ def test_char_oracle_matches_pattern_sum_exactly(q):
 def test_char_oracle_matches_pattern_sum_float():
     ctx = QSeriesCtx(0.5)
     a = (1.2, 0.9, 1.7)
-    for N in range(1, 6):
+    for N in range(1, 7):
         for z in partitions_max_weight(level_len(N), 4):
             expect = qwhittaker_pattern_sum(N, z, ctx).evaluate(a[:(N + 1) // 2])
             assert _char(N, z, ctx, a) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("q", [F(0), F(1, 3), F(1, 2)])
+def test_char_oracle_matches_symbolic_recursion_exactly(q):
+    ctx = QSeriesCtx(q)
+    a = (F(6, 5), F(3, 7), F(5, 2))
+    for n in (1, 2, 3):
+        for z in partitions_max_weight(n, 6):
+            got = _char(2 * n, z, ctx, a)
+            assert isinstance(got, F)
+            assert got == qwhittaker_recursion(n, z, ctx).evaluate(a[:n])
+
+
+def test_char_oracle_float_rank_three_matches_exact():
+    # the exact values are pinned to the symbolic recursion above; this pins
+    # the rounding of the float recursion on the larger rank-3 shapes
+    a = (F(13, 10), F(4, 5), F(11, 10))
+    shapes = [z for z in partitions_max_weight(3, 24) if not z or z[0] <= 8]
+    assert len(shapes) == 165
+    for z in shapes:
+        expect = float(_char(6, z, QSeriesCtx(F(1, 2)), a))
+        got = _char(6, z, QSeriesCtx(0.5), tuple(map(float, a)))
+        assert got == pytest.approx(expect, rel=1e-13, abs=0)
+
+
 def test_char_memo_keeps_exact_and_float_apart():
     exact_ctx = QSeriesCtx(F(1, 2))
+    assert _char(2, (3,), exact_ctx, (2,)) == _char(2, (3,), exact_ctx, (F(2),))
+    assert isinstance(_char(2, (3,), exact_ctx, (2,)), F)
     assert isinstance(_char(3, (2, 1), QSeriesCtx(0.5), (1.0, 1.0)), float)
     assert isinstance(_char(3, (2, 1), exact_ctx, (F(1), F(1))), F)
     assert isinstance(_char(2, (3,), exact_ctx, (1.0,)), float)
@@ -216,6 +241,22 @@ def test_generator_rows_conserve_odd_wall():
         assert total == 0
         interior += 1
     assert interior > 10
+
+
+def test_generator_rank_three_float_rows_conserve():
+    gen = build_generator(6, 8, QSeriesCtx(0.5), (1.0, 1.0, 1.0))
+    interior = [i for i, b in enumerate(gen.boundary) if not b]
+    assert len(gen.states) == 165 and len(interior) == 120
+    for i in interior:
+        assert abs(sum(gen.rows[i].values()) + gen.diagonal[i]) <= 1e-12
+
+
+def test_generator_rank_three_exact_rows_conserve():
+    gen = build_generator(6, 5, QSeriesCtx(F(1, 2)), (F(6, 5), F(3, 7), F(5, 2)))
+    interior = [i for i, b in enumerate(gen.boundary) if not b]
+    assert len(gen.states) == 56 and len(interior) == 35
+    for i in interior:
+        assert sum(gen.rows[i].values()) + gen.diagonal[i] == 0
 
 
 def _two_level_probes(N, shapes):
@@ -368,3 +409,4 @@ def test_bar_a_interleaving():
     a = (2.0, 5.0)
     assert bar_a(a, 1) == 2.0 and bar_a(a, 2) == 0.5
     assert bar_a(a, 3) == 5.0 and bar_a(a, 4) == 0.2
+    assert isinstance(bar_a((3,), 2), F) and bar_a((3,), 2) == F(1, 3)
