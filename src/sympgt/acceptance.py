@@ -1,12 +1,12 @@
 """End-to-end verification checks with pinned tolerances.
 
-Each check returns a report dict with at least ``name``, ``passed`` and
-``seconds``; soft checks additionally carry ``soft=True`` and never fail the
-whole run.  A check that raises is recorded by ``run_all`` as a hard
-failure carrying ``error`` ("<Type>: <message>") and ``traceback``, and the
-checks after it still run.  The registry drives both the acceptance test
-suite and the ``verify all`` CLI subcommand, so a pass here is exactly a
-pass there.
+Each check returns a report dict with at least ``name`` and ``passed``;
+soft checks additionally carry ``soft=True`` and never fail the whole run.
+``run_all`` adds each report's wall time as ``seconds``.  A check that
+raises is recorded by ``run_all`` as a hard failure carrying ``error``
+("<Type>: <message>") and ``traceback``, and the checks after it still run.
+The registry drives both the acceptance test suite and the ``verify all``
+CLI subcommand, so a pass here is exactly a pass there.
 """
 from __future__ import annotations
 
@@ -46,17 +46,6 @@ from .limits import convergence_table
 from .spectral import conjecture_distance, koornwinder_apply, law, moments, orthogonality_matrix
 
 
-def _timed(fn):
-    def wrapper():
-        t0 = time.time()
-        rep = fn()
-        rep["seconds"] = round(time.time() - t0, 3)
-        rep.setdefault("soft", False)
-        return rep
-    wrapper.__name__ = fn.__name__
-    return wrapper
-
-
 def _generic_points(n, count=5):
     """Rational points avoiding 0, +-1 and coincidences a_i = a_j^{+-1}."""
     base = [F(6, 5), F(3, 7), F(11, 4), F(5, 2), F(7, 3), F(9, 8), F(4, 9)]
@@ -67,7 +56,6 @@ def _generic_points(n, count=5):
     return pts
 
 
-@_timed
 def check_character_routes():
     """Determinant-ratio and tableau-sum characters agree exactly at rational
     points, rank <= 3, shape weight <= 6."""
@@ -85,7 +73,6 @@ def check_character_routes():
             "points_per_rank": 5, "evaluations": checked, "failures": failures}
 
 
-@_timed
 def check_two_route_equality():
     """Pattern sum over 2n levels equals the rank-n recursion as an exact
     Laurent polynomial identity."""
@@ -102,7 +89,6 @@ def check_two_route_equality():
             "shapes": checked, "failures": failures}
 
 
-@_timed
 def check_q_zero_degeneration():
     """At q = 0 the deformed character collapses exactly onto the symplectic
     Schur polynomial."""
@@ -115,7 +101,6 @@ def check_q_zero_degeneration():
     return {"name": "q-zero-degeneration", "passed": not failures, "failures": failures}
 
 
-@_timed
 def check_pieri_identity():
     """One-box Pieri difference operator acts on the deformed character with
     exact eigenvalue sum(a_i + 1/a_i), rank <= 3, weight <= 5, rational
@@ -137,7 +122,6 @@ def check_pieri_identity():
             "evaluations": checked, "failures": failures}
 
 
-@_timed
 def check_koornwinder_eigenrelation():
     """The 2n-term difference operator acts on the recursion-defined character
     with eigenvalue q^{-lam_1} - 1, to 1e-10 relative at complex points."""
@@ -165,7 +149,6 @@ def check_koornwinder_eigenrelation():
             "tolerance": tol, "worst_relative": worst, "failures": failures}
 
 
-@_timed
 def check_branching_limit():
     """Small-t0 behaviour of the two-level branching polynomial: exact
     agreement with the kernel in the single-window case (the big-to-continuous
@@ -210,7 +193,6 @@ def check_branching_limit():
             "random_pairs": checked, "leading_term_ok": leading_ok}
 
 
-@_timed
 def check_insertion():
     """Reference insertion trace plus injectivity of word -> (tableau, shape
     path) over all rank-2 words of length 5 and rank-3 words of length 4."""
@@ -240,7 +222,6 @@ def _two_level_probes(N, shapes):
     return probes
 
 
-@_timed
 def check_intertwining():
     """Exact intertwining of the single-level and cascade transition kernels
     with the shape-chain generator at rational parameters."""
@@ -270,7 +251,6 @@ def check_intertwining():
     return {"name": "intertwining", "passed": ok, "reports": reports}
 
 
-@_timed
 def check_simulation_vs_law():
     """Empirical time-2 bottom-shape law at rank 1, a = 1, q = 1/2 against the
     truncated matrix exponential (TV <= 0.01) and the torus-integral law
@@ -292,7 +272,6 @@ def check_simulation_vs_law():
             "tolerances": {"expm": 0.01, "torus": 0.02}}
 
 
-@_timed
 def check_moments_three_way():
     """First and second q-moments at rank 1 by direct summation, operator
     powers and contour integrals, pairwise to 1e-6 relative."""
@@ -308,7 +287,6 @@ def check_moments_three_way():
             "tolerance": tol, "worst_relative": worst}
 
 
-@_timed
 def check_orthogonality():
     """Torus orthogonality of the recursion-defined family: rank 1 within
     1e-8 of the identity up to degree 4, rank 2 within 1e-6 up to weight 2."""
@@ -323,7 +301,6 @@ def check_orthogonality():
             "tolerances": {"rank1": 1e-8, "rank2": 1e-6}}
 
 
-@_timed
 def check_scaling_limit():
     """Rank-1 scaled character converges to the wall-potential eigenfunction:
     errors strictly decrease along eps in {0.1, 0.05, 0.02} and end below
@@ -339,7 +316,6 @@ def check_scaling_limit():
             "final_errors": {str(x): errs[-1] for x, errs in by_x.items()}}
 
 
-@_timed
 def check_continuous_kernels():
     """Level-2 eigenfunction matches its Bessel closed form to 1e-6 relative,
     kernel intertwinings hold to 1e-6 on 25-point grids, and the level-2
@@ -366,7 +342,6 @@ def check_continuous_kernels():
             "eigen_residual": eig}
 
 
-@_timed
 def check_polymer_identity():
     """Distributional identity between the hierarchy top and the integrated
     single-path partition function: KS gate 0.02 at one level, the two-level
@@ -379,7 +354,6 @@ def check_polymer_identity():
             "note": rep2["conditional"]}
 
 
-@_timed
 def check_orthogonality_conjecture():
     """Reported coefficient distance between the small-t0 orthogonalized
     family and the recursion-defined character at rank 2; never a gate."""
@@ -410,16 +384,20 @@ REGISTRY = [
 
 
 def _run_check(name: str, fn) -> dict:
-    """Run one check; an exception becomes a hard failed report carrying the
-    error and its traceback, so the checks after it still run."""
+    """Run one check and stamp its wall time in ``seconds`` and a default
+    ``soft=False`` on its report.  An exception becomes a hard failed report
+    carrying the error and its traceback, so the checks after it still run."""
     t0 = time.time()
     try:
-        return fn()
+        rep = fn()
     except Exception as exc:  # noqa: BLE001 - ledger boundary, reported
         return {"name": name, "passed": False, "soft": False,
                 "seconds": round(time.time() - t0, 3),
                 "error": f"{type(exc).__name__}: {exc}",
                 "traceback": traceback.format_exc()}
+    rep["seconds"] = round(time.time() - t0, 3)
+    rep.setdefault("soft", False)
+    return rep
 
 
 def run_all(quick: bool = False, names=None) -> dict:

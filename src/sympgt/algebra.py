@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from itertools import chain
+from typing import Sequence, Union
 
 Scalar = Union[Fraction, int, float, complex]
 
@@ -80,26 +82,30 @@ _VAR_RE = re.compile(r"^a(\d+)\^(-?\d+)$")
 
 class LaurentPoly:
     """Multivariate Laurent polynomial in variables a1..an with scalar
-    coefficients keyed by integer exponent vectors."""
+    coefficients keyed by integer exponent vectors.
+
+    The constructor is the one place terms are merged: ``terms`` is a
+    mapping or an iterable of ``(exponents, coefficient)`` pairs, in which
+    an exponent vector may repeat.  Coefficients of equal exponent vectors
+    are summed in the order given, exponents are converted to int tuples of
+    length ``nvars`` (anything else raises), and zero sums are dropped."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple, Scalar] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple, Scalar] | Iterable[tuple] = ()):
         self.nvars = nvars
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                if len(exps) != nvars:
-                    raise ValueError("exponent vector length mismatch")
-                if c != 0:
-                    t = tuple(int(e) for e in exps)
-                    clean[t] = clean.get(t, 0) + c if t in clean else c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        acc = {}
+        for exps, c in terms.items() if isinstance(terms, Mapping) else terms:
+            if len(exps) != nvars:
+                raise ValueError("exponent vector length mismatch")
+            t = tuple(map(int, exps))
+            acc[t] = acc.get(t, 0) + c
+        self.terms = {e: c for e, c in acc.items() if c != 0}
 
     # -- constructors -----------------------------------------------------
     @staticmethod
     def zero(nvars: int) -> "LaurentPoly":
-        return LaurentPoly(nvars, {})
+        return LaurentPoly(nvars)
 
     @staticmethod
     def constant(nvars: int, c: Scalar) -> "LaurentPoly":
@@ -112,13 +118,11 @@ class LaurentPoly:
     @staticmethod
     def variable(nvars: int, i: int, power: int = 1) -> "LaurentPoly":
         """The monomial a_i^power (1-based index i)."""
+        if not 1 <= i <= nvars:
+            raise ValueError(f"variable index {i} out of range 1..{nvars}")
         exps = [0] * nvars
         exps[i - 1] = power
         return LaurentPoly(nvars, {tuple(exps): Fraction(1)})
-
-    @staticmethod
-    def monomial(exps: Sequence[int], c: Scalar = Fraction(1)) -> "LaurentPoly":
-        return LaurentPoly(len(exps), {tuple(exps): c})
 
     # -- ring operations ---------------------------------------------------
     def _check(self, other: "LaurentPoly"):
@@ -129,10 +133,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.constant(self.nvars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return LaurentPoly(self.nvars, terms)
+        return LaurentPoly(self.nvars, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -152,12 +153,9 @@ class LaurentPoly:
             return LaurentPoly(self.nvars,
                                {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPoly(self.nvars, terms)
+        return LaurentPoly(self.nvars, ((tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                                        for e1, c1 in self.terms.items()
+                                        for e2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -211,13 +209,9 @@ class LaurentPoly:
 
     def permute_variables(self, perm: Sequence[int]) -> "LaurentPoly":
         """Apply a_i -> a_{perm[i]} where perm is a 0-based permutation."""
-        terms = {}
-        for exps, c in self.terms.items():
-            e = [0] * self.nvars
-            for i, p in enumerate(perm):
-                e[p] = exps[i]
-            terms[tuple(e)] = terms.get(tuple(e), 0) + c
-        return LaurentPoly(self.nvars, terms)
+        source = sorted(range(self.nvars), key=lambda i: perm[i])
+        return LaurentPoly(self.nvars, (([exps[i] for i in source], c)
+                                        for exps, c in self.terms.items()))
 
     def map_coefficients(self, fn) -> "LaurentPoly":
         return LaurentPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
@@ -241,11 +235,8 @@ class LaurentPoly:
 
     @staticmethod
     def parse(text: str, nvars: int) -> "LaurentPoly":
-        text = text.strip()
-        if text == "0":
-            return LaurentPoly.zero(nvars)
-        terms = {}
-        for piece in text.split(" + "):
+        terms = []
+        for piece in text.strip().split(" + "):
             parts = piece.split(" * ")
             coeff = Fraction(parts[0])
             exps = [0] * nvars
@@ -258,8 +249,7 @@ class LaurentPoly:
                     if not 1 <= i <= nvars:
                         raise ValueError(f"variable index {i} out of range")
                     exps[i - 1] += e
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + coeff
+            terms.append((exps, coeff))
         return LaurentPoly(nvars, terms)
 
 
@@ -268,10 +258,7 @@ def q_hermite(ctx: QSeriesCtx, l: int) -> LaurentPoly:
     as a one-variable Laurent polynomial."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    terms = {}
-    for m in range(l + 1):
-        terms[(2 * m - l,)] = q_binomial(ctx, l, m)
-    return LaurentPoly(1, terms)
+    return LaurentPoly(1, (((2 * m - l,), q_binomial(ctx, l, m)) for m in range(l + 1)))
 
 
 def expanding_bracket(ctx: QSeriesCtx, x: Scalar, t0: Scalar, r: int) -> Scalar:

@@ -4,7 +4,7 @@ limit statement (leading-term identity and the two proven special cases)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from .algebra import LaurentPoly, QSeriesCtx, Scalar, _f
@@ -113,10 +113,9 @@ def branching_coefficient(pair: BranchingPair, r: int, t0: Scalar, ctx: QSeriesC
 def branching_polynomial(pair: BranchingPair, t0: Scalar, ctx: QSeriesCtx) -> LaurentPoly:
     """One-variable branching polynomial: sum over r of the r-th coefficient
     times the expanding bracket of order r."""
-    out = LaurentPoly.zero(1)
-    for r in range(pair.d + 1):
-        out = out + bracket_poly(ctx, t0, r) * branching_coefficient(pair, r, t0, ctx)
-    return out
+    return LaurentPoly(1, chain.from_iterable(
+        (bracket_poly(ctx, t0, r) * branching_coefficient(pair, r, t0, ctx)).terms.items()
+        for r in range(pair.d + 1)))
 
 
 # ---------------------------------------------------------------------------

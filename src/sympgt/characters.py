@@ -92,24 +92,21 @@ def symplectic_schur_tableaux(n: int, lam: Sequence[int]) -> LaurentPoly:
     lam = canon(lam)
     if len(lam) > n:
         raise ValueError("shape has too many rows for the rank")
-    total = LaurentPoly.zero(n)
-    for T in enumerate_tableaux(lam, n):
-        exps = tuple(T.count_letter(2 * i - 1) - T.count_letter(2 * i)
-                     for i in range(1, n + 1))
-        total = total + LaurentPoly.monomial(exps, 1)
-    return total
+    return LaurentPoly(n, ((tuple(T.count_letter(2 * i - 1) - T.count_letter(2 * i)
+                                  for i in range(1, n + 1)), 1)
+                           for T in enumerate_tableaux(lam, n)))
 
 
 def symplectic_schur_patterns(n: int, lam: Sequence[int]) -> LaurentPoly:
     """Pattern form of the tableau sum: weight a_i^{2|z^{2i-1}| - |z^{2i-2}|
     - |z^{2i}|} over patterns with bottom level lam."""
-    total = LaurentPoly.zero(n)
-    for p in enumerate_patterns(lam, 2 * n):
-        sizes = [0] + [sum(lv) for lv in p.levels]
-        exps = tuple(2 * sizes[2 * i - 1] - sizes[2 * i - 2] - sizes[2 * i]
-                     for i in range(1, n + 1))
-        total = total + LaurentPoly.monomial(exps, 1)
-    return total
+    def terms():
+        for p in enumerate_patterns(lam, 2 * n):
+            sizes = [0] + [sum(lv) for lv in p.levels]
+            yield tuple(2 * sizes[2 * i - 1] - sizes[2 * i - 2] - sizes[2 * i]
+                        for i in range(1, n + 1)), 1
+
+    return LaurentPoly(n, terms())
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +132,19 @@ def qwhittaker_pattern_sum(N: int, z: Sequence[int], ctx: QSeriesCtx) -> Laurent
     (|z^{2l-1}| - |z^{2l-2}|) - (|z^{2l}| - |z^{2l-1}|) and, for odd N, the
     unmatched top slice contributing a_n^{|z^N| - |z^{N-1}|}."""
     nvars = (N + 1) // 2
-    total = LaurentPoly.zero(nvars)
-    for p in enumerate_patterns(z, N):
-        sizes = [0] + [sum(lv) for lv in p.levels]
-        coeff: Scalar = 1
-        exps = [0] * nvars
-        for k in range(1, N + 1):
-            coeff = coeff * slice_binomials(ctx, k, p.levels[k - 2] if k > 1 else (), p.levels[k - 1])
-            delta = sizes[k] - sizes[k - 1]
-            exps[(k - 1) // 2] += delta if k % 2 else -delta
-        total = total + LaurentPoly.monomial(tuple(exps), coeff)
-    return total
+
+    def terms():
+        for p in enumerate_patterns(z, N):
+            sizes = [0] + [sum(lv) for lv in p.levels]
+            coeff: Scalar = 1
+            exps = [0] * nvars
+            for k in range(1, N + 1):
+                coeff = coeff * slice_binomials(ctx, k, p.levels[k - 2] if k > 1 else (), p.levels[k - 1])
+                delta = sizes[k] - sizes[k - 1]
+                exps[(k - 1) // 2] += delta if k % 2 else -delta
+            yield exps, coeff
+
+    return LaurentPoly(nvars, terms())
 
 
 def qwhittaker_kernel(ctx: QSeriesCtx, nu: Sequence[int], lam: Sequence[int], n: int) -> LaurentPoly:
@@ -154,18 +153,19 @@ def qwhittaker_kernel(ctx: QSeriesCtx, nu: Sequence[int], lam: Sequence[int], n:
     interlaces between nu and lam."""
     lam_p = padded(lam, n)
     nu_c = canon(nu)
-    total = LaurentPoly.zero(1)
-    for mu in interlacings(lam_p, n):
-        if not interlaces(nu_c, mu):
-            continue
-        w: Scalar = 1
-        for i in range(n - 1):
-            w = w * q_binomial(ctx, lam_p[i] - lam_p[i + 1], lam_p[i] - mu[i])
-            w = w * q_binomial(ctx, mu[i] - mu[i + 1], mu[i] - part(nu_c, i + 1))
-        w = w * q_binomial(ctx, lam_p[n - 1], lam_p[n - 1] - mu[n - 1])
-        total = total + LaurentPoly.monomial(
-            (2 * sum(mu) - sum(nu_c) - sum(lam_p),), w)
-    return total
+
+    def terms():
+        for mu in interlacings(lam_p, n):
+            if not interlaces(nu_c, mu):
+                continue
+            w: Scalar = 1
+            for i in range(n - 1):
+                w = w * q_binomial(ctx, lam_p[i] - lam_p[i + 1], lam_p[i] - mu[i])
+                w = w * q_binomial(ctx, mu[i] - mu[i + 1], mu[i] - part(nu_c, i + 1))
+            w = w * q_binomial(ctx, lam_p[n - 1], lam_p[n - 1] - mu[n - 1])
+            yield (2 * sum(mu) - sum(nu_c) - sum(lam_p),), w
+
+    return LaurentPoly(1, terms())
 
 
 _recursion_cache: dict = {}
@@ -174,12 +174,14 @@ _recursion_cache: dict = {}
 def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> LaurentPoly:
     """Level recursion for the q-deformed character of 2n levels, as a
     Laurent polynomial: rank 1 is the one-variable q-Hermite polynomial;
-    rank n sums the two-slice kernel against the rank n-1 character.  The
-    symbolic build serves where the whole polynomial is needed: ``compute``,
-    the torus coefficients of ``law``, ``orthogonality_matrix``,
-    ``reconstruct``, the Gram-Schmidt probe and the ledger's exact
-    identities.  The dynamics evaluate characters at a point by the slice
-    recursion of ``dynamics._char`` instead.
+    rank n is ``sum_nu P_nu(a_1..a_{n-1}) Q(nu, lam)(a_n)`` over the distinct
+    nu two interlacing steps below lam.  Each rank n-1 term c a^e times each
+    kernel term w a_n^d is the pair ``(e + d, c * w)``, and the constructor
+    sums the pairs in one pass.  The symbolic build serves where the whole
+    polynomial is needed: ``compute``, the torus coefficients of ``law``,
+    ``orthogonality_matrix``, ``reconstruct``, the Gram-Schmidt probe and
+    the ledger's exact identities.  The dynamics evaluate characters at a
+    point by the slice recursion of ``dynamics._char`` instead.
 
     Memoized in ``_recursion_cache`` under ``(n, lam, q, exact)``.  The
     exactness flag keeps ``q = 0.5`` and ``q = Fraction(1, 2)`` apart (they
@@ -196,21 +198,18 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
         result = q_hermite(ctx, part(lam, 1))
     else:
         lam_p = padded(lam, n)
-        result = LaurentPoly.zero(n)
-        seen = set()
-        for mu in interlacings(lam_p, n):
-            for nu in interlacings(mu, n - 1):
-                nu_c = canon(nu)
-                if nu_c in seen:
-                    continue
-                seen.add(nu_c)
-                ker = qwhittaker_kernel(ctx, nu_c, lam_p, n)
-                if not ker:
-                    continue
-                lower = qwhittaker_recursion(n - 1, nu_c, ctx)
-                lifted = LaurentPoly(n, {e + (0,): c for e, c in lower.terms.items()})
-                kern_n = LaurentPoly(n, {(0,) * (n - 1) + e: c for e, c in ker.terms.items()})
-                result = result + lifted * kern_n
+
+        def terms():
+            nus = dict.fromkeys(canon(nu) for mu in interlacings(lam_p, n)
+                                for nu in interlacings(mu, n - 1))
+            for nu in nus:
+                ker = qwhittaker_kernel(ctx, nu, lam_p, n)
+                if ker:
+                    lower = qwhittaker_recursion(n - 1, nu, ctx)
+                    yield from ((e + d, c * w) for e, c in lower.terms.items()
+                                for d, w in ker.terms.items())
+
+        result = LaurentPoly(n, terms())
     _recursion_cache[key] = result
     return result
 
@@ -255,12 +254,12 @@ def pieri_apply(n: int, lam: Sequence[int], ctx: QSeriesCtx,
 
 def schur_typeA(N: int, z: Sequence[int]) -> LaurentPoly:
     """Schur polynomial in N variables via Gelfand-Tsetlin patterns."""
-    total = LaurentPoly.zero(N)
-    for levels in enumerate_patterns_typeA(z, N):
-        sizes = [0] + [sum(lv) for lv in levels]
-        exps = tuple(sizes[k] - sizes[k - 1] for k in range(1, N + 1))
-        total = total + LaurentPoly.monomial(exps, 1)
-    return total
+    def terms():
+        for levels in enumerate_patterns_typeA(z, N):
+            sizes = [0] + [sum(lv) for lv in levels]
+            yield tuple(sizes[k] - sizes[k - 1] for k in range(1, N + 1)), 1
+
+    return LaurentPoly(N, terms())
 
 
 def cauchy_identity_check(n: int, M: int, a: Sequence[Scalar], b: Sequence[Scalar]) -> float:

@@ -99,11 +99,7 @@ def partitions_max_weight(max_parts: int, max_weight: int) -> Iterator[Partition
         for p in range(1, min(bound, remaining) + 1):
             yield from rec(prefix + [p], p, remaining - p, depth + 1)
 
-    seen = set()
-    for lam in rec([], max_weight, max_weight, 0):
-        if lam not in seen:
-            seen.add(lam)
-            yield lam
+    yield from rec([], max_weight, max_weight, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +342,6 @@ def enumerate_patterns(shape: Sequence[int], N: int) -> Iterator[GTPattern]:
 # type-A patterns (Cauchy identity support)
 # ---------------------------------------------------------------------------
 
-def interlacings_typeA(lam: Sequence[int], length: int) -> Iterator[tuple]:
-    """Type-A interlacing: lam_{i+1} <= nu_i <= lam_i with len(nu) = len(lam)-1."""
-    ranges = [range(part(lam, i + 2), part(lam, i + 1) + 1) for i in range(length)]
-    yield from product(*ranges)
-
-
 def enumerate_patterns_typeA(shape: Sequence[int], N: int) -> Iterator[list]:
     """Type-A Gelfand-Tsetlin patterns with top row = shape (N levels,
     level k has k entries)."""
@@ -362,7 +352,7 @@ def enumerate_patterns_typeA(shape: Sequence[int], N: int) -> Iterator[list]:
         if k == N:
             yield list(reversed(levels))
             return
-        for nu in interlacings_typeA(levels[-1], N - k):
+        for nu in interlacings(levels[-1], N - k):
             yield from rec(levels + [nu])
 
     yield from rec([top])

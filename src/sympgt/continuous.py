@@ -170,12 +170,7 @@ def phi(N: int, lam: Sequence[float], x, nodes: int = 600) -> float:
         xv = float(x[0]) if isinstance(x, (tuple, list, np.ndarray)) else float(x)
         return float(_phi2_grid(lam[0], np.array([xv]), nodes)[0])
     if N == 3:
-        x1, x2 = float(x[0]), float(x[1])
-        lo, hi = _box([x1, x2])
-        u = np.linspace(lo, hi, nodes)
-        p2 = _phi2_grid(lam[0], u, nodes)
-        ker = np.exp(lam[1] * (x1 + x2 - u) - np.exp(x2 - u) - np.exp(u - x1))
-        return float(np.trapezoid(ker * p2, u))
+        return float(_phi3_grid(lam, np.array([float(x[0])]), np.array([float(x[1])]), nodes)[0, 0])
     if N == 4:
         x1, x2 = float(x[0]), float(x[1])
         lo, hi = _box([x1, x2])

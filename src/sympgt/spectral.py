@@ -524,7 +524,7 @@ def gram_schmidt_koornwinder(n: int, q: float, t0: float, max_weight: int,
         p = monomial_symmetric(n, lam).map_coefficients(float)
         for mu in family:
             c = _pair(p, family[mu], quad).real / norms[mu]
-            p = p + family[mu] * LaurentPoly.constant(n, -c)
+            p = p - c * family[mu]
         nrm = _pair(p, p, quad).real
         if abs(nrm) < 1e-10:
             raise ValueError("Gram matrix numerically singular")
@@ -541,5 +541,5 @@ def conjecture_distance(n: int, lam, q: float, t0: float,
     lam = canon(lam)
     fam = family or gram_schmidt_koornwinder(n, q, t0, sum(lam))
     target = qwhittaker_recursion(n, lam, QSeriesCtx(q)).map_coefficients(float)
-    diff = fam[lam] + target * LaurentPoly.constant(n, -1.0)
+    diff = fam[lam] - target
     return max((abs(c) for c in diff.terms.values()), default=0.0)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -74,8 +75,8 @@ def test_q_factorial_classical_limit():
 
 
 def test_laurent_ring_axioms():
-    x = LaurentPoly.variable(2, 0)
-    y = LaurentPoly.variable(2, 1)
+    x = LaurentPoly.variable(2, 1)
+    y = LaurentPoly.variable(2, 2)
     p = 3 * x + y ** 2 - LaurentPoly.constant(2, F(1, 2))
     r = x * y - y
     s = x ** 3 + 2 * r
@@ -87,10 +88,65 @@ def test_laurent_ring_axioms():
 
 
 def test_laurent_inverse_and_eval():
-    a = LaurentPoly.variable(1, 0)
+    a = LaurentPoly.variable(1, 1)
     p = a ** 2 + a.substitute_inverse(1) ** 2
     assert p.evaluate((F(2),)) == F(17, 4)
     assert p.substitute_inverse(1) == p
+
+
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_laurent_variable_rejects_index_outside_1_to_nvars(i):
+    with pytest.raises(ValueError, match="out of range"):
+        LaurentPoly.variable(2, i)
+
+
+def test_laurent_constructor_sums_pairs():
+    pairs = [((1, 0), F(1, 2)), ((0, -1), 3), ((1, 0), F(1, 2)),
+             ((2, 2), F(1, 3)), ((2, 2), F(-1, 3))]
+    p = LaurentPoly(2, pairs)
+    assert p.terms == {(1, 0): 1, (0, -1): 3}
+    assert p == LaurentPoly(2, {(1, 0): 1, (0, -1): 3})
+    assert LaurentPoly(2, iter(pairs)) == p
+    assert LaurentPoly(2, [([1.0, 0.0], 2)]).terms == {(1, 0): 2}
+    assert LaurentPoly(2, [((1, 1), 0), ((0, 0), 0.0)]).terms == {}
+    with pytest.raises(ValueError, match="length mismatch"):
+        LaurentPoly(2, [((1, 0), 1), ((1,), 1)])
+    with pytest.raises(ValueError, match="length mismatch"):
+        LaurentPoly(2, {(1, 0, 0): 1})
+
+
+def _naive_add(f, g):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _naive_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_laurent_ring_matches_naive_dicts(seed):
+    rng = random.Random(seed)
+
+    def rand_terms():
+        return {tuple(rng.randint(-2, 2) for _ in range(3)): F(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 12))}
+
+    for _ in range(10):
+        f, g = rand_terms(), rand_terms()
+        pf, pg = LaurentPoly(3, f), LaurentPoly(3, g)
+        nf, ng = pf.terms, pg.terms
+        assert nf == {e: c for e, c in f.items() if c != 0}
+        assert (pf + pg).terms == _naive_add(nf, ng)
+        assert (pf - pg).terms == _naive_add(nf, {e: -c for e, c in ng.items()})
+        assert (pf * pg).terms == _naive_mul(nf, ng)
 
 
 def test_laurent_canonical_roundtrip():

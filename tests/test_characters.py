@@ -169,3 +169,21 @@ def test_recursion_memo_keeps_exact_and_float_apart():
 def test_recursion_memo_ignores_truncation():
     short = qwhittaker_recursion(2, (3, 1), QSeriesCtx(0.3, truncation=10))
     assert qwhittaker_recursion(2, (3, 1), QSeriesCtx(0.3, truncation=80)) is short
+
+
+def test_builders_make_one_polynomial_not_one_per_term(monkeypatch):
+    # each builder passes its stream of terms to one constructor call, so the
+    # number of polynomials made does not grow with the tableaux or patterns
+    made = []
+    init = LaurentPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counting_init)
+    tableaux = symplectic_schur_tableaux(3, (3, 2, 1))
+    assert len(made) == 1 and sum(tableaux.terms.values()) > 100
+    made.clear()
+    patterns = qwhittaker_pattern_sum(6, (3, 2, 1), QSeriesCtx(F(1, 3)))
+    assert len(made) == 1 and len(patterns.terms) > 10

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +105,19 @@ def test_subcommand_runs(capsys, argv, check):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
     assert check(out)
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (["compute", "qwhittaker", "--n", "3", "--lambda", "3,2,1", "--q", "1/3",
+      "--method", "recursion"], "compute_qwhittaker_n3_321_q1_3.txt"),
+    (["compute", "qwhittaker", "--n", "3", "--lambda", "3,2,1", "--q", "1/3",
+      "--method", "patterns"], "compute_qwhittaker_n3_321_q1_3.txt"),
+    (["compute", "schur", "--n", "3", "--lambda", "2,1"], "compute_schur_n3_21.txt"),
+], ids=["qwhittaker-recursion", "qwhittaker-patterns", "schur"])
+def test_compute_output_is_pinned(capsys, argv, pinned):
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).parent / "data" / pinned).read_text()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from sympgt.combinatorics import (
@@ -43,6 +45,15 @@ def test_orders_and_strips():
 def test_partitions_enumeration():
     got = set(partitions_max_weight(2, 3))
     assert got == {(), (1,), (2,), (3,), (1, 1), (2, 1)}
+
+
+@pytest.mark.parametrize("n, w", [(1, 4), (2, 6), (3, 7), (4, 9), (5, 8)])
+def test_partitions_max_weight_yields_each_partition_once(n, w):
+    got = list(partitions_max_weight(n, w))
+    brute = {canon(sorted(t, reverse=True))
+             for t in product(range(w + 1), repeat=n) if sum(t) <= w}
+    assert len(got) == len(set(got)) == len(brute)
+    assert set(got) == brute
 
 
 def test_letters():

@@ -214,9 +214,9 @@ def test_fft_inner_product_equals_grid_mean(n, nodes):
     quad = TorusQuadrature(n, nodes=nodes, q=0.4, t0=0.2)
     ctx = QSeriesCtx(0.4)
     # terms off the symmetric ones, so that a sign or index slip shows
-    f = qwhittaker_recursion(n, (2, 1)[:n], ctx) + LaurentPoly.monomial((1,) * n, 0.3)
+    f = qwhittaker_recursion(n, (2, 1)[:n], ctx) + LaurentPoly(n, {(1,) * n: 0.3})
     g = (monomial_symmetric(n, (3,)).map_coefficients(float)
-         + LaurentPoly.monomial((2,) + (-1,) * (n - 1), 0.5j))
+         + LaurentPoly(n, {(2,) + (-1,) * (n - 1): 0.5j}))
     F_, G = _grid_values(f, quad), _grid_values(g, quad)
     order = 2 ** n * math.factorial(n)
 
