@@ -200,6 +200,8 @@ class LaurentPoly:
 
     def substitute_inverse(self, i: int) -> "LaurentPoly":
         """Replace a_i by a_i^{-1} (1-based index)."""
+        if not 1 <= i <= self.nvars:
+            raise ValueError(f"variable index {i} out of range 1..{self.nvars}")
         terms = {}
         for exps, c in self.terms.items():
             e = list(exps)

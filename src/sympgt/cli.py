@@ -154,7 +154,8 @@ def _cmd_law(args) -> int:
             for z, p in sorted(table.table.items())]
     _emit({"schema": SCHEMA, "n": args.n, "t": args.t, "a": list(args.a),
            "q": args.q, "window": args.window,
-           "mass_defect": table.mass_defect, "rows": rows},
+           "mass_defect": table.mass_defect, "clamped_mass": table.clamped_mass,
+           "clamped_states": table.clamped_states, "rows": rows},
           args, ["shape", "probability", "noise_floor"])
     return 0
 

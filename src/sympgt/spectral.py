@@ -9,7 +9,13 @@ trapezoid mean of F x^-e w is entry [e mod N] of fftn(F w) / N^n.  So one
 FFT of F w serves every polynomial paired with F, and two polynomials pair
 through the spectrum of the weight alone.  The weight itself is a real
 product of 1-D factors |(e^{i phi};q)_inf|^2, each evaluated once on the
-N-point circle and gathered onto the grid by index."""
+N-point circle and gathered onto the grid by index.
+
+At rank 1 the direct moment route sums q^{-kz} p_z over a law computed in
+mpmath: there the weight times (q;q)_inf is the Jacobi triple-product theta
+series, the trapezoid rule runs over half the circle (every factor depends
+on cos theta alone), and the working precision is 30 digits past the
+amplification q^{-3 window} of the largest moment the contour route checks."""
 from __future__ import annotations
 
 import functools
@@ -38,7 +44,9 @@ def _poch_grid(x: np.ndarray, q: float, terms: int) -> np.ndarray:
 
 def pochhammer_depth(q: float) -> int:
     """Default truncation of (x;q)_infinity: at least 60 factors, and enough
-    that |q|^K < 1e-17."""
+    that |q|^K < 1e-17.  The product diverges for |q| >= 1."""
+    if abs(q) >= 1:
+        raise ValueError(f"--q must satisfy |q| < 1, got {q}")
     if abs(q) < 1e-17:
         return 60
     return max(60, math.floor(math.log(1e-17) / math.log(abs(q))) + 1)
@@ -201,6 +209,8 @@ class LawTable:
     table: dict                     # shape -> probability
     mass_defect: float
     noise: dict = field(default_factory=dict)   # shape -> quadrature noise floor
+    clamped_mass: float = 0.0       # sum of the negative probabilities set to 0
+    clamped_states: int = 0         # how many were set
 
     def mean(self, f: Callable, reliable_only: bool = False) -> float:
         if reliable_only:
@@ -228,12 +238,16 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     wmax = float(np.abs(pi_vals * quad.weight).max())
     spec = quad.spectrum(pi_vals)
     table, noise = {}, {}
+    clamped_mass, clamped_states = 0.0, 0
     for z in states:
         poly = qwhittaker_recursion(n, z, ctx)
         nf = norm_squared_factor(z, n, ctx)
         coeff = _against(spec, poly) / _group_order(n) * nf
         at_a = float(poly.evaluate(a))
         p = at_a * coeff.real / norm
+        if p < 0:
+            clamped_mass += p
+            clamped_states += 1
         table[z] = max(p, 0.0) if abs(p) > 1e-15 else 0.0
         noise[z] = 1e-15 * wmax * at_a * nf / norm
     defect = 1.0 - sum(table.values())
@@ -243,7 +257,7 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     if defect < -tol:
         raise ValueError(f"window mass defect {defect:.2e} is below -{tol:.0e}: states "
                          "past the quadrature noise floor add mass; shrink the window")
-    return LawTable(n, t, a, q, table, defect, noise)
+    return LawTable(n, t, a, q, table, defect, noise, clamped_mass, clamped_states)
 
 
 # ---------------------------------------------------------------------------
@@ -383,64 +397,87 @@ def contour_moment(n: int, k: int, t: float, a: Sequence[float], q: float,
     return total
 
 
+def _rank_one_dps(q: float, zmax: int) -> int:
+    """Working precision of the rank-1 law and moment sums: 30 digits past
+    the amplification q^{-kz} of every k <= 3 and z <= zmax, and at least 40."""
+    return max(40, 30 + math.ceil(3 * zmax * math.log10(1 / q)))
+
+
 def _direct_moment_rank_one(k: int, t: float, a: float, q: float,
-                            zmax: int = 40, dps: int = 40, nodes: int = 512) -> float:
-    """High-precision direct sum sum_z q^{-kz} p_z for n=1 over the law of
-    ``_rank_one_law``; q^{-kz} amplification is absorbed by extended precision."""
+                            zmax: int = 40, nodes: int = 512) -> float:
+    """Direct sum sum_z q^{-kz} p_z for n=1 over the law of ``_rank_one_law``,
+    in that law's precision: q^{-kz} multiplies each p_z's rounding noise by
+    up to q^{-3 zmax}, which the precision rule leaves 30 digits to spare.
+    Raises when the window 0..zmax misses more than 1e-6 of the mass."""
     import mpmath as mp
 
-    law_z = _rank_one_law(t, a, q, zmax, dps, nodes)
-    with mp.workdps(dps):
+    law_z = _rank_one_law(t, a, q, zmax, nodes)
+    with mp.workdps(_rank_one_dps(q, zmax)):
+        defect = 1 - mp.fsum(law_z)
+        if defect > 1e-6:
+            raise ValueError(f"window mass defect {float(defect):.2e} exceeds 1e-06; "
+                             "enlarge the window")
         qm = mp.mpf(q)
-        total = mp.mpf(0)
-        for z, p_z in enumerate(law_z):
-            total += qm ** (-k * z) * p_z
-        return float(total)
+        return float(mp.fsum(qm ** (-k * z) * p_z for z, p_z in enumerate(law_z)))
 
 
 @functools.lru_cache(maxsize=8)
-def _rank_one_law(t: float, a: float, q: float, zmax: int, dps: int, nodes: int) -> tuple:
-    """p_z for z = 0..zmax at rank 1 in mpmath precision dps: the torus
-    integrals are real and the rank-1 characters obey a three-term
-    recurrence.  The weight's Pochhammer product and (q;q)_inf keep
-    pochhammer_depth(q) factors, and at least 200 and 400."""
+def _rank_one_law(t: float, a: float, q: float, zmax: int, nodes: int = 512) -> tuple:
+    """p_z for z = 0..zmax at rank 1, in ``_rank_one_dps(q, zmax)`` digits:
+    the trapezoid rule on ``nodes`` points of the torus integral of
+    e^{2t cos theta} h_z(cos theta) |(e^{2i theta};q)_inf|^2, times the
+    character h_z at the real point, over (q;q)_z and exp((a + 1/a) t).
+
+    By the Jacobi triple product the weight times (q;q)_inf is the theta
+    series sum_{m>=1} (-1)^m q^{m(m-1)/2} (2 cos 2m theta - 2 cos 2(m-1) theta),
+    summed by the Chebyshev recurrence in cos 2 theta until q^{m(m-1)/2} falls
+    below 10^{-dps-5}; the (q;q)_inf of the normalization cancels against it.
+    Every factor depends on theta through cos theta alone, and
+    cos theta_j = cos theta_{N-j}, so the rule's sum over j = 0..N-1 has
+    multiplicities 1, 2, ..., 2, 1 over j = 0..N/2; the weight vanishes at
+    j = 0 and N/2, so it is twice the sum over j = 1..N/2-1.  The q-Hermite
+    characters obey a three-term recurrence, on the nodes and at the real
+    point alike."""
     import mpmath as mp
 
+    dps = _rank_one_dps(q, zmax)
     with mp.workdps(dps):
         qm, tm, am = mp.mpf(q), mp.mpf(t), mp.mpf(a)
-        theta = [2 * mp.pi * j / nodes for j in range(nodes)]
-        cos1 = [mp.cos(th) for th in theta]
-        cos2 = [mp.cos(2 * th) for th in theta]
-        depth = pochhammer_depth(q)
-        weight = []
-        for c2 in cos2:
-            w, qk = mp.mpf(1), mp.mpf(1)
-            for _ in range(max(200, depth)):
-                w *= 1 - 2 * qk * c2 + qk ** 2
-                qk *= qm
-            weight.append(w)
-        pi_vals = [mp.e ** (2 * tm * c) for c in cos1]
-        qq_inf, qk = mp.mpf(1), qm
-        for _ in range(max(400, depth)):
-            qq_inf *= 1 - qk
-            qk *= qm
+        cos1 = [mp.cos(2 * mp.pi * j / nodes) for j in range(1, nodes // 2)]
+        # 2 (-1)^m q^{m(m-1)/2} for m = 1, 2, ... while q^{m(m-1)/2} >= cut
+        theta_coef, qpow, m = [], mp.mpf(1), 1
+        cut = mp.mpf(10) ** (-dps - 5)
+        while qpow >= cut:
+            theta_coef.append(-2 * qpow if m % 2 else 2 * qpow)
+            qpow *= qm ** m
+            m += 1
+        # e^{2t cos theta} * weight * (q;q)_inf, the last as the theta series
+        # in the Chebyshev T_m of cos 2 theta
+        pw = []
+        for c in cos1:
+            c2 = 2 * c * c - 1
+            t_prev, t_cur, w = mp.mpf(1), c2, mp.mpf(0)
+            for cm in theta_coef:
+                w += cm * (t_cur - t_prev)
+                t_prev, t_cur = t_cur, 2 * c2 * t_cur - t_prev
+            pw.append(w * mp.exp(2 * tm * c))
         # recurrence over the character degree on nodes and at the real point
-        h_prev = [mp.mpf(1)] * nodes
-        h_cur = [2 * c for c in cos1]
+        two_c = [2 * c for c in cos1]
+        h_prev, h_cur = [mp.mpf(1)] * len(cos1), two_c
         v_prev, v_cur = mp.mpf(1), am + 1 / am
         qq_z = mp.mpf(1)
-        norm = mp.e ** ((am + 1 / am) * tm)
+        # the rule is twice the half sum over nodes, then over the group order 2
+        norm = nodes * mp.exp((am + 1 / am) * tm)
         out = []
         for z in range(zmax + 1):
             hz = h_prev if z == 0 else h_cur
             vz = v_prev if z == 0 else v_cur
-            ip = mp.fsum(p * w * h for p, w, h in zip(pi_vals, weight, hz)) / (2 * nodes)
-            out.append(vz * (qq_inf / qq_z) * ip / norm)
+            out.append(vz * mp.fdot(pw, hz) / (qq_z * norm))
             qq_z *= 1 - qm ** (z + 1)
             if z >= 1:
                 fac = 1 - qm ** z
-                h_prev, h_cur = h_cur, [2 * c * hc - fac * hp
-                                        for c, hc, hp in zip(cos1, h_cur, h_prev)]
+                h_prev, h_cur = h_cur, [tc * hc - fac * hp
+                                        for tc, hc, hp in zip(two_c, h_cur, h_prev)]
                 v_prev, v_cur = v_cur, (am + 1 / am) * v_cur - fac * v_prev
         return tuple(out)
 
@@ -449,6 +486,14 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
             window: int = 40, law_table: Optional[LawTable] = None) -> dict:
     """<q^{-k Z_1}> by three independent routes: direct law summation,
     Koornwinder operator powers, and nested contour integrals."""
+    if not 0 < q < 1:
+        raise ValueError(f"--q must lie in (0, 1), got {q}")
+    if t < 0:
+        raise ValueError(f"--t must be nonnegative, got {t}")
+    if not 0 <= k <= 3:
+        raise ValueError(f"--k must lie in 0..3, the contour route's range, got {k}")
+    if window < 1:
+        raise ValueError(f"--window must be at least 1, got {window}")
     a = tuple(float(x) for x in a)
     if n == 1:
         direct = _direct_moment_rank_one(k, t, a[0], q, zmax=window)

@@ -100,6 +100,12 @@ def test_laurent_variable_rejects_index_outside_1_to_nvars(i):
         LaurentPoly.variable(2, i)
 
 
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_laurent_substitute_inverse_rejects_index_outside_1_to_nvars(i):
+    with pytest.raises(ValueError, match="out of range"):
+        LaurentPoly(2, {(1, 2): 1}).substitute_inverse(i)
+
+
 def test_laurent_constructor_sums_pairs():
     pairs = [((1, 0), F(1, 2)), ((0, -1), 3), ((1, 0), F(1, 2)),
              ((2, 2), F(1, 3)), ((2, 2), F(-1, 3))]

@@ -80,6 +80,17 @@ def test_law_at_q_near_one_with_a_small_window(capsys):
     assert len(rows) == 16 and abs(mass + float(header["mass_defect"]) - 1) < 1e-12
 
 
+def test_law_reports_its_clamp_next_to_the_mass_defect(capsys):
+    code, out, _ = _run(capsys, ["law", "--n", "2", "--t", "0.25", "--a", "1,1", "--q", "0.5",
+                                 "--window", "8"])
+    assert code == 0
+    header, rows = _csv_report(out)
+    keys = list(header)
+    assert keys[keys.index("mass_defect") + 1:][:2] == ["clamped_mass", "clamped_states"]
+    assert float(header["clamped_mass"]) < 0 and int(header["clamped_states"]) == 3
+    assert int(header["clamped_states"]) <= sum(float(r["probability"]) == 0 for r in rows)
+
+
 @pytest.mark.parametrize("argv, check", [
     (["compute", "qwhittaker", "--n", "2", "--lambda", "2,1", "--q", "1/3", "--a", "2,3"],
      lambda out: out == "455/9\n"),
@@ -139,6 +150,17 @@ def test_compute_output_is_pinned(capsys, argv, pinned):
      "--t must be positive"),
     (["polymer", "--N", "1", "--replicas", "0", "--seed", "1"],
      "--replicas must be at least 1"),
+    (["moments", "--t", "1", "--a", "1.3", "--q", "0"], "--q must lie in (0, 1)"),
+    (["moments", "--t", "1", "--a", "1.3", "--q", "1"], "--q must lie in (0, 1)"),
+    (["moments", "--t", "1", "--a", "1.3", "--q", "1.5"], "--q must lie in (0, 1)"),
+    (["moments", "--t", "-1", "--a", "1.3", "--q", "0.5"], "--t must be nonnegative"),
+    (["moments", "--t", "1", "--a", "1.3", "--q", "0.5", "--k", "4"], "--k must lie in 0..3"),
+    (["moments", "--t", "1", "--a", "1.3", "--q", "0.5", "--k", "-1"], "--k must lie in 0..3"),
+    (["moments", "--t", "1", "--a", "1.3", "--q", "0.5", "--window", "0"],
+     "--window must be at least 1"),
+    (["moments", "--t", "8", "--a", "1.3", "--q", "0.9", "--window", "10"],
+     "enlarge the window"),
+    (["law", "--n", "1", "--t", "1", "--a", "1", "--q", "1"], "--q must satisfy |q| < 1"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -3,9 +3,11 @@ import math
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from sympgt import spectral
 from sympgt.algebra import INF, LaurentPoly, QSeriesCtx, big_q_hermite, q_hermite, q_pochhammer
 from sympgt.characters import monomial_symmetric, qwhittaker_recursion
 from sympgt.dynamics import build_generator
@@ -271,3 +273,109 @@ def test_law_matches_grid_quadrature_reference():
     ref1 = {tuple(json.loads(z)): p for z, p in REFERENCE["law_n1"].items()}
     assert set(lt1.table) == set(ref1)
     assert max(abs(lt1.table[z] - p) for z, p in ref1.items()) <= 1e-13
+
+
+def test_law_reports_what_its_clamp_removed():
+    lt = law(2, 0.25, (1, 1), 0.5, 8)
+    assert lt.clamped_states == 3 and lt.clamped_mass < 0
+    assert lt.clamped_states <= sum(1 for p in lt.table.values() if p == 0)
+    lt0 = law(1, 0.0, (1.3,), 0.5, 10)
+    assert (lt0.clamped_states == 0) == (lt0.clamped_mass == 0)
+
+
+def _product_law(t, a, q, zmax, dps, factors, nodes=512):
+    """The rank-1 law as first written, the reference for ``_rank_one_law``:
+    every node of the full grid, with the weight and (q;q)_inf as products
+    of ``factors`` Pochhammer factors."""
+    with mp.workdps(dps):
+        qm, tm, am = mp.mpf(q), mp.mpf(t), mp.mpf(a)
+        cos1 = [mp.cos(2 * mp.pi * j / nodes) for j in range(nodes)]
+        weight = []
+        for c1 in cos1:
+            c2 = 2 * c1 ** 2 - 1
+            w, qk = mp.mpf(1), mp.mpf(1)
+            for _ in range(factors):
+                w *= 1 - 2 * qk * c2 + qk ** 2
+                qk *= qm
+            weight.append(w)
+        pi_vals = [mp.e ** (2 * tm * c) for c in cos1]
+        qq_inf, qk = mp.mpf(1), qm
+        for _ in range(factors):
+            qq_inf *= 1 - qk
+            qk *= qm
+        h_prev, h_cur = [mp.mpf(1)] * nodes, [2 * c for c in cos1]
+        v_prev, v_cur = mp.mpf(1), am + 1 / am
+        qq_z, norm = mp.mpf(1), mp.e ** ((am + 1 / am) * tm)
+        out = []
+        for z in range(zmax + 1):
+            hz = h_prev if z == 0 else h_cur
+            vz = v_prev if z == 0 else v_cur
+            ip = mp.fsum(p * w * h for p, w, h in zip(pi_vals, weight, hz)) / (2 * nodes)
+            out.append(vz * (qq_inf / qq_z) * ip / norm)
+            qq_z *= 1 - qm ** (z + 1)
+            if z >= 1:
+                fac = 1 - qm ** z
+                h_prev, h_cur = h_cur, [2 * c * hc - fac * hp
+                                        for c, hc, hp in zip(cos1, h_cur, h_prev)]
+                v_prev, v_cur = v_cur, (am + 1 / am) * v_cur - fac * v_prev
+        return out
+
+
+@pytest.fixture
+def fresh_rank_one_cache():
+    spectral._rank_one_law.cache_clear()
+    yield spectral._rank_one_law
+    spectral._rank_one_law.cache_clear()
+
+
+@pytest.mark.slow
+def test_rank_one_law_matches_pochhammer_product(fresh_rank_one_cache):
+    # 0.5^300 < 1e-90: the 300-factor products are exact at 80 digits
+    q, window = 0.5, 40
+    ref = _product_law(1.0, 1.3, q, window, 80, 300)
+    got = fresh_rank_one_cache(1.0, 1.3, q, window)
+    with mp.workdps(80):
+        for z, (g, r) in enumerate(zip(got, ref)):
+            # the law sums to 1, so these are relative to its mass; times
+            # q^{-3z} they bound what the noise adds to the k = 3 moment
+            assert abs(g - r) <= mp.mpf(10) ** -45
+            assert abs(g - r) * mp.mpf(q) ** (-3 * z) <= mp.mpf(10) ** -24
+        assert ref[window] < mp.mpf(10) ** -43
+
+
+def test_rank_one_direct_matches_operator_at_q_04():
+    m = moments(1, 2, 1.0, (1.3,), 0.4, window=40)
+    assert abs(m["direct"] - m["operator"]) <= 1e-12 * abs(m["operator"])
+
+
+def test_rank_one_direct_is_the_operator_double_at_the_ledger_point():
+    for k in (1, 2):
+        m = moments(1, k, 1.0, (1.3,), 0.5)
+        assert m["direct"] == m["operator"]
+
+
+@pytest.mark.parametrize("q, t, window", [(0.3, 1.0, 40), (0.5, 4.0, 25),
+                                          (0.7, 0.25, 25), (0.9, 8.0, 40)])
+def test_rank_one_precision_rule_has_sixty_digits_to_spare(fresh_rank_one_cache, monkeypatch,
+                                                           q, t, window):
+    def direct():
+        return [spectral._direct_moment_rank_one(k, t, 1.3, q, zmax=window) for k in (1, 2, 3)]
+
+    at_rule = direct()
+    rule = spectral._rank_one_dps
+    monkeypatch.setattr(spectral, "_rank_one_dps", lambda q, zmax: rule(q, zmax) + 60)
+    fresh_rank_one_cache.cache_clear()
+    assert direct() == at_rule
+
+
+def test_rank_one_moments_share_one_law(fresh_rank_one_cache):
+    for k in (1, 2):
+        moments(1, k, 1.0, (1.3,), 0.5)
+    info = fresh_rank_one_cache.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_pochhammer_depth_rejects_q_off_the_unit_disc():
+    for q in (1.0, -1.0, 1.5):
+        with pytest.raises(ValueError, match=r"\|q\| < 1"):
+            pochhammer_depth(q)
