@@ -63,18 +63,26 @@ def q_factorial(ctx: QSeriesCtx, n: int) -> Scalar:
     return q_pochhammer(ctx, ctx.q, n) / (1 - ctx.q) ** n
 
 
+_q_binomial_cache: dict = {}
+
+
 def q_binomial(ctx: QSeriesCtx, n: int, k: int) -> Scalar:
-    """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_{n-k})."""
+    """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_{n-k}), memoized on
+    (q, exact, n, k), so that q = 0.5 and q = Fraction(1, 2) stay apart."""
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"q-binomial requires 0 <= k <= n, got n={n}, k={k}")
-    # Product form binom(n,k)_q = prod_{j=1}^{k} (1-q^{n-k+j})/(1-q^j).
     q = ctx.q
-    num: Scalar = Fraction(1) if ctx.exact else 1.0
-    den: Scalar = num
-    for j in range(1, k + 1):
-        num *= 1 - q ** (n - k + j)
-        den *= 1 - q ** j
-    return num / den
+    key = (q, ctx.exact, n, k)
+    value = _q_binomial_cache.get(key)
+    if value is None:
+        # Product form binom(n,k)_q = prod_{j=1}^{k} (1-q^{n-k+j})/(1-q^j).
+        num: Scalar = Fraction(1) if ctx.exact else 1.0
+        den: Scalar = num
+        for j in range(1, k + 1):
+            num *= 1 - q ** (n - k + j)
+            den *= 1 - q ** j
+        value = _q_binomial_cache[key] = num / den
+    return value
 
 
 _VAR_RE = re.compile(r"^a(\d+)\^(-?\d+)$")

@@ -1,5 +1,12 @@
 """Diffusion-level machinery: wall Toda operators, the Phi kernel family,
-interacting SDEs on real patterns, and the polymer identity check."""
+interacting SDEs on real patterns, and the polymer identity check.
+
+The polymer identity check compares two Monte Carlo samples by the
+two-sample Kolmogorov-Smirnov test, computed here in numpy: the statistic
+is ``scipy.stats.ks_2samp``'s, and the p-value is Stephens' asymptotic
+tail Q_KS((sqrt(en) + 0.12 + 0.11 / sqrt(en)) D), en = n1 n2 / (n1 + n2).
+The sampler keeps a running log-integral between levels, except on the
+last level of Z, where only the endpoint log I_N(t) is computed."""
 
 from __future__ import annotations
 
@@ -362,6 +369,16 @@ def _log_cumsum_exp(a: np.ndarray) -> int:
     return len(wide)
 
 
+def _log_sum_exp(a: np.ndarray) -> np.ndarray:
+    """Row sums log(sum(exp(a))) of the 2-D array ``a``, shifted by the row
+    max m, so exact at any row width (the terms at m sum to at least 1);
+    overwrites ``a``."""
+    m = a.max(axis=1)
+    a -= m[:, None]
+    np.exp(a, out=a)
+    return np.log(a.sum(axis=1)) + m
+
+
 def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
                      replicas: int, integrated: bool) -> tuple:
     """Samples of the nested recurrence log I_k = b_k + log int_0^. e^{log
@@ -369,7 +386,9 @@ def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
     count of rows that took the wide-row path of _log_cumsum_exp.
 
     Without ``integrated`` the recurrence starts at log I = 0 and the sample
-    is log I_N(t); with it, log I_1 = b_1 and the sample is
+    is log I_N(t); its last level computes only that endpoint, by one
+    max-shifted log-sum-exp per row, and never takes the wide-row path.
+    With ``integrated``, log I_1 = b_1 and the sample is
     log int_0^t e^{log I_N(s)} ds.  Level k's Brownian path (drift
     drifts[k], started at 0) is drawn _BLOCK replicas at a time, level-major
     then replica-major, so the normals are those of one (levels, replicas,
@@ -381,6 +400,7 @@ def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
     log_i = np.zeros((replicas, steps + 1))
     noise = np.empty((_BLOCK, steps))
     path = np.zeros((_BLOCK, steps + 1))
+    last = len(drifts) - 1
     wide = 0
     for k, drift in enumerate(drifts):
         for r0 in range(0, replicas, _BLOCK):
@@ -389,22 +409,21 @@ def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
             rng.standard_normal(out=inc)
             inc *= sqrt_dt
             inc += drift * dt
-            np.cumsum(inc, axis=1, out=b[:, 1:])
             if integrated and k == 0:
-                rows[...] = b
+                np.cumsum(inc, axis=1, out=rows[:, 1:])  # log I_1 = b_1
                 continue
+            np.cumsum(inc, axis=1, out=b[:, 1:])
             rows -= b
             rows += logw
+            if k == last and not integrated:
+                rows[:, -1] = _log_sum_exp(rows) + b[:, -1]
+                continue
             wide += _log_cumsum_exp(rows)
             rows += b
     if not integrated:
         return log_i[:, -1].copy(), wide  # a copy, so log_i can be freed
-    # max-shifted log-sum-exp of the trapezoid terms, in place
     log_i += logw
-    m = log_i.max(axis=1)
-    log_i -= m[:, None]
-    np.exp(log_i, out=log_i)
-    return np.log(log_i.sum(axis=1)) + m, wide
+    return _log_sum_exp(log_i), wide
 
 
 def polymer_z(rng, N: int, lam: Sequence[float], t: float, steps: int,
@@ -427,13 +446,50 @@ def polymer_y_integral(rng, N: int, nu: Sequence[float], t: float, steps: int,
     return _polymer_samples(rng, nu[:N], t, steps, replicas, integrated=True)[0]
 
 
+def _kolmogorov_sf(x: float) -> float:
+    """Q_KS(x) = P(sup |bridge| > x), the Kolmogorov distribution's tail:
+    1 - sqrt(2 pi) / x sum_k exp(-(2k - 1)^2 pi^2 / (8 x^2)) (the Jacobi
+    theta form) below x = 1, 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2) above.
+    Eight terms of either reach double precision."""
+    if x <= 0:
+        return 1.0
+    k = np.arange(8.0, 0.0, -1.0)  # smallest terms first
+    if x < 1:
+        return float(1 - math.sqrt(2 * math.pi) / x
+                     * np.exp(-(2 * k - 1) ** 2 * (math.pi ** 2 / (8 * x * x))).sum())
+    return float(2 * (np.where(k % 2, 1.0, -1.0) * np.exp(-2 * k * k * x * x)).sum())
+
+
+def _ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Two-sample Kolmogorov-Smirnov statistic D, by ks_2samp's formula,
+    and its p-value Q_KS((sqrt(en) + 0.12 + 0.11 / sqrt(en)) D) with
+    en = n1 n2 / (n1 + n2), clipped to [0, 1] (Stephens, JRSS B 1970).
+    Up to 10^4 points per sample D is rounded, as ks_2samp rounds it, to
+    the nearest multiple of 1 / lcm(n1, n2)."""
+    x, y = np.sort(x), np.sort(y)
+    both = np.concatenate([x, y])
+    diff = (np.searchsorted(x, both, side="right") / len(x)
+            - np.searchsorted(y, both, side="right") / len(y))
+    stat = float(max(diff.max(), np.clip(-diff.min(), 0, 1)))
+    if max(len(x), len(y)) <= 10000:
+        lcm = math.lcm(len(x), len(y))
+        stat = round(stat * lcm) / lcm
+    root_en = math.sqrt(len(x) * len(y) / (len(x) + len(y)))
+    pvalue = _kolmogorov_sf((root_en + 0.12 + 0.11 / root_en) * stat)
+    return stat, min(max(pvalue, 0.0), 1.0)
+
+
 def polymer_identity_check(N: int, lam: Sequence[float], t: float,
                            replicas: int, seed: int,
                            steps: int = 512) -> dict:
     """Two-sample KS between Z^N(t) and log int_0^t e^{Y^N}: the reversed
-    drift vector for Y is the drift ladder of Z read backwards.  ``stats``
-    counts the rows, over both samples and all levels, that took the exact
-    wide-row path of the running log-sum-exp."""
+    drift vector for Y is the drift ladder of Z read backwards.  The
+    statistic is ks_2samp's; the p-value is Stephens' asymptotic tail
+    Q_KS((sqrt(en) + 0.12 + 0.11 / sqrt(en)) D), en = n1 n2 / (n1 + n2)
+    (see _ks_two_sample).  ``stats`` counts the rows, over both samples and
+    all levels, that took the exact wide-row path of the running
+    log-sum-exp; the last level of Z computes only its endpoint and never
+    does."""
     if N < 1:
         raise ValueError(f"--N must be at least 1, got {N}")
     if len(lam) < level_dim(N):
@@ -445,17 +501,14 @@ def polymer_identity_check(N: int, lam: Sequence[float], t: float,
         raise ValueError(f"--replicas must be at least 1, got {replicas}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    # scipy.stats takes about 1 s to import, so only a KS test pays for it
-    from scipy.stats import ks_2samp
-
     ladder = _drift_ladder(lam, N)
     ss = np.random.SeedSequence(seed).spawn(2)
     z, wide_z = _polymer_samples(np.random.Generator(np.random.Philox(ss[0])),
                                  ladder, t, steps, replicas, integrated=False)
     y, wide_y = _polymer_samples(np.random.Generator(np.random.Philox(ss[1])),
                                  ladder[::-1], t, steps, replicas, integrated=True)
-    stat, pvalue = ks_2samp(z, y)
-    return {"ks": float(stat), "pvalue": float(pvalue),
+    stat, pvalue = _ks_two_sample(z, y)
+    return {"ks": stat, "pvalue": pvalue,
             "replicas": replicas, "steps": steps,
             "z_mean": float(np.mean(z)), "y_mean": float(np.mean(y)),
             "stats": {"wide_rows": wide_z + wide_y},

@@ -352,6 +352,39 @@ class GeneratorMatrix:
             Q[i, i] = float(self.diagonal[i])
         return Q
 
+    def transient(self, t: float, start) -> np.ndarray:
+        """Row ``start`` (a shape) of expm(t Q), by uniformization: with
+        Lambda = max |Q_ii| and P = I + Q / Lambda, expm(t Q) is the Poisson
+        mixture sum_n e^{-Lambda t} (Lambda t)^n / n! P^n, and a row vector
+        is carried through v <- v P.  The sum stops at the first n >= Lambda t
+        at which the Poisson mass past n, bounded by w_n Lambda t /
+        (n + 1 - Lambda t), is below 1e-16.  When Lambda t > 500, t is split
+        into ceil(Lambda t / 500) equal pieces, so e^{-Lambda t} never
+        underflows.  Boundary rows leak mass, which only makes P
+        substochastic."""
+        if t < 0:
+            raise ValueError(f"t must be nonnegative, got {t}")
+        Q = self.dense()
+        v = np.zeros(len(self.states))
+        v[self.index[start]] = 1.0
+        lam = float(-Q.diagonal().min(initial=0.0))
+        if lam * t == 0:
+            return v
+        P = Q / lam
+        P[np.diag_indices_from(P)] += 1
+        pieces = math.ceil(lam * t / 500)
+        lt = lam * t / pieces
+        for _ in range(pieces):
+            w = math.exp(-lt)
+            term, v = v, w * v
+            n = 0
+            while n < lt or w * lt / (n + 1 - lt) >= 1e-16:
+                n += 1
+                term = term @ P
+                w *= lt / n
+                v += w * term
+        return v
+
 
 def shape_rate(N: int, z: tuple, zp: tuple, ctx: QSeriesCtx, a: Sequence) -> Scalar:
     """Off-diagonal bottom-level rate: character ratio times the one-box

@@ -354,9 +354,16 @@ def default_contour_spec(a: Sequence[float], q: float, depth: int) -> ContourSpe
     return spec
 
 
+# the l-fold contour grid has at most this many points (2^24 complex
+# entries are 256 MiB per array)
+_CONTOUR_GRID_POINTS = 2 ** 24
+
+
 def contour_moment(n: int, k: int, t: float, a: Sequence[float], q: float,
                    spec: Optional[ContourSpec] = None, nodes: int = 1024) -> float:
-    """<q^{-k Z_1}> via the nested contour representation (k <= 3)."""
+    """<q^{-k Z_1}> via the nested contour representation (k <= 3).  The
+    l-fold term uses min(nodes, floor(2^(24 / l))) nodes per circle, so its
+    grid stays within _CONTOUR_GRID_POINTS: 1024 for l <= 2, 256 for l = 3."""
     if k > 3:
         raise ValueError("contour route implemented for k <= 3")
     a = tuple(float(x) for x in a)
@@ -367,11 +374,12 @@ def contour_moment(n: int, k: int, t: float, a: Sequence[float], q: float,
         else:
             sp = ContourSpec(spec.circles[-l:])
             sp.validate(a, q)
-        phi = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        per_axis = min(nodes, int(2 ** (math.log2(_CONTOUR_GRID_POINTS) / l)))
+        phi = np.exp(2j * np.pi * np.arange(per_axis) / per_axis)
         ss, dw = [], []
         for d, (c, r) in enumerate(sp.circles):
             shape = [1] * l
-            shape[d] = nodes
+            shape[d] = per_axis
             s = (c + r * phi).reshape(shape)
             ss.append(s)
             dw.append(((s - c) / s))

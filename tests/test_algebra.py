@@ -49,6 +49,19 @@ def test_q_binomial_symmetry_and_range(q):
         q_binomial(ctx, 3, 4)
 
 
+def test_q_binomial_memo_keeps_exact_and_float_apart():
+    # 0.5 == Fraction(1, 2) and both hash alike, so only the exactness in
+    # the memo key keeps the float value from being served in exact mode
+    approx = q_binomial(QSeriesCtx(0.5), 7, 3)
+    exact = q_binomial(QSeriesCtx(F(1, 2)), 7, 3)
+    assert isinstance(approx, float) and isinstance(exact, F)
+    assert exact == F(11811, 4096) and approx == pytest.approx(11811 / 4096, rel=1e-15)
+    assert isinstance(q_binomial(QSeriesCtx(0.5), 7, 3), float)
+    for _ in range(2):  # a bad call raises every time, memo or not
+        with pytest.raises(ValueError):
+            q_binomial(QSeriesCtx(0.5), 7, 8)
+
+
 @pytest.mark.parametrize("q", QS)
 def test_q_binomial_identities(q):
     ctx = QSeriesCtx(q)

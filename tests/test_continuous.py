@@ -12,7 +12,9 @@ import pytest
 
 import sympgt
 from sympgt.continuous import (_BLOCK, _WIDE, ContinuousParams, _drift_ladder,
-                               _log_cumsum_exp, _polymer_samples, _sde_drift,
+                               _kolmogorov_sf, _ks_two_sample, _log_cumsum_exp,
+                               _log_sum_exp,
+                               _polymer_samples, _sde_drift,
                                grad_log_phi, h_b, h_d, phi, phi2_bessel,
                                phi_eigen_residual, polymer_identity_check,
                                polymer_y_integral, polymer_z, q_nn, q_nnm1,
@@ -220,6 +222,26 @@ def test_streamed_polymer_matches_unstreamed_reference(t):
         assert (wide == 0) if t == 2.0 else (0 < wide < replicas)
 
 
+def test_endpoint_level_matches_logaddexp_reduce_on_wide_rows():
+    # Z's first level at t = 2000: log I_0 = 0, so its rows are -b + logw
+    steps, dt = 512, 2000.0 / 512
+    rng = np.random.Generator(np.random.Philox(3))
+    inc = rng.standard_normal((300, steps)) * math.sqrt(dt) + 0.9 * dt
+    b = np.concatenate([np.zeros((300, 1)), np.cumsum(inc, axis=1)], axis=1)
+    rows = -b + np.log(np.r_[dt / 2, np.full(steps - 1, dt), dt / 2])
+    assert (rows.max(axis=1) - rows.min(axis=1) > _WIDE).all()
+    ref = np.logaddexp.reduce(rows, axis=1)
+    got = _log_sum_exp(rows.copy())
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    drifts = _drift_ladder((0.9, 0.4), 2)
+    ref = _reference_samples(np.random.Generator(np.random.Philox(2)), drifts,
+                             2000.0, steps, 300, False)
+    got, wide = _polymer_samples(np.random.Generator(np.random.Philox(2)), drifts,
+                                 2000.0, steps, 300, False)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert wide == 300  # only the first level keeps a running integral
+
+
 @pytest.mark.parametrize("case", POLYMER["ledger"], ids=lambda c: f"N{c['N']}")
 def test_polymer_identity_ledger_figures_are_unchanged(case):
     rep = polymer_identity_check(case["N"], tuple(case["lam"]), case["t"],
@@ -246,8 +268,10 @@ def test_polymer_samples_are_unchanged(case):
 
 def test_polymer_wide_rows_are_reported():
     rep = polymer_identity_check(2, (0.9, 0.4), 2000.0, replicas=300, seed=5)
-    # every row of both Z levels and of the one Y recurrence level is wide
-    assert rep["stats"] == {"wide_rows": 3 * 300}
+    # every row of Z's first level and of the one Y recurrence level is
+    # wide; Z's last level computes only its endpoint, by a max-shifted
+    # log-sum-exp that is exact at any row width, so it never takes that path
+    assert rep["stats"] == {"wide_rows": 2 * 300}
     assert math.isfinite(rep["z_mean"]) and math.isfinite(rep["y_mean"])
 
 
@@ -263,6 +287,42 @@ def test_polymer_identity_check_rejects_bad_input(kwargs, message):
         polymer_identity_check(seed=1, **kwargs)
 
 
+def _ks_pairs():
+    rng = np.random.default_rng(12)
+    yield rng.standard_normal(3000), rng.standard_normal(3000)            # equal sizes
+    yield rng.standard_normal(2500), rng.standard_normal(1700)            # unequal sizes
+    yield rng.integers(0, 12, 900) * 1.0, rng.integers(0, 12, 1300) * 1.0  # ties across
+    yield rng.standard_normal(4000), rng.standard_normal(3000) + 0.08     # shifted
+    # past 10^4 points ks_2samp keeps D unrounded, as at the ledger sizes
+    yield rng.standard_normal(12000), rng.standard_normal(10500) + 0.03
+
+
+@pytest.mark.parametrize("pair", list(_ks_pairs()),
+                         ids=["equal", "unequal", "ties", "shifted", "large"])
+def test_ks_statistic_equals_scipy_bitwise(pair):
+    from scipy.stats import ks_2samp
+    assert _ks_two_sample(*pair)[0] == ks_2samp(*pair).statistic
+
+
+@pytest.mark.parametrize("n1, n2, shift", [(2000, 2000, 0.0), (2000, 2000, 0.06),
+                                           (5000, 3000, 0.03), (20000, 20000, 0.0),
+                                           (20000, 20000, 0.02)])
+def test_ks_pvalue_is_near_scipy_asymptotic(n1, n2, shift):
+    from scipy.stats import ks_2samp
+    rng = np.random.default_rng(n1 + n2)
+    x, y = rng.standard_normal(n1), rng.standard_normal(n2) + shift
+    assert n1 * n2 / (n1 + n2) >= 1000
+    want = ks_2samp(x, y, method="asymp").pvalue
+    assert abs(_ks_two_sample(x, y)[1] - want) <= 5e-3
+
+
+def test_kolmogorov_tail_matches_scipy():
+    from scipy.special import kolmogorov
+    for x in np.linspace(0.05, 4.0, 400):  # crosses the switch at x = 1
+        assert abs(_kolmogorov_sf(float(x)) - kolmogorov(x)) <= 1e-14
+    assert _kolmogorov_sf(0.0) == 1.0
+
+
 def test_importing_every_module_leaves_scipy_stats_unloaded():
     code = ("import importlib, pkgutil, sys, sympgt, sympgt.cli\n"
             "for m in pkgutil.iter_modules(sympgt.__path__):\n"
@@ -272,3 +332,17 @@ def test_importing_every_module_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_markov_ledger_checks_load_no_scipy():
+    code = ("import sys\n"
+            "from sympgt.acceptance import check_simulation_vs_law\n"
+            "from sympgt.continuous import polymer_identity_check\n"
+            "polymer_identity_check(2, (0.9, 0.4), 1.0, replicas=500, seed=1)\n"
+            "check_simulation_vs_law()\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.linalg', 'scipy.special')\n"
+            "             if m in sys.modules))")
+    src = str(Path(sympgt.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

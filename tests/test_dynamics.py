@@ -9,6 +9,7 @@ from sympgt.characters import qwhittaker_pattern_sum, qwhittaker_recursion
 from sympgt.combinatorics import (enumerate_patterns, interlacings, level_len,
                                   partitions_max_weight)
 from sympgt.dynamics import (
+    GeneratorMatrix,
     SimConfig,
     L_rate,
     R_rate,
@@ -268,6 +269,34 @@ def _two_level_probes(N, shapes):
         for x in interlacings(y, level_len(N - 1)):
             probes.append((x, y))
     return probes
+
+
+def _assert_transient_matches_expm(gen, t, starts):
+    ref = expm(t * gen.dense())
+    for z in starts:
+        assert np.abs(gen.transient(t, z) - ref[gen.index[z]]).max() <= 1e-13
+
+
+def test_transient_matches_expm_at_the_ledger_point():
+    gen = build_generator(2, 40, QSeriesCtx(F(1, 2)), (F(1),))
+    _assert_transient_matches_expm(gen, 2.0, [(), (3,), (40,)])
+
+
+@pytest.mark.parametrize("ctx, a", [(QSeriesCtx(0.5), (1.3, 0.9)),
+                                    (QSeriesCtx(F(1, 2)), (F(13, 10), F(9, 10)))])
+def test_transient_matches_expm_rank_two(ctx, a):
+    gen = build_generator(4, 10, ctx, a)
+    _assert_transient_matches_expm(gen, 0.5, gen.states[::7])
+
+
+def test_transient_splits_long_horizons():
+    gen = build_generator(2, 40, QSeriesCtx(F(1, 2)), (F(1),))
+    scaled = GeneratorMatrix(gen.states, gen.index,
+                             [{j: 200 * v for j, v in row.items()} for row in gen.rows],
+                             [200 * d for d in gen.diagonal], gen.boundary)
+    assert -scaled.dense().diagonal().min() * 2.0 > 500  # e^{-Lambda t} would underflow
+    _assert_transient_matches_expm(scaled, 2.0, [(), (20,)])
+    assert np.array_equal(gen.transient(0.0, (3,)), np.eye(len(gen.states))[gen.index[(3,)]])
 
 
 def test_intertwining_randomized_even():

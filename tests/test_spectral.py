@@ -155,6 +155,16 @@ def test_moments_three_way_at_q_near_one():
     assert max(vals) - min(vals) <= 1e-12 * abs(vals[0])
 
 
+def test_third_moment_routes_agree_on_a_capped_contour_grid():
+    # the 3-fold contour grid takes 256 nodes per circle (2^24 points), not
+    # the 1024^3 = 16 GiB of complex entries of an uncapped grid
+    m = moments(1, 3, 0.25, (1.3,), 0.7, window=10)
+    vals = [m["direct"], m["operator"], m["contour"]]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert abs(vals[i] - vals[j]) <= 1e-6 * abs(vals[j])
+
+
 def test_moments_trivial_cases():
     m = moments(1, 0, 1.0, (1.3,), 0.5)
     assert all(abs(v - 1) < 1e-9 for v in m.values())
