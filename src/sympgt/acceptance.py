@@ -29,11 +29,10 @@ from .characters import (
 )
 from .combinatorics import canon, interlacings, level_len, padded, partitions_max_weight
 from .continuous import (
-    phi,
-    phi2_bessel,
-    phi_eigen_residual,
+    kernel_identity_residuals,
+    phi2_bessel_errors,
+    phi_eigen_residuals,
     polymer_identity_check,
-    verify_operator_identities,
 )
 from .dynamics import (
     SimConfig,
@@ -319,21 +318,12 @@ def check_continuous_kernels():
     """Level-2 eigenfunction matches its Bessel closed form to 1e-6 relative,
     kernel intertwinings hold to 1e-6 on 25-point grids, and the level-2
     eigen-residual stays below 1e-4."""
-    lam = 0.8
-    worst_bessel = 0.0
-    for x in np.linspace(-2.0, 3.0, 11):
-        a = phi(2, (lam,), float(x))
-        b = phi2_bessel(lam, float(x))
-        worst_bessel = max(worst_bessel, abs(a - b) / abs(b))
-    pts = np.linspace(-1.0, 1.0, 5)
-    grid1 = [((float(a),), (float(b),)) for a in pts for b in pts]
-    grid2 = [((float(a), float(a) - 0.7), (float(b), float(b) - 1.1))
-             for a in pts for b in pts]
-    rep1 = verify_operator_identities(1, 0.7, grid1)
-    rep2 = verify_operator_identities(2, 0.9, grid2)
+    worst_bessel = max(phi2_bessel_errors(0.8).values())
+    rep1 = kernel_identity_residuals(1, 0.7)
+    rep2 = kernel_identity_residuals(2, 0.9)
     worst_nn = max(rep1["nn_max"], rep2["nn_max"])
     worst_nnm1 = rep2["nnm1_max"]
-    eig = max(phi_eigen_residual(1, (0.8,), x) for x in (-0.5, 0.0, 1.0))
+    eig = max(phi_eigen_residuals(0.8).values())
     passed = worst_bessel <= 1e-6 and worst_nn <= 1e-6 and worst_nnm1 <= 1e-6 and eig <= 1e-4
     return {"name": "continuous-kernels", "passed": passed,
             "bessel_worst_relative": worst_bessel,

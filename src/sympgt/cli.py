@@ -256,25 +256,15 @@ def _cmd_verify(args) -> int:
         return 0
 
     # continuous
-    import numpy as np
-    from .continuous import phi, phi2_bessel, phi_eigen_residual, verify_operator_identities
+    from .continuous import kernel_identity_residuals, phi2_bessel_errors, phi_eigen_residuals
     if args.which == "kernels":
-        pts = np.linspace(-1.0, 1.0, 5)
-        grid1 = [((float(a),), (float(b),)) for a in pts for b in pts]
-        grid2 = [((float(a), float(a) - 0.7), (float(b), float(b) - 1.1))
-                 for a in pts for b in pts]
-        rank1 = verify_operator_identities(1, args.theta, grid1)
+        rank1 = kernel_identity_residuals(1, args.theta)
         rep = {"rank1": {"nn_max": rank1["nn_max"]},  # no lower level at rank 1
-               "rank2": verify_operator_identities(2, args.theta, grid2)}
+               "rank2": kernel_identity_residuals(2, args.theta)}
     elif args.which == "eigen":
-        rep = {"eigen_residuals": {str(x): phi_eigen_residual(1, (args.theta,), x)
-                                   for x in (-0.5, 0.0, 1.0)}}
+        rep = {"eigen_residuals": phi_eigen_residuals(args.theta)}
     else:
-        xs = np.linspace(-2.0, 3.0, 11)
-        rep = {"closed_form_relative_errors": {
-            f"{x:.1f}": abs(phi(2, (args.theta,), float(x)) - phi2_bessel(args.theta, float(x)))
-                        / abs(phi2_bessel(args.theta, float(x)))
-            for x in xs}}
+        rep = {"closed_form_relative_errors": phi2_bessel_errors(args.theta)}
     _emit({"schema": SCHEMA, "which": args.which, "theta": args.theta, **rep}, args)
     return 0
 

@@ -49,65 +49,66 @@ def level_dim(k: int) -> int:
 # operators and kernels
 # ---------------------------------------------------------------------------
 
+# finite-difference step and stencil offsets of every derivative below
+_H = 1e-3
 _STEPS = (-2, -1, 1, 2)
 
 
-def _half_laplacian(f: Callable, x: np.ndarray, val: float, h: float) -> tuple:
+def _half_laplacian(f: Callable, x: np.ndarray, val: float) -> tuple:
     """sum(d^2/dx_i^2) f / 2 at x by 4th-order central differences, with the
-    stencil values f(x + k h e_n), k in _STEPS, along the last axis."""
+    stencil values f(x + k _H e_n), k in _STEPS, along the last axis."""
     out = 0.0
     for i in range(len(x)):
         pts = []
         for k in _STEPS:
             xp = x.copy()
-            xp[i] += k * h
+            xp[i] += k * _H
             pts.append(f(xp))
-        out += 0.5 * (-pts[3] + 16 * pts[2] - 30 * val + 16 * pts[1] - pts[0]) / (12 * h * h)
+        out += 0.5 * (-pts[3] + 16 * pts[2] - 30 * val + 16 * pts[1] - pts[0]) / (12 * _H * _H)
     return out, pts
 
 
-def _first_derivative(pts: Sequence[float], h: float) -> float:
+def _first_derivative(pts: Sequence[float]) -> float:
     """4th-order central first derivative from the stencil values at _STEPS."""
-    return (pts[0] - 8 * pts[1] + 8 * pts[2] - pts[3]) / (12 * h)
+    return (pts[0] - 8 * pts[1] + 8 * pts[2] - pts[3]) / (12 * _H)
 
 
-def h_b(f: Callable, x: Sequence[float], h: float = 1e-3) -> float:
+def h_b(f: Callable, x: Sequence[float]) -> float:
     """Wall Toda operator sum(d^2/dx_i^2)/2 - sum e^{x_{i+1}-x_i} - e^{-x_n}
     via 4th-order central differences."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     val = f(x)
-    out, _ = _half_laplacian(f, x, val, h)
+    out, _ = _half_laplacian(f, x, val)
     for i in range(n - 1):
         out -= math.exp(x[i + 1] - x[i]) * val
     out -= math.exp(-x[n - 1]) * val
     return out
 
 
-def h_d(f: Callable, x: Sequence[float], theta: float, h: float = 1e-3) -> float:
+def h_d(f: Callable, x: Sequence[float], theta: float) -> float:
     """Operator sum(d^2/dx_i^2)/2 - sum e^{x_{i+1}-x_i} + e^{-x_n} d/dx_n
     - theta e^{-x_n}."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     val = f(x)
-    out, pts = _half_laplacian(f, x, val, h)
-    d1_last = _first_derivative(pts, h)
+    out, pts = _half_laplacian(f, x, val)
+    d1_last = _first_derivative(pts)
     for i in range(n - 1):
         out -= math.exp(x[i + 1] - x[i]) * val
     out += math.exp(-x[n - 1]) * (d1_last - theta * val)
     return out
 
 
-def h_d_adjoint(f: Callable, y: Sequence[float], theta: float,
-                h: float = 1e-3) -> float:
+def h_d_adjoint(f: Callable, y: Sequence[float], theta: float) -> float:
     """Lebesgue adjoint of h_d acting on y: the first-order term becomes
     -d/dy_n (e^{-y_n} f)."""
     y = np.asarray(y, dtype=float)
     n = len(y)
     val = f(y)
-    out, pts = _half_laplacian(f, y, val, h)
-    d1_last = _first_derivative([math.exp(-(y[n - 1] + k * h)) * p
-                                 for k, p in zip(_STEPS, pts)], h)
+    out, pts = _half_laplacian(f, y, val)
+    d1_last = _first_derivative([math.exp(-(y[n - 1] + k * _H)) * p
+                                 for k, p in zip(_STEPS, pts)])
     for i in range(n - 1):
         out -= math.exp(y[i + 1] - y[i]) * val
     out -= d1_last + theta * math.exp(-y[n - 1]) * val
@@ -135,39 +136,54 @@ def q_nnm1(theta: float, x: Sequence[float], y: Sequence[float]) -> float:
     return math.exp(e)
 
 
-def verify_operator_identities(n: int, theta: float, grid: Sequence,
-                               h: float = 1e-3) -> dict:
+def verify_operator_identities(n: int, theta: float, grid: Sequence) -> dict:
     """Residuals of both kernel intertwinings on a grid of (x, y) pairs,
     normalized by the kernel value."""
     res_nn, res_nnm1 = [], []
     for x, y in grid:
         x, y = tuple(x), tuple(y)
         k0 = q_nn(theta, x, y)
-        lhs = h_b(lambda xv, _y=y: q_nn(theta, xv, _y), x, h)
-        rhs = h_d_adjoint(lambda yv, _x=x: q_nn(theta, _x, yv), y, theta, h)
+        lhs = h_b(lambda xv, _y=y: q_nn(theta, xv, _y), x)
+        rhs = h_d_adjoint(lambda yv, _x=x: q_nn(theta, _x, yv), y, theta)
         res_nn.append(abs(lhs - rhs) / k0)
         y1 = y[:len(x) - 1] if len(y) >= len(x) else y
         k1 = q_nnm1(theta, x, y1)
-        lhs1 = h_d(lambda xv, _y=y1: q_nnm1(theta, xv, _y), x, theta, h)
+        lhs1 = h_d(lambda xv, _y=y1: q_nnm1(theta, xv, _y), x, theta)
         lhs1 -= 0.5 * theta ** 2 * k1
         if len(y1) > 0:
-            rhs1 = h_b(lambda yv, _x=x: q_nnm1(theta, _x, yv), y1, h)
+            rhs1 = h_b(lambda yv, _x=x: q_nnm1(theta, _x, yv), y1)
         else:
             rhs1 = 0.0
         res_nnm1.append(abs(lhs1 - rhs1) / k1 if len(y1) else float("nan"))
     return {"nn_max": max(res_nn), "nnm1_max": max(res_nnm1)}
 
 
+def kernel_identity_residuals(n: int, theta: float) -> dict:
+    """verify_operator_identities at rank n on the 25 pairs (x, y) over a
+    5-point grid on [-1, 1]; at rank 2, x = (a, a - 0.7) and y = (b, b - 1.1)."""
+    pts = [float(v) for v in np.linspace(-1.0, 1.0, 5)]
+    if n == 1:
+        grid = [((a,), (b,)) for a in pts for b in pts]
+    else:
+        grid = [((a, a - 0.7), (b, b - 1.1)) for a in pts for b in pts]
+    return verify_operator_identities(n, theta, grid)
+
+
 # ---------------------------------------------------------------------------
 # the Phi family via kernel quadrature
 # ---------------------------------------------------------------------------
 
-def _box(x, pad: float = 12.0):
+# trapezoid nodes of each kernel integral
+_PHI_NODES = 600
+
+
+def _box(x):
+    """The integration box: 12 past the points on either side."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(xs.min() - pad), float(xs.max() + pad)
+    return float(xs.min() - 12.0), float(xs.max() + 12.0)
 
 
-def phi(N: int, lam: Sequence[float], x, nodes: int = 600) -> float:
+def phi(N: int, lam: Sequence[float], x) -> float:
     """Phi^{(N)} at a single point by iterated kernel quadrature, N <= 4.
     Levels alternate via the two kernels, starting from Phi^{(1)} = e^{l1 x}."""
     if N == 1:
@@ -175,15 +191,14 @@ def phi(N: int, lam: Sequence[float], x, nodes: int = 600) -> float:
         return math.exp(lam[0] * xv)
     if N == 2:
         xv = float(x[0]) if isinstance(x, (tuple, list, np.ndarray)) else float(x)
-        return float(_phi2_grid(lam[0], np.array([xv]), nodes)[0])
+        return float(_phi2_grid(lam[0], np.array([xv]))[0])
     if N == 3:
-        return float(_phi3_grid(lam, np.array([float(x[0])]), np.array([float(x[1])]), nodes)[0, 0])
+        return float(_phi3_grid(lam, np.array([float(x[0])]), np.array([float(x[1])]))[0, 0])
     if N == 4:
         x1, x2 = float(x[0]), float(x[1])
         lo, hi = _box([x1, x2])
-        nn = max(80, nodes // 4)
-        u = np.linspace(lo, hi, nn)
-        p3 = _phi3_grid(lam, u, u, nodes)
+        u = np.linspace(lo, hi, max(80, _PHI_NODES // 4))
+        p3 = _phi3_grid(lam, u, u)
         y1 = u[:, None]
         y2 = u[None, :]
         ker = np.exp(lam[1] * (y1 + y2 - x1 - x2) - 2 * np.exp(-y2)
@@ -193,19 +208,19 @@ def phi(N: int, lam: Sequence[float], x, nodes: int = 600) -> float:
     raise ValueError("phi implemented for N <= 4 only")
 
 
-def _phi2_grid(l1: float, xs: np.ndarray, nodes: int) -> np.ndarray:
+def _phi2_grid(l1: float, xs: np.ndarray) -> np.ndarray:
     lo, hi = _box(xs)
-    u = np.linspace(lo, hi, nodes)
+    u = np.linspace(lo, hi, _PHI_NODES)
     f = np.exp(l1 * (2 * u[None, :] - xs[:, None]) - 2 * np.exp(-u)[None, :]
                - np.exp(u[None, :] - xs[:, None]))
     return np.trapezoid(f, u, axis=1)
 
 
-def _phi3_grid(lam, y1s: np.ndarray, y2s: np.ndarray, nodes: int) -> np.ndarray:
+def _phi3_grid(lam, y1s: np.ndarray, y2s: np.ndarray) -> np.ndarray:
     """Phi^{(3)} on the product grid y1s x y2s."""
     lo, hi = _box([y1s.min(), y2s.min(), y1s.max(), y2s.max()])
-    u = np.linspace(lo, hi, nodes)
-    p2 = _phi2_grid(lam[0], u, nodes)
+    u = np.linspace(lo, hi, _PHI_NODES)
+    p2 = _phi2_grid(lam[0], u)
     a = y1s[:, None, None]
     b = y2s[None, :, None]
     c = u[None, None, :]
@@ -221,27 +236,38 @@ def phi2_bessel(lam: float, x: float) -> float:
     return 2.0 ** lam * 2.0 * bessel_k(2 * lam, 2 * math.sqrt(2) * math.exp(-x / 2))
 
 
-def grad_log_phi(N: int, lam: Sequence[float], x, h: float = 1e-3,
-                 nodes: int = 600) -> np.ndarray:
+def phi2_bessel_errors(lam: float) -> dict:
+    """Relative error of phi(2) against phi2_bessel at the 11 points of
+    linspace(-2, 3, 11), keyed by the point to one decimal."""
+    errors = {}
+    for x in np.linspace(-2.0, 3.0, 11):
+        exact = phi2_bessel(lam, float(x))
+        errors[f"{x:.1f}"] = abs(phi(2, (lam,), float(x)) - exact) / abs(exact)
+    return errors
+
+
+def grad_log_phi(N: int, lam: Sequence[float], x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(x)
     for i in range(len(x)):
         xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i] = (math.log(phi(N, lam, xp, nodes))
-                  - math.log(phi(N, lam, xm, nodes))) / (2 * h)
+        xp[i] += _H
+        xm[i] -= _H
+        out[i] = (math.log(phi(N, lam, xp)) - math.log(phi(N, lam, xm))) / (2 * _H)
     return out
 
 
-def phi_eigen_residual(n: int, lam: Sequence[float], x, h: float = 1e-3,
-                       nodes: int = 600) -> float:
+def phi_eigen_residual(n: int, lam: Sequence[float], x) -> float:
     """|H^B Phi^{(2n)} - (sum lam_i^2 / 2) Phi^{(2n)}| / Phi^{(2n)}."""
     N = 2 * n
-    f = lambda xv: phi(N, lam, xv, nodes)
-    val = phi(N, lam, x, nodes)
+    val = phi(N, lam, x)
     ev = 0.5 * sum(l * l for l in lam)
-    return abs(h_b(f, np.atleast_1d(x), h) - ev * val) / abs(val)
+    return abs(h_b(lambda xv: phi(N, lam, xv), np.atleast_1d(x)) - ev * val) / abs(val)
+
+
+def phi_eigen_residuals(lam: float) -> dict:
+    """phi_eigen_residual at rank 1 at x = -0.5, 0 and 1, keyed by str(x)."""
+    return {str(x): phi_eigen_residual(1, (lam,), x) for x in (-0.5, 0.0, 1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +304,20 @@ def _max_abs(drift: list) -> np.ndarray:
     return np.max([np.abs(d).max(axis=-1) for d in drift], axis=0)
 
 
-def wedge_start(N: int, gap: float = 8.0, top: float = 0.0) -> list:
+def wedge_start(N: int, gap: float = 8.0) -> list:
     """Near-minus-infinity proxy: within each level successive coordinates
-    drop by gap, and each level sits gap below the one above it."""
+    drop by gap, and each level sits gap below the one above it; level N
+    starts at 0."""
     levels = []
     for k in range(1, N + 1):
         l = level_dim(k)
-        base = top + (k - N) * gap
+        base = (k - N) * gap
         levels.append(np.array([base - i * gap for i in range(l)]))
     return levels
 
 
 def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
-                 h: float, replicas: int, seed: int,
-                 max_substeps: int = 4096) -> dict:
+                 h: float, replicas: int, seed: int) -> dict:
     """Euler-Maruyama paths of all replicas as one batch; returns the
     bottom-level endpoints and the count of replicas flagged, either for a
     substep whose largest drift times the substep exceeds 50 or for a
@@ -299,7 +325,7 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
 
     All replicas share one grid of outer steps of length h.  At the start of
     each outer step a replica splits it into nsub equal substeps, nsub =
-    ceil(2 max(1, step max|drift|)) capped at max_substeps; the substeps then
+    ceil(2 max(1, step max|drift|)) capped at 4096; the substeps then
     advance in lockstep over the replicas that still have one left.  All
     draws come from one ``Philox(SeedSequence(seed))`` stream: each substep
     draws, over the replicas it advances, one block of standard normals of
@@ -317,7 +343,7 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
             step = min(h, t - clock)
             live = np.flatnonzero(ok)
             scale = np.maximum(1.0, step * _max_abs(_sde_drift([lv[live] for lv in levels], bar)))
-            nsub = np.fmin(max_substeps, np.maximum(1, np.ceil(2 * scale)))
+            nsub = np.fmin(4096, np.maximum(1, np.ceil(2 * scale)))
             for s in range(int(nsub.max(initial=0))):
                 busy = (nsub > s) & ok[live]
                 rows, sub = live[busy], step / nsub[busy, None]

@@ -3,9 +3,15 @@ process driven by edge clocks, the fully randomized process where every
 particle carries its own clock (both simulated for all replicas at once, as
 numpy batches), exact generator assembly for the bottom-level shape chain,
 level-conditional initial sampling, and exact verification of the
-intertwining identities that make the bottom level autonomous."""
+intertwining identities that make the bottom level autonomous.
+
+The shape chain is the Doob transform of the Pieri operator by the
+character P: a one-box move z -> z' with Pieri coefficient c has rate
+P(z') / P(z) c.  ``characters.pieri_coefficients`` is the only source of
+one-box moves and their factors."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -13,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import INF, QSeriesCtx, Scalar, _f
-from .characters import slice_binomials
+from .characters import pieri_coefficients, slice_binomials
 from .combinatorics import (
     GTPattern,
     canon,
@@ -386,24 +392,29 @@ class GeneratorMatrix:
         return v
 
 
+def _moves(N: int, z, ctx: QSeriesCtx):
+    """The one-box moves out of shape z at level N: (i, s, z', c) with
+    z' = z + s e_i padded to level_len(N) and c its Pieri coefficient.  The
+    coefficient of a move off the partition cone is zero, and
+    ``pieri_coefficients`` leaves it out, so every z' is a partition."""
+    z_p = padded(z, level_len(N))
+    for (i, s), c in pieri_coefficients(len(z_p), z_p, ctx).items():
+        zp = list(z_p)
+        zp[i - 1] += s
+        yield i, s, tuple(zp), c
+
+
+def _rate(N: int, z, zp, c: Scalar, ctx: QSeriesCtx, a: Sequence) -> Scalar:
+    """Shape-chain rate of the move z -> zp with Pieri coefficient c: the
+    Doob transform P(zp) / P(z) c of the Pieri operator by the character."""
+    return _char(N, zp, ctx, a) / _char(N, z, ctx, a) * c
+
+
 def shape_rate(N: int, z: tuple, zp: tuple, ctx: QSeriesCtx, a: Sequence) -> Scalar:
-    """Off-diagonal bottom-level rate: character ratio times the one-box
-    factor (zero unless the shapes differ by one box)."""
-    l = level_len(N)
-    z_p, zp_p = padded(z, l), padded(zp, l)
-    diff = [b - c for b, c in zip(zp_p, z_p)]
-    nz = [i for i, d in enumerate(diff) if d != 0]
-    if len(nz) != 1 or abs(diff[nz[0]]) != 1:
-        return 0
-    i = nz[0] + 1
-    q = ctx.q
-    if diff[nz[0]] == 1:
-        f = 1 - _qpow(q, _coord(z_p, i - 1) - z_p[i - 1])
-    else:
-        f = 1 - _qpow(q, z_p[i - 1] - _coord(z_p, i + 1))
-    if f == 0:
-        return 0
-    return _char(N, zp, ctx, a) / _char(N, z, ctx, a) * f
+    """Off-diagonal bottom-level rate of z -> zp: zero unless zp is one of
+    the one-box moves out of z."""
+    zp = padded(zp, level_len(N))
+    return next((_rate(N, z, w, c, ctx, a) for _, _, w, c in _moves(N, z, ctx) if w == zp), 0)
 
 
 def shape_diagonal(N: int, z: tuple, ctx: QSeriesCtx, a: Sequence) -> Scalar:
@@ -424,19 +435,11 @@ def build_generator(N: int, C: int, ctx: QSeriesCtx, a: Sequence) -> GeneratorMa
     rows, diag, boundary = [], [], []
     for z in states:
         row = {}
-        z_p = padded(z, l)
-        for i in range(l):
-            for s in (1, -1):
-                zp = list(z_p)
-                zp[i] += s
-                if any(zp[j] < zp[j + 1] for j in range(l - 1)) or zp[-1] < 0:
-                    continue
-                zp_c = canon(zp)
-                if zp_c not in index:
-                    continue
-                rate = shape_rate(N, z, zp_c, ctx, a)
-                if rate != 0:
-                    row[index[zp_c]] = row.get(index[zp_c], 0) + rate
+        for _, _, zp, c in _moves(N, z, ctx):
+            j = index.get(canon(zp))
+            # no character is evaluated for a move past the cap
+            if j is not None:
+                row[j] = _rate(N, z, zp, c, ctx, a)
         rows.append(row)
         diag.append(shape_diagonal(N, z, ctx, a))
         boundary.append(part(z, 1) >= C)
@@ -447,59 +450,35 @@ def build_generator(N: int, C: int, ctx: QSeriesCtx, a: Sequence) -> GeneratorMa
 # intertwining verification
 # ---------------------------------------------------------------------------
 
-def _m_two_level(N: int, x, y, ctx, a) -> Scalar:
-    return _slice_weight(N, x, y, ctx, a) * _char(N - 1, x, ctx, a) / _char(N, y, ctx, a)
-
-
 def _bump(v, i, s):
-    w = list(v)
-    w[i - 1] += s
-    return tuple(w)
+    return (*v[:i - 1], v[i - 1] + s, *v[i:])
 
 
-def _is_partition(v) -> bool:
-    return all(v[i] >= v[i + 1] for i in range(len(v) - 1)) and v[-1] >= 0
+def _add(out: dict, tgt, v) -> None:
+    """Add a nonzero rate v to the entry tgt of the helper row out."""
+    if v != 0:
+        out[tgt] = out.get(tgt, 0) + v
 
 
 def helper_row_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequence) -> dict:
     """Nonzero off-diagonal helper-matrix entries out of the two-level state
     (x, y), where x is the level above the bottom level y.  Covers both the
     even-bottom and odd-bottom tables."""
-    lx = len(x)
     out: dict = {}
-
-    def qrate(xp):
-        return shape_rate(N - 1, canon(x), canon(xp), ctx, a)
-
     # moves of the upper shape x, driving y along when they collide
-    for i in range(1, lx + 1):
-        up = _bump(x, i, +1)
-        if _is_partition(up):
-            r = qrate(up)
-            if r != 0:
-                if part(y, i) == x[i - 1]:
-                    tgt = (up, _bump(y, i, +1))
-                else:
-                    tgt = (up, y)
-                out[tgt] = out.get(tgt, 0) + r
-        dn = _bump(x, i, -1)
-        if _is_partition(dn):
-            r = qrate(dn)
-            if r != 0:
-                if i < len(y) and part(y, i + 1) == x[i - 1]:
-                    tgt = (dn, _bump(y, i + 1, -1))
-                else:
-                    tgt = (dn, y)
-                out[tgt] = out.get(tgt, 0) + r
+    for i, s, xp, c in _moves(N - 1, x, ctx):
+        if s > 0 and part(y, i) == x[i - 1]:
+            tgt = (xp, _bump(y, i, +1))
+        elif s < 0 and i < len(y) and part(y, i + 1) == x[i - 1]:
+            tgt = (xp, _bump(y, i + 1, -1))
+        else:
+            tgt = (xp, y)
+        _add(out, tgt, _rate(N - 1, x, xp, c, ctx, a))
     # own moves of the bottom level y
     aN = bar_a(a, N)
     for i in range(1, len(y) + 1):
-        r = aN * R_rate(ctx, x, y, i)
-        if r != 0:
-            out[(x, _bump(y, i, +1))] = out.get((x, _bump(y, i, +1)), 0) + r
-        l = L_rate(ctx, x, y, i) / aN
-        if l != 0:
-            out[(x, _bump(y, i, -1))] = out.get((x, _bump(y, i, -1)), 0) + l
+        _add(out, (x, _bump(y, i, +1)), aN * R_rate(ctx, x, y, i))
+        _add(out, (x, _bump(y, i, -1)), L_rate(ctx, x, y, i) / aN)
     return out
 
 
@@ -511,6 +490,30 @@ def helper_diag_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Seque
     return d
 
 
+def _verify_intertwining(N: int, probes: Sequence, ctx: QSeriesCtx, a: Sequence,
+                         m, sources, row, diagonal) -> list:
+    """The exact identity Q(b, b') m(s') = sum_{s in sources(b)} m(s) A(s, s')
+    for each probe s' with bottom level b' and each b in {b'} and the moves
+    out of b', where A is the helper matrix with off-diagonal row(*s) and
+    diagonal diagonal(*s).  Returns a list of (s', b, lhs, rhs, ok)."""
+    results = []
+    for probe in probes:
+        probe = tuple(map(tuple, probe))
+        bp = probe[-1]
+        m_target = m(*probe)
+        for b in sorted({bp, *(w for _, _, w, _ in _moves(N, bp, ctx))}):
+            lhs = (shape_diagonal(N, canon(b), ctx, a) if b == bp
+                   else shape_rate(N, canon(b), canon(bp), ctx, a)) * m_target
+            rhs: Scalar = 0
+            for src in sources(b):
+                m_src = m(*src)
+                if src == probe:
+                    rhs = rhs + m_src * diagonal(*src)
+                rhs = rhs + m_src * row(*src).get(probe, 0)
+            results.append((probe, b, lhs, rhs, lhs == rhs))
+    return results
+
+
 def verify_intertwining_randomized(N: int, probes: Sequence, ctx: QSeriesCtx,
                                    a: Sequence) -> list:
     """For each probe (x', y') check, for every bottom shape y reachable in
@@ -519,30 +522,13 @@ def verify_intertwining_randomized(N: int, probes: Sequence, ctx: QSeriesCtx,
         Q(y, y') m(x', y') = sum_x m(x, y) A((x, y), (x', y')).
 
     Returns a list of (probe, y, lhs, rhs, ok)."""
-    results = []
-    for xp, yp in probes:
-        xp, yp = tuple(xp), tuple(yp)
-        m_target = _m_two_level(N, xp, yp, ctx, a)
-        ys = {tuple(padded(canon(yp), len(yp)))}
-        for i in range(1, len(yp) + 1):
-            for s in (1, -1):
-                cand = _bump(yp, i, s)
-                if _is_partition(cand):
-                    ys.add(cand)
-        for y in sorted(ys):
-            if canon(y) == canon(yp):
-                lhs = shape_diagonal(N, canon(y), ctx, a) * m_target
-            else:
-                lhs = shape_rate(N, canon(y), canon(yp), ctx, a) * m_target
-            rhs: Scalar = 0
-            for x in interlacings(padded(y, level_len(N)), level_len(N - 1)):
-                m_src = _m_two_level(N, x, tuple(y), ctx, a)
-                if (x, tuple(y)) == (xp, yp):
-                    rhs = rhs + m_src * helper_diag_randomized(N, x, tuple(y), ctx, a)
-                row = helper_row_randomized(N, x, tuple(y), ctx, a)
-                rhs = rhs + m_src * row.get((xp, yp), 0)
-            results.append(((xp, yp), tuple(y), lhs, rhs, lhs == rhs))
-    return results
+    return _verify_intertwining(
+        N, probes, ctx, a,
+        m=lambda x, y: (_slice_weight(N, x, y, ctx, a) * _char(N - 1, x, ctx, a)
+                        / _char(N, y, ctx, a)),
+        sources=lambda y: ((x, y) for x in interlacings(y, level_len(N - 1))),
+        row=lambda x, y: helper_row_randomized(N, x, y, ctx, a),
+        diagonal=lambda x, y: helper_diag_randomized(N, x, y, ctx, a))
 
 
 # --- cascade (three-level) helper ------------------------------------------
@@ -552,51 +538,39 @@ def helper_row_cascade(n: int, x: tuple, y: tuple, z: tuple, ctx: QSeriesCtx,
     """Nonzero off-diagonal entries of the cascade helper matrix out of
     (x, y, z) with x of length n-1 and y, z of length n."""
     out: dict = {}
-
-    def add(tgt, v):
-        if v != 0:
-            out[tgt] = out.get(tgt, 0) + v
-
-    def qx(xp):
-        return shape_rate(2 * (n - 1), canon(x), canon(xp), ctx, a)
-
+    add = functools.partial(_add, out)
     an = _f(a[n - 1])
-    # upward moves of the collapsed lower block
-    for i in range(1, n):
-        up = _bump(x, i, +1)
-        if _is_partition(up):
-            r = qx(up)
-            if r != 0:
-                ri_yx = r_prob(ctx, x, y, i)
-                add((up, _bump(y, i, +1), _bump(z, i, +1)), r * ri_yx * r_prob(ctx, y, z, i))
-                add((up, _bump(y, i, +1), _bump(z, i + 1, +1)), r * ri_yx * (1 - r_prob(ctx, y, z, i)))
-                if i + 1 < n:
-                    add((up, _bump(y, i + 1, +1), _bump(z, i + 1, +1)),
-                        r * (1 - ri_yx) * r_prob(ctx, y, z, i + 1))
-                    add((up, _bump(y, i + 1, +1), _bump(z, i + 2, +1)),
-                        r * (1 - ri_yx) * (1 - r_prob(ctx, y, z, i + 1)))
-                else:
-                    # the pulled particle is the wall of the odd level
-                    add((up, _bump(y, n, +1), _bump(z, n, +1)),
-                        r * (1 - ri_yx) * r_prob(ctx, y, z, n))
-                    add((up, y, _bump(z, n, -1)),
-                        r * (1 - ri_yx) * (1 - r_prob(ctx, y, z, n)))
-        dn = _bump(x, i, -1)
-        if _is_partition(dn):
-            r = qx(dn)
-            if r != 0:
-                li_yx = l_prob(ctx, x, y, i)
-                add((dn, _bump(y, i, -1), _bump(z, i, -1)),
-                    r * (1 - li_yx) * (1 - l_prob(ctx, y, z, i)))
-                add((dn, _bump(y, i, -1), _bump(z, i + 1, -1)),
-                    r * (1 - li_yx) * l_prob(ctx, y, z, i))
-                if i + 1 < n:
-                    add((dn, _bump(y, i + 1, -1), _bump(z, i + 1, -1)),
-                        r * li_yx * (1 - l_prob(ctx, y, z, i + 1)))
-                    add((dn, _bump(y, i + 1, -1), _bump(z, i + 2, -1)),
-                        r * li_yx * l_prob(ctx, y, z, i + 1))
-                else:
-                    add((dn, _bump(y, n, -1), _bump(z, n, -1)), r * li_yx)
+    # moves of the collapsed lower block
+    for i, s, xp, c in _moves(2 * (n - 1), x, ctx):
+        r = _rate(2 * (n - 1), x, xp, c, ctx, a)
+        if s > 0:
+            ri_yx = r_prob(ctx, x, y, i)
+            add((xp, _bump(y, i, +1), _bump(z, i, +1)), r * ri_yx * r_prob(ctx, y, z, i))
+            add((xp, _bump(y, i, +1), _bump(z, i + 1, +1)), r * ri_yx * (1 - r_prob(ctx, y, z, i)))
+            if i + 1 < n:
+                add((xp, _bump(y, i + 1, +1), _bump(z, i + 1, +1)),
+                    r * (1 - ri_yx) * r_prob(ctx, y, z, i + 1))
+                add((xp, _bump(y, i + 1, +1), _bump(z, i + 2, +1)),
+                    r * (1 - ri_yx) * (1 - r_prob(ctx, y, z, i + 1)))
+            else:
+                # the pulled particle is the wall of the odd level
+                add((xp, _bump(y, n, +1), _bump(z, n, +1)),
+                    r * (1 - ri_yx) * r_prob(ctx, y, z, n))
+                add((xp, y, _bump(z, n, -1)),
+                    r * (1 - ri_yx) * (1 - r_prob(ctx, y, z, n)))
+        else:
+            li_yx = l_prob(ctx, x, y, i)
+            add((xp, _bump(y, i, -1), _bump(z, i, -1)),
+                r * (1 - li_yx) * (1 - l_prob(ctx, y, z, i)))
+            add((xp, _bump(y, i, -1), _bump(z, i + 1, -1)),
+                r * (1 - li_yx) * l_prob(ctx, y, z, i))
+            if i + 1 < n:
+                add((xp, _bump(y, i + 1, -1), _bump(z, i + 1, -1)),
+                    r * li_yx * (1 - l_prob(ctx, y, z, i + 1)))
+                add((xp, _bump(y, i + 1, -1), _bump(z, i + 2, -1)),
+                    r * li_yx * l_prob(ctx, y, z, i + 1))
+            else:
+                add((xp, _bump(y, n, -1), _bump(z, n, -1)), r * li_yx)
     # edge clocks of the two bottom levels
     add((x, _bump(y, 1, +1), _bump(z, 1, +1)), an * r_prob(ctx, y, z, 1))
     add((x, _bump(y, 1, +1), _bump(z, 2, +1)), an * (1 - r_prob(ctx, y, z, 1)))
@@ -608,38 +582,18 @@ def verify_intertwining_cascade(n: int, probes: Sequence, ctx: QSeriesCtx,
                                 a: Sequence) -> list:
     """Exact check of the cascade helper identity for three-level probes
     (x', y', z'):  Q(z, z') m(x', y', z') = sum m(x, y, z) A(...)."""
-    results = []
 
     def m3(x, y, z):
         # weight of the two bottom slices over the collapsed block of rank n-1
         w = _slice_weight(2 * n - 1, x, y, ctx, a) * _slice_weight(2 * n, y, z, ctx, a)
         return w * _char(2 * (n - 1), x, ctx, a) / _char(2 * n, z, ctx, a)
 
-    for xp, yp, zp in probes:
-        xp, yp, zp = tuple(xp), tuple(yp), tuple(zp)
-        m_target = m3(xp, yp, zp)
-        diag = shape_diagonal(2 * n, canon(zp), ctx, a)
-        zs = {zp}
-        for i in range(1, n + 1):
-            for s in (1, -1):
-                cand = _bump(zp, i, s)
-                if _is_partition(cand):
-                    zs.add(cand)
-        for z in sorted(zs):
-            if canon(z) == canon(zp):
-                lhs = diag * m_target
-            else:
-                lhs = shape_rate(2 * n, canon(z), canon(zp), ctx, a) * m_target
-            rhs: Scalar = 0
-            for y in interlacings(z, n):
-                for x in interlacings(y, n - 1):
-                    m_src = m3(x, tuple(y), tuple(z))
-                    if (x, tuple(y), tuple(z)) == (xp, yp, zp):
-                        rhs = rhs + m_src * diag
-                    row = helper_row_cascade(n, x, tuple(y), tuple(z), ctx, a)
-                    rhs = rhs + m_src * row.get((xp, yp, zp), 0)
-            results.append(((xp, yp, zp), tuple(z), lhs, rhs, lhs == rhs))
-    return results
+    return _verify_intertwining(
+        2 * n, probes, ctx, a, m3,
+        sources=lambda z: ((x, y, z) for y in interlacings(z, n)
+                           for x in interlacings(y, n - 1)),
+        row=lambda x, y, z: helper_row_cascade(n, x, y, z, ctx, a),
+        diagonal=lambda x, y, z: shape_diagonal(2 * n, canon(z), ctx, a))
 
 
 # ---------------------------------------------------------------------------

@@ -180,11 +180,11 @@ def so_whittaker(n: int, lam, x, nodes: int = 2000) -> complex:
     return complex(val)
 
 
-def so_eigen_residual(lam: complex, x: float, h: float = 1e-3,
-                      nodes: int = 2000) -> float:
+def so_eigen_residual(lam: complex, x: float) -> float:
     """|H Psi - (lam^2/2) Psi| at rank one, H = d^2/dx^2 / 2 - e^{-x}/2,
-    via 4th-order central differences."""
-    pts = [so_whittaker(1, lam, x + k * h, nodes) for k in (-2, -1, 0, 1, 2)]
+    via 4th-order central differences of so_whittaker at its default nodes."""
+    h = 1e-3
+    pts = [so_whittaker(1, lam, x + k * h) for k in (-2, -1, 0, 1, 2)]
     d2 = (-pts[0] + 16 * pts[1] - 30 * pts[2] + 16 * pts[3] - pts[4]) / (12 * h * h)
     lhs = 0.5 * d2 - 0.5 * math.exp(-x) * pts[2]
     return abs(lhs - 0.5 * lam ** 2 * pts[2])

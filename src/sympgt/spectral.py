@@ -29,7 +29,7 @@ from .algebra import INF, LaurentPoly, QSeriesCtx, q_pochhammer
 from .characters import monomial_symmetric, qwhittaker_recursion
 from .combinatorics import padded, part, partitions_max_weight
 
-Evaluable = Union[LaurentPoly, Callable, np.ndarray, complex, float, int]
+Evaluable = Union[LaurentPoly, Callable]
 
 
 def _poch_grid(x: np.ndarray, q: float, terms: int) -> np.ndarray:
@@ -126,11 +126,6 @@ class TorusQuadrature:
                       * _poch_grid(aj / ak, q, terms) * _poch_grid(1 / (aj * ak), q, terms)
         return w
 
-    def values(self, f: Union[Callable, np.ndarray, complex, float, int]) -> np.ndarray:
-        if callable(f):
-            return f(*self.grids)
-        return np.asarray(f, dtype=complex) * np.ones_like(self.weight, dtype=complex)
-
     def spectrum(self, F: Optional[np.ndarray] = None) -> np.ndarray:
         """fftn(F * weight) / weight.size: entry [e mod nodes] is the grid mean
         of F * x^-e * weight.  Without F, the spectrum of the weight, cached."""
@@ -168,18 +163,15 @@ def _group_order(n: int) -> int:
 
 
 def inner_product(f: Evaluable, g: Evaluable, quad: TorusQuadrature) -> complex:
-    """Grid mean of f conj(g) w over the group order.  A polynomial g is read
-    against the Fourier coefficients of f w (or of w, when f is a polynomial
-    too); two callables or arrays take the grid mean."""
-    if isinstance(g, LaurentPoly):
-        if isinstance(f, LaurentPoly):
-            ip = _pair(f, g, quad)
-        else:
-            ip = _against(quad.spectrum(quad.values(f)), g)
-    elif isinstance(f, LaurentPoly):
+    """Grid mean of f conj(g) w over the group order, where at least one of
+    f and g is a polynomial.  A polynomial g is read against the Fourier
+    coefficients of f w (of w alone, when f is a polynomial too)."""
+    if not isinstance(g, LaurentPoly):
         return inner_product(g, f, quad).conjugate()
+    if isinstance(f, LaurentPoly):
+        ip = _pair(f, g, quad)
     else:
-        ip = np.mean(quad.values(f) * np.conj(quad.values(g)) * quad.weight)
+        ip = _against(quad.spectrum(f(*quad.grids)), g)
     return complex(ip) / _group_order(quad.n)
 
 
@@ -220,15 +212,14 @@ class LawTable:
 
 
 def law(n: int, t: float, a: Sequence[float], q: float, window: int,
-        quad: Optional[TorusQuadrature] = None, ctx: Optional[QSeriesCtx] = None,
-        tol: float = 1e-6) -> LawTable:
+        quad: Optional[TorusQuadrature] = None, tol: float = 1e-6) -> LawTable:
     """Time-t distribution of the bottom shape started from the empty shape:
     p_t(z) is the character at the real point times the torus coefficient of
     the exponential generating function, normalized by exp(sum(a+1/a) t)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     quad = quad or TorusQuadrature(n, q=q)
-    ctx = ctx or QSeriesCtx(q, truncation=quad.truncation)
+    ctx = QSeriesCtx(q, truncation=quad.truncation)
     a = tuple(float(x) for x in a)
     states = sorted(z for z in partitions_max_weight(n, window * n)
                     if part(z, 1) <= window)
@@ -303,19 +294,19 @@ class ContourSpec:
     """Nested circles (outermost first) for the moment integrals: each must
     enclose the a-poles and the images of every inner circle under s -> qs
     and s -> 1/(qs), exclude the origin, and keep the inner circles clear of
-    the reflected poles s/q and 1/(qs)."""
+    the reflected poles s/q and 1/(qs), by margins of 0.02 inside a circle
+    and 0.003 outside it."""
     circles: list                   # [(center, radius)] outermost first
 
-    def validate(self, a: Sequence[float], q: float, margin: float = 0.02,
-                 margin_out: float = 0.003) -> None:
+    def validate(self, a: Sequence[float], q: float) -> None:
         samples = np.exp(1j * np.linspace(0, 2 * np.pi, 720, endpoint=False))
 
         def inside(pts, c, r, want):
             d = np.abs(np.asarray(pts) - c)
-            if want and not np.all(d < r - margin):
+            if want and not np.all(d < r - 0.02):
                 raise ValueError("contour fails to enclose required poles; "
                                  "suggest increasing the radius")
-            if not want and not np.all(d > r + margin_out):
+            if not want and not np.all(d > r + 0.003):
                 raise ValueError("contour encloses an excluded singularity; "
                                  "suggest shifting the center or shrinking")
 
@@ -359,22 +350,17 @@ def default_contour_spec(a: Sequence[float], q: float, depth: int) -> ContourSpe
 _CONTOUR_GRID_POINTS = 2 ** 24
 
 
-def contour_moment(n: int, k: int, t: float, a: Sequence[float], q: float,
-                   spec: Optional[ContourSpec] = None, nodes: int = 1024) -> float:
+def contour_moment(n: int, k: int, t: float, a: Sequence[float], q: float) -> float:
     """<q^{-k Z_1}> via the nested contour representation (k <= 3).  The
-    l-fold term uses min(nodes, floor(2^(24 / l))) nodes per circle, so its
+    l-fold term uses min(1024, floor(2^(24 / l))) nodes per circle, so its
     grid stays within _CONTOUR_GRID_POINTS: 1024 for l <= 2, 256 for l = 3."""
     if k > 3:
         raise ValueError("contour route implemented for k <= 3")
     a = tuple(float(x) for x in a)
     total = 1.0   # l = 0 term
     for l in range(1, k + 1):
-        if spec is None or len(spec.circles) < l:
-            sp = default_contour_spec(a, q, l)
-        else:
-            sp = ContourSpec(spec.circles[-l:])
-            sp.validate(a, q)
-        per_axis = min(nodes, int(2 ** (math.log2(_CONTOUR_GRID_POINTS) / l)))
+        sp = default_contour_spec(a, q, l)
+        per_axis = min(1024, int(2 ** (math.log2(_CONTOUR_GRID_POINTS) / l)))
         phi = np.exp(2j * np.pi * np.arange(per_axis) / per_axis)
         ss, dw = [], []
         for d, (c, r) in enumerate(sp.circles):
@@ -393,13 +379,21 @@ def contour_moment(n: int, k: int, t: float, a: Sequence[float], q: float,
         def exp_factor(s):
             return np.exp(((q - 1) * s + (1 / q - 1) / s) * t)
 
+        # cross and the integrand are built in place, so that at most two
+        # full l-fold grids are alive at once
         integrand = np.ones([1] * l, dtype=complex)
         for j in range(l):
-            cross = np.ones([1] * l, dtype=complex)
+            cross = np.ones([per_axis] * (j + 1) + [1] * (l - j - 1), dtype=complex)
             for i in range(j):
-                cross = cross * (ss[i] - ss[j]) * (ss[i] - 1 / ss[j]) \
-                    / ((ss[i] - q * ss[j]) * (ss[i] - 1 / (q * ss[j])))
-            integrand = integrand * base(ss[j]) * (cross * exp_factor(ss[j]) - 1) * dw[j]
+                cross *= ss[i] - ss[j]
+                cross *= ss[i] - 1 / ss[j]
+                cross /= (ss[i] - q * ss[j]) * (ss[i] - 1 / (q * ss[j]))
+            cross *= exp_factor(ss[j])
+            cross -= 1
+            integrand = integrand * base(ss[j])
+            integrand *= cross
+            integrand *= dw[j]
+            del cross
         val = complex(np.mean(integrand))
         total += math.comb(k, l) * ((-1) ** l) * val.real
     return total
@@ -411,15 +405,14 @@ def _rank_one_dps(q: float, zmax: int) -> int:
     return max(40, 30 + math.ceil(3 * zmax * math.log10(1 / q)))
 
 
-def _direct_moment_rank_one(k: int, t: float, a: float, q: float,
-                            zmax: int = 40, nodes: int = 512) -> float:
+def _direct_moment_rank_one(k: int, t: float, a: float, q: float, zmax: int = 40) -> float:
     """Direct sum sum_z q^{-kz} p_z for n=1 over the law of ``_rank_one_law``,
     in that law's precision: q^{-kz} multiplies each p_z's rounding noise by
     up to q^{-3 zmax}, which the precision rule leaves 30 digits to spare.
     Raises when the window 0..zmax misses more than 1e-6 of the mass."""
     import mpmath as mp
 
-    law_z = _rank_one_law(t, a, q, zmax, nodes)
+    law_z = _rank_one_law(t, a, q, zmax)
     with mp.workdps(_rank_one_dps(q, zmax)):
         defect = 1 - mp.fsum(law_z)
         if defect > 1e-6:
@@ -430,9 +423,9 @@ def _direct_moment_rank_one(k: int, t: float, a: float, q: float,
 
 
 @functools.lru_cache(maxsize=8)
-def _rank_one_law(t: float, a: float, q: float, zmax: int, nodes: int = 512) -> tuple:
+def _rank_one_law(t: float, a: float, q: float, zmax: int) -> tuple:
     """p_z for z = 0..zmax at rank 1, in ``_rank_one_dps(q, zmax)`` digits:
-    the trapezoid rule on ``nodes`` points of the torus integral of
+    the trapezoid rule on 512 points of the torus integral of
     e^{2t cos theta} h_z(cos theta) |(e^{2i theta};q)_inf|^2, times the
     character h_z at the real point, over (q;q)_z and exp((a + 1/a) t).
 
@@ -448,7 +441,7 @@ def _rank_one_law(t: float, a: float, q: float, zmax: int, nodes: int = 512) -> 
     point alike."""
     import mpmath as mp
 
-    dps = _rank_one_dps(q, zmax)
+    dps, nodes = _rank_one_dps(q, zmax), 512
     with mp.workdps(dps):
         qm, tm, am = mp.mpf(q), mp.mpf(t), mp.mpf(a)
         cos1 = [mp.cos(2 * mp.pi * j / nodes) for j in range(1, nodes // 2)]
@@ -491,7 +484,7 @@ def _rank_one_law(t: float, a: float, q: float, zmax: int, nodes: int = 512) -> 
 
 
 def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
-            window: int = 40, law_table: Optional[LawTable] = None) -> dict:
+            window: int = 40) -> dict:
     """<q^{-k Z_1}> by three independent routes: direct law summation,
     Koornwinder operator powers, and nested contour integrals."""
     if not 0 < q < 1:
@@ -506,8 +499,8 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
     if n == 1:
         direct = _direct_moment_rank_one(k, t, a[0], q, zmax=window)
     else:
-        lt = law_table or law(n, t, a, q, window)
-        direct = lt.mean(lambda z: q ** (-k * part(z, 1)), reliable_only=k > 0)
+        direct = law(n, t, a, q, window).mean(lambda z: q ** (-k * part(z, 1)),
+                                              reliable_only=k > 0)
 
     def Pi(pt):
         return np.exp(sum((u + 1 / u) * t for u in pt))
@@ -524,12 +517,11 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
 # ---------------------------------------------------------------------------
 
 def orthogonality_matrix(n: int, shapes: Sequence, q: float,
-                         quad: Optional[TorusQuadrature] = None,
-                         ctx: Optional[QSeriesCtx] = None) -> np.ndarray:
+                         quad: Optional[TorusQuadrature] = None) -> np.ndarray:
     """Matrix <P_lam, P_mu> * norm factor; the identity when orthogonality
     holds for the recursion-defined family."""
     quad = quad or TorusQuadrature(n, q=q)
-    ctx = ctx or QSeriesCtx(q, truncation=quad.truncation)
+    ctx = QSeriesCtx(q, truncation=quad.truncation)
     polys = [qwhittaker_recursion(n, tuple(z), ctx) for z in shapes]
     m = len(shapes)
     out = np.zeros((m, m))
@@ -559,15 +551,13 @@ def reconstruct(g: Evaluable, points: Sequence, n: int, q: float, max_weight: in
     return out
 
 
-def gram_schmidt_koornwinder(n: int, q: float, t0: float, max_weight: int,
-                             quad: Optional[TorusQuadrature] = None) -> dict:
+def gram_schmidt_koornwinder(n: int, q: float, t0: float, max_weight: int) -> dict:
     """Numerically orthogonalized monic family for the t0-deformed weight, in
     graded lexicographic order (a refinement of dominance).  Returns a map
     shape -> LaurentPoly with float coefficients."""
     if not 0 <= t0 < 1:
         raise ValueError("t0 must lie in [0, 1)")
-    quad = quad or TorusQuadrature(n, q=q, t0=t0,
-                                   nodes=2048 if n == 1 else 256)
+    quad = TorusQuadrature(n, q=q, t0=t0, nodes=2048 if n == 1 else 256)
     shapes = sorted(partitions_max_weight(n, max_weight),
                     key=lambda z: (sum(z), z))
     family: dict = {}
