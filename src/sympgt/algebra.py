@@ -195,14 +195,20 @@ class LaurentPoly:
         return self.terms.get(tuple(exps), Fraction(0))
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
+        """The sum of c prod a_i^{e_i} over the terms, in term order; each
+        power a_i^e is computed once per call, kept in a table per
+        variable."""
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
+        powers = [{} for _ in point]
         total: Scalar = 0
         for exps, c in self.terms.items():
             val = c
-            for a, e in zip(point, exps):
+            for a, e, pw in zip(point, exps, powers):
                 if e:
-                    val *= a ** e
+                    if e not in pw:
+                        pw[e] = a ** e
+                    val *= pw[e]
             total = total + val
         return total
 

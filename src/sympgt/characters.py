@@ -4,6 +4,7 @@ functions, q-deformed pattern characters with their level recursion, and the
 Pieri difference operator."""
 from __future__ import annotations
 
+import functools
 from itertools import permutations, product
 from typing import Callable, Sequence
 
@@ -130,8 +131,13 @@ def qwhittaker_pattern_sum(N: int, z: Sequence[int], ctx: QSeriesCtx) -> Laurent
     """Pattern character of N levels with bottom level z: sum over patterns of
     the q-binomial slice weights, with variable a_l carrying exponent
     (|z^{2l-1}| - |z^{2l-2}|) - (|z^{2l}| - |z^{2l-1}|) and, for odd N, the
-    unmatched top slice contributing a_n^{|z^N| - |z^{N-1}|}."""
+    unmatched top slice contributing a_n^{|z^N| - |z^{N-1}|}.
+
+    Every pattern is still enumerated and its slice weights multiplied in
+    level order; a slice (k, lower, upper) recurs across patterns, so its
+    weight is computed once per call."""
     nvars = (N + 1) // 2
+    weight = functools.cache(lambda k, lower, upper: slice_binomials(ctx, k, lower, upper))
 
     def terms():
         for p in enumerate_patterns(z, N):
@@ -139,7 +145,7 @@ def qwhittaker_pattern_sum(N: int, z: Sequence[int], ctx: QSeriesCtx) -> Laurent
             coeff: Scalar = 1
             exps = [0] * nvars
             for k in range(1, N + 1):
-                coeff = coeff * slice_binomials(ctx, k, p.levels[k - 2] if k > 1 else (), p.levels[k - 1])
+                coeff = coeff * weight(k, p.levels[k - 2] if k > 1 else (), p.levels[k - 1])
                 delta = sizes[k] - sizes[k - 1]
                 exps[(k - 1) // 2] += delta if k % 2 else -delta
             yield exps, coeff

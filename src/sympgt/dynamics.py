@@ -460,10 +460,18 @@ def _add(out: dict, tgt, v) -> None:
         out[tgt] = out.get(tgt, 0) + v
 
 
+def _check_level(name: str, v: tuple, length: int) -> None:
+    if len(v) != length:
+        raise ValueError(f"level {name} must have length {length}, got {tuple(v)}")
+
+
 def helper_row_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequence) -> dict:
     """Nonzero off-diagonal helper-matrix entries out of the two-level state
-    (x, y), where x is the level above the bottom level y.  Covers both the
-    even-bottom and odd-bottom tables."""
+    (x, y), where x is the level above the bottom level y, with
+    level_len(N - 1) and level_len(N) parts.  Covers both the even-bottom
+    and odd-bottom tables."""
+    _check_level("x", x, level_len(N - 1))
+    _check_level("y", y, level_len(N))
     out: dict = {}
     # moves of the upper shape x, driving y along when they collide
     for i, s, xp, c in _moves(N - 1, x, ctx):
@@ -483,6 +491,8 @@ def helper_row_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequen
 
 
 def helper_diag_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequence) -> Scalar:
+    _check_level("x", x, level_len(N - 1))
+    _check_level("y", y, level_len(N))
     d = shape_diagonal(N - 1, canon(x), ctx, a)
     aN = bar_a(a, N)
     for i in range(1, len(y) + 1):
@@ -495,7 +505,12 @@ def _verify_intertwining(N: int, probes: Sequence, ctx: QSeriesCtx, a: Sequence,
     """The exact identity Q(b, b') m(s') = sum_{s in sources(b)} m(s) A(s, s')
     for each probe s' with bottom level b' and each b in {b'} and the moves
     out of b', where A is the helper matrix with off-diagonal row(*s) and
-    diagonal diagonal(*s).  Returns a list of (s', b, lhs, rhs, ok)."""
+    diagonal diagonal(*s).  Returns a list of (s', b, lhs, rhs, ok).
+
+    A source serves many (s', b) pairs, so m, row and diagonal are
+    computed at most once per source within one call; the cached rows are
+    only read, never changed."""
+    m, row, diagonal = map(functools.cache, (m, row, diagonal))
     results = []
     for probe in probes:
         probe = tuple(map(tuple, probe))
@@ -537,6 +552,9 @@ def helper_row_cascade(n: int, x: tuple, y: tuple, z: tuple, ctx: QSeriesCtx,
                        a: Sequence) -> dict:
     """Nonzero off-diagonal entries of the cascade helper matrix out of
     (x, y, z) with x of length n-1 and y, z of length n."""
+    _check_level("x", x, n - 1)
+    _check_level("y", y, n)
+    _check_level("z", z, n)
     out: dict = {}
     add = functools.partial(_add, out)
     an = _f(a[n - 1])

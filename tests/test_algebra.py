@@ -236,3 +236,29 @@ def test_expanding_bracket():
     assert expanding_bracket(ctx, x, t0, 1) == x + 1 / x - t0 - 1 / t0
     v2 = (x + 1 / x - t0 - 1 / t0) * (x + 1 / x - t0 * F(1, 2) - 1 / (t0 * F(1, 2)))
     assert expanding_bracket(ctx, x, t0, 2) == v2
+
+
+def _evaluate_term_by_term(p, point):
+    total = 0
+    for exps, c in p.terms.items():
+        val = c
+        for a, e in zip(point, exps):
+            if e:
+                val *= a ** e
+        total = total + val
+    return total
+
+
+@pytest.mark.parametrize("point", [
+    (F(6, 5), F(3, 7), F(5, 2)),
+    (0.8, 1.3, 1.1),
+    (0.8 + 0.1j, 1.3 - 0.2j, 0.5 + 0.5j),
+])
+def test_evaluate_equals_the_term_by_term_product(point):
+    p = LaurentPoly(3, [((3, -2, 0), F(1, 3)), ((0, -2, 1), 2), ((3, 0, -1), F(-3, 2)),
+                        ((-1, 1, 0), F(2, 7)), ((0, 0, 0), 5), ((3, -2, 1), F(7, 11)),
+                        ((-1, -2, -1), F(1, 9)), ((0, 1, -1), F(4, 3))])
+    r = LaurentPoly(3, [((e, -e, 2 - e), F(1, 1 + e * e)) for e in range(-4, 5)])
+    for poly in (p, r, p * r, p * p + r):
+        got, want = poly.evaluate(point), _evaluate_term_by_term(poly, point)
+        assert got == want and repr(got) == repr(want)

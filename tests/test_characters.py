@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from sympgt import characters
 from sympgt.algebra import LaurentPoly, QSeriesCtx, q_hermite
 from sympgt.characters import (
     cauchy_identity_check,
@@ -187,3 +189,19 @@ def test_builders_make_one_polynomial_not_one_per_term(monkeypatch):
     made.clear()
     patterns = qwhittaker_pattern_sum(6, (3, 2, 1), QSeriesCtx(F(1, 3)))
     assert len(made) == 1 and len(patterns.terms) > 10
+
+
+def test_pattern_sum_builds_each_slice_weight_once(monkeypatch):
+    ctx = QSeriesCtx(F(2, 5))
+    want = qwhittaker_pattern_sum(6, (3, 1, 1), ctx)
+    calls = Counter()
+    inner = characters.slice_binomials
+
+    def counting(ctx, k, lower, upper):
+        calls[k, lower, upper] += 1
+        return inner(ctx, k, lower, upper)
+
+    monkeypatch.setattr(characters, "slice_binomials", counting)
+    assert qwhittaker_pattern_sum(6, (3, 1, 1), ctx) == want
+    assert set(calls.values()) == {1}
+    assert sum(1 for _ in characters.enumerate_patterns((3, 1, 1), 6)) * 6 > len(calls)
