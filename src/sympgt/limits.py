@@ -10,6 +10,8 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
+from .continuous import central_derivatives
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -181,13 +183,12 @@ def so_whittaker(n: int, lam, x, nodes: int = 2000) -> complex:
 
 
 def so_eigen_residual(lam: complex, x: float) -> float:
-    """|H Psi - (lam^2/2) Psi| at rank one, H = d^2/dx^2 / 2 - e^{-x}/2,
-    via 4th-order central differences of so_whittaker at its default nodes."""
-    h = 1e-3
-    pts = [so_whittaker(1, lam, x + k * h) for k in (-2, -1, 0, 1, 2)]
-    d2 = (-pts[0] + 16 * pts[1] - 30 * pts[2] + 16 * pts[3] - pts[4]) / (12 * h * h)
-    lhs = 0.5 * d2 - 0.5 * math.exp(-x) * pts[2]
-    return abs(lhs - 0.5 * lam ** 2 * pts[2])
+    """|H Psi - (lam^2/2) Psi| at rank one, H = d^2/dx^2 / 2 - e^{-x}/2, with
+    d^2/dx^2 by central_derivatives of so_whittaker at its default nodes."""
+    f = lambda xv: so_whittaker(1, lam, xv[0])
+    val = f((x,))
+    _, d2 = central_derivatives(f, (x,), 0, val)
+    return abs(0.5 * d2 - 0.5 * math.exp(-x) * val - 0.5 * lam ** 2 * val)
 
 
 def convergence_table(n: int, lam: Sequence[float], xs: Sequence,

@@ -15,13 +15,14 @@ from sympgt.continuous import (_BLOCK, _WIDE, ContinuousParams, _drift_ladder,
                                _kolmogorov_sf, _ks_two_sample, _log_cumsum_exp,
                                _log_sum_exp,
                                _polymer_samples, _sde_drift,
-                               grad_log_phi, h_b, h_d, phi, phi2_bessel,
+                               grad_log_phi, h_b, h_d, log_phi, phi, phi2_bessel,
                                phi_eigen_residual, polymer_identity_check,
                                polymer_y_integral, polymer_z, q_nn, q_nnm1,
                                sde_simulate, verify_operator_identities,
                                wedge_start)
 
 POLYMER = json.loads((Path(__file__).parent / "data" / "polymer_reference.json").read_text())
+PHI = json.loads((Path(__file__).parent / "data" / "phi_reference.json").read_text())
 
 
 def test_params_validation():
@@ -55,17 +56,17 @@ def test_kernel_intertwinings_grids():
     # 25-point grids of (x, y) pairs for each rank
     pts = np.linspace(-1.0, 1.0, 5)
     grid1 = [((float(a),), (float(b),)) for a in pts for b in pts]
-    rep1 = verify_operator_identities(1, 0.5, grid1)
+    rep1 = verify_operator_identities(0.5, grid1)
     assert rep1["nn_max"] < 1e-6
     grid2 = [((float(a), float(a) - 0.7), (float(b), float(b) - 1.1))
              for a in pts for b in pts]
-    rep2 = verify_operator_identities(2, 0.5, grid2)
+    rep2 = verify_operator_identities(0.5, grid2)
     assert rep2["nn_max"] < 1e-6
     assert rep2["nnm1_max"] < 1e-6
 
 
 def test_kernel_intertwining_theta_zero():
-    rep = verify_operator_identities(1, 0.0, [((0.3,), (-0.2,))])
+    rep = verify_operator_identities(0.0, [((0.3,), (-0.2,))])
     assert rep["nn_max"] < 1e-6
 
 
@@ -81,6 +82,46 @@ def test_phi_eigen_residuals():
 def test_phi4_eigen_residual():
     lam = (0.9, 0.4)
     assert phi_eigen_residual(2, lam, (0.5, -0.3)) < 1e-4
+
+
+@pytest.mark.slow
+def test_phi4_eigen_residual_five_points():
+    lam = (0.9, 0.4)
+    for x in ((0.5, -0.3), (0.0, -1.0), (1.0, 0.2), (-0.5, -0.8), (1.5, 0.5)):
+        assert phi_eigen_residual(2, lam, x) <= 1e-4
+
+
+def test_phi_matches_pinned_values():
+    for lam, values in PHI["phi2"].items():
+        for x, v in values.items():
+            assert phi(2, (float(lam),), float(x)) == pytest.approx(float(v), rel=1e-12)
+    lam, x = (0.9, 0.4), (0.5, -0.3)
+    assert phi(3, lam, x) == pytest.approx(float(PHI["phi3"]), rel=1e-12)
+    assert phi(4, lam, x) == pytest.approx(float(PHI["phi4"]), rel=1e-12)
+
+
+@pytest.mark.parametrize("N, lam, x", [
+    (2, (0.9,), (0.1, 0.2)),     # a level-2 point has one coordinate
+    (3, (0.9,), (0.5, -0.3)),    # level 3 needs two lambdas
+    (4, (0.9, 0.4), (0.5,)),     # a level-4 point has two coordinates
+    (5, (0.9, 0.4, 0.2), (0.5, -0.3, -1.0)),  # N <= 4 only
+    (0, (0.9,), ()),
+])
+def test_phi_rejects_bad_input(N, lam, x):
+    for f in (phi, log_phi):
+        with pytest.raises(ValueError):
+            f(N, lam, x)
+
+
+@pytest.mark.parametrize("lam", [0.8, 0.9])
+def test_log_phi2_deep_in_wall_region(lam):
+    # Phi^{(2)}(-12) is about e^{-1141}: it underflows, its log must not
+    import mpmath as mp
+    with mp.workdps(30):
+        exact = float(mp.log(2 ** mp.mpf(lam) * 2
+                             * mp.besselk(2 * mp.mpf(lam), 2 * mp.sqrt(2) * mp.exp(6))))
+    assert abs(log_phi(2, (lam,), -12.0) - exact) <= 1e-10 * abs(exact)
+    assert np.isfinite(grad_log_phi(2, (lam,), (-12.0,))).all()
 
 
 def test_phi_flattening_on_ray():
