@@ -1,5 +1,7 @@
 """Scaling limits: lattice-rescaled characters converging to classical
-so(2n+1) Whittaker functions, plus Givental-integral and Bessel numerics."""
+so(2n+1) Whittaker functions.  The targets are the Givental integral, read
+off the Phi^{(2n)} kernel quadrature of continuous.log_phi, and at rank one
+the closed form 2 K_{2 lam}(2 e^{-x/2}) through mpmath's Bessel K."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from .continuous import central_derivatives
+from .continuous import central_derivatives, log_phi
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,15 +130,11 @@ def _psi_rank_two(sctx: ScalingCtx, z: tuple) -> complex:
 # ---------------------------------------------------------------------------
 
 def bessel_k(nu: complex, z: float) -> float:
-    """Macdonald function K_nu(z) for z > 0 via the cosh-substituted integral
-    K_nu(z) = int_0^inf e^{-z cosh u} cosh(nu u) du; real for imaginary nu."""
+    """Macdonald function K_nu(z) for z > 0, by mpmath; real for real or
+    imaginary nu."""
     if z <= 0:
         raise ValueError("z must be positive")
-    # cut off where z cosh(u) > 60: the tail is below e^{-60}
-    cut = float(mp.acosh(max(60.0 / z, 2.0)))
-    val = mp.quad(lambda u: mp.exp(-z * mp.cosh(u)) * mp.cosh(nu * u),
-                  [0, cut])
-    return float(mp.re(val))
+    return float(mp.re(mp.besselk(nu, z)))
 
 
 def so3_whittaker(lam: complex, x: float) -> float:
@@ -145,47 +143,22 @@ def so3_whittaker(lam: complex, x: float) -> float:
     return 2.0 * bessel_k(2 * lam, 2.0 * math.exp(-x / 2.0))
 
 
-def so_whittaker(n: int, lam, x, nodes: int = 2000) -> complex:
-    """Givental integral for the so(2n+1) Whittaker function, n <= 2.
-    lam may be complex (imaginary values give the oscillatory regime)."""
-    if n == 1:
-        lam1 = complex(lam[0]) if isinstance(lam, (tuple, list)) else complex(lam)
-        xv = float(x[0]) if isinstance(x, (tuple, list)) else float(x)
-        half = 0.5 * (30.0 + abs(xv))
-        u = np.linspace(xv / 2.0 - half, xv / 2.0 + half, nodes)
-        f = np.exp(lam1 * (2 * u - xv) - np.exp(-u) - np.exp(u - xv))
-        return complex(np.trapezoid(f, u))
-    if n != 2:
-        raise ValueError("Givental quadrature implemented for n <= 2 only")
-    l1, l2 = complex(lam[0]), complex(lam[1])
-    x1, x2 = float(x[0]), float(x[1])
-    lo = min(x2, 0.0) - 15.0
-    hi = max(x1, 0.0) + 15.0
-    nn = max(80, nodes // 16)
-    u = np.linspace(lo, hi, nn)
-    # inner so3 values on the grid, one vectorized double integral
-    half = 0.5 * (30.0 + max(abs(lo), abs(hi)))
-    v = np.linspace((lo + hi) / 4.0 - half, (lo + hi) / 4.0 + half, nodes)
-    f1 = np.exp(l1 * (2 * v[None, :] - u[:, None])
-                - np.exp(-v[None, :]) - np.exp(v[None, :] - u[:, None]))
-    psi1 = np.trapezoid(f1, v, axis=1)
-    a = u[:, None, None]   # x^3_1
-    b = u[None, :, None]   # x^3_2
-    c = u[None, None, :]   # x^2_1
-    expo = (l2 * (2 * (a + b) - (x1 + x2) - c)
-            - np.exp(a - x1) - np.exp(x2 - a)
-            - np.exp(-b) - np.exp(b - x2)
-            - np.exp(b - c) - np.exp(c - a))
-    integrand = np.exp(expo) * psi1[None, None, :]
-    val = np.trapezoid(np.trapezoid(np.trapezoid(integrand, u, axis=2),
-                                    u, axis=1), u, axis=0)
-    return complex(val)
+def so_whittaker(n: int, lam, x) -> complex:
+    """Givental integral for the so(2n+1) Whittaker function, n <= 2, as
+    2^{-sum lam} Phi^{(2n)}(lam, x + log 2): shifting every variable of the
+    Phi integral by log 2 turns its wall term 2 e^{-u} into e^{-u} and
+    scales the integral by 2^{sum lam}.  lam may be complex (imaginary
+    values give the oscillatory regime); see continuous.log_phi for the
+    quadrature and its measured error."""
+    lam = tuple(complex(l) for l in np.atleast_1d(lam))
+    x = np.atleast_1d(np.asarray(x, dtype=float)) + math.log(2.0)
+    return 2.0 ** -sum(lam) * cmath.exp(log_phi(2 * n, lam, x))
 
 
 def so_eigen_residual(lam: complex, x: float) -> float:
     """|H Psi - (lam^2/2) Psi| at rank one, H = d^2/dx^2 / 2 - e^{-x}/2, with
-    d^2/dx^2 by central_derivatives of so_whittaker at its default nodes."""
-    f = lambda xv: so_whittaker(1, lam, xv[0])
+    d^2/dx^2 by central_derivatives of so_whittaker."""
+    f = lambda xv: so_whittaker(1, lam, xv)
     val = f((x,))
     _, d2 = central_derivatives(f, (x,), 0, val)
     return abs(0.5 * d2 - 0.5 * math.exp(-x) * val - 0.5 * lam ** 2 * val)
@@ -194,19 +167,14 @@ def so_eigen_residual(lam: complex, x: float) -> float:
 def convergence_table(n: int, lam: Sequence[float], xs: Sequence,
                       eps_list: Sequence[float]) -> list:
     """Rows (x, eps, scaled value, so-target, abs error, snap distance) for
-    the imaginary-direction family; targets via Bessel (n=1) or Givental."""
+    the imaginary-direction family; targets from so_whittaker."""
+    points = [tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist()) for x in xs]
+    targets = {xv: so_whittaker(n, tuple(1j * l for l in lam), xv).real
+               for xv in points}
     rows = []
-    targets = {}
-    for x in xs:
-        xv = (float(x),) if n == 1 else tuple(float(v) for v in x)
-        if n == 1:
-            targets[xv] = so3_whittaker(1j * lam[0], xv[0])
-        else:
-            targets[xv] = so_whittaker(n, tuple(1j * l for l in lam), xv).real
     for eps in eps_list:
         sctx = ScalingCtx(eps, lam)
-        for x in xs:
-            xv = (float(x),) if n == 1 else tuple(float(v) for v in x)
+        for xv in points:
             val = scaled_qwhittaker(sctx, n, xv)
             rows.append({"x": xv, "eps": eps, "value": val,
                          "target": targets[xv],

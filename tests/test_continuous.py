@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sympgt
+import sympgt.continuous
 from sympgt.continuous import (_BLOCK, _WIDE, ContinuousParams, _drift_ladder,
                                _kolmogorov_sf, _ks_two_sample, _log_cumsum_exp,
                                _log_sum_exp,
@@ -82,6 +83,20 @@ def test_phi_eigen_residuals():
 def test_phi4_eigen_residual():
     lam = (0.9, 0.4)
     assert phi_eigen_residual(2, lam, (0.5, -0.3)) < 1e-4
+
+
+def test_phi4_eigen_residual_evaluates_phi_nine_times(monkeypatch):
+    # the centre and 4 stencil points per coordinate; the centre only once
+    points = []
+
+    def counting_log_phi(N, lam, x):
+        points.append(tuple(x))
+        return 0.0
+
+    monkeypatch.setattr(sympgt.continuous, "log_phi", counting_log_phi)
+    phi_eigen_residual(2, (0.9, 0.4), (0.5, -0.3))
+    assert len(points) == 9
+    assert points.count((0.5, -0.3)) == 1
 
 
 @pytest.mark.slow

@@ -1,7 +1,10 @@
 """Scaling-limit checks: lattice sums, Givental quadrature, Bessel route."""
 
+import json
 import math
+from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from sympgt.algebra import QSeriesCtx
@@ -9,6 +12,8 @@ from sympgt.characters import qwhittaker_pattern_sum
 from sympgt.limits import (ScalingCtx, bessel_k, convergence_table,
                            out_of_order, scaled_qwhittaker, so3_whittaker,
                            so_eigen_residual, so_whittaker)
+
+SO_REF = json.loads((Path(__file__).parent / "data" / "so_whittaker_reference.json").read_text())
 
 
 def test_scaling_ctx_fields():
@@ -58,9 +63,25 @@ def test_givental_matches_bessel():
 
 
 def test_givental_doubling_stable():
-    g1 = so_whittaker(1, 0.7j, 0.5, nodes=2000)
-    g2 = so_whittaker(1, 0.7j, 0.5, nodes=4000)
-    assert abs(g1 - g2) < 1e-10
+    # against 2 K_{2 lam}(2 e^{-x/2}) at mpmath's working precision
+    for lam in (0.7j, 0.4):
+        for x in (-8.0, 0.5, 3.0):
+            b = complex(2 * mp.besselk(2 * lam, 2 * mp.exp(-mp.mpf(x) / 2)))
+            assert abs(so_whittaker(1, lam, x) - b) < 1e-12 * abs(b)
+
+
+def test_so3_closed_form_agrees_with_givental_deep():
+    # both routes must hold their relative accuracy where the value is
+    # about e^{-297}
+    b = so3_whittaker(0.4, -10.0)
+    assert abs(so_whittaker(1, 0.4, -10.0) - b) < 1e-10 * abs(b)
+
+
+@pytest.mark.parametrize("point", SO_REF["points"], ids=lambda p: f"{p['lam']}-{p['x']}")
+def test_rank_two_pinned(point):
+    lam = tuple(complex(l) for l in point["lam"])
+    ref = complex(*(float(v) for v in point["value"]))
+    assert abs(so_whittaker(2, lam, tuple(point["x"])) - ref) < 1e-12 * abs(ref)
 
 
 def test_givental_positive_at_zero_order():
@@ -97,7 +118,7 @@ def test_rank_two_matches_exact_character():
 
 
 def test_rank_two_approaches_givental():
-    target = so_whittaker(2, (0.7j, 0.3j), (1.0, 0.2), nodes=2400)
+    target = so_whittaker(2, (0.7j, 0.3j), (1.0, 0.2))
     errs = []
     for eps in (0.1, 0.05):
         s = ScalingCtx(eps, (0.7, 0.3))
@@ -124,5 +145,7 @@ def test_rank_limits_enforced():
     s = ScalingCtx(0.1, (0.7, 0.3, 0.1))
     with pytest.raises(ValueError):
         scaled_qwhittaker(s, 3, (2.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1 <= N <= 4"):
         so_whittaker(3, (0.7j, 0.3j, 0.1j), (2.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="2 coordinates"):
+        so_whittaker(2, (0.7j, 0.3j), (2.0,))
