@@ -78,10 +78,15 @@ def _toda(f: Callable, x: Sequence[float]) -> tuple:
     return out, val, d1
 
 
+def _h_b_and_value(f: Callable, x: Sequence[float]) -> tuple:
+    """(h_b f, f) at x, from one _toda stencil."""
+    out, val, _ = _toda(f, x)
+    return out - math.exp(-x[-1]) * val, val
+
+
 def h_b(f: Callable, x: Sequence[float]) -> float:
     """Wall Toda operator sum(d^2/dx_i^2)/2 - sum e^{x_{i+1}-x_i} - e^{-x_n}."""
-    out, val, _ = _toda(f, x)
-    return out - math.exp(-x[-1]) * val
+    return _h_b_and_value(f, x)[0]
 
 
 def h_d(f: Callable, x: Sequence[float], theta: float) -> float:
@@ -159,9 +164,16 @@ def kernel_identity_residuals(n: int, theta: float) -> dict:
 # the Phi family via kernel quadrature
 # ---------------------------------------------------------------------------
 
+# Per N, the interval that holds every coordinate of the points at which
+# log_phi's quadrature error was measured; those points also have
+# x_{i+1} <= x_i + 2.  Level 1 is e^{lam x}, exact anywhere.
+_PHI_RANGE = {1: (-math.inf, math.inf), 2: (-12.5, 60.0), 3: (-12.5, 60.0), 4: (-2.0, 12.0)}
+
+
 def _phi_point(N: int, lam: Sequence[float], x) -> np.ndarray:
     """x as a float vector, once 1 <= N <= 4, lam has at least level_dim(N)
-    entries and x has level_dim(N) coordinates."""
+    entries and x is a point of level_dim(N) coordinates in the measured
+    region of _PHI_RANGE."""
     if not 1 <= N <= 4:
         raise ValueError(f"Phi^(N) is implemented for 1 <= N <= 4, not N = {N}")
     d = level_dim(N)
@@ -170,6 +182,10 @@ def _phi_point(N: int, lam: Sequence[float], x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (d,):
         raise ValueError(f"Phi^({N}) takes a point of {d} coordinates, got {x.tolist()}")
+    lo, hi = _PHI_RANGE[N]
+    if not (lo <= x.min() and x.max() <= hi and (np.diff(x) <= 2.0).all()):
+        raise ValueError(f"Phi^({N}) is measured at coordinates in [{lo}, {hi}] with "
+                         f"x_(i+1) <= x_i + 2, not at {x.tolist()}")
     return x
 
 
@@ -186,25 +202,29 @@ def log_phi(N: int, lam: Sequence[complex], x) -> complex:
     Level 0 is the empty point with Phi^{(0)} = 1.  Level k follows from
     level k - 1 by q_nnm1 (k odd) or q_nn (k even) at theta = lam_{ceil(k/2)},
     so level 1 is e^{lam_1 x}.  Every level but the last is held on the
-    product grid of one trapezoid node set, linspace(min x - 12, max x + 12,
-    M), and each integral is a max-shifted log-sum-exp, so no value
-    underflows.  M = 1000 for N <= 3 and 100 at N = 4, where level 3 on the
-    grid holds M^3 kernel values.
+    product grid of one trapezoid node set, linspace(min(min x, 0) - 12,
+    max x + 12, M): the lower levels lie below max x and above the wall
+    near 0 or min x, whichever is lower.  Each integral is a max-shifted
+    log-sum-exp, so no value underflows.  M = 1000 for N <= 3 and 100 at
+    N = 4, where level 3 on the grid holds M^3 kernel values.
 
     lam may be complex; each row is then shifted by the max of its real
-    part and the value is the complex log.  Through limits.so_whittaker it
-    is within 1e-13 relative of mpmath's besselk at rank 1 (x = -10, -8,
-    0.5, 3 and lam = 0.7i, 0.4), and within 1.2e-14 of
-    tests/data/so_whittaker_reference.json at rank 2.
+    part and the value is the complex log.
 
-    Measured quadrature error: Phi^{(2)} is within 2e-14 relative of
-    phi2_bessel at linspace(-2, 3, 11) for lam = 0.8 and 0.9, and
-    log Phi^{(2)}(-12) within 1e-16 relative of its Bessel form.  With
-    lam = (0.9, 0.4), Phi^{(3)} and Phi^{(4)} move by less than 1e-13
-    relative when M doubles, at the five points of the rank-2 eigen test."""
+    Measured quadrature error, relative, on the region of _PHI_RANGE (other
+    points raise ValueError).  Phi^{(2)} against its Bessel form, at 30
+    points of [-12.5, 60] and lam = 0.8, 0.1, 3, 0.7i, 1.5i: within 1.4e-10,
+    the worst at -12.5, and within 3e-12 for x >= -10.  Phi^{(3)} and
+    Phi^{(4)}, against M doubled, at lam = (0.9, 0.4) and (0.7i, 0.3i) on
+    grids of the region: within 4e-13 at N = 3; at N = 4 within 6e-8, the
+    worst at (12, -2), within 3e-10 for x in [-1, 8]^2, and within 1e-13
+    at the five points of the rank-2 eigen test.  Through
+    limits.so_whittaker, rank 1 is within 1e-13 of mpmath's besselk at
+    x = -10, -8, 0.5, 3, 12 and lam = 0.7i, 0.4, and rank 2 within 1.2e-14
+    of tests/data/so_whittaker_reference.json."""
     x = _phi_point(N, lam, x)
     m = 1000 if N <= 3 else 100
-    u = np.linspace(x.min() - 12.0, x.max() + 12.0, m)
+    u = np.linspace(min(x.min(), 0.0) - 12.0, x.max() + 12.0, m)
     logw = _log_trapz_weights(m - 1, u[1] - u[0])
     pts, log_f, lw = np.zeros((1, 0)), np.zeros(1), np.zeros(1)
     for k in range(1, N + 1):
@@ -248,11 +268,9 @@ def grad_log_phi(N: int, lam: Sequence[float], x) -> np.ndarray:
 
 
 def phi_eigen_residual(n: int, lam: Sequence[float], x) -> float:
-    """|H^B Phi^{(2n)} - (sum lam_i^2 / 2) Phi^{(2n)}| / Phi^{(2n)}; h_b's
+    """|H^B Phi^{(2n)} - (sum lam_i^2 / 2) Phi^{(2n)}| / Phi^{(2n)}; the h_b
     stencil centre supplies Phi^{(2n)}(x), so it is evaluated once."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out, val, _ = _toda(lambda xv: phi(2 * n, lam, xv), x)
-    hb = out - math.exp(-x[-1]) * val
+    hb, val = _h_b_and_value(lambda xv: phi(2 * n, lam, xv), np.atleast_1d(x))
     return abs(hb - 0.5 * sum(l * l for l in lam) * val) / abs(val)
 
 

@@ -148,9 +148,10 @@ def so_whittaker(n: int, lam, x) -> complex:
     2^{-sum lam} Phi^{(2n)}(lam, x + log 2): shifting every variable of the
     Phi integral by log 2 turns its wall term 2 e^{-u} into e^{-u} and
     scales the integral by 2^{sum lam}.  lam may be complex (imaginary
-    values give the oscillatory regime); see continuous.log_phi for the
-    quadrature and its measured error."""
-    lam = tuple(complex(l) for l in np.atleast_1d(lam))
+    values give the oscillatory regime), and only lam[:n] is read.  See
+    continuous.log_phi for the quadrature, the region where its error was
+    measured (x + log 2 in it, else ValueError) and that error."""
+    lam = tuple(complex(l) for l in np.atleast_1d(lam))[:n]
     x = np.atleast_1d(np.asarray(x, dtype=float)) + math.log(2.0)
     return 2.0 ** -sum(lam) * cmath.exp(log_phi(2 * n, lam, x))
 

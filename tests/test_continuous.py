@@ -121,6 +121,9 @@ def test_phi_matches_pinned_values():
     (4, (0.9, 0.4), (0.5,)),     # a level-4 point has two coordinates
     (5, (0.9, 0.4, 0.2), (0.5, -0.3, -1.0)),  # N <= 4 only
     (0, (0.9,), ()),
+    (2, (0.9,), (-13.0,)),       # below the measured region
+    (4, (0.9, 0.4), (13.0, 0.0)),  # above it
+    (3, (0.9, 0.4), (0.0, 2.5)),   # out of order by more than 2
 ])
 def test_phi_rejects_bad_input(N, lam, x):
     for f in (phi, log_phi):

@@ -55,7 +55,8 @@ def test_bessel_symmetry_and_decay():
 
 
 def test_givental_matches_bessel():
-    for lam, x in [(0.7j, 0.5), (0.3j, -1.0), (0.5, 1.0)]:
+    # (0.4, -10.0) is about e^{-297}: both routes must keep their relative accuracy
+    for lam, x in [(0.7j, 0.5), (0.3j, -1.0), (0.5, 1.0), (0.4, -10.0)]:
         g = so_whittaker(1, lam, x)
         b = so3_whittaker(lam, x)
         assert abs(g - b) / abs(b) < 1e-8
@@ -63,18 +64,16 @@ def test_givental_matches_bessel():
 
 
 def test_givental_doubling_stable():
-    # against 2 K_{2 lam}(2 e^{-x/2}) at mpmath's working precision
+    # against 2 K_{2 lam}(2 e^{-x/2}) at mpmath's working precision; at
+    # x = 12 the integrand fills [0, x], so the nodes must reach the wall at 0
     for lam in (0.7j, 0.4):
-        for x in (-8.0, 0.5, 3.0):
+        for x in (-8.0, 0.5, 3.0, 12.0):
             b = complex(2 * mp.besselk(2 * lam, 2 * mp.exp(-mp.mpf(x) / 2)))
             assert abs(so_whittaker(1, lam, x) - b) < 1e-12 * abs(b)
 
 
-def test_so3_closed_form_agrees_with_givental_deep():
-    # both routes must hold their relative accuracy where the value is
-    # about e^{-297}
-    b = so3_whittaker(0.4, -10.0)
-    assert abs(so_whittaker(1, 0.4, -10.0) - b) < 1e-10 * abs(b)
+def test_givental_reads_only_n_lambdas():
+    assert so_whittaker(1, (0.7j, 0.3j), 0.5) == so_whittaker(1, 0.7j, 0.5)
 
 
 @pytest.mark.parametrize("point", SO_REF["points"], ids=lambda p: f"{p['lam']}-{p['x']}")
@@ -82,6 +81,13 @@ def test_rank_two_pinned(point):
     lam = tuple(complex(l) for l in point["lam"])
     ref = complex(*(float(v) for v in point["value"]))
     assert abs(so_whittaker(2, lam, tuple(point["x"])) - ref) < 1e-12 * abs(ref)
+
+
+def test_rank_two_far_from_the_wall():
+    # the lower levels fill [0, x], so the nodes must reach the wall at 0;
+    # the value is from a linear-space Givental grid with 3200 nodes
+    ref = -0.4236465985871846
+    assert abs(so_whittaker(2, (0.7j, 0.3j), (11.0, 10.0)) - ref) < 1e-9 * abs(ref)
 
 
 def test_givental_positive_at_zero_order():
