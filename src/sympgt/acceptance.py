@@ -374,9 +374,10 @@ REGISTRY = [
 
 
 def _run_check(name: str, fn) -> dict:
-    """Run one check and stamp its wall time in ``seconds`` and a default
-    ``soft=False`` on its report.  An exception becomes a hard failed report
-    carrying the error and its traceback, so the checks after it still run."""
+    """Run one check and stamp its wall time in ``seconds`` on its report,
+    with ``passed`` and ``soft`` (default False) as Python bools.  An
+    exception becomes a hard failed report carrying the error and its
+    traceback, so the checks after it still run."""
     t0 = time.time()
     try:
         rep = fn()
@@ -386,16 +387,15 @@ def _run_check(name: str, fn) -> dict:
                 "error": f"{type(exc).__name__}: {exc}",
                 "traceback": traceback.format_exc()}
     rep["seconds"] = round(time.time() - t0, 3)
-    rep.setdefault("soft", False)
+    rep["passed"] = bool(rep["passed"])
+    rep["soft"] = bool(rep.get("soft", False))
     return rep
 
 
-def run_all(quick: bool = False, names=None) -> dict:
-    """Run the registry (optionally the quick subset or a named subset) and
-    return a machine-readable ledger."""
-    selected = [(nm, fn) for nm, fn, q in REGISTRY
-                if (names is None or nm in names) and (not quick or q or names)]
-    reports = [_run_check(nm, fn) for nm, fn in selected]
+def run_all(quick: bool = False) -> dict:
+    """Run the registry (optionally the quick subset) and return a
+    machine-readable ledger."""
+    reports = [_run_check(nm, fn) for nm, fn, q in REGISTRY if q or not quick]
     hard_failures = [r["name"] for r in reports if not r["passed"] and not r["soft"]]
     return {"checks": reports, "passed": not hard_failures,
             "hard_failures": hard_failures, "quick": quick,

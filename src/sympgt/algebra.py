@@ -277,15 +277,22 @@ def q_hermite(ctx: QSeriesCtx, l: int) -> LaurentPoly:
     return LaurentPoly(1, (((2 * m - l,), q_binomial(ctx, l, m)) for m in range(l + 1)))
 
 
-def expanding_bracket(ctx: QSeriesCtx, x: Scalar, t0: Scalar, r: int) -> Scalar:
-    """<x;t0>_{q,r} = prod_{l=1}^{r} (x + x^{-1} - t0 q^{l-1} - t0^{-1} q^{-(l-1)})."""
+def bracket_poly(ctx: QSeriesCtx, t0: Scalar, r: int) -> LaurentPoly:
+    """The expanding bracket <x;t0>_{q,r} = prod_{l=1}^{r} (x + x^{-1}
+    - t0 q^{l-1} - t0^{-1} q^{-(l-1)}) as a Laurent polynomial in x."""
     if t0 == 0:
         raise ValueError("t0 must be nonzero")
-    q = ctx.q
-    result: Scalar = Fraction(1) if (ctx.exact and is_exact(x) and is_exact(t0)) else 1.0
+    q, t0 = _f(ctx.q), _f(t0)
+    out = LaurentPoly.one(1)
     for l in range(1, r + 1):
-        result *= x + 1 / _f(x) - t0 * q ** (l - 1) - (1 / _f(t0)) * q ** (-(l - 1))
-    return result
+        c = t0 * q ** (l - 1) + q ** (1 - l) / t0
+        out = out * LaurentPoly(1, {(1,): 1, (-1,): 1, (0,): -c})
+    return out
+
+
+def expanding_bracket(ctx: QSeriesCtx, x: Scalar, t0: Scalar, r: int) -> Scalar:
+    """<x;t0>_{q,r}, the value of ``bracket_poly`` at x."""
+    return bracket_poly(ctx, t0, r).evaluate((x,))
 
 
 def _f(x: Scalar) -> Scalar:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Optional, Sequence
 
-from .algebra import LaurentPoly, QSeriesCtx, Scalar, _f
+from .algebra import LaurentPoly, QSeriesCtx, Scalar, _f, bracket_poly
 from .characters import qwhittaker_kernel
 from .combinatorics import canon, padded, part, transpose
 
@@ -86,16 +86,6 @@ def contribution_A(pair: BranchingPair, I_plus: Sequence[int], I_minus: Sequence
     for j in pair.Jc:
         A = A * t0 ** (-eps[j])  # (iii)
     return A
-
-
-def bracket_poly(ctx: QSeriesCtx, t0: Scalar, r: int) -> LaurentPoly:
-    """The expanding bracket <x;t0>_{q,r} as a Laurent polynomial in x."""
-    q, t0 = _f(ctx.q), _f(t0)
-    out = LaurentPoly.one(1)
-    xpair = LaurentPoly(1, {(1,): 1, (-1,): 1})
-    for l in range(1, r + 1):
-        out = out * (xpair - LaurentPoly.constant(1, t0 * q ** (l - 1) + q ** (1 - l) / t0))
-    return out
 
 
 def branching_coefficient(pair: BranchingPair, r: int, t0: Scalar, ctx: QSeriesCtx) -> Scalar:

@@ -1,7 +1,10 @@
 """Characters and invariant functions: hyperoctahedral monomials, symplectic
 Schur functions (Weyl ratio / tableau sum / pattern sum), type-A Schur
 functions, q-deformed pattern characters with their level recursion, and the
-Pieri difference operator."""
+Pieri difference operator.  ``slice_binomials`` is the one home of the
+pattern weight: the oracle ``_char`` evaluates a pattern character at a
+point by the slice recursion, and the Markov link ``_link`` is the slice
+weight times the lower character over the upper one."""
 from __future__ import annotations
 
 import functools
@@ -99,15 +102,9 @@ def symplectic_schur_tableaux(n: int, lam: Sequence[int]) -> LaurentPoly:
 
 
 def symplectic_schur_patterns(n: int, lam: Sequence[int]) -> LaurentPoly:
-    """Pattern form of the tableau sum: weight a_i^{2|z^{2i-1}| - |z^{2i-2}|
-    - |z^{2i}|} over patterns with bottom level lam."""
-    def terms():
-        for p in enumerate_patterns(lam, 2 * n):
-            sizes = [0] + [sum(lv) for lv in p.levels]
-            yield tuple(2 * sizes[2 * i - 1] - sizes[2 * i - 2] - sizes[2 * i]
-                        for i in range(1, n + 1)), 1
-
-    return LaurentPoly(n, terms())
+    """Pattern form of the tableau sum, the pattern character at q = 0 (every
+    q-binomial is 1): a_i^{2|z^{2i-1}| - |z^{2i-2}| - |z^{2i}|} per pattern."""
+    return qwhittaker_pattern_sum(2 * n, lam, QSeriesCtx(0))
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +152,14 @@ def qwhittaker_pattern_sum(N: int, z: Sequence[int], ctx: QSeriesCtx) -> Laurent
 
 def qwhittaker_kernel(ctx: QSeriesCtx, nu: Sequence[int], lam: Sequence[int], n: int) -> LaurentPoly:
     """Two-slice kernel Q(nu, lam) linking rank n-1 to rank n, a Laurent
-    polynomial in the single variable a_n.  Zero when no middle level
-    interlaces between nu and lam."""
+    polynomial in a_n: the slice weights of levels 2n-1 and 2n summed over
+    the middle levels mu, zero when none interlaces between nu and lam."""
     lam_p = padded(lam, n)
     nu_c = canon(nu)
-
-    def terms():
-        for mu in interlacings(lam_p, n):
-            if not interlaces(nu_c, mu):
-                continue
-            w: Scalar = 1
-            for i in range(n - 1):
-                w = w * q_binomial(ctx, lam_p[i] - lam_p[i + 1], lam_p[i] - mu[i])
-                w = w * q_binomial(ctx, mu[i] - mu[i + 1], mu[i] - part(nu_c, i + 1))
-            w = w * q_binomial(ctx, lam_p[n - 1], lam_p[n - 1] - mu[n - 1])
-            yield (2 * sum(mu) - sum(nu_c) - sum(lam_p),), w
-
-    return LaurentPoly(1, terms())
+    return LaurentPoly(1, (((2 * sum(mu) - sum(nu_c) - sum(lam_p),),
+                            slice_binomials(ctx, 2 * n - 1, nu_c, mu)
+                            * slice_binomials(ctx, 2 * n, mu, lam_p))
+                           for mu in interlacings(lam_p, n) if interlaces(nu_c, mu)))
 
 
 _recursion_cache: dict = {}
@@ -187,7 +175,7 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
     polynomial is needed: ``compute``, the torus coefficients of ``law``,
     ``orthogonality_matrix``, ``reconstruct``, the Gram-Schmidt probe and
     the ledger's exact identities.  The dynamics evaluate characters at a
-    point by the slice recursion of ``dynamics._char`` instead.
+    point by the slice recursion of ``_char`` instead.
 
     Memoized in ``_recursion_cache`` under ``(n, lam, q, exact)``.  The
     exactness flag keeps ``q = 0.5`` and ``q = Fraction(1, 2)`` apart (they
@@ -218,6 +206,56 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
         result = LaurentPoly(n, terms())
     _recursion_cache[key] = result
     return result
+
+
+# ---------------------------------------------------------------------------
+# character oracle and Markov link
+# ---------------------------------------------------------------------------
+
+def bar_a(a: Sequence, k: int):
+    """Interleaved rate vector: odd levels carry a_l, even levels 1/a_l
+    (exact for an integer a_l)."""
+    l = (k + 1) // 2
+    return _f(a[l - 1]) if k % 2 else 1 / _f(a[l - 1])
+
+
+def _slice_weight(N: int, lower, upper, ctx: QSeriesCtx, a: Sequence) -> Scalar:
+    """Lambda weight of the bottom slice (level N-1 over level N)."""
+    return bar_a(a, N) ** (sum(upper) - sum(lower)) * slice_binomials(ctx, N, lower, upper)
+
+
+_char_cache: dict = {}
+
+
+def _char(N: int, z, ctx: QSeriesCtx, a: Sequence) -> Scalar:
+    """Pattern character of N levels with bottom level z, evaluated at a, by
+    one slice recursion for every N: the bottom slice weight times the
+    character of the N-1 levels above it, summed over the levels x that
+    interlace with z,
+    sum_x bar_a(a, N)^{|z|-|x|} slice_binomials(N, x, z) char(N-1, x).
+
+    Memoized in ``_char_cache`` under ``(N, z, q, exact, a, types of a)``:
+    the exactness flag and the types keep exact and float values apart,
+    since ``0.5 == Fraction(1, 2)`` and ``1.0 == Fraction(1)`` compare and
+    hash equal."""
+    if N == 0:
+        return 1
+    z = canon(z)
+    pt = tuple(a[:(N + 1) // 2])
+    key = (N, z, ctx.q, ctx.exact, pt, tuple(map(type, pt)))
+    value = _char_cache.get(key)
+    if value is None:
+        top = padded(z, level_len(N))
+        value = sum(_slice_weight(N, x, top, ctx, a) * _char(N - 1, x, ctx, a)
+                    for x in interlacings(top, level_len(N - 1)))
+        _char_cache[key] = value
+    return value
+
+
+def _link(N: int, x, z, ctx: QSeriesCtx, a: Sequence) -> Scalar:
+    """Markov link from level N to level N-1: the conditional weight of the
+    level x above the bottom level z, P_{N-1}(x) w(x, z) / P_N(z)."""
+    return _slice_weight(N, x, z, ctx, a) * _char(N - 1, x, ctx, a) / _char(N, z, ctx, a)
 
 
 # ---------------------------------------------------------------------------

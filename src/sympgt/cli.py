@@ -195,11 +195,12 @@ def _cmd_limit(args) -> int:
 
 def _cmd_sde(args) -> int:
     import numpy as np
-    from .continuous import ContinuousParams, level_dim, sde_simulate, wedge_start
+    from .combinatorics import level_len
+    from .continuous import ContinuousParams, sde_simulate, wedge_start
     params = ContinuousParams(len(args.lam), args.lam)
     x0 = wedge_start(args.N)
     if args.start:
-        sizes = [level_dim(k) for k in range(1, args.N + 1)]
+        sizes = [level_len(k) for k in range(1, args.N + 1)]
         if len(args.start) != sum(sizes):
             raise ValueError(f"--start takes {sum(sizes)} coordinates for --N {args.N} "
                              f"(levels 1..{args.N} of sizes {','.join(map(str, sizes))}), "

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .combinatorics import level_len
+
 
 @dataclass(frozen=True)
 class ContinuousParams:
@@ -39,10 +41,6 @@ class ContinuousParams:
 def _drift_ladder(lam: Sequence[float], N: int) -> tuple:
     """Drifts of levels 1..N: lam_i on level 2i-1 and -lam_i on level 2i."""
     return tuple(lam[(k - 1) // 2] * (1 if k % 2 else -1) for k in range(1, N + 1))
-
-
-def level_dim(k: int) -> int:
-    return (k + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +169,12 @@ _PHI_RANGE = {1: (-math.inf, math.inf), 2: (-12.5, 60.0), 3: (-12.5, 60.0), 4: (
 
 
 def _phi_point(N: int, lam: Sequence[float], x) -> np.ndarray:
-    """x as a float vector, once 1 <= N <= 4, lam has at least level_dim(N)
-    entries and x is a point of level_dim(N) coordinates in the measured
+    """x as a float vector, once 1 <= N <= 4, lam has at least level_len(N)
+    entries and x is a point of level_len(N) coordinates in the measured
     region of _PHI_RANGE."""
     if not 1 <= N <= 4:
         raise ValueError(f"Phi^(N) is implemented for 1 <= N <= 4, not N = {N}")
-    d = level_dim(N)
+    d = level_len(N)
     if len(lam) < d:
         raise ValueError(f"Phi^({N}) needs {d} lambda values, got {len(lam)}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -228,7 +226,7 @@ def log_phi(N: int, lam: Sequence[complex], x) -> complex:
     logw = _log_trapz_weights(m - 1, u[1] - u[0])
     pts, log_f, lw = np.zeros((1, 0)), np.zeros(1), np.zeros(1)
     for k in range(1, N + 1):
-        at, lw_at = (x[None, :], None) if k == N else _product_grid(u, logw, level_dim(k))
+        at, lw_at = (x[None, :], None) if k == N else _product_grid(u, logw, level_len(k))
         kernel = log_q_nnm1 if k % 2 else log_q_nn
         a = kernel(lam[(k - 1) // 2], at[:, None, :], pts[None, :, :]) + (log_f + lw)
         pts, log_f, lw = at, _log_sum_exp(a), lw_at
@@ -319,7 +317,7 @@ def wedge_start(N: int, gap: float = 8.0) -> list:
     starts at 0."""
     levels = []
     for k in range(1, N + 1):
-        l = level_dim(k)
+        l = level_len(k)
         base = (k - N) * gap
         levels.append(np.array([base - i * gap for i in range(l)]))
     return levels
@@ -334,9 +332,9 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
 
     All replicas share one grid of outer steps of length h.  At the start of
     each outer step a replica splits it into nsub equal substeps, nsub =
-    ceil(2 max(1, step max|drift|)) capped at 4096; the substeps then
-    advance in lockstep over the replicas that still have one left.  All
-    draws come from one ``Philox(SeedSequence(seed))`` stream: each substep
+    ceil(2 max(1, step max|drift|)) capped at 4096, so always at least 2;
+    the substeps then advance in lockstep over the replicas that still have
+    one left.  All draws come from one ``Philox(SeedSequence(seed))`` stream: each substep
     draws, over the replicas it advances, one block of standard normals of
     shape (replicas, level size) per level, level 1 first."""
     bar = params.drift_table(N)
@@ -352,7 +350,7 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
             step = min(h, t - clock)
             live = np.flatnonzero(ok)
             scale = np.maximum(1.0, step * _max_abs(_sde_drift([lv[live] for lv in levels], bar)))
-            nsub = np.fmin(4096, np.maximum(1, np.ceil(2 * scale)))
+            nsub = np.fmin(4096, np.ceil(2 * scale))
             for s in range(int(nsub.max(initial=0))):
                 busy = (nsub > s) & ok[live]
                 rows, sub = live[busy], step / nsub[busy, None]
@@ -527,8 +525,8 @@ def polymer_identity_check(N: int, lam: Sequence[float], t: float,
     does."""
     if N < 1:
         raise ValueError(f"--N must be at least 1, got {N}")
-    if len(lam) < level_dim(N):
-        raise ValueError(f"--lambda needs at least {level_dim(N)} values for --N {N}, "
+    if len(lam) < level_len(N):
+        raise ValueError(f"--lambda needs at least {level_len(N)} values for --N {N}, "
                          f"got {len(lam)}")
     if not t > 0:
         raise ValueError(f"--t must be positive, got {t}")

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import INF, QSeriesCtx, Scalar, _f
-from .characters import pieri_coefficients, slice_binomials
+from .characters import _char, _link, _slice_weight, bar_a, pieri_coefficients
 from .combinatorics import (
     GTPattern,
     canon,
@@ -40,9 +40,7 @@ def _qpow(q: Scalar, e) -> Scalar:
 
 def _coord(v: Sequence[int], i: int):
     """1-based access with v_0 = +infinity and v_j = 0 past the end."""
-    if i <= 0:
-        return INF
-    return v[i - 1] if i <= len(v) else 0
+    return INF if i <= 0 else part(v, i)
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +79,6 @@ def L_rate(ctx: QSeriesCtx, upper: Sequence[int], cur: Sequence[int], j: int) ->
         * (1 - _qpow(q, _coord(cur, j - 1) - _coord(cur, j) + 1))
     den = 1 - _qpow(q, _coord(upper, j - 1) - _coord(cur, j) + 1)
     return num / den if den != 0 else 0
-
-
-def bar_a(a: Sequence, k: int):
-    """Interleaved rate vector: odd levels carry a_l, even levels 1/a_l
-    (exact for an integer a_l)."""
-    l = (k + 1) // 2
-    return _f(a[l - 1]) if k % 2 else 1 / _f(a[l - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -265,43 +256,6 @@ def _apply_events(S: np.ndarray, lay: _Layout, ctx: QSeriesCtx, model: str,
         _cascade(S, lay, ctx, event + 1, rng)
     else:
         _push_chain(S, lay, event % lay.P, np.where(event < lay.P, 1, -1))
-
-
-# ---------------------------------------------------------------------------
-# character oracle
-# ---------------------------------------------------------------------------
-
-_char_cache: dict = {}
-
-
-def _char(N: int, z, ctx: QSeriesCtx, a: Sequence) -> Scalar:
-    """Pattern character of N levels with bottom level z, evaluated at a, by
-    one slice recursion for every N: the bottom slice weight times the
-    character of the N-1 levels above it, summed over the levels x that
-    interlace with z,
-    sum_x bar_a(a, N)^{|z|-|x|} slice_binomials(N, x, z) char(N-1, x).
-
-    Memoized in ``_char_cache`` under ``(N, z, q, exact, a, types of a)``:
-    the exactness flag and the types keep exact and float values apart,
-    since ``0.5 == Fraction(1, 2)`` and ``1.0 == Fraction(1)`` compare and
-    hash equal."""
-    if N == 0:
-        return 1
-    z = canon(z)
-    pt = tuple(a[:(N + 1) // 2])
-    key = (N, z, ctx.q, ctx.exact, pt, tuple(map(type, pt)))
-    value = _char_cache.get(key)
-    if value is None:
-        top = padded(z, level_len(N))
-        value = sum(_slice_weight(N, x, top, ctx, a) * _char(N - 1, x, ctx, a)
-                    for x in interlacings(top, level_len(N - 1)))
-        _char_cache[key] = value
-    return value
-
-
-def _slice_weight(N: int, lower, upper, ctx: QSeriesCtx, a: Sequence) -> Scalar:
-    """Lambda weight of the bottom slice (level N-1 over level N)."""
-    return bar_a(a, N) ** (sum(upper) - sum(lower)) * slice_binomials(ctx, N, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +493,7 @@ def verify_intertwining_randomized(N: int, probes: Sequence, ctx: QSeriesCtx,
     Returns a list of (probe, y, lhs, rhs, ok)."""
     return _verify_intertwining(
         N, probes, ctx, a,
-        m=lambda x, y: (_slice_weight(N, x, y, ctx, a) * _char(N - 1, x, ctx, a)
-                        / _char(N, y, ctx, a)),
+        m=lambda x, y: _link(N, x, y, ctx, a),
         sources=lambda y: ((x, y) for x in interlacings(y, level_len(N - 1))),
         row=lambda x, y: helper_row_randomized(N, x, y, ctx, a),
         diagonal=lambda x, y: helper_diag_randomized(N, x, y, ctx, a))
@@ -599,15 +552,11 @@ def helper_row_cascade(n: int, x: tuple, y: tuple, z: tuple, ctx: QSeriesCtx,
 def verify_intertwining_cascade(n: int, probes: Sequence, ctx: QSeriesCtx,
                                 a: Sequence) -> list:
     """Exact check of the cascade helper identity for three-level probes
-    (x', y', z'):  Q(z, z') m(x', y', z') = sum m(x, y, z) A(...)."""
-
-    def m3(x, y, z):
-        # weight of the two bottom slices over the collapsed block of rank n-1
-        w = _slice_weight(2 * n - 1, x, y, ctx, a) * _slice_weight(2 * n, y, z, ctx, a)
-        return w * _char(2 * (n - 1), x, ctx, a) / _char(2 * n, z, ctx, a)
-
+    (x', y', z'):  Q(z, z') m(x', y', z') = sum m(x, y, z) A(...), with m
+    the two links from the bottom level z to y and from y to x."""
     return _verify_intertwining(
-        2 * n, probes, ctx, a, m3,
+        2 * n, probes, ctx, a,
+        m=lambda x, y, z: _link(2 * n, y, z, ctx, a) * _link(2 * n - 1, x, y, ctx, a),
         sources=lambda z: ((x, y, z) for y in interlacings(z, n)
                            for x in interlacings(y, n - 1)),
         row=lambda x, y, z: helper_row_cascade(n, x, y, z, ctx, a),

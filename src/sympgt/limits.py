@@ -12,7 +12,7 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from .continuous import central_derivatives, log_phi
+from .continuous import _PHI_RANGE, central_derivatives, log_phi
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,8 +152,17 @@ def so_whittaker(n: int, lam, x) -> complex:
     continuous.log_phi for the quadrature, the region where its error was
     measured (x + log 2 in it, else ValueError) and that error."""
     lam = tuple(complex(l) for l in np.atleast_1d(lam))[:n]
-    x = np.atleast_1d(np.asarray(x, dtype=float)) + math.log(2.0)
-    return 2.0 ** -sum(lam) * cmath.exp(log_phi(2 * n, lam, x))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if n not in (1, 2) or len(lam) < n or x.shape != (n,):
+        raise ValueError(f"so(2n+1) Whittaker functions take n = 1 or 2, n lambda values and "
+                         f"x of n coordinates, not n = {n}, {len(lam)} lambda values and "
+                         f"x = {x.tolist()}")
+    try:
+        return 2.0 ** -sum(lam) * cmath.exp(log_phi(2 * n, lam, x + math.log(2.0)))
+    except ValueError as exc:
+        lo, hi = (v - math.log(2.0) for v in _PHI_RANGE[2 * n])
+        raise ValueError(f"so({2 * n + 1}) Whittaker function is measured on [{lo:.4g}, "
+                         f"{hi:.4g}] with x_(i+1) <= x_i + 2, not at {x.tolist()}") from exc
 
 
 def so_eigen_residual(lam: complex, x: float) -> float:

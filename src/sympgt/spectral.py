@@ -32,16 +32,6 @@ from .combinatorics import padded, part, partitions_max_weight
 Evaluable = Union[LaurentPoly, Callable]
 
 
-def _poch_grid(x: np.ndarray, q: float, terms: int) -> np.ndarray:
-    """Truncated (x;q)_infinity on an array."""
-    out = np.ones_like(x, dtype=complex)
-    qk = 1.0
-    for _ in range(terms):
-        out = out * (1 - x * qk)
-        qk *= q
-    return out
-
-
 def pochhammer_depth(q: float) -> int:
     """Default truncation of (x;q)_infinity: at least 60 factors, and enough
     that |q|^K < 1e-17.  The product diverges for |q| >= 1."""
@@ -52,20 +42,18 @@ def pochhammer_depth(q: float) -> int:
     return max(60, math.floor(math.log(1e-17) / math.log(abs(q))) + 1)
 
 
-# (n, q, t0, truncation) -> probe residual, for constructions that passed
-_truncation_checked: dict = {}
-
-
 @dataclass
 class TorusQuadrature:
     """Uniform trapezoid nodes on the n-torus with the orthogonality weight
     cached; spectrally accurate for Laurent-polynomial integrands.  A
-    truncation of 0 means ``pochhammer_depth(q)``."""
+    truncation of 0 means ``pochhammer_depth(q)``; each construction probes
+    it and keeps the probe's residual as ``truncation_residual``."""
     n: int
     nodes: int = 0
     q: float = 0.5
     t0: float = 0.0
     truncation: int = 0
+    truncation_residual: float = field(init=False, compare=False)
     _weight_spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                                    compare=False)
 
@@ -74,22 +62,20 @@ class TorusQuadrature:
             self.nodes = 4096 if self.n == 1 else 512
         if self.truncation == 0:
             self.truncation = pochhammer_depth(self.q)
-        key = (self.n, self.q, self.t0, self.truncation)
-        if key not in _truncation_checked:
-            # 16 points off the zeros of the weight: axis j is shifted by 0.7 j,
-            # since a_j = a_k would zero every pair factor
-            probe = [np.exp(1j * (2 * np.pi * np.arange(16) / 16 + 0.1 + 0.7 * j))
-                     for j in range(self.n)]
-            cur = self._weight(self.truncation, probe)
-            residual = float(np.abs(self._weight(2 * self.truncation, probe) - cur).max())
-            if residual > 1e-10:
-                raise ValueError(f"pochhammer truncation {self.truncation} too short "
-                                 f"for q = {self.q} (residual {residual:.1e}); raise it")
-            # relative: at q = 0.9 the weight reaches 1e7, whose rounding
-            # alone exceeds an absolute 1e-9
-            if float(np.abs(cur.imag).max()) > 1e-9 * float(np.abs(cur).max()):
-                raise ValueError("weight not real on the torus")
-            _truncation_checked[key] = residual
+        # 16 points off the zeros of the weight: axis j is shifted by 0.7 j,
+        # since a_j = a_k would zero every pair factor
+        probe = [np.exp(1j * (2 * np.pi * np.arange(16) / 16 + 0.1 + 0.7 * j))
+                 for j in range(self.n)]
+        cur = self._weight(self.truncation, probe)
+        residual = float(np.abs(self._weight(2 * self.truncation, probe) - cur).max())
+        if residual > 1e-10:
+            raise ValueError(f"pochhammer truncation {self.truncation} too short "
+                             f"for q = {self.q} (residual {residual:.1e}); raise it")
+        # relative: at q = 0.9 the weight reaches 1e7, whose rounding
+        # alone exceeds an absolute 1e-9
+        if float(np.abs(cur.imag).max()) > 1e-9 * float(np.abs(cur).max()):
+            raise ValueError("weight not real on the torus")
+        self.truncation_residual = residual
         N = self.nodes
         circle = np.exp(2j * np.pi * np.arange(N) / N)
         idx = [np.arange(N).reshape([N if k == j else 1 for k in range(self.n)])
@@ -97,11 +83,11 @@ class TorusQuadrature:
         self.grids = [circle[i] for i in idx]
         # |(e^{i phi};q)_inf|^2 at phi = 2 pi m / N: the weight is a product of
         # these at 2 theta_j and theta_j +- theta_k, gathered by index mod N
-        factor = np.abs(_poch_grid(circle, self.q, self.truncation)) ** 2
+        poch = functools.partial(q_pochhammer, QSeriesCtx(float(self.q), self.truncation), k=INF)
+        factor = np.abs(poch(circle)) ** 2
         single = factor[2 * np.arange(N) % N]
         if self.t0:
-            single = single / np.abs(_poch_grid(self.t0 * circle, self.q,
-                                                self.truncation)) ** 2
+            single = single / np.abs(poch(self.t0 * circle)) ** 2
         self.weight = np.ones([N] * self.n)
         for j in range(self.n):
             self.weight *= single[idx[j]]
@@ -111,19 +97,16 @@ class TorusQuadrature:
     def _weight(self, terms: int, grids: Sequence[np.ndarray]) -> np.ndarray:
         """The weight as the complex product of its 2n + 4 binom(n, 2)
         Pochhammer symbols (2n more with t0) at the given points."""
-        q = self.q
+        poch = functools.partial(q_pochhammer, QSeriesCtx(float(self.q), terms), k=INF)
         w = np.ones(np.broadcast(*grids).shape, dtype=complex)
-        for j in range(self.n):
-            aj = grids[j]
-            w = w * _poch_grid(aj ** 2, q, terms) * _poch_grid(aj ** -2, q, terms)
+        for aj in grids:
+            w = w * poch(aj ** 2) * poch(aj ** -2)
             if self.t0:
-                w = w / (_poch_grid(self.t0 * aj, q, terms)
-                         * _poch_grid(self.t0 / aj, q, terms))
+                w = w / (poch(self.t0 * aj) * poch(self.t0 / aj))
         for j in range(self.n):
             for k in range(j + 1, self.n):
                 aj, ak = grids[j], grids[k]
-                w = w * _poch_grid(aj * ak, q, terms) * _poch_grid(ak / aj, q, terms) \
-                      * _poch_grid(aj / ak, q, terms) * _poch_grid(1 / (aj * ak), q, terms)
+                w = w * poch(aj * ak) * poch(ak / aj) * poch(aj / ak) * poch(1 / (aj * ak))
         return w
 
     def spectrum(self, F: Optional[np.ndarray] = None) -> np.ndarray:

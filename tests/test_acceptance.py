@@ -14,6 +14,8 @@ def test_quick_ledger_passes():
     quick = [name for name, _fn, q in acceptance.REGISTRY if q]
     assert ledger["passed"] and ledger["soft_failures"] == []
     assert [r["name"] for r in ledger["checks"]] == quick
+    # numpy bools would reach the JSON ledger as the string "True"
+    assert all(type(r["passed"]) is bool and type(r["soft"]) is bool for r in ledger["checks"])
     by_name = {r["name"]: r for r in ledger["checks"]}
     ortho = by_name["orthogonality"]
     assert max(ortho["rank1_max_error"], ortho["rank2_max_error"]) <= 1e-13

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction as F
 
@@ -18,7 +19,7 @@ from sympgt.characters import (
     symplectic_schur_tableaux,
     symplectic_schur_weyl,
 )
-from sympgt.combinatorics import partitions_max_weight
+from sympgt.combinatorics import canon, interlacings, padded, partitions_max_weight
 
 POINTS2 = [(F(2), F(3)), (F(1, 2), F(5)), (F(3, 7), F(7, 2)),
            (F(5, 3), F(2, 9)), (F(4), F(9, 5))]
@@ -205,3 +206,44 @@ def test_pattern_sum_builds_each_slice_weight_once(monkeypatch):
     assert qwhittaker_pattern_sum(6, (3, 1, 1), ctx) == want
     assert set(calls.values()) == {1}
     assert sum(1 for _ in characters.enumerate_patterns((3, 1, 1), 6)) * 6 > len(calls)
+
+
+# SHA-256 of the canonical forms below.  They hold every output bit of the
+# float recursion and kernel, whose rounding follows the order in which the
+# slice q-binomials are multiplied, and of symplectic_schur_patterns, the
+# pattern character at q = 0
+PINS = {
+    "recursion 0.5": "cc1532ce325afd5527330a1f8169bf84223d4f8c14275f779594b9bcae15a33c",
+    "kernel 1/3": "4c0acd005e5cbeccf03f69be2cb229413f0964c72173b8ada041d4e0708cdf8f",
+    "kernel 0.5": "392cfdc988722a2344813edece4672ff75d0a60e56f5b1325189c5af3207644c",
+    "schur patterns": "8027ddf5e599950a3b1999b57dc531a15e82504eddacddb836b34c93ade6b19f",
+}
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_recursion_is_pinned():
+    ctx = QSeriesCtx(0.5)
+    assert _digest(f"{n} {z} {qwhittaker_recursion(n, z, ctx).canonical()}"
+                   for n in (2, 3) for z in partitions_max_weight(n, 5)) == PINS["recursion 0.5"]
+
+
+@pytest.mark.parametrize("q", [F(1, 3), 0.5])
+def test_kernel_is_pinned_on_the_pairs_the_recursion_visits(q):
+    ctx = QSeriesCtx(q)
+    lines = []
+    for n in (2, 3):
+        for lam in partitions_max_weight(n, 5):
+            lam_p = padded(lam, n)
+            for nu in dict.fromkeys(canon(nu) for mu in interlacings(lam_p, n)
+                                    for nu in interlacings(mu, n - 1)):
+                lines.append(f"{n} {nu} {lam} {qwhittaker_kernel(ctx, nu, lam_p, n).canonical()}")
+    assert _digest(lines) == PINS[f"kernel {q}"]
+
+
+def test_schur_patterns_are_pinned():
+    assert _digest(f"{n} {lam} {symplectic_schur_patterns(n, lam).canonical()}"
+                   for n in (1, 2, 3) for lam in partitions_max_weight(n, 4)) \
+        == PINS["schur patterns"]

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from sympgt import characters, dynamics
 from sympgt.algebra import QSeriesCtx
-from sympgt.characters import qwhittaker_pattern_sum, qwhittaker_recursion
-from sympgt.combinatorics import (enumerate_patterns, interlacings, level_len,
+from sympgt.characters import (_char, _link, bar_a, qwhittaker_pattern_sum,
+                               qwhittaker_recursion)
+from sympgt.combinatorics import (enumerate_patterns, interlacings, level_len, padded,
                                   partitions_max_weight)
 from sympgt.dynamics import (
     GeneratorMatrix,
@@ -15,10 +17,8 @@ from sympgt.dynamics import (
     R_rate,
     _apply_events,
     _cascade,
-    _char,
     _event_rates,
     _Layout,
-    bar_a,
     build_generator,
     helper_row_randomized,
     l_prob,
@@ -216,6 +216,21 @@ def test_char_memo_keeps_exact_and_float_apart():
     assert isinstance(_char(3, (2, 1), exact_ctx, (F(1), F(1))), F)
     assert isinstance(_char(2, (3,), exact_ctx, (1.0,)), float)
     assert isinstance(_char(2, (3,), exact_ctx, (F(1),)), F)
+
+
+def test_dynamics_reads_the_oracle_of_characters():
+    assert dynamics._char is characters._char
+    assert dynamics._link is characters._link
+
+
+def test_link_is_a_markov_kernel():
+    ctx = QSeriesCtx(F(1, 3))
+    a = (F(3, 2), F(4, 5), F(5, 4))
+    for N in range(1, 6):
+        for z in partitions_max_weight(level_len(N), 4):
+            top = padded(z, level_len(N))
+            assert sum(_link(N, x, top, ctx, a)
+                       for x in interlacings(top, level_len(N - 1))) == 1
 
 
 def test_generator_rows_conserve_even():

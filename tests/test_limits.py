@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import mpmath as mp
@@ -151,7 +152,18 @@ def test_rank_limits_enforced():
     s = ScalingCtx(0.1, (0.7, 0.3, 0.1))
     with pytest.raises(ValueError):
         scaled_qwhittaker(s, 3, (2.0, 1.0, 0.0))
-    with pytest.raises(ValueError, match="1 <= N <= 4"):
-        so_whittaker(3, (0.7j, 0.3j, 0.1j), (2.0, 1.0, 0.0))
-    with pytest.raises(ValueError, match="2 coordinates"):
-        so_whittaker(2, (0.7j, 0.3j), (2.0,))
+
+
+def test_so_whittaker_errors_speak_of_so_and_the_callers_point():
+    for args, tail in (((2, (0.7j, 0.3j), (2.0,)), "n = 2, 2 lambda values and x = [2.0]"),
+                       ((3, (0.7j, 0.3j, 0.1j), (2.0, 1.0, 0.0)),
+                        "n = 3, 3 lambda values and x = [2.0, 1.0, 0.0]"),
+                       ((2, (0.7j,), (1.0, 0.0)), "n = 2, 1 lambda values and x = [1.0, 0.0]")):
+        with pytest.raises(ValueError, match=re.escape("so(2n+1) Whittaker functions take n = 1 "
+                                                       "or 2, n lambda values and x of n "
+                                                       "coordinates, not " + tail)):
+            so_whittaker(*args)
+    with pytest.raises(ValueError, match=re.escape(
+            "so(5) Whittaker function is measured on [-2.693, 11.31] "
+            "with x_(i+1) <= x_i + 2, not at [0.0, -3.0]")):
+        so_whittaker(2, (0.7j, 0.3j), (0.0, -3.0))

@@ -255,8 +255,11 @@ def test_real_weight_equals_complex_product(n, nodes, t0):
 
 
 def test_short_truncation_raises_on_every_construction():
-    TorusQuadrature(1, nodes=64, q=0.5)
     for _ in range(2):
+        # every construction probes its own truncation and keeps the residual
+        short = TorusQuadrature(1, nodes=64, q=0.5, truncation=45)
+        full = TorusQuadrature(1, nodes=64, q=0.5)
+        assert full.truncation_residual < 1e-15 < short.truncation_residual <= 1e-10
         with pytest.raises(ValueError, match="truncation 5 too short"):
             TorusQuadrature(1, nodes=64, q=0.5, truncation=5)
         with pytest.raises(ValueError, match="truncation 60 too short"):
