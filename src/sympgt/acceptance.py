@@ -36,6 +36,7 @@ from .continuous import (
     polymer_identity_check,
 )
 from .dynamics import (
+    ShapeLaw,
     SimConfig,
     build_generator,
     simulate,
@@ -43,7 +44,8 @@ from .dynamics import (
     verify_intertwining_randomized,
 )
 from .limits import convergence_table
-from .spectral import conjecture_distance, koornwinder_apply, law, moments, orthogonality_matrix
+from .spectral import (conjecture_distance, gram_schmidt_koornwinder, koornwinder_apply, law,
+                       moments, orthogonality_matrix)
 
 
 def _generic_points(n, count=5):
@@ -257,17 +259,14 @@ def check_simulation_vs_law():
     (TV <= 0.01), and the torus-integral law (TV <= 0.02), 1e5 replicas."""
     cfg = SimConfig("randomized", 2, (1.0,), 0.5, 2.0, 100000, 20260826)
     hist = simulate(cfg)
-    total = sum(hist.values())
-    emp = {z: c / total for z, c in hist.items()}
-    gen = build_generator(2, 40, QSeriesCtx(F(1, 2)), (F(1),))
-    row = gen.transient(2.0, ())
-    tv_expm = 0.5 * sum(abs(emp.get(z, 0.0) - row[j]) for j, z in enumerate(gen.states))
-    tab = law(1, 2.0, (1.0,), 0.5, 40).table
-    tv_law = 0.5 * sum(abs(emp.get(z, 0.0) - tab.get(z, 0.0))
-                       for z in set(emp) | set(tab))
+    emp = ShapeLaw({z: c / cfg.replicas for z, c in hist.items()}, 0.0)
+    row = build_generator(2, 40, QSeriesCtx(F(1, 2)), (F(1),)).transient(2.0, ())
+    torus = law(1, 2.0, (1.0,), 0.5, 40)
+    tv_expm, tv_law = emp.tv(row), emp.tv(torus)
     return {"name": "simulation-vs-law", "passed": tv_expm <= 0.01 and tv_law <= 0.02,
             "replicas": cfg.replicas, "seed": cfg.seed,
             "tv_vs_expm": tv_expm, "tv_vs_torus_law": tv_law,
+            "reference_errors": {"expm": row.error, "torus": torus.error},
             "tolerances": {"expm": 0.01, "torus": 0.02}}
 
 
@@ -347,7 +346,8 @@ def check_polymer_identity():
 def check_orthogonality_conjecture():
     """Reported coefficient distance between the small-t0 orthogonalized
     family and the recursion-defined character at rank 2; never a gate."""
-    dists = {str(lam): conjecture_distance(2, lam, 0.4, 1e-3)
+    family = gram_schmidt_koornwinder(2, 0.4, 1e-3, 2)
+    dists = {str(lam): conjecture_distance(2, lam, 0.4, 1e-3, family=family)
              for lam in [(1,), (1, 1), (2,)]}
     return {"name": "orthogonality-conjecture", "passed": True, "soft": True,
             "t0": 1e-3, "coefficient_distances": dists}

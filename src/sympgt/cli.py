@@ -148,14 +148,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_law(args) -> int:
     from .spectral import law
-    table = law(args.n, args.t, args.a, args.q, args.window)
+    lt = law(args.n, args.t, args.a, args.q, args.window)
     rows = [{"shape": ",".join(map(str, z)) or "0", "probability": p,
-             "noise_floor": table.noise.get(z, 0.0)}
-            for z, p in sorted(table.table.items())]
+             "noise_floor": lt.noise[z]}
+            for z, p in sorted(lt.table.items())]
     _emit({"schema": SCHEMA, "n": args.n, "t": args.t, "a": list(args.a),
-           "q": args.q, "window": args.window,
-           "mass_defect": table.mass_defect, "clamped_mass": table.clamped_mass,
-           "clamped_states": table.clamped_states, "rows": rows},
+           "q": args.q, "window": args.window, **lt.stats, "rows": rows},
           args, ["shape", "probability", "noise_floor"])
     return 0
 

@@ -161,13 +161,6 @@ class SymplecticTableau:
                 if x < 2 * (i + 1) - 1:
                     raise ValueError(f"S3 violated: entry {letter_str(x)} < {i + 1} in row {i + 1}")
 
-    def is_valid(self, n: int) -> bool:
-        try:
-            self.validate(n)
-            return True
-        except ValueError:
-            return False
-
     def count_letter(self, letter: int) -> int:
         return sum(row.count(letter) for row in self.rows)
 
@@ -252,13 +245,6 @@ class GTPattern:
                 raise ValueError(f"level {k} not weakly decreasing")
             if k > 1 and not interlaces(self.levels[k - 2], lv):
                 raise ValueError(f"levels {k - 1} and {k} do not interlace")
-
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-            return True
-        except ValueError:
-            return False
 
     def to_json(self) -> str:
         return json.dumps([list(lv) for lv in self.levels])

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -220,11 +220,13 @@ def _cascade(S: np.ndarray, lay: _Layout, ctx: QSeriesCtx, level: np.ndarray, rn
         draws = wall | ~impulse
         u = np.ones(len(rows))
         u[draws] = rng.random(int(draws.sum()))
-        # r_prob(level k, level k+1, j) and l_prob(level k, level k+1, j)
+        # r_prob(level k, level k+1, j) and l_prob(level k, level k+1, j);
+        # q^e only where e >= 0, as the rows with e < 0 never read theirs
         x = lambda i: snap[rows, col[k, j + i]]
         y = lambda i: snap[rows, col[k + 1, j + i]]
-        r = _ratio(q ** (y(0) - x(0)) * (1 - q ** (x(-1) - y(0))), 1 - q ** (x(-1) - x(0)))
-        l = _ratio(q ** (x(0) - y(1)) * (1 - q ** (y(1) - x(1))), 1 - q ** (x(0) - x(1)))
+        qe = lambda e: np.power(q, e, out=np.zeros_like(e), where=e >= 0)
+        r = _ratio(qe(y(0) - x(0)) * (1 - qe(x(-1) - y(0))), 1 - qe(x(-1) - x(0)))
+        l = _ratio(qe(x(0) - y(1)) * (1 - qe(y(1) - x(1))), 1 - qe(x(0) - x(1)))
         right, left = mode == _AFTER_RIGHT, mode == _AFTER_LEFT
         ok = u < np.where(left, l, r)
         here, there = col[k, j], col[k + 1, j]
@@ -295,6 +297,27 @@ def sample_initial(z: Sequence[int], N: int, ctx: QSeriesCtx, a: Sequence[float]
 # bottom-level generator
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ShapeLaw:
+    """A law of the bottom shape: ``table`` maps each shape to its
+    probability, ``error`` bounds the total mass by which ``table`` can be
+    off, ``noise`` maps shapes to their noise floor (empty where the producer
+    has none) and ``stats`` holds what the producer counted."""
+    table: dict
+    error: float
+    noise: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)
+
+    def tv(self, other: "ShapeLaw") -> float:
+        """Total variation 1/2 sum |p - p'| over the union of the supports."""
+        return 0.5 * sum(abs(self.table.get(z, 0.0) - other.table.get(z, 0.0))
+                         for z in set(self.table) | set(other.table))
+
+    def mean(self, f: Callable) -> float:
+        """sum_z f(z) p_z."""
+        return sum(f(z) * p for z, p in self.table.items())
+
+
 @dataclass
 class GeneratorMatrix:
     states: list                    # list of shape tuples
@@ -312,7 +335,7 @@ class GeneratorMatrix:
             Q[i, i] = float(self.diagonal[i])
         return Q
 
-    def transient(self, t: float, start) -> np.ndarray:
+    def transient(self, t: float, start) -> ShapeLaw:
         """Row ``start`` (a shape) of expm(t Q), by uniformization: with
         Lambda = max |Q_ii| and P = I + Q / Lambda, expm(t Q) is the Poisson
         mixture sum_n e^{-Lambda t} (Lambda t)^n / n! P^n, and a row vector
@@ -321,29 +344,28 @@ class GeneratorMatrix:
         (n + 1 - Lambda t), is below 1e-16.  When Lambda t > 500, t is split
         into ceil(Lambda t / 500) equal pieces, so e^{-Lambda t} never
         underflows.  Boundary rows leak mass, which only makes P
-        substochastic."""
+        substochastic: the law's ``error`` is that leaked mass, 1 - sum v."""
         if t < 0:
             raise ValueError(f"t must be nonnegative, got {t}")
         Q = self.dense()
         v = np.zeros(len(self.states))
         v[self.index[start]] = 1.0
         lam = float(-Q.diagonal().min(initial=0.0))
-        if lam * t == 0:
-            return v
-        P = Q / lam
-        P[np.diag_indices_from(P)] += 1
-        pieces = math.ceil(lam * t / 500)
-        lt = lam * t / pieces
-        for _ in range(pieces):
-            w = math.exp(-lt)
-            term, v = v, w * v
-            n = 0
-            while n < lt or w * lt / (n + 1 - lt) >= 1e-16:
-                n += 1
-                term = term @ P
-                w *= lt / n
-                v += w * term
-        return v
+        if lam * t > 0:
+            P = Q / lam
+            P[np.diag_indices_from(P)] += 1
+            pieces = math.ceil(lam * t / 500)
+            lt = lam * t / pieces
+            for _ in range(pieces):
+                w = math.exp(-lt)
+                term, v = v, w * v
+                n = 0
+                while n < lt or w * lt / (n + 1 - lt) >= 1e-16:
+                    n += 1
+                    term = term @ P
+                    w *= lt / n
+                    v += w * term
+        return ShapeLaw(dict(zip(self.states, v)), max(0.0, 1.0 - float(v.sum())))
 
 
 def _moves(N: int, z, ctx: QSeriesCtx):

@@ -28,6 +28,7 @@ import numpy as np
 from .algebra import INF, LaurentPoly, QSeriesCtx, q_pochhammer
 from .characters import monomial_symmetric, qwhittaker_recursion
 from .combinatorics import padded, part, partitions_max_weight
+from .dynamics import ShapeLaw
 
 Evaluable = Union[LaurentPoly, Callable]
 
@@ -175,30 +176,14 @@ def pi_norm(a: Sequence[float], t: float) -> float:
     return math.exp(sum(x + 1 / x for x in a) * t)
 
 
-@dataclass
-class LawTable:
-    n: int
-    t: float
-    a: tuple
-    q: float
-    table: dict                     # shape -> probability
-    mass_defect: float
-    noise: dict = field(default_factory=dict)   # shape -> quadrature noise floor
-    clamped_mass: float = 0.0       # sum of the negative probabilities set to 0
-    clamped_states: int = 0         # how many were set
-
-    def mean(self, f: Callable, reliable_only: bool = False) -> float:
-        if reliable_only:
-            return sum(f(z) * p for z, p in self.table.items()
-                       if p > 20 * self.noise.get(z, 0.0))
-        return sum(f(z) * p for z, p in self.table.items())
-
-
 def law(n: int, t: float, a: Sequence[float], q: float, window: int,
-        quad: Optional[TorusQuadrature] = None, tol: float = 1e-6) -> LawTable:
+        quad: Optional[TorusQuadrature] = None, tol: float = 1e-6) -> ShapeLaw:
     """Time-t distribution of the bottom shape started from the empty shape:
     p_t(z) is the character at the real point times the torus coefficient of
-    the exponential generating function, normalized by exp(sum(a+1/a) t)."""
+    the exponential generating function, normalized by exp(sum(a+1/a) t).
+    Negative p_t(z) are clamped to 0.  ``error`` is |mass defect| + |clamped
+    mass| + the summed noise floors; ``stats`` holds the mass defect 1 - sum p
+    (after the clamp), the clamped mass and the number of clamped states."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     quad = quad or TorusQuadrature(n, q=q)
@@ -231,7 +216,9 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     if defect < -tol:
         raise ValueError(f"window mass defect {defect:.2e} is below -{tol:.0e}: states "
                          "past the quadrature noise floor add mass; shrink the window")
-    return LawTable(n, t, a, q, table, defect, noise, clamped_mass, clamped_states)
+    return ShapeLaw(table, abs(defect) + abs(clamped_mass) + sum(noise.values()), noise,
+                    {"mass_defect": defect, "clamped_mass": clamped_mass,
+                     "clamped_states": clamped_states})
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +456,10 @@ def _rank_one_law(t: float, a: float, q: float, zmax: int) -> tuple:
 def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
             window: int = 40) -> dict:
     """<q^{-k Z_1}> by three independent routes: direct law summation,
-    Koornwinder operator powers, and nested contour integrals."""
+    Koornwinder operator powers, and nested contour integrals.  Above rank
+    1, direct is the mean over ``law``, whose ``error`` bounds its mass but
+    not this sum: q^{-kz} amplifies the noise, so for k > 0 a state counts
+    only when its probability exceeds 20 times its noise floor."""
     if not 0 < q < 1:
         raise ValueError(f"--q must lie in (0, 1), got {q}")
     if t < 0:
@@ -482,8 +472,9 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
     if n == 1:
         direct = _direct_moment_rank_one(k, t, a[0], q, zmax=window)
     else:
-        direct = law(n, t, a, q, window).mean(lambda z: q ** (-k * part(z, 1)),
-                                              reliable_only=k > 0)
+        lt = law(n, t, a, q, window)
+        direct = lt.mean(lambda z: q ** (-k * part(z, 1))
+                         if k == 0 or lt.table[z] > 20 * lt.noise[z] else 0.0)
 
     def Pi(pt):
         return np.exp(sum((u + 1 / u) * t for u in pt))

@@ -15,6 +15,7 @@ from sympgt.dynamics import (
     SimConfig,
     L_rate,
     R_rate,
+    ShapeLaw,
     _apply_events,
     _cascade,
     _event_rates,
@@ -289,7 +290,9 @@ def _two_level_probes(N, shapes):
 def _assert_transient_matches_expm(gen, t, starts):
     ref = expm(t * gen.dense())
     for z in starts:
-        assert np.abs(gen.transient(t, z) - ref[gen.index[z]]).max() <= 1e-13
+        row = gen.transient(t, z)
+        assert list(row.table) == gen.states
+        assert np.abs(np.array(list(row.table.values())) - ref[gen.index[z]]).max() <= 1e-13
 
 
 def test_transient_matches_expm_at_the_ledger_point():
@@ -311,7 +314,27 @@ def test_transient_splits_long_horizons():
                              [200 * d for d in gen.diagonal], gen.boundary)
     assert -scaled.dense().diagonal().min() * 2.0 > 500  # e^{-Lambda t} would underflow
     _assert_transient_matches_expm(scaled, 2.0, [(), (20,)])
-    assert np.array_equal(gen.transient(0.0, (3,)), np.eye(len(gen.states))[gen.index[(3,)]])
+    at_zero = gen.transient(0.0, (3,))
+    assert at_zero.table == {z: float(z == (3,)) for z in gen.states} and at_zero.error == 0
+
+
+def test_transient_reports_the_mass_its_boundary_leaks():
+    # the error is 1 - sum p, and it falls strictly as the cap C rises
+    errors = []
+    for C in (4, 6, 8):
+        row = build_generator(4, C, QSeriesCtx(0.5), (1.3, 0.9)).transient(1.0, ())
+        assert abs(row.error - (1 - sum(row.table.values()))) <= 1e-15
+        errors.append(row.error)
+    assert errors[0] > errors[1] > errors[2] > 0
+    assert errors[0] == pytest.approx(0.155, abs=1e-3)
+
+
+def test_shape_law_tv():
+    p = ShapeLaw({(): 0.25, (1,): 0.75}, 0.0)
+    r = ShapeLaw({(1,): 0.5, (2,): 0.5}, 0.0)
+    assert p.tv(p) == 0 and p.tv(r) == r.tv(p) == 0.5
+    assert p.tv(ShapeLaw({(3,): 1.0}, 0.0)) == 1
+    assert p.mean(lambda z: sum(z) + 1) == 1.75
 
 
 def test_intertwining_randomized_even():
@@ -365,15 +388,11 @@ def test_sample_initial_distribution():
 
 def _tv_to_generator(cfg, C, ctx, a):
     """TV distance between a simulated histogram and the time-t row of
-    expm(t Q) of the truncated shape-chain generator."""
-    hist = simulate(cfg)
+    expm(t Q) of the truncated shape-chain generator, by scipy."""
+    emp = ShapeLaw({z: c / cfg.replicas for z, c in simulate(cfg).items()}, 0.0)
     gen = build_generator(cfg.N, C, ctx, a)
     p = expm(cfg.t * gen.dense())[gen.index[cfg.start], :]
-    emp = np.zeros(len(gen.states))
-    for shape, c in hist.items():
-        emp[gen.index[shape]] += c
-    emp /= cfg.replicas
-    return 0.5 * np.abs(emp - p).sum()
+    return emp.tv(ShapeLaw(dict(zip(gen.states, p)), 0.0))
 
 
 def test_simulate_berele_matches_generator():
@@ -411,6 +430,20 @@ def test_simulate_seeded_histograms_are_pinned():
         (3, 1): 88, (3, 2): 24, (3, 3): 4, (4,): 7, (4, 1): 32, (4, 2): 15,
         (4, 3): 4, (5,): 4, (5, 1): 14, (5, 2): 7, (5, 3): 4, (6, 2): 4,
         (6, 3): 1, (7, 1): 1, (8, 1): 1}
+
+
+def test_cascade_at_q_zero_raises_no_float_error():
+    # q^e with e < 0 is inf at q = 0; the cascade computes only the q^e it reads
+    with np.errstate(all="raise"):
+        hist = simulate(SimConfig("berele", 4, (1, 1), 0.0, 1.0, 2000, 1))
+    assert sum(hist.values()) == 2000
+    # a seeded cascade histogram at q > 0, recorded before that guard
+    cfg = SimConfig("berele", 4, (1.3, 0.9), 0.5, 1.0, 300, 3)
+    assert simulate(cfg) == {
+        (): 3, (1,): 24, (1, 1): 8, (2,): 50, (2, 1): 29, (2, 2): 3, (3,): 39,
+        (3, 1): 35, (3, 2): 8, (4,): 26, (4, 1): 23, (4, 2): 12, (4, 3): 4,
+        (5,): 8, (5, 1): 9, (5, 2): 5, (5, 3): 1, (6,): 3, (6, 1): 4, (6, 2): 2,
+        (6, 3): 2, (7,): 2}
 
 
 def test_simulate_validates_patterns():

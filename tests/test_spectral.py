@@ -80,10 +80,10 @@ def test_law_is_delta_at_time_zero():
 
 def test_law_normalizes_and_nonnegative():
     lt = law(1, 1.0, (1.0,), 0.5, 40)
-    assert abs(lt.mass_defect) < 1e-9
+    assert abs(lt.stats["mass_defect"]) < 1e-9
     assert all(p >= 0 for p in lt.table.values())
     lt2 = law(2, 0.5, (1.1, 0.9), 0.5, 8, tol=1e-5)
-    assert abs(lt2.mass_defect) < 1e-5
+    assert abs(lt2.stats["mass_defect"]) < 1e-5
     assert all(p >= -1e-12 for p in lt2.table.values())
 
 
@@ -290,10 +290,24 @@ def test_law_matches_grid_quadrature_reference():
 
 def test_law_reports_what_its_clamp_removed():
     lt = law(2, 0.25, (1, 1), 0.5, 8)
-    assert lt.clamped_states == 3 and lt.clamped_mass < 0
-    assert lt.clamped_states <= sum(1 for p in lt.table.values() if p == 0)
+    assert lt.stats["clamped_states"] == 3 and lt.stats["clamped_mass"] < 0
+    assert lt.stats["clamped_states"] <= sum(1 for p in lt.table.values() if p == 0)
     lt0 = law(1, 0.0, (1.3,), 0.5, 10)
-    assert (lt0.clamped_states == 0) == (lt0.clamped_mass == 0)
+    assert (lt0.stats["clamped_states"] == 0) == (lt0.stats["clamped_mass"] == 0)
+
+
+def test_law_error_shows_the_clamp_that_the_mass_defect_hides():
+    lt = law(1, 1.0, (1.0,), 0.9, 15)
+    assert abs(lt.stats["mass_defect"]) < 1e-6 < lt.error
+    assert lt.error == pytest.approx(5.0e-6, rel=0.01)
+    assert lt.error == (abs(lt.stats["mass_defect"]) + abs(lt.stats["clamped_mass"])
+                        + sum(lt.noise.values()))
+
+
+def test_rank_two_moments_are_pinned():
+    # k > 0 drops the states within 20 noise floors of 0 (44 of 91 here)
+    assert moments(2, 1, 0.5, (1.3, 0.9), 0.5, window=12)["direct"] == 4.729184380643159
+    assert moments(2, 2, 0.5, (1.3, 0.9), 0.5, window=12)["direct"] == 59.884197080978275
 
 
 def _product_law(t, a, q, zmax, dps, factors, nodes=512):
