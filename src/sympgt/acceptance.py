@@ -34,6 +34,7 @@ from .continuous import (
     phi2_bessel_errors,
     phi_eigen_residuals,
     polymer_identity_check,
+    polymer_reversal_gap,
 )
 from .dynamics import (
     ShapeLaw,
@@ -332,14 +333,21 @@ def check_continuous_kernels():
 
 
 def check_polymer_identity():
-    """Distributional identity between the hierarchy top and the integrated
-    single-path partition function: KS gate 0.02 at one level, the two-level
-    value reported but never gated."""
-    rep1 = polymer_identity_check(1, (0.9,), 2.0, replicas=20000, seed=7)
+    """The polymer identity between the hierarchy top Z^N(t) and the
+    integrated single-path partition function of the reversed drifts.  At
+    level 1 it is a time reversal (Matsumoto-Yor), gated path by path: over
+    2000 paths driven by the same normals, one copy reversed, max |Z - Y|
+    <= 1e-12 max(1, max |Z|).  At level 2 it holds in law only (O'Connell),
+    gated at two-sample KS <= 0.02 over 2e4 replicas per side."""
+    # level 2 first: its (2e4, 513) running integral sets the peak memory on
+    # top of what the process holds, and level 1's 8 MB buffers, once freed,
+    # stay in the malloc heap and would raise that base
     rep2 = polymer_identity_check(2, (0.9, 0.4), 2.0, replicas=20000, seed=8)
-    return {"name": "polymer-identity", "passed": rep1["ks"] <= 0.02, "soft": True,
-            "level1": {"ks": rep1["ks"], "pvalue": rep1["pvalue"]},
-            "level2_reported": {"ks": rep2["ks"], "pvalue": rep2["pvalue"]},
+    rep1 = polymer_reversal_gap(0.9, 2.0, paths=2000, seed=7)
+    return {"name": "polymer-identity",
+            "passed": rep1["relative_gap"] <= 1e-12 and rep2["ks"] <= 0.02, "soft": True,
+            "level1": rep1,
+            "level2": {"ks": rep2["ks"], "pvalue": rep2["pvalue"]},
             "note": rep2["conditional"]}
 
 

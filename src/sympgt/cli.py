@@ -428,6 +428,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_glue_negative_lists(argv))
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's own message names no flag
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.fn(args)
     except ValueError as exc:
         print(f"sympgt {args.cmd}: error: {exc}", file=sys.stderr)

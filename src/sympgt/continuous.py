@@ -1,11 +1,15 @@
 """Diffusion-level machinery: wall Toda operators, the Phi kernel family,
 interacting SDEs on real patterns, and the polymer identity check.
 
-The polymer identity check compares two Monte Carlo samples by the
-two-sample Kolmogorov-Smirnov test, computed here in numpy: the statistic
-is ``scipy.stats.ks_2samp``'s, and the p-value is Stephens' asymptotic
-tail Q_KS((sqrt(en) + 0.12 + 0.11 / sqrt(en)) D), en = n1 n2 / (n1 + n2).
-The sampler keeps a running log-integral between levels, except on the
+At level 1 the polymer identity is the time reversal of one Brownian path,
+so polymer_reversal_gap checks it path by path: both samplers run on the
+same normals, one copy reversed in time.  From level 2 on it is an
+identity in law only (O'Connell), and polymer_identity_check compares two
+Monte Carlo samples by the two-sample Kolmogorov-Smirnov test, computed
+here in numpy: the statistic is ``scipy.stats.ks_2samp``'s, and the
+p-value is Stephens' asymptotic tail
+Q_KS((sqrt(en) + 0.12 + 0.11 / sqrt(en)) D), en = n1 n2 / (n1 + n2).  The
+sampler keeps a running log-integral between levels, except on the
 last level of Z, where only the endpoint log I_N(t) is computed."""
 
 from __future__ import annotations
@@ -41,6 +45,18 @@ class ContinuousParams:
 def _drift_ladder(lam: Sequence[float], N: int) -> tuple:
     """Drifts of levels 1..N: lam_i on level 2i-1 and -lam_i on level 2i."""
     return tuple(lam[(k - 1) // 2] * (1 if k % 2 else -1) for k in range(1, N + 1))
+
+
+def _check_n_lambda_replicas(N: int, lam: Sequence[float], replicas: int) -> None:
+    """The input checks that ``sde`` and ``polymer`` share, each naming its
+    flag: N >= 1, a lam for every odd level up to N, and replicas >= 1."""
+    if N < 1:
+        raise ValueError(f"--N must be at least 1, got {N}")
+    if len(lam) < level_len(N):
+        raise ValueError(f"--lambda needs at least {level_len(N)} values for --N {N}, "
+                         f"got {len(lam)}")
+    if replicas < 1:
+        raise ValueError(f"--replicas must be at least 1, got {replicas}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +352,16 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
     the substeps then advance in lockstep over the replicas that still have
     one left.  All draws come from one ``Philox(SeedSequence(seed))`` stream: each substep
     draws, over the replicas it advances, one block of standard normals of
-    shape (replicas, level size) per level, level 1 first."""
+    shape (replicas, level size) per level, level 1 first.
+
+    Bad input raises a one-line ValueError that names the CLI flag: N < 1,
+    fewer than ceil(N / 2) lam values, t < 0, h <= 0 (the clock would
+    never advance) or replicas < 1.  At t = 0 the start is returned."""
+    _check_n_lambda_replicas(N, params.lam, replicas)
+    if not t >= 0:
+        raise ValueError(f"--t must be nonnegative, got {t}")
+    if not h > 0:
+        raise ValueError(f"--h must be positive, got {h}")
     bar = params.drift_table(N)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     levels = [np.tile(np.asarray(lv, dtype=float), (replicas, 1)) for lv in x0]
@@ -459,24 +484,37 @@ def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
     return _log_sum_exp(log_i), wide
 
 
-def polymer_z(rng, N: int, lam: Sequence[float], t: float, steps: int,
-              replicas: int) -> np.ndarray:
-    """Z^N(t) samples: nested simplex integral via the running log-sum-exp
-    recurrence I_k(t) = e^{b_k(t)} int_0^t e^{-b_k(s)} I_{k-1}(s) ds.
+class _Replay:
+    """Stands in for the Generator of _polymer_samples: each
+    standard_normal(out=) call fills ``out`` with the next rows of a fixed
+    array of normals."""
 
-    Streamed: each level's Brownian increments are drawn and integrated
-    _BLOCK replicas at a time, in the order of one (N, replicas, steps)
-    normal draw, and only one (replicas, steps + 1) running log-integral
-    lives between levels."""
-    return _polymer_samples(rng, _drift_ladder(lam, N), t, steps, replicas,
-                            integrated=False)[0]
+    def __init__(self, normals: np.ndarray):
+        self._rows, self._at = normals, 0
+
+    def standard_normal(self, out: np.ndarray) -> None:
+        out[...] = self._rows[self._at:self._at + len(out)]
+        self._at += len(out)
 
 
-def polymer_y_integral(rng, N: int, nu: Sequence[float], t: float, steps: int,
-                       replicas: int) -> np.ndarray:
-    """log int_0^t e^{Y^N(s)} ds samples, Y built on drifts nu (streamed as
-    in polymer_z)."""
-    return _polymer_samples(rng, nu[:N], t, steps, replicas, integrated=True)[0]
+def polymer_reversal_gap(lam: float, t: float, paths: int, seed: int) -> dict:
+    """Level 1 of the polymer identity, path by path.  Z^1(t) = log int_0^t
+    e^{b(t) - b(s)} ds, and the Y side log int_0^t e^{b'(s)} ds with b'(s) =
+    b(t) - b(t - s) the time reversal of b, which has the same drift lam
+    (Matsumoto-Yor).  One (paths, 512 steps) draw of normals from
+    ``Philox(SeedSequence(seed))`` drives Z's sampler, and the same draw
+    with its steps reversed drives Y's; both run through _polymer_samples.
+    Returns ``paths``, the gap max |Z - Y| and ``relative_gap``, the gap
+    over max(1, max |Z|).  The normals live only inside this call."""
+    steps = 512
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    normals = rng.standard_normal((paths, steps))
+    z = _polymer_samples(_Replay(normals), (lam,), t, steps, paths, integrated=False)[0]
+    y = _polymer_samples(_Replay(normals[:, ::-1]), (lam,), t, steps, paths,
+                         integrated=True)[0]
+    gap = float(np.abs(z - y).max())
+    return {"paths": paths, "gap": gap,
+            "relative_gap": gap / max(1.0, float(np.abs(z).max()))}
 
 
 def _kolmogorov_sf(x: float) -> float:
@@ -523,15 +561,9 @@ def polymer_identity_check(N: int, lam: Sequence[float], t: float,
     all levels, that took the exact wide-row path of the running
     log-sum-exp; the last level of Z computes only its endpoint and never
     does."""
-    if N < 1:
-        raise ValueError(f"--N must be at least 1, got {N}")
-    if len(lam) < level_len(N):
-        raise ValueError(f"--lambda needs at least {level_len(N)} values for --N {N}, "
-                         f"got {len(lam)}")
+    _check_n_lambda_replicas(N, lam, replicas)
     if not t > 0:
         raise ValueError(f"--t must be positive, got {t}")
-    if replicas < 1:
-        raise ValueError(f"--replicas must be at least 1, got {replicas}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     ladder = _drift_ladder(lam, N)

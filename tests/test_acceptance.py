@@ -7,6 +7,7 @@ from sympgt import acceptance, cli
 from sympgt.acceptance import check_scaling_limit
 
 REFERENCE = json.loads((Path(__file__).parent / "data" / "torus_reference.json").read_text())
+POLYMER = json.loads((Path(__file__).parent / "data" / "polymer_reference.json").read_text())
 
 
 def test_quick_ledger_passes():
@@ -39,6 +40,14 @@ def test_simulation_vs_law_is_unchanged():
     assert rep["passed"]
     for key, tv in REFERENCE["simulation_vs_law"].items():
         assert abs(rep[key] - tv) <= 1e-12
+
+
+def test_polymer_identity_gates_level_one_by_path_and_level_two_in_law():
+    rep = acceptance.check_polymer_identity()
+    assert rep["passed"] and rep["soft"]
+    assert rep["level1"]["paths"] == 2000 and rep["level1"]["relative_gap"] <= 1e-12
+    pin = next(c for c in POLYMER["ledger"] if c["N"] == 2)
+    assert (rep["level2"]["ks"], rep["level2"]["pvalue"]) == (pin["ks"], pin["pvalue"])
 
 
 def test_scaling_limit_check_passes():

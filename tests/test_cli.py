@@ -161,6 +161,23 @@ def test_compute_output_is_pinned(capsys, argv, pinned):
     (["moments", "--t", "8", "--a", "1.3", "--q", "0.9", "--window", "10"],
      "enlarge the window"),
     (["law", "--n", "1", "--t", "1", "--a", "1", "--q", "1"], "--q must satisfy |q| < 1"),
+    (["sde", "--N", "1", "--lambda", "0.9", "--t", "1", "--h", "0", "--replicas", "2",
+      "--seed", "1"], "--h must be positive"),
+    (["sde", "--N", "1", "--lambda", "0.9", "--t", "1", "--h", "-0.1", "--replicas", "2",
+      "--seed", "1"], "--h must be positive"),
+    (["sde", "--N", "1", "--lambda", "0.9", "--t", "1", "--replicas", "0", "--seed", "1"],
+     "--replicas must be at least 1"),
+    (["sde", "--N", "1", "--lambda", "0.9", "--t", "-1", "--replicas", "2", "--seed", "1"],
+     "--t must be nonnegative"),
+    (["sde", "--N", "0", "--lambda", "0.9", "--t", "1", "--replicas", "2", "--seed", "1"],
+     "--N must be at least 1"),
+    (["sde", "--N", "5", "--lambda", "0.9,0.4", "--t", "1", "--replicas", "2", "--seed", "1"],
+     "--lambda needs at least 3 values for --N 5"),
+    (["simulate", "--model", "randomized", "--N", "2", "--a", "1", "--q", "0.5",
+      "--t", "1", "--replicas", "5", "--seed", "-1"], "--seed must be nonnegative"),
+    (["sde", "--N", "1", "--lambda", "0.9", "--t", "1", "--replicas", "2", "--seed", "-1"],
+     "--seed must be nonnegative"),
+    (["polymer", "--N", "1", "--replicas", "10", "--seed", "-1"], "--seed must be nonnegative"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -14,11 +14,10 @@ import sympgt
 import sympgt.continuous
 from sympgt.continuous import (_BLOCK, _WIDE, ContinuousParams, _drift_ladder,
                                _kolmogorov_sf, _ks_two_sample, _log_cumsum_exp,
-                               _log_sum_exp,
-                               _polymer_samples, _sde_drift,
+                               _log_sum_exp, _polymer_samples, _Replay, _sde_drift,
                                grad_log_phi, h_b, h_d, log_phi, phi, phi2_bessel,
                                phi_eigen_residual, polymer_identity_check,
-                               polymer_y_integral, polymer_z, q_nn, q_nnm1,
+                               polymer_reversal_gap, q_nn, q_nnm1,
                                sde_simulate, verify_operator_identities,
                                wedge_start)
 
@@ -316,13 +315,53 @@ def test_polymer_identity_ledger_figures_are_unchanged(case):
 def test_polymer_samples_are_unchanged(case):
     N, lam, t = case["N"], tuple(case["lam"]), case["t"]
     ss = np.random.SeedSequence(case["seed"]).spawn(2)
-    z = polymer_z(np.random.Generator(np.random.Philox(ss[0])), N, lam, t, 512,
-                  case["replicas"])
-    y = polymer_y_integral(np.random.Generator(np.random.Philox(ss[1])), N,
-                           tuple(reversed(_drift_ladder(lam, N))), t, 512, case["replicas"])
+    ladder = _drift_ladder(lam, N)
+    z, _ = _polymer_samples(np.random.Generator(np.random.Philox(ss[0])), ladder, t, 512,
+                            case["replicas"], integrated=False)
+    y, _ = _polymer_samples(np.random.Generator(np.random.Philox(ss[1])), ladder[::-1], t,
+                            512, case["replicas"], integrated=True)
     levels = POLYMER["quantile_levels"]
     for got, ref in [(np.quantile(z, levels), case["z"]), (np.quantile(y, levels), case["y"])]:
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [2.0, 2000.0])
+def test_level_one_is_a_time_reversal_path_by_path(t):
+    rep = polymer_reversal_gap(0.9, t, paths=2000, seed=7)
+    assert rep["paths"] == 2000
+    assert rep["relative_gap"] <= 1e-12
+    if t == 2000.0:
+        # every path spans more than _WIDE e-folds, so both endpoints rest on
+        # _log_sum_exp's max shift
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+        dt = t / 512
+        b = np.cumsum(rng.standard_normal((2000, 512)) * math.sqrt(dt) + 0.9 * dt, axis=1)
+        assert (np.maximum(b.max(axis=1), 0) - np.minimum(b.min(axis=1), 0) > _WIDE).all()
+
+
+def test_level_one_gap_needs_the_reversal():
+    # the same normals unreversed give a different integral on every path
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+    normals = rng.standard_normal((2000, 512))
+    z, _ = _polymer_samples(_Replay(normals), (0.9,), 2.0, 512, 2000, integrated=False)
+    y, _ = _polymer_samples(_Replay(normals), (0.9,), 2.0, 512, 2000, integrated=True)
+    assert np.abs(z - y).max() > 1.0
+
+
+def test_replay_hands_out_rows_in_order():
+    rows = np.arange(12.0).reshape(6, 2)
+    replay, out = _Replay(rows), np.empty((4, 2))
+    replay.standard_normal(out=out)
+    assert np.array_equal(out, rows[:4])
+    replay.standard_normal(out=out[:2])
+    assert np.array_equal(out[:2], rows[4:])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("N", [3, 4])
+def test_polymer_identity_holds_in_law_at_levels_three_and_four(N):
+    rep = polymer_identity_check(N, (0.9, 0.4), 2.0, replicas=20000, seed=N + 6)
+    assert rep["ks"] <= 0.02
 
 
 def test_polymer_wide_rows_are_reported():
