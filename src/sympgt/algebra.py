@@ -76,12 +76,23 @@ def q_binomial(ctx: QSeriesCtx, n: int, k: int) -> Scalar:
     value = _q_binomial_cache.get(key)
     if value is None:
         # Product form binom(n,k)_q = prod_{j=1}^{k} (1-q^{n-k+j})/(1-q^j).
-        num: Scalar = Fraction(1) if ctx.exact else 1.0
-        den: Scalar = num
-        for j in range(1, k + 1):
-            num *= 1 - q ** (n - k + j)
-            den *= 1 - q ** j
-        value = _q_binomial_cache[key] = num / den
+        if ctx.exact:
+            # With q = p/r, 1 - q^m = (r^m - p^m) / r^m, and binom(n,k)_q is a
+            # polynomial of degree k(n-k) in q with integer coefficients, so
+            # the ratio of integer products times r^{k(n-k)} divides exactly.
+            p, r = q.numerator, q.denominator
+            num = den = 1
+            for j in range(1, k + 1):
+                num *= r ** (n - k + j) - p ** (n - k + j)
+                den *= r ** j - p ** j
+            value = Fraction(num // den, r ** (k * (n - k)))
+        else:
+            num = den = 1.0
+            for j in range(1, k + 1):
+                num *= 1 - q ** (n - k + j)
+                den *= 1 - q ** j
+            value = num / den
+        _q_binomial_cache[key] = value
     return value
 
 

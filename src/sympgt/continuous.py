@@ -355,11 +355,12 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
     shape (replicas, level size) per level, level 1 first.
 
     Bad input raises a one-line ValueError that names the CLI flag: N < 1,
-    fewer than ceil(N / 2) lam values, t < 0, h <= 0 (the clock would
-    never advance) or replicas < 1.  At t = 0 the start is returned."""
+    fewer than ceil(N / 2) lam values, t < 0 or not finite, h <= 0 (the
+    clock would never advance) or replicas < 1.  At t = 0 the start is
+    returned."""
     _check_n_lambda_replicas(N, params.lam, replicas)
-    if not t >= 0:
-        raise ValueError(f"--t must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"--t must be nonnegative and finite, got {t}")
     if not h > 0:
         raise ValueError(f"--h must be positive, got {h}")
     bar = params.drift_table(N)
@@ -562,8 +563,8 @@ def polymer_identity_check(N: int, lam: Sequence[float], t: float,
     log-sum-exp; the last level of Z computes only its endpoint and never
     does."""
     _check_n_lambda_replicas(N, lam, replicas)
-    if not t > 0:
-        raise ValueError(f"--t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"--t must be positive and finite, got {t}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     ladder = _drift_ladder(lam, N)

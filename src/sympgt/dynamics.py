@@ -612,9 +612,15 @@ def simulate(config: SimConfig) -> dict:
     the replicas whose clock passes t with their state unchanged, and draws
     one uniform per remaining replica to pick its event; the cascade then
     draws its uniforms level by level (see ``_cascade``).  The same seed and
-    config give the same histogram."""
-    if config.t <= 0:
-        raise ValueError("time horizon must be positive")
+    config give the same histogram.  Bad input raises a one-line ValueError
+    that names the CLI flag: t not positive and finite, N < 1 or
+    replicas < 0."""
+    if not 0 < config.t < INF:
+        raise ValueError(f"--t: the time horizon must be positive and finite, got {config.t}")
+    if config.N < 1:
+        raise ValueError(f"--N must be at least 1, got {config.N}")
+    if config.replicas < 0:
+        raise ValueError(f"--replicas must be nonnegative, got {config.replicas}")
     if config.model == "berele" and config.N % 2:
         raise ValueError("cascade model needs even N")
     ctx = QSeriesCtx(config.q)

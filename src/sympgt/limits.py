@@ -102,24 +102,31 @@ def scaled_qwhittaker(sctx: ScalingCtx, n: int, x: Sequence[float]) -> complex:
 
 
 def _psi_rank_two(sctx: ScalingCtx, z: tuple) -> complex:
+    """The rank-2 nested sum over the middle level (z31, z32) and the bottom
+    level k, z32 <= k <= z31, with the rank-1 sums psi(k) innermost.  For
+    each z31 the (z32, k) terms form one array whose entries with k < z32
+    carry log weight -inf, so each z31 costs one masked array sum."""
     if z in sctx._memo:
         return sctx._memo[z]
     eps, A, l2 = sctx.eps, sctx.A, sctx.lam[1]
     L = sctx.log_pochhammer(z[0])
     psit = np.array([_psi_rank_one(sctx, k) for k in range(z[0] + 1)])
     sz = z[0] + z[1]
+    z32 = np.arange(z[1] + 1)
+    col = z32[:, None]
+    # pairing (z, z3), its z32 factor: binom(z2, z2-z32)
+    w_z32 = L[z[1]] - L[z[1] - z32] - L[z32] + A
     total = 0.0 + 0.0j
     for z31 in range(z[1], z[0] + 1):
-        w_top1 = L[z[0] - z[1]] - L[z[0] - z31] - L[z31 - z[1]] + A
-        for z32 in range(0, z[1] + 1):
-            # pairing (z, z3): binom(z1-z2, z1-z31) binom(z2, z2-z32)
-            w1 = w_top1 + L[z[1]] - L[z[1] - z32] - L[z32] + A
-            s3 = z31 + z32
-            ks = np.arange(z32, z31 + 1)
-            # pairing (z3, z2): binom(z31-z32, z31-k)
-            w2 = L[z31 - z32] - L[z31 - ks] - L[ks - z32] + A
-            inner = np.sum(np.exp(w2 + 1j * eps * l2 * (s3 - ks)) * psit[ks])
-            total += cmath.exp(1j * eps * l2 * (s3 - sz) + w1) * eps * inner
+        # pairing (z, z3), its z31 factor: binom(z1-z2, z1-z31)
+        w1 = L[z[0] - z[1]] - L[z[0] - z31] - L[z31 - z[1]] + A + w_z32
+        ks = np.arange(z31 + 1)
+        gap = ks - col
+        # pairing (z3, z2): binom(z31-z32, z31-k), zero weight for k < z32
+        w2 = np.where(gap >= 0, L[z31 - col] - L[z31 - ks] - L[np.maximum(gap, 0)] + A,
+                      -np.inf)
+        inner = np.exp(w2 + 1j * eps * l2 * (z31 - gap)) @ psit[:z31 + 1]
+        total += eps * np.sum(np.exp(1j * eps * l2 * (z31 + z32 - sz) + w1) * inner)
     val = complex(eps ** 2 * total)
     sctx._memo[z] = val
     return val

@@ -184,8 +184,8 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     Negative p_t(z) are clamped to 0.  ``error`` is |mass defect| + |clamped
     mass| + the summed noise floors; ``stats`` holds the mass defect 1 - sum p
     (after the clamp), the clamped mass and the number of clamped states."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < INF:
+        raise ValueError(f"--t must be nonnegative and finite, got {t}")
     quad = quad or TorusQuadrature(n, q=q)
     ctx = QSeriesCtx(q, truncation=quad.truncation)
     a = tuple(float(x) for x in a)
@@ -408,48 +408,80 @@ def _rank_one_law(t: float, a: float, q: float, zmax: int) -> tuple:
     multiplicities 1, 2, ..., 2, 1 over j = 0..N/2; the weight vanishes at
     j = 0 and N/2, so it is twice the sum over j = 1..N/2-1.  The q-Hermite
     characters obey a three-term recurrence, on the nodes and at the real
-    point alike."""
+    point alike.  e^{2t cos theta} enters as e^{2t (cos theta - 1)} <= 1,
+    its e^{2t} moved into the normalization, so at any finite t the node
+    exponentials stay at most 1.
+
+    The node loops run in fixed point on Python integers: a value x is the
+    integer round(x 2^B), B = ceil(dps log2 10) + 32 bits (32 guard bits
+    past the working precision), and each product is (x y) >> B.  mpmath
+    gives, at B bits and once each, cos theta_j, cos 2 theta_j, the damped
+    exponential, the theta coefficients and the recurrence factors
+    1 - q^z; the theta series, its product with the exponential, the
+    node recurrence and the dot product with the nodes are then integer
+    arithmetic, the last one exact.  The scalar recurrences (h_z at the
+    real point, (q;q)_z, the normalization) and the division stay in
+    mpmath at dps digits."""
+    from operator import mul
+
     import mpmath as mp
 
     dps, nodes = _rank_one_dps(q, zmax), 512
-    with mp.workdps(dps):
-        qm, tm, am = mp.mpf(q), mp.mpf(t), mp.mpf(a)
-        cos1 = [mp.cos(2 * mp.pi * j / nodes) for j in range(1, nodes // 2)]
+    bits = math.ceil(dps * math.log2(10)) + 32
+
+    def fix(x) -> int:
+        return int(mp.nint(mp.ldexp(x, bits)))
+
+    with mp.workprec(bits):
+        qm = mp.mpf(q)
         # 2 (-1)^m q^{m(m-1)/2} for m = 1, 2, ... while q^{m(m-1)/2} >= cut
         theta_coef, qpow, m = [], mp.mpf(1), 1
         cut = mp.mpf(10) ** (-dps - 5)
         while qpow >= cut:
-            theta_coef.append(-2 * qpow if m % 2 else 2 * qpow)
+            theta_coef.append(fix(-2 * qpow if m % 2 else 2 * qpow))
             qpow *= qm ** m
             m += 1
-        # e^{2t cos theta} * weight * (q;q)_inf, the last as the theta series
-        # in the Chebyshev T_m of cos 2 theta
-        pw = []
-        for c in cos1:
-            c2 = 2 * c * c - 1
-            t_prev, t_cur, w = mp.mpf(1), c2, mp.mpf(0)
-            for cm in theta_coef:
-                w += cm * (t_cur - t_prev)
-                t_prev, t_cur = t_cur, 2 * c2 * t_cur - t_prev
-            pw.append(w * mp.exp(2 * tm * c))
-        # recurrence over the character degree on nodes and at the real point
-        two_c = [2 * c for c in cos1]
-        h_prev, h_cur = [mp.mpf(1)] * len(cos1), two_c
+        # cos of the angles 2 pi k / N, k = 0..N/2, gives cos theta_j at
+        # k = j and cos 2 theta_j at k = 2j folded into 0..N/2
+        cosk = [mp.cos(2 * mp.pi * k / nodes) for k in range(nodes // 2 + 1)]
+        half = range(1, nodes // 2)
+        cos1 = [fix(cosk[j]) for j in half]
+        cos2 = [fix(cosk[min(2 * j, nodes - 2 * j)]) for j in half]
+        damp = [fix(mp.exp(2 * t * (cosk[j] - 1))) for j in half]
+        facs = [fix(1 - qm ** z) for z in range(1, zmax)]
+    one = 1 << bits
+    # e^{2t (cos theta - 1)} * weight * (q;q)_inf, the last as the theta
+    # series in the Chebyshev T_m of cos 2 theta, at scale 2^B
+    pw = []
+    for c2, d in zip(cos2, damp):
+        t_prev, t_cur, acc = one, c2, 0
+        for cm in theta_coef:
+            acc += cm * (t_cur - t_prev)
+            t_prev, t_cur = t_cur, ((c2 * t_cur) >> (bits - 1)) - t_prev
+        pw.append((acc * d) >> (2 * bits))
+    # recurrence over the character degree on the nodes; dots at scale 2^{2B}
+    two_c = [2 * c for c in cos1]
+    h_prev, h_cur = [one] * len(cos1), two_c
+    dots = [sum(pw) << bits]
+    for z in range(1, zmax + 1):
+        dots.append(sum(map(mul, pw, h_cur)))
+        if z < zmax:
+            fac = facs[z - 1]
+            h_prev, h_cur = h_cur, [(tc * hc - fac * hp) >> bits
+                                    for tc, hc, hp in zip(two_c, h_cur, h_prev)]
+    with mp.workdps(dps):
+        qm, tm, am = mp.mpf(q), mp.mpf(t), mp.mpf(a)
         v_prev, v_cur = mp.mpf(1), am + 1 / am
         qq_z = mp.mpf(1)
         # the rule is twice the half sum over nodes, then over the group order 2
-        norm = nodes * mp.exp((am + 1 / am) * tm)
+        norm = nodes * mp.exp((am + 1 / am - 2) * tm)
         out = []
-        for z in range(zmax + 1):
-            hz = h_prev if z == 0 else h_cur
+        for z, dot in enumerate(dots):
             vz = v_prev if z == 0 else v_cur
-            out.append(vz * mp.fdot(pw, hz) / (qq_z * norm))
+            out.append(vz * mp.ldexp(dot, -2 * bits) / (qq_z * norm))
             qq_z *= 1 - qm ** (z + 1)
             if z >= 1:
-                fac = 1 - qm ** z
-                h_prev, h_cur = h_cur, [tc * hc - fac * hp
-                                        for tc, hc, hp in zip(two_c, h_cur, h_prev)]
-                v_prev, v_cur = v_cur, (am + 1 / am) * v_cur - fac * v_prev
+                v_prev, v_cur = v_cur, (am + 1 / am) * v_cur - (1 - qm ** z) * v_prev
         return tuple(out)
 
 
@@ -462,8 +494,8 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
     only when its probability exceeds 20 times its noise floor."""
     if not 0 < q < 1:
         raise ValueError(f"--q must lie in (0, 1), got {q}")
-    if t < 0:
-        raise ValueError(f"--t must be nonnegative, got {t}")
+    if not 0 <= t < INF:
+        raise ValueError(f"--t must be nonnegative and finite, got {t}")
     if not 0 <= k <= 3:
         raise ValueError(f"--k must lie in 0..3, the contour route's range, got {k}")
     if window < 1:

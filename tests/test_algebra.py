@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sympgt import algebra
 from sympgt.algebra import (
     INF,
     LaurentPoly,
@@ -60,6 +61,22 @@ def test_q_binomial_memo_keeps_exact_and_float_apart():
     for _ in range(2):  # a bad call raises every time, memo or not
         with pytest.raises(ValueError):
             q_binomial(QSeriesCtx(0.5), 7, 8)
+
+
+@pytest.mark.parametrize("q", [F(0), F(-1, 2), F(1, 2), F(1, 3), F(2, 5), F(3, 7)])
+def test_exact_q_binomial_is_the_product_form(q):
+    # the product of Fractions, as the exact branch computed it before it
+    # moved to integer numerators and a power of q's denominator
+    algebra._q_binomial_cache.clear()
+    ctx = QSeriesCtx(q)
+    for n in range(41):
+        for k in range(n + 1):
+            num = den = F(1)
+            for j in range(1, k + 1):
+                num *= 1 - q ** (n - k + j)
+                den *= 1 - q ** j
+            got = q_binomial(ctx, n, k)
+            assert isinstance(got, F) and got == num / den
 
 
 @pytest.mark.parametrize("q", QS)

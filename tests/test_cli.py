@@ -178,6 +178,20 @@ def test_compute_output_is_pinned(capsys, argv, pinned):
     (["sde", "--N", "1", "--lambda", "0.9", "--t", "1", "--replicas", "2", "--seed", "-1"],
      "--seed must be nonnegative"),
     (["polymer", "--N", "1", "--replicas", "10", "--seed", "-1"], "--seed must be nonnegative"),
+    (["sde", "--N", "1", "--lambda", "0.9", "--t", "inf", "--replicas", "2", "--seed", "1"],
+     "--t must be nonnegative and finite"),
+    (["simulate", "--model", "randomized", "--N", "2", "--a", "1", "--q", "0.5",
+      "--t", "inf", "--replicas", "5", "--seed", "1"], "--t: the time horizon must be positive"),
+    (["polymer", "--N", "1", "--t", "inf", "--replicas", "10", "--seed", "1"],
+     "--t must be positive and finite"),
+    (["moments", "--t", "inf", "--a", "1.3", "--q", "0.5"], "--t must be nonnegative and finite"),
+    (["moments", "--t", "nan", "--a", "1.3", "--q", "0.5"], "--t must be nonnegative and finite"),
+    (["law", "--n", "1", "--t", "inf", "--a", "1", "--q", "0.5"],
+     "--t must be nonnegative and finite"),
+    (["simulate", "--model", "randomized", "--N", "0", "--a", "1", "--q", "0.5",
+      "--t", "1", "--replicas", "3", "--seed", "1"], "--N must be at least 1"),
+    (["simulate", "--model", "randomized", "--N", "2", "--a", "1", "--q", "0.5",
+      "--t", "1", "--replicas", "-1", "--seed", "1"], "--replicas must be nonnegative"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

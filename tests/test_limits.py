@@ -1,16 +1,18 @@
 """Scaling-limit checks: lattice sums, Givental quadrature, Bessel route."""
 
+import cmath
 import json
 import math
 import re
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from sympgt.algebra import QSeriesCtx
 from sympgt.characters import qwhittaker_pattern_sum
-from sympgt.limits import (ScalingCtx, bessel_k, convergence_table,
+from sympgt.limits import (ScalingCtx, _psi_rank_one, bessel_k, convergence_table,
                            out_of_order, scaled_qwhittaker, so3_whittaker,
                            so_eigen_residual, so_whittaker)
 
@@ -122,6 +124,36 @@ def test_rank_two_matches_exact_character():
     direct = eps ** 4 * math.exp(4 * s.A) * poly.evaluate(a)
     val = scaled_qwhittaker(s, 2, x)
     assert abs(val - direct) < 1e-12 * abs(direct)
+
+
+def _psi_rank_two_loop(sctx, z):
+    """The rank-2 sum as a Python loop over (z31, z32), the reference for
+    the masked arrays of ``limits._psi_rank_two``."""
+    eps, A, l2 = sctx.eps, sctx.A, sctx.lam[1]
+    L = sctx.log_pochhammer(z[0])
+    psit = np.array([_psi_rank_one(sctx, k) for k in range(z[0] + 1)])
+    sz = z[0] + z[1]
+    total = 0.0 + 0.0j
+    for z31 in range(z[1], z[0] + 1):
+        w_top1 = L[z[0] - z[1]] - L[z[0] - z31] - L[z31 - z[1]] + A
+        for z32 in range(0, z[1] + 1):
+            w1 = w_top1 + L[z[1]] - L[z[1] - z32] - L[z32] + A
+            s3 = z31 + z32
+            ks = np.arange(z32, z31 + 1)
+            w2 = L[z31 - z32] - L[z31 - ks] - L[ks - z32] + A
+            inner = np.sum(np.exp(w2 + 1j * eps * l2 * (s3 - ks)) * psit[ks])
+            total += cmath.exp(1j * eps * l2 * (s3 - sz) + w1) * eps * inner
+    return complex(eps ** 2 * total)
+
+
+@pytest.mark.parametrize("eps, x", [(0.1, (0.0, -1.0)), (0.1, (0.0, 3.0))])
+def test_rank_two_sum_matches_the_loop(eps, x):
+    # (0.0, -1.0) is z = (96, 38), the `limit --n 2` point; the arrays sum
+    # in another order, so agreement is to rounding, not bitwise
+    z = ScalingCtx(eps, (0.7, 0.3)).z_shape(2, x)
+    ref = _psi_rank_two_loop(ScalingCtx(eps, (0.7, 0.3)), z)
+    got = scaled_qwhittaker(ScalingCtx(eps, (0.7, 0.3)), 2, x)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def test_rank_two_approaches_givental():

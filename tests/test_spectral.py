@@ -370,6 +370,19 @@ def test_rank_one_law_matches_pochhammer_product(fresh_rank_one_cache):
         assert ref[window] < mp.mpf(10) ** -43
 
 
+def test_rank_one_law_is_thirty_digits_exact_at_q_09(fresh_rank_one_cache, monkeypatch):
+    # against the same law 60 digits past the rule: mpf arithmetic at the
+    # rule's precision was 1.15e-24 off here, the fixed-point kernel with its
+    # 32 guard bits 8.2e-33
+    got = fresh_rank_one_cache(8.0, 1.3, 0.9, 40)
+    rule = spectral._rank_one_dps
+    monkeypatch.setattr(spectral, "_rank_one_dps", lambda q, zmax: rule(q, zmax) + 60)
+    fresh_rank_one_cache.cache_clear()
+    ref = fresh_rank_one_cache(8.0, 1.3, 0.9, 40)
+    with mp.workdps(120):
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= mp.mpf(10) ** -30
+
+
 def test_rank_one_direct_matches_operator_at_q_04():
     m = moments(1, 2, 1.0, (1.3,), 0.4, window=40)
     assert abs(m["direct"] - m["operator"]) <= 1e-12 * abs(m["operator"])
