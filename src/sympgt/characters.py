@@ -11,7 +11,7 @@ import functools
 from itertools import permutations, product
 from typing import Callable, Sequence
 
-from .algebra import LaurentPoly, QSeriesCtx, Scalar, _f, is_exact, q_binomial, q_hermite
+from .algebra import INF, LaurentPoly, QSeriesCtx, Scalar, _f, is_exact, q_binomial, q_hermite
 from .combinatorics import (
     canon,
     enumerate_patterns,
@@ -211,6 +211,15 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
 # ---------------------------------------------------------------------------
 # character oracle and Markov link
 # ---------------------------------------------------------------------------
+
+def check_rates(a: Sequence) -> None:
+    """Raise a one-line ValueError naming --a unless every entry of the rate
+    vector ``a`` is positive and finite: bar_a divides by it and the
+    dynamics read it as a clock rate."""
+    for x in a:
+        if not 0 < x < INF:
+            raise ValueError(f"--a entries must be positive and finite, got {x}")
+
 
 def bar_a(a: Sequence, k: int):
     """Interleaved rate vector: odd levels carry a_l, even levels 1/a_l

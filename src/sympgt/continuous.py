@@ -452,20 +452,40 @@ def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
     drifts[k], started at 0) is drawn _BLOCK replicas at a time, level-major
     then replica-major, so the normals are those of one (levels, replicas,
     steps) draw; only the running log-integral of shape (replicas, steps+1)
-    is kept between levels."""
+    is kept between levels.
+
+    The draws run one block ahead on a helper thread, into two noise
+    buffers in turn, while this thread integrates the block before;
+    standard_normal releases the GIL.  At most one draw is outstanding and
+    all arithmetic stays on this thread, so the output does not depend on
+    the overlap."""
+    # imported here, not at module level, where it would add ~7 ms to
+    # every import of the package
+    from concurrent.futures import ThreadPoolExecutor
+
     dt = t / steps
     sqrt_dt = math.sqrt(dt)
     logw = _log_trapz_weights(steps, dt)
     log_i = np.zeros((replicas, steps + 1))
-    noise = np.empty((_BLOCK, steps))
+    noise = np.empty((2, _BLOCK, steps))
     path = np.zeros((_BLOCK, steps + 1))
     last = len(drifts) - 1
+    blocks = [(k, drift, r0) for k, drift in enumerate(drifts)
+              for r0 in range(0, replicas, _BLOCK)]
     wide = 0
-    for k, drift in enumerate(drifts):
-        for r0 in range(0, replicas, _BLOCK):
-            rows = log_i[r0:r0 + _BLOCK]
-            inc, b = noise[:len(rows)], path[:len(rows)]
-            rng.standard_normal(out=inc)
+    # the pool's exit waits for a draw still running when the loop raises
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def draw(i: int):
+            """Block i's normals, drawn into noise[i % 2]."""
+            out = noise[i % 2, :min(_BLOCK, replicas - blocks[i][2])]
+            return pool.submit(rng.standard_normal, out=out)
+
+        pending = draw(0) if blocks else None
+        for i, (k, drift, r0) in enumerate(blocks):
+            inc = pending.result()
+            # block i - 1, the last reader of noise[(i + 1) % 2], is done
+            pending = draw(i + 1) if i + 1 < len(blocks) else None
+            rows, b = log_i[r0:r0 + _BLOCK], path[:len(inc)]
             inc *= sqrt_dt
             inc += drift * dt
             if integrated and k == 0:
@@ -488,14 +508,15 @@ def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
 class _Replay:
     """Stands in for the Generator of _polymer_samples: each
     standard_normal(out=) call fills ``out`` with the next rows of a fixed
-    array of normals."""
+    array of normals and returns it."""
 
     def __init__(self, normals: np.ndarray):
         self._rows, self._at = normals, 0
 
-    def standard_normal(self, out: np.ndarray) -> None:
+    def standard_normal(self, out: np.ndarray) -> np.ndarray:
         out[...] = self._rows[self._at:self._at + len(out)]
         self._at += len(out)
+        return out
 
 
 def polymer_reversal_gap(lam: float, t: float, paths: int, seed: int) -> dict:
@@ -561,7 +582,8 @@ def polymer_identity_check(N: int, lam: Sequence[float], t: float,
     (see _ks_two_sample).  ``stats`` counts the rows, over both samples and
     all levels, that took the exact wide-row path of the running
     log-sum-exp; the last level of Z computes only its endpoint and never
-    does."""
+    does.  Each sample draws its normals one block ahead on a helper
+    thread (see _polymer_samples); the report does not depend on it."""
     _check_n_lambda_replicas(N, lam, replicas)
     if not 0 < t < math.inf:
         raise ValueError(f"--t must be positive and finite, got {t}")

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import INF, QSeriesCtx, Scalar, _f
-from .characters import _char, _link, _slice_weight, bar_a, pieri_coefficients
+from .characters import _char, _link, _slice_weight, bar_a, check_rates, pieri_coefficients
 from .combinatorics import (
     GTPattern,
     canon,
@@ -613,14 +613,15 @@ def simulate(config: SimConfig) -> dict:
     one uniform per remaining replica to pick its event; the cascade then
     draws its uniforms level by level (see ``_cascade``).  The same seed and
     config give the same histogram.  Bad input raises a one-line ValueError
-    that names the CLI flag: t not positive and finite, N < 1 or
-    replicas < 0."""
+    that names the CLI flag: t not positive and finite, N < 1,
+    replicas < 0 or an entry of a not positive and finite."""
     if not 0 < config.t < INF:
         raise ValueError(f"--t: the time horizon must be positive and finite, got {config.t}")
     if config.N < 1:
         raise ValueError(f"--N must be at least 1, got {config.N}")
     if config.replicas < 0:
         raise ValueError(f"--replicas must be nonnegative, got {config.replicas}")
+    check_rates(config.a)
     if config.model == "berele" and config.N % 2:
         raise ValueError("cascade model needs even N")
     ctx = QSeriesCtx(config.q)

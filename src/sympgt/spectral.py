@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import INF, LaurentPoly, QSeriesCtx, q_pochhammer
-from .characters import monomial_symmetric, qwhittaker_recursion
+from .characters import check_rates, monomial_symmetric, qwhittaker_recursion
 from .combinatorics import padded, part, partitions_max_weight
 from .dynamics import ShapeLaw
 
@@ -173,7 +173,13 @@ def norm_squared_factor(z: Sequence[int], n: int, ctx: QSeriesCtx) -> float:
 # ---------------------------------------------------------------------------
 
 def pi_norm(a: Sequence[float], t: float) -> float:
-    return math.exp(sum(x + 1 / x for x in a) * t)
+    """exp(sum(a + 1/a) t); a ValueError naming --t when that is not a
+    finite double."""
+    try:
+        return math.exp(sum(x + 1 / x for x in a) * t)
+    except OverflowError:
+        raise ValueError(f"--t {t} is too large: exp(sum(a + 1/a) t) overflows "
+                         "a double") from None
 
 
 def law(n: int, t: float, a: Sequence[float], q: float, window: int,
@@ -186,14 +192,15 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     (after the clamp), the clamped mass and the number of clamped states."""
     if not 0 <= t < INF:
         raise ValueError(f"--t must be nonnegative and finite, got {t}")
+    check_rates(a)
+    a = tuple(float(x) for x in a)
+    norm = pi_norm(a, t)  # at least every pi_val, so a finite norm means no overflow
     quad = quad or TorusQuadrature(n, q=q)
     ctx = QSeriesCtx(q, truncation=quad.truncation)
-    a = tuple(float(x) for x in a)
     states = sorted(z for z in partitions_max_weight(n, window * n)
                     if part(z, 1) <= window)
     two_t_cos = sum(g + 1 / g for g in quad.grids) * t
     pi_vals = np.exp(two_t_cos)
-    norm = pi_norm(a, t)
     wmax = float(np.abs(pi_vals * quad.weight).max())
     spec = quad.spectrum(pi_vals)
     table, noise = {}, {}
@@ -500,7 +507,9 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
         raise ValueError(f"--k must lie in 0..3, the contour route's range, got {k}")
     if window < 1:
         raise ValueError(f"--window must be at least 1, got {window}")
+    check_rates(a)
     a = tuple(float(x) for x in a)
+    norm = pi_norm(a, t)
     if n == 1:
         direct = _direct_moment_rank_one(k, t, a[0], q, zmax=window)
     else:
@@ -513,7 +522,7 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
 
     operator = sum(math.comb(k, j)
                    * complex(koornwinder_apply(Pi, a, n, q, j)).real
-                   for j in range(k + 1)) / pi_norm(a, t)
+                   for j in range(k + 1)) / norm
     contour = contour_moment(n, k, t, a, q)
     return {"direct": direct, "operator": operator, "contour": contour}
 

@@ -192,6 +192,22 @@ def test_compute_output_is_pinned(capsys, argv, pinned):
       "--t", "1", "--replicas", "3", "--seed", "1"], "--N must be at least 1"),
     (["simulate", "--model", "randomized", "--N", "2", "--a", "1", "--q", "0.5",
       "--t", "1", "--replicas", "-1", "--seed", "1"], "--replicas must be nonnegative"),
+    (["simulate", "--model", "randomized", "--N", "2", "--a", "0", "--q", "0.5",
+      "--t", "1", "--replicas", "3", "--seed", "1"], "--a entries must be positive and finite"),
+    (["law", "--n", "1", "--t", "1", "--a", "0", "--q", "0.5"],
+     "--a entries must be positive and finite"),
+    (["moments", "--t", "1", "--a", "0", "--q", "0.5"], "--a entries must be positive and finite"),
+    (["simulate", "--model", "randomized", "--N", "2", "--a", "nan", "--q", "0.5",
+      "--t", "1", "--replicas", "3", "--seed", "1"], "--a entries must be positive and finite"),
+    (["moments", "--t", "1", "--a", "inf", "--q", "0.5"], "--a entries must be positive and finite"),
+    (["moments", "--t", "1", "--a", "-1.3", "--q", "0.5"],
+     "--a entries must be positive and finite"),
+    (["law", "--n", "1", "--t", "1", "--a", "-1", "--q", "0.5"],
+     "--a entries must be positive and finite"),
+    (["simulate", "--model", "randomized", "--N", "2", "--a", "-1", "--q", "0.5",
+      "--t", "1", "--replicas", "3", "--seed", "1"], "--a entries must be positive and finite"),
+    (["law", "--n", "2", "--t", "400", "--a", "1.3,0.9", "--q", "0.5", "--window", "5"],
+     "--t 400.0 is too large"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ import sympgt
 import sympgt.continuous
 from sympgt.continuous import (_BLOCK, _WIDE, ContinuousParams, _drift_ladder,
                                _kolmogorov_sf, _ks_two_sample, _log_cumsum_exp,
-                               _log_sum_exp, _polymer_samples, _Replay, _sde_drift,
-                               grad_log_phi, h_b, h_d, log_phi, phi, phi2_bessel,
+                               _log_sum_exp, _log_trapz_weights, _polymer_samples,
+                               _Replay, _sde_drift, grad_log_phi, h_b, h_d, log_phi,
+                               phi, phi2_bessel,
                                phi_eigen_residual, polymer_identity_check,
                                polymer_reversal_gap, q_nn, q_nnm1,
                                sde_simulate, verify_operator_identities,
@@ -351,10 +353,94 @@ def test_level_one_gap_needs_the_reversal():
 def test_replay_hands_out_rows_in_order():
     rows = np.arange(12.0).reshape(6, 2)
     replay, out = _Replay(rows), np.empty((4, 2))
-    replay.standard_normal(out=out)
+    assert replay.standard_normal(out=out) is out
     assert np.array_equal(out, rows[:4])
     replay.standard_normal(out=out[:2])
     assert np.array_equal(out[:2], rows[4:])
+
+
+def _serial_samples(rng, drifts, t, steps, replicas, integrated):
+    """_polymer_samples as one thread runs it: each block is drawn right
+    before it is integrated, into one noise buffer."""
+    dt = t / steps
+    sqrt_dt = math.sqrt(dt)
+    logw = _log_trapz_weights(steps, dt)
+    log_i = np.zeros((replicas, steps + 1))
+    noise = np.empty((_BLOCK, steps))
+    path = np.zeros((_BLOCK, steps + 1))
+    last = len(drifts) - 1
+    wide = 0
+    for k, drift in enumerate(drifts):
+        for r0 in range(0, replicas, _BLOCK):
+            rows = log_i[r0:r0 + _BLOCK]
+            inc, b = noise[:len(rows)], path[:len(rows)]
+            rng.standard_normal(out=inc)
+            inc *= sqrt_dt
+            inc += drift * dt
+            if integrated and k == 0:
+                np.cumsum(inc, axis=1, out=rows[:, 1:])
+                continue
+            np.cumsum(inc, axis=1, out=b[:, 1:])
+            rows -= b
+            rows += logw
+            if k == last and not integrated:
+                rows[:, -1] = _log_sum_exp(rows) + b[:, -1]
+                continue
+            wide += _log_cumsum_exp(rows)
+            rows += b
+    if not integrated:
+        return log_i[:, -1].copy(), wide
+    log_i += logw
+    return _log_sum_exp(log_i), wide
+
+
+class _UnaliasedReplay(_Replay):
+    """A _Replay that fails a draw writing into the buffer of the draw
+    before it, which the sampler may still be integrating."""
+
+    def __init__(self, normals):
+        super().__init__(normals)
+        self._last = None
+
+    def standard_normal(self, out):
+        assert self._last is None or not np.shares_memory(out, self._last)
+        self._last = out
+        return super().standard_normal(out=out)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("t", [2.0, 400.0])
+def test_prefetched_draws_keep_the_serial_stream_order(levels, t):
+    # at t = 400 and 3 levels some rows of a block take the wide-row path
+    drifts, replicas, steps = _drift_ladder((0.9, 0.4), levels), 2 * _BLOCK + 17, 32
+    normals = np.random.default_rng(levels).standard_normal((levels * replicas, steps))
+    for integrated in (False, True):
+        want = _serial_samples(_Replay(normals), drifts, t, steps, replicas, integrated)
+        got = _polymer_samples(_UnaliasedReplay(normals), drifts, t, steps, replicas,
+                               integrated)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert want[1] > 0 or t == 2.0 or levels < 3
+
+
+class _FailingGenerator:
+    def __init__(self, fail_at):
+        self.calls, self.fail_at = 0, fail_at
+
+    def standard_normal(self, out):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise FloatingPointError("draw failed")
+        out[...] = 0.0
+        return out
+
+
+def test_a_failing_draw_is_raised_and_its_thread_ends():
+    before = threading.active_count()
+    rng = _FailingGenerator(fail_at=3)
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        _polymer_samples(rng, (0.9, 0.4), 1.0, 8, 2 * _BLOCK, integrated=False)
+    assert rng.calls == 3
+    assert threading.active_count() == before
 
 
 @pytest.mark.slow
@@ -421,15 +507,25 @@ def test_kolmogorov_tail_matches_scipy():
     assert _kolmogorov_sf(0.0) == 1.0
 
 
-def test_importing_every_module_leaves_scipy_stats_unloaded():
+def _loaded_after_importing_every_module(module: str) -> bool:
     code = ("import importlib, pkgutil, sys, sympgt, sympgt.cli\n"
             "for m in pkgutil.iter_modules(sympgt.__path__):\n"
             "    importlib.import_module('sympgt.' + m.name)\n"
-            "print('scipy.stats' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     src = str(Path(sympgt.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_importing_every_module_leaves_scipy_stats_unloaded():
+    assert not _loaded_after_importing_every_module("scipy.stats")
+
+
+def test_importing_every_module_leaves_concurrent_futures_unloaded():
+    # _polymer_samples imports it when it runs: it pulls in logging, and
+    # every import of the package would pay for that
+    assert not _loaded_after_importing_every_module("concurrent.futures")
 
 
 def test_markov_ledger_checks_load_no_scipy():
