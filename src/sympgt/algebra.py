@@ -7,7 +7,6 @@ generators) is built on the types defined here.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,10 +58,6 @@ def q_pochhammer(ctx: QSeriesCtx, x: Scalar, k) -> Scalar:
     return result
 
 
-def q_factorial(ctx: QSeriesCtx, n: int) -> Scalar:
-    return q_pochhammer(ctx, ctx.q, n) / (1 - ctx.q) ** n
-
-
 _q_binomial_cache: dict = {}
 
 
@@ -76,7 +71,13 @@ def q_binomial(ctx: QSeriesCtx, n: int, k: int) -> Scalar:
     value = _q_binomial_cache.get(key)
     if value is None:
         # Product form binom(n,k)_q = prod_{j=1}^{k} (1-q^{n-k+j})/(1-q^j).
-        if ctx.exact:
+        if ctx.exact and q in (1, -1):
+            # factors 1 - q^j vanish at these roots of unity, but binom(n,k)_q
+            # is a polynomial in q: C(n,k) at q = 1 and, by the q-Lucas
+            # theorem, C(n//2, k//2) at q = -1 unless n is even and k odd
+            value = Fraction(math.comb(n, k) if q == 1 else
+                             0 if n % 2 == 0 and k % 2 else math.comb(n // 2, k // 2))
+        elif ctx.exact:
             # With q = p/r, 1 - q^m = (r^m - p^m) / r^m, and binom(n,k)_q is a
             # polynomial of degree k(n-k) in q with integer coefficients, so
             # the ratio of integer products times r^{k(n-k)} divides exactly.
@@ -94,9 +95,6 @@ def q_binomial(ctx: QSeriesCtx, n: int, k: int) -> Scalar:
             value = num / den
         _q_binomial_cache[key] = value
     return value
-
-
-_VAR_RE = re.compile(r"^a(\d+)\^(-?\d+)$")
 
 
 class LaurentPoly:
@@ -123,25 +121,12 @@ class LaurentPoly:
 
     # -- constructors -----------------------------------------------------
     @staticmethod
-    def zero(nvars: int) -> "LaurentPoly":
-        return LaurentPoly(nvars)
-
-    @staticmethod
     def constant(nvars: int, c: Scalar) -> "LaurentPoly":
         return LaurentPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def one(nvars: int) -> "LaurentPoly":
         return LaurentPoly.constant(nvars, Fraction(1))
-
-    @staticmethod
-    def variable(nvars: int, i: int, power: int = 1) -> "LaurentPoly":
-        """The monomial a_i^power (1-based index i)."""
-        if not 1 <= i <= nvars:
-            raise ValueError(f"variable index {i} out of range 1..{nvars}")
-        exps = [0] * nvars
-        exps[i - 1] = power
-        return LaurentPoly(nvars, {tuple(exps): Fraction(1)})
 
     # -- ring operations ---------------------------------------------------
     def _check(self, other: "LaurentPoly"):
@@ -223,23 +208,6 @@ class LaurentPoly:
             total = total + val
         return total
 
-    def substitute_inverse(self, i: int) -> "LaurentPoly":
-        """Replace a_i by a_i^{-1} (1-based index)."""
-        if not 1 <= i <= self.nvars:
-            raise ValueError(f"variable index {i} out of range 1..{self.nvars}")
-        terms = {}
-        for exps, c in self.terms.items():
-            e = list(exps)
-            e[i - 1] = -e[i - 1]
-            terms[tuple(e)] = c
-        return LaurentPoly(self.nvars, terms)
-
-    def permute_variables(self, perm: Sequence[int]) -> "LaurentPoly":
-        """Apply a_i -> a_{perm[i]} where perm is a 0-based permutation."""
-        source = sorted(range(self.nvars), key=lambda i: perm[i])
-        return LaurentPoly(self.nvars, (([exps[i] for i in source], c)
-                                        for exps, c in self.terms.items()))
-
     def map_coefficients(self, fn) -> "LaurentPoly":
         return LaurentPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
 
@@ -259,25 +227,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.nvars}, {self.canonical()!r})"
-
-    @staticmethod
-    def parse(text: str, nvars: int) -> "LaurentPoly":
-        terms = []
-        for piece in text.strip().split(" + "):
-            parts = piece.split(" * ")
-            coeff = Fraction(parts[0])
-            exps = [0] * nvars
-            if len(parts) > 1:
-                for tok in parts[1].split():
-                    m = _VAR_RE.match(tok)
-                    if not m:
-                        raise ValueError(f"bad monomial token {tok!r}")
-                    i, e = int(m.group(1)), int(m.group(2))
-                    if not 1 <= i <= nvars:
-                        raise ValueError(f"variable index {i} out of range")
-                    exps[i - 1] += e
-            terms.append((exps, coeff))
-        return LaurentPoly(nvars, terms)
 
 
 def q_hermite(ctx: QSeriesCtx, l: int) -> LaurentPoly:
@@ -301,74 +250,6 @@ def bracket_poly(ctx: QSeriesCtx, t0: Scalar, r: int) -> LaurentPoly:
     return out
 
 
-def expanding_bracket(ctx: QSeriesCtx, x: Scalar, t0: Scalar, r: int) -> Scalar:
-    """<x;t0>_{q,r}, the value of ``bracket_poly`` at x."""
-    return bracket_poly(ctx, t0, r).evaluate((x,))
-
-
 def _f(x: Scalar) -> Scalar:
     # Promote ints to Fraction so 1/x stays exact.
     return Fraction(x) if isinstance(x, int) else x
-
-
-def basic_hypergeometric_3phi2(ctx: QSeriesCtx, numerators: Sequence[Scalar],
-                               denominators: Sequence[Scalar], z: Scalar,
-                               max_terms: int | None = None) -> Scalar:
-    """3phi2 series sum_k (a1,a2,a3;q)_k / ((b1,b2;q)_k (q;q)_k) z^k.
-
-    The series must terminate (some numerator q-Pochhammer hits zero) unless
-    max_terms is supplied."""
-    if len(numerators) != 3 or len(denominators) != 2:
-        raise ValueError("3phi2 takes three numerator and two denominator parameters")
-    q = ctx.q
-    total: Scalar = 0
-    term: Scalar = Fraction(1) if ctx.exact else 1.0
-    k = 0
-    while True:
-        total = total + term
-        # Multiply the k-th factor ratio to move from term k to term k+1.
-        num = 1
-        for aa in numerators:
-            num *= 1 - aa * q ** k
-        den = 1 - q ** (k + 1)
-        for bb in denominators:
-            den *= 1 - bb * q ** k
-        if den == 0:
-            raise ZeroDivisionError("3phi2 denominator parameter hit a pole")
-        term = term * num * z / den
-        k += 1
-        if term == 0:
-            return total
-        if max_terms is not None and k >= max_terms:
-            return total
-        if max_terms is None and k > 10000:
-            raise ValueError("non-terminating 3phi2 without truncation depth")
-
-
-def big_q_hermite(ctx: QSeriesCtx, l: int, t0: Scalar, x: Scalar,
-                  method: str = "phi") -> Scalar:
-    """Continuous big q-Hermite polynomial H_l(x;t0|q), evaluated at the
-    Laurent point x.  Two routes:
-
-    - "phi":       t0^{-l} 3phi2(q^{-l}, t0 x, t0/x ; 0, 0 | q; q)
-    - "expansion": t0^{-l} sum_r binom(l,r)_q t0^r q^{r^2-lr} <x;t0>_{q,r}
-    """
-    if t0 == 0:
-        raise ValueError("t0 must be nonzero")
-    if x == 0:
-        raise ValueError("x must be nonzero")
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
-    q, t0, x = ctx.q, _f(t0), _f(x)
-    if method == "phi":
-        series = basic_hypergeometric_3phi2(
-            ctx, [_f(q) ** (-l), t0 * x, t0 / x], [0, 0], q, max_terms=l + 1)
-        return t0 ** (-l) * series
-    if method == "expansion":
-        total: Scalar = 0
-        for r in range(l + 1):
-            total = total + (q_binomial(ctx, l, r) * t0 ** r
-                             * q ** (r * r - l * r)
-                             * expanding_bracket(ctx, x, t0, r))
-        return t0 ** (-l) * total
-    raise ValueError(f"unknown method {method!r}")

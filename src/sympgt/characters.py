@@ -43,13 +43,17 @@ def monomial_symmetric(n: int, lam: Sequence[int]) -> LaurentPoly:
 
 def symplectic_schur_weyl(n: int, lam: Sequence[int], a: Sequence[Scalar]) -> Scalar:
     """Weyl ratio of determinants at a point.  Requires a generic point
-    (a_i not in {0, 1, -1}, a_i != a_j^{+-1}); raises on a vanishing
-    denominator."""
+    (a_i not in {0, 1, -1}, a_i != a_j^{+-1}), where the denominator does
+    not vanish; raises a ValueError naming --a otherwise."""
     import numpy as np
 
     lam = padded(lam, n)
     if len(a) != n:
         raise ValueError("point has wrong arity")
+    if any(ai in (0, 1, -1) for ai in a) or any(
+            a[i] == a[j] or a[i] * a[j] == 1 for i in range(n) for j in range(i)):
+        raise ValueError(f"--a {','.join(map(str, a))} is not a generic point: the Weyl "
+                         "formula needs a_i not in {0, 1, -1} and a_i != a_j^(+-1)")
     # 0-based column j holds exponent lambda_{j+1} + n - (j+1) + 1 = lam[j] + n - j
     exps_num = [lam[j] + n - j for j in range(n)]
     exps_den = [n - j for j in range(n)]
@@ -62,10 +66,7 @@ def symplectic_schur_weyl(n: int, lam: Sequence[int], a: Sequence[Scalar]) -> Sc
             isinstance(x, complex) for row in rows for x in row
         ) else np.linalg.det(np.array(rows, dtype=float))
 
-    den = det(exps_den)
-    if den == 0:
-        raise ZeroDivisionError("denominator determinant vanishes at this point")
-    return det(exps_num) / den
+    return det(exps_num) / det(exps_den)
 
 
 def _det_exact(rows):
@@ -173,9 +174,9 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
     kernel term w a_n^d is the pair ``(e + d, c * w)``, and the constructor
     sums the pairs in one pass.  The symbolic build serves where the whole
     polynomial is needed: ``compute``, the torus coefficients of ``law``,
-    ``orthogonality_matrix``, ``reconstruct``, the Gram-Schmidt probe and
-    the ledger's exact identities.  The dynamics evaluate characters at a
-    point by the slice recursion of ``_char`` instead.
+    ``orthogonality_matrix``, the Gram-Schmidt probe and the ledger's exact
+    identities.  The dynamics evaluate characters at a point by the slice
+    recursion of ``_char`` instead.
 
     Memoized in ``_recursion_cache`` under ``(n, lam, q, exact)``.  The
     exactness flag keeps ``q = 0.5`` and ``q = Fraction(1, 2)`` apart (they

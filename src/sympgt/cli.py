@@ -91,14 +91,17 @@ def _cmd_compute(args) -> int:
         method = args.method or "tableaux"
         if method == "weyl":
             if not args.a:
-                raise SystemExit("--method weyl needs --a (pointwise formula)")
+                raise ValueError("--method weyl needs --a, the point of the Weyl formula")
             print(symplectic_schur_weyl(n, lam, args.a))
             return 0
+        if method == "recursion":
+            raise ValueError("--method recursion does not apply to schur; "
+                             "use weyl, tableaux or patterns")
         poly = {"tableaux": symplectic_schur_tableaux,
                 "patterns": symplectic_schur_patterns}[method](n, lam)
     else:
         if args.q is None:
-            raise SystemExit("qwhittaker needs --q")
+            raise ValueError("qwhittaker needs --q")
         ctx = QSeriesCtx(args.q)
         method = args.method or "recursion"
         if method == "patterns":
@@ -106,7 +109,8 @@ def _cmd_compute(args) -> int:
         elif method == "recursion":
             poly = qwhittaker_recursion(n, lam, ctx)
         else:
-            raise SystemExit(f"method {method!r} does not apply to qwhittaker")
+            raise ValueError(f"--method {method} does not apply to qwhittaker; "
+                             "use recursion or patterns")
     print(poly.evaluate(args.a) if args.a else poly.canonical())
     return 0
 

@@ -6,7 +6,6 @@ letters render as `k~` in the ASCII form.
 """
 from __future__ import annotations
 
-import json
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -43,21 +42,11 @@ def part(lam: Sequence[int], i: int) -> int:
     return lam[i - 1] if 1 <= i <= len(lam) else 0
 
 
-def weight(lam: Sequence[int]) -> int:
-    return sum(lam)
-
-
 def transpose(lam: Sequence[int]) -> Partition:
     lam = canon(lam)
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
-
-
-def contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    """mu subset of lam as Young diagrams."""
-    lam, mu = canon(lam), canon(mu)
-    return len(mu) <= len(lam) and all(m <= l for l, m in zip(lam, mu))
 
 
 def interlaces(nu: Sequence[int], lam: Sequence[int]) -> bool:
@@ -66,26 +55,6 @@ def interlaces(nu: Sequence[int], lam: Sequence[int]) -> bool:
     k = max(len(nu), len(lam))
     for i in range(1, k + 1):
         if not (part(lam, i) >= part(nu, i) >= part(lam, i + 1)):
-            return False
-    return True
-
-
-def is_horizontal_strip(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    """lam/mu is a horizontal strip (at most one box per column)."""
-    if not contains(lam, mu):
-        return False
-    lt, mt = transpose(lam), transpose(mu)
-    return all(lt[i] - part(mt, i + 1) in (0, 1) for i in range(len(lt)))
-
-
-def dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    """lam >= mu in dominance order (prefix sums)."""
-    lam, mu = canon(lam), canon(mu)
-    sl = sm = 0
-    for i in range(1, max(len(lam), len(mu)) + 1):
-        sl += part(lam, i)
-        sm += part(mu, i)
-        if sl < sm:
             return False
     return True
 
@@ -164,9 +133,6 @@ class SymplecticTableau:
     def count_letter(self, letter: int) -> int:
         return sum(row.count(letter) for row in self.rows)
 
-    def render(self) -> str:
-        return "\n".join(" ".join(letter_str(x) for x in row) for row in self.rows)
-
     def __eq__(self, other):
         return isinstance(other, SymplecticTableau) and self.rows == other.rows
 
@@ -223,18 +189,6 @@ class GTPattern:
     def __init__(self, levels: Sequence[Sequence[int]]):
         self.levels = tuple(tuple(int(x) for x in lv) for lv in levels)
 
-    @property
-    def N(self) -> int:
-        return len(self.levels)
-
-    def level(self, k: int) -> tuple:
-        """1-based level access."""
-        return self.levels[k - 1]
-
-    @property
-    def shape(self) -> Partition:
-        return canon(self.levels[-1]) if self.levels else ()
-
     def validate(self) -> None:
         for k, lv in enumerate(self.levels, start=1):
             if len(lv) != level_len(k):
@@ -245,13 +199,6 @@ class GTPattern:
                 raise ValueError(f"level {k} not weakly decreasing")
             if k > 1 and not interlaces(self.levels[k - 2], lv):
                 raise ValueError(f"levels {k - 1} and {k} do not interlace")
-
-    def to_json(self) -> str:
-        return json.dumps([list(lv) for lv in self.levels])
-
-    @staticmethod
-    def from_json(text: str) -> "GTPattern":
-        return GTPattern(json.loads(text))
 
     def __eq__(self, other):
         return isinstance(other, GTPattern) and self.levels == other.levels

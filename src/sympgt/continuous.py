@@ -36,11 +36,6 @@ class ContinuousParams:
         if self.lam[-1] <= 0:
             raise ValueError("lam must be positive")
 
-    def drift_table(self, N: int) -> tuple:
-        """Level drifts: odd level 2i-1 carries lam_i, even level 2i carries
-        -lam_i."""
-        return _drift_ladder(self.lam, N)
-
 
 def _drift_ladder(lam: Sequence[float], N: int) -> tuple:
     """Drifts of levels 1..N: lam_i on level 2i-1 and -lam_i on level 2i."""
@@ -327,15 +322,15 @@ def _max_abs(drift: list) -> np.ndarray:
     return np.max([np.abs(d).max(axis=-1) for d in drift], axis=0)
 
 
-def wedge_start(N: int, gap: float = 8.0) -> list:
+def wedge_start(N: int) -> list:
     """Near-minus-infinity proxy: within each level successive coordinates
-    drop by gap, and each level sits gap below the one above it; level N
+    drop by 8, and each level sits 8 below the one above it; level N
     starts at 0."""
     levels = []
     for k in range(1, N + 1):
         l = level_len(k)
-        base = (k - N) * gap
-        levels.append(np.array([base - i * gap for i in range(l)]))
+        base = (k - N) * 8.0
+        levels.append(np.array([base - i * 8.0 for i in range(l)]))
     return levels
 
 
@@ -363,7 +358,7 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
         raise ValueError(f"--t must be nonnegative and finite, got {t}")
     if not h > 0:
         raise ValueError(f"--h must be positive, got {h}")
-    bar = params.drift_table(N)
+    bar = _drift_ladder(params.lam, N)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     levels = [np.tile(np.asarray(lv, dtype=float), (replicas, 1)) for lv in x0]
     ok = np.ones(replicas, dtype=bool)
@@ -399,6 +394,8 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
 # ---------------------------------------------------------------------------
 
 _BLOCK = 256
+# time steps of every polymer path on [0, t]
+_STEPS = 512
 # a row whose entries span more than this many e-folds underflows in
 # exp(a - max); such rows keep the exact np.logaddexp.accumulate
 _WIDE = 700.0
@@ -528,11 +525,10 @@ def polymer_reversal_gap(lam: float, t: float, paths: int, seed: int) -> dict:
     with its steps reversed drives Y's; both run through _polymer_samples.
     Returns ``paths``, the gap max |Z - Y| and ``relative_gap``, the gap
     over max(1, max |Z|).  The normals live only inside this call."""
-    steps = 512
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    normals = rng.standard_normal((paths, steps))
-    z = _polymer_samples(_Replay(normals), (lam,), t, steps, paths, integrated=False)[0]
-    y = _polymer_samples(_Replay(normals[:, ::-1]), (lam,), t, steps, paths,
+    normals = rng.standard_normal((paths, _STEPS))
+    z = _polymer_samples(_Replay(normals), (lam,), t, _STEPS, paths, integrated=False)[0]
+    y = _polymer_samples(_Replay(normals[:, ::-1]), (lam,), t, _STEPS, paths,
                          integrated=True)[0]
     gap = float(np.abs(z - y).max())
     return {"paths": paths, "gap": gap,
@@ -573,8 +569,7 @@ def _ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple:
 
 
 def polymer_identity_check(N: int, lam: Sequence[float], t: float,
-                           replicas: int, seed: int,
-                           steps: int = 512) -> dict:
+                           replicas: int, seed: int) -> dict:
     """Two-sample KS between Z^N(t) and log int_0^t e^{Y^N}: the reversed
     drift vector for Y is the drift ladder of Z read backwards.  The
     statistic is ks_2samp's; the p-value is Stephens' asymptotic tail
@@ -587,17 +582,15 @@ def polymer_identity_check(N: int, lam: Sequence[float], t: float,
     _check_n_lambda_replicas(N, lam, replicas)
     if not 0 < t < math.inf:
         raise ValueError(f"--t must be positive and finite, got {t}")
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
     ladder = _drift_ladder(lam, N)
     ss = np.random.SeedSequence(seed).spawn(2)
     z, wide_z = _polymer_samples(np.random.Generator(np.random.Philox(ss[0])),
-                                 ladder, t, steps, replicas, integrated=False)
+                                 ladder, t, _STEPS, replicas, integrated=False)
     y, wide_y = _polymer_samples(np.random.Generator(np.random.Philox(ss[1])),
-                                 ladder[::-1], t, steps, replicas, integrated=True)
+                                 ladder[::-1], t, _STEPS, replicas, integrated=True)
     stat, pvalue = _ks_two_sample(z, y)
     return {"ks": stat, "pvalue": pvalue,
-            "replicas": replicas, "steps": steps,
+            "replicas": replicas, "steps": _STEPS,
             "z_mean": float(np.mean(z)), "y_mean": float(np.mean(y)),
             "stats": {"wide_rows": wide_z + wide_y},
             "conditional": "distributional identity holds unconditionally; "

@@ -12,7 +12,7 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from .continuous import _PHI_RANGE, central_derivatives, log_phi
+from .continuous import _PHI_RANGE, log_phi
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,13 +46,6 @@ class ScalingCtx:
             self._L = np.concatenate([self._L, self._L[-1] + np.cumsum(steps)])
         return self._L
 
-    def f_scaled(self, alpha: int, y: float) -> float:
-        """f_alpha(y,eps) e^{-A(eps)}; tends to e^{e^{-y}} (alpha=1) or 1."""
-        k = self._floor(y) + alpha * self.m
-        if k < 0:
-            raise ValueError("Pochhammer index negative; y too small")
-        return math.exp(self.log_pochhammer(k)[k] - self.A)
-
     # -- lattice embedding ---------------------------------------------------
     def _floor(self, v: float) -> int:
         # nudge guards against 0.3/0.1 = 2.999... style representation error
@@ -69,12 +62,6 @@ class ScalingCtx:
     def snap_distance(self, x: Sequence[float]) -> float:
         """Max distance from x to the eps-lattice points actually used."""
         return max(abs(xi - self.eps * self._floor(xi)) for xi in x)
-
-
-def out_of_order(x: Sequence[float]) -> tuple:
-    """Indices i (0-based) with x_i <= x_{i+1}, convention x_{n+1} = 0."""
-    xs = list(x) + [0.0]
-    return tuple(i for i in range(len(x)) if xs[i] <= xs[i + 1])
 
 
 def _psi_rank_one(sctx: ScalingCtx, z: int) -> complex:
@@ -170,15 +157,6 @@ def so_whittaker(n: int, lam, x) -> complex:
         lo, hi = (v - math.log(2.0) for v in _PHI_RANGE[2 * n])
         raise ValueError(f"so({2 * n + 1}) Whittaker function is measured on [{lo:.4g}, "
                          f"{hi:.4g}] with x_(i+1) <= x_i + 2, not at {x.tolist()}") from exc
-
-
-def so_eigen_residual(lam: complex, x: float) -> float:
-    """|H Psi - (lam^2/2) Psi| at rank one, H = d^2/dx^2 / 2 - e^{-x}/2, with
-    d^2/dx^2 by central_derivatives of so_whittaker."""
-    f = lambda xv: so_whittaker(1, lam, xv)
-    val = f((x,))
-    _, d2 = central_derivatives(f, (x,), 0, val)
-    return abs(0.5 * d2 - 0.5 * math.exp(-x) * val - 0.5 * lam ** 2 * val)
 
 
 def convergence_table(n: int, lam: Sequence[float], xs: Sequence,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,10 @@ from .characters import check_rates, monomial_symmetric, qwhittaker_recursion
 from .combinatorics import padded, part, partitions_max_weight
 from .dynamics import ShapeLaw
 
-Evaluable = Union[LaurentPoly, Callable]
+
+# every torus grid and every l-fold contour grid has at most this many
+# points (2^24 complex entries are 256 MiB per array)
+_GRID_POINTS = 2 ** 24
 
 
 def pochhammer_depth(q: float) -> int:
@@ -48,7 +51,8 @@ class TorusQuadrature:
     """Uniform trapezoid nodes on the n-torus with the orthogonality weight
     cached; spectrally accurate for Laurent-polynomial integrands.  A
     truncation of 0 means ``pochhammer_depth(q)``; each construction probes
-    it and keeps the probe's residual as ``truncation_residual``."""
+    it and keeps the probe's residual as ``truncation_residual``.  A grid of
+    more than _GRID_POINTS points raises before anything is allocated."""
     n: int
     nodes: int = 0
     q: float = 0.5
@@ -61,6 +65,10 @@ class TorusQuadrature:
     def __post_init__(self):
         if self.nodes == 0:
             self.nodes = 4096 if self.n == 1 else 512
+        if self.nodes ** self.n > _GRID_POINTS:
+            raise ValueError(f"--n {self.n} needs a torus grid of {self.nodes}^{self.n} "
+                             f"points, past the budget of 2^{math.log2(_GRID_POINTS):g}; "
+                             "use --n 2 or less")
         if self.truncation == 0:
             self.truncation = pochhammer_depth(self.q)
         # 16 points off the zeros of the weight: axis j is shifted by 0.7 j,
@@ -146,17 +154,10 @@ def _group_order(n: int) -> int:
     return (2 ** n) * math.factorial(n)
 
 
-def inner_product(f: Evaluable, g: Evaluable, quad: TorusQuadrature) -> complex:
-    """Grid mean of f conj(g) w over the group order, where at least one of
-    f and g is a polynomial.  A polynomial g is read against the Fourier
-    coefficients of f w (of w alone, when f is a polynomial too)."""
-    if not isinstance(g, LaurentPoly):
-        return inner_product(g, f, quad).conjugate()
-    if isinstance(f, LaurentPoly):
-        ip = _pair(f, g, quad)
-    else:
-        ip = _against(quad.spectrum(f(*quad.grids)), g)
-    return complex(ip) / _group_order(quad.n)
+def inner_product(f: LaurentPoly, g: LaurentPoly, quad: TorusQuadrature) -> complex:
+    """Grid mean of f conj(g) w over the group order, for two polynomials:
+    the pair is read against the Fourier coefficients of w alone."""
+    return _pair(f, g, quad) / _group_order(quad.n)
 
 
 def norm_squared_factor(z: Sequence[int], n: int, ctx: QSeriesCtx) -> float:
@@ -322,22 +323,19 @@ def default_contour_spec(a: Sequence[float], q: float, depth: int) -> ContourSpe
     return spec
 
 
-# the l-fold contour grid has at most this many points (2^24 complex
-# entries are 256 MiB per array)
-_CONTOUR_GRID_POINTS = 2 ** 24
 
 
 def contour_moment(n: int, k: int, t: float, a: Sequence[float], q: float) -> float:
     """<q^{-k Z_1}> via the nested contour representation (k <= 3).  The
     l-fold term uses min(1024, floor(2^(24 / l))) nodes per circle, so its
-    grid stays within _CONTOUR_GRID_POINTS: 1024 for l <= 2, 256 for l = 3."""
+    grid stays within _GRID_POINTS: 1024 for l <= 2, 256 for l = 3."""
     if k > 3:
         raise ValueError("contour route implemented for k <= 3")
     a = tuple(float(x) for x in a)
     total = 1.0   # l = 0 term
     for l in range(1, k + 1):
         sp = default_contour_spec(a, q, l)
-        per_axis = min(1024, int(2 ** (math.log2(_CONTOUR_GRID_POINTS) / l)))
+        per_axis = min(1024, int(2 ** (math.log2(_GRID_POINTS) / l)))
         phi = np.exp(2j * np.pi * np.arange(per_axis) / per_axis)
         ss, dw = [], []
         for d, (c, r) in enumerate(sp.circles):
@@ -544,25 +542,6 @@ def orthogonality_matrix(n: int, shapes: Sequence, q: float,
         ni = norm_squared_factor(shapes[i], n, ctx)
         for j in range(m):
             out[i, j] = inner_product(polys[i], polys[j], quad).real * ni
-    return out
-
-
-def reconstruct(g: Evaluable, points: Sequence, n: int, q: float, max_weight: int,
-                quad: Optional[TorusQuadrature] = None) -> list:
-    """Completeness probe: expand g in the orthogonal family truncated at
-    |shape| <= max_weight and re-evaluate at the given torus points."""
-    quad = quad or TorusQuadrature(n, q=q)
-    ctx = QSeriesCtx(q, truncation=quad.truncation)
-    shapes = [z for z in partitions_max_weight(n, max_weight)]
-    out = []
-    coeffs = []
-    for z in shapes:
-        p = qwhittaker_recursion(n, z, ctx)
-        c = inner_product(g, p, quad) * norm_squared_factor(z, n, ctx)
-        coeffs.append((p, c))
-    for pt in points:
-        pt = tuple(pt) if isinstance(pt, (tuple, list)) else (pt,)
-        out.append(sum(c * complex(p.evaluate(pt)) for p, c in coeffs))
     return out
 
 

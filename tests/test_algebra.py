@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,11 +9,8 @@ from sympgt.algebra import (
     INF,
     LaurentPoly,
     QSeriesCtx,
-    basic_hypergeometric_3phi2,
-    big_q_hermite,
-    expanding_bracket,
+    bracket_poly,
     q_binomial,
-    q_factorial,
     q_hermite,
     q_pochhammer,
 )
@@ -79,14 +77,33 @@ def test_exact_q_binomial_is_the_product_form(q):
             assert isinstance(got, F) and got == num / den
 
 
+@pytest.mark.parametrize("q", [F(1), F(-1)])
+def test_exact_q_binomial_at_q_plus_minus_one_is_the_q_pascal_rule(q):
+    algebra._q_binomial_cache.clear()
+    ctx = QSeriesCtx(q)
+    pascal = {}
+    for n in range(13):
+        for k in range(n + 1):
+            pascal[n, k] = F(1) if k in (0, n) else (
+                pascal[n - 1, k - 1] + q ** k * pascal[n - 1, k])
+            got = q_binomial(ctx, n, k)
+            assert isinstance(got, F) and got == pascal[n, k]
+            if q == 1:
+                assert got == math.comb(n, k)
+    if q == -1:
+        assert [q_binomial(ctx, n, k) for n, k in ((2, 1), (3, 1), (4, 2), (5, 2), (6, 3))] \
+            == [0, 1, 2, 2, 0]
+
+
 @pytest.mark.parametrize("q", QS)
 def test_q_binomial_identities(q):
     ctx = QSeriesCtx(q)
     B = lambda n, k: q_binomial(ctx, n, k)
+    q_factorial = lambda n: q_pochhammer(ctx, q, n) / (1 - q) ** n
     for n in range(1, 11):
         for k in range(n + 1):
             # factorial form
-            assert B(n, k) == q_factorial(ctx, n) / (q_factorial(ctx, k) * q_factorial(ctx, n - k))
+            assert B(n, k) == q_factorial(n) / (q_factorial(k) * q_factorial(n - k))
             # Pascal recurrences, both arms
             if 1 <= k <= n - 1:
                 assert B(n, k) == B(n - 1, k - 1) + q ** k * B(n - 1, k)
@@ -96,44 +113,22 @@ def test_q_binomial_identities(q):
                 assert (1 - q ** k) * B(n, k) == (1 - q ** n) * B(n - 1, k - 1)
 
 
-def test_q_factorial_classical_limit():
-    import math
-
-    ctx = QSeriesCtx(1 - 1e-9)
-    for n in range(1, 9):
-        assert abs(q_factorial(ctx, n) - math.factorial(n)) < 1e-5 * math.factorial(n)
-
-
 def test_laurent_ring_axioms():
-    x = LaurentPoly.variable(2, 1)
-    y = LaurentPoly.variable(2, 2)
+    x = LaurentPoly(2, {(1, 0): 1})
+    y = LaurentPoly(2, {(0, 1): 1})
     p = 3 * x + y ** 2 - LaurentPoly.constant(2, F(1, 2))
     r = x * y - y
     s = x ** 3 + 2 * r
     assert (p + r) + s == p + (r + s)
     assert p * (r + s) == p * r + p * s
     assert p * r == r * p
-    assert p - p == LaurentPoly.zero(2)
+    assert p - p == LaurentPoly(2)
     assert p * LaurentPoly.one(2) == p
 
 
 def test_laurent_inverse_and_eval():
-    a = LaurentPoly.variable(1, 1)
-    p = a ** 2 + a.substitute_inverse(1) ** 2
+    p = LaurentPoly(1, {(1,): 1}) ** 2 + LaurentPoly(1, {(-1,): 1}) ** 2
     assert p.evaluate((F(2),)) == F(17, 4)
-    assert p.substitute_inverse(1) == p
-
-
-@pytest.mark.parametrize("i", [0, -1, 3])
-def test_laurent_variable_rejects_index_outside_1_to_nvars(i):
-    with pytest.raises(ValueError, match="out of range"):
-        LaurentPoly.variable(2, i)
-
-
-@pytest.mark.parametrize("i", [0, -1, 3])
-def test_laurent_substitute_inverse_rejects_index_outside_1_to_nvars(i):
-    with pytest.raises(ValueError, match="out of range"):
-        LaurentPoly(2, {(1, 2): 1}).substitute_inverse(i)
 
 
 def test_laurent_constructor_sums_pairs():
@@ -185,11 +180,10 @@ def test_laurent_ring_matches_naive_dicts(seed):
         assert (pf * pg).terms == _naive_mul(nf, ng)
 
 
-def test_laurent_canonical_roundtrip():
+def test_laurent_canonical_text():
     p = LaurentPoly(2, {(2, -1): F(3, 7), (0, 0): -2, (-1, 4): F(1, 2)})
-    text = p.canonical()
-    assert LaurentPoly.parse(text, 2) == p
-    assert LaurentPoly.parse("0", 2) == LaurentPoly.zero(2)
+    assert p.canonical() == "3/7 * a1^2 a2^-1 + -2 + 1/2 * a1^-1 a2^4"
+    assert LaurentPoly(2).canonical() == "0"
 
 
 @pytest.mark.parametrize("q", QS)
@@ -197,7 +191,7 @@ def test_q_hermite_palindromic(q):
     ctx = QSeriesCtx(q)
     for l in range(7):
         h = q_hermite(ctx, l)
-        assert h.substitute_inverse(1) == h
+        assert LaurentPoly(1, {(-e,): c for (e,), c in h.terms.items()}) == h
         # top coefficient is monic
         assert h.coefficient((l,)) == 1
 
@@ -210,49 +204,14 @@ def test_q_hermite_q0_is_type_c_character_rank1():
         assert all(h.coefficient((2 * k - l,)) == 1 for k in range(l + 1))
 
 
-def test_3phi2_terminating():
-    ctx = QSeriesCtx(F(1, 2))
-    q = F(1, 2)
-    # a1 = q^{-2} makes the series terminate after 3 terms
-    val = basic_hypergeometric_3phi2(ctx, (q ** -2, F(1, 3), F(1, 5)), (F(0), F(0)), q)
-    s = F(0)
-    term = F(1)
-    for k in range(3):
-        s += term
-        num = (1 - q ** -2 * q ** k) * (1 - F(1, 3) * q ** k) * (1 - F(1, 5) * q ** k)
-        term = term * num / (1 - q ** (k + 1)) * q
-    assert val == s
-
-
-@pytest.mark.parametrize("q", QS)
-def test_big_q_hermite_two_routes_agree(q):
-    ctx = QSeriesCtx(q)
-    for t0 in (F(1, 3), F(7, 10)):
-        for x in (F(2), F(3, 2), F(5, 7)):
-            for l in range(6):
-                assert big_q_hermite(ctx, l, t0, x, method="phi") == \
-                    big_q_hermite(ctx, l, t0, x, method="expansion")
-
-
-def test_big_q_hermite_small_t0_limit_is_q_hermite():
-    # exact arithmetic avoids the catastrophic cancellation of the small-t0
-    # regime; the limit t0 -> 0 recovers the one-parameter polynomials
-    ctx = QSeriesCtx(F(1, 2))
-    x = F(3)
-    t0 = F(1, 10 ** 8)
-    for l in range(6):
-        h = q_hermite(ctx, l).evaluate((x,))
-        v = big_q_hermite(ctx, l, t0, x, method="phi")
-        assert abs(float(v - h)) < 1e-5 * max(1.0, abs(float(h)))
-
-
 def test_expanding_bracket():
     ctx = QSeriesCtx(F(1, 2))
     t0, x = F(1, 3), F(2)
-    assert expanding_bracket(ctx, x, t0, 0) == 1
-    assert expanding_bracket(ctx, x, t0, 1) == x + 1 / x - t0 - 1 / t0
+    bracket = lambda r: bracket_poly(ctx, t0, r).evaluate((x,))
+    assert bracket(0) == 1
+    assert bracket(1) == x + 1 / x - t0 - 1 / t0
     v2 = (x + 1 / x - t0 - 1 / t0) * (x + 1 / x - t0 * F(1, 2) - 1 / (t0 * F(1, 2)))
-    assert expanding_bracket(ctx, x, t0, 2) == v2
+    assert bracket(2) == v2
 
 
 def _evaluate_term_by_term(p, point):

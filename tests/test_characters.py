@@ -61,7 +61,7 @@ def test_weyl_vs_tableaux_vs_patterns():
 
 
 def test_weyl_singular_point_raises():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="--a 1 is not a generic point"):
         symplectic_schur_weyl(1, (2,), (F(1),))
 
 
@@ -84,7 +84,7 @@ def test_pattern_sum_equals_recursion(q):
 
 def test_kernel_no_interlacing_is_zero():
     ctx = QSeriesCtx(F(1, 3))
-    assert qwhittaker_kernel(ctx, (5,), (1, 1), 2) == LaurentPoly.zero(1)
+    assert qwhittaker_kernel(ctx, (5,), (1, 1), 2) == LaurentPoly(1)
 
 
 def test_q_to_zero_degenerates_to_symplectic_schur():
@@ -99,9 +99,11 @@ def test_wn_invariance():
     for n in (2, 3):
         for lam in partitions_max_weight(n, 3):
             p = qwhittaker_recursion(n, lam, ctx)
-            assert p.permute_variables(tuple(range(1, n)) + (0,)) == p
-            for i in range(1, n + 1):
-                assert p.substitute_inverse(i) == p
+            # the cyclic shift a_i -> a_{i+1}, and a_i -> a_i^{-1}
+            assert LaurentPoly(n, {e[-1:] + e[:-1]: c for e, c in p.terms.items()}) == p
+            for i in range(n):
+                assert LaurentPoly(n, {e[:i] + (-e[i],) + e[i + 1:]: c
+                                       for e, c in p.terms.items()}) == p
 
 
 def test_triangularity():

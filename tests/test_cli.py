@@ -131,6 +131,13 @@ def test_compute_output_is_pinned(capsys, argv, pinned):
     assert out == (Path(__file__).parent / "data" / pinned).read_text()
 
 
+def test_compute_qwhittaker_at_q_one(capsys):
+    # q = 1 is a root of unity, where the product form of the q-binomial
+    # divides by zero
+    argv = ["compute", "qwhittaker", "--n", "1", "--lambda", "2", "--q", "1"]
+    assert _run(capsys, argv) == (0, "1 * a1^2 + 2 + 1 * a1^-2\n", "")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["limit", "--n", "2", "--lambda", "0.7,0.3", "--x", "0,-1,1", "--eps", "0.1"],
      "--x takes points of 2 coordinates each"),
@@ -208,6 +215,21 @@ def test_compute_output_is_pinned(capsys, argv, pinned):
       "--t", "1", "--replicas", "3", "--seed", "1"], "--a entries must be positive and finite"),
     (["law", "--n", "2", "--t", "400", "--a", "1.3,0.9", "--q", "0.5", "--window", "5"],
      "--t 400.0 is too large"),
+    (["compute", "schur", "--n", "2", "--lambda", "2,1", "--method", "recursion"],
+     "--method recursion does not apply to schur"),
+    (["compute", "qwhittaker", "--n", "2", "--lambda", "2,1"], "qwhittaker needs --q"),
+    (["compute", "schur", "--n", "2", "--lambda", "2,1", "--method", "weyl"],
+     "--method weyl needs --a"),
+    (["compute", "qwhittaker", "--n", "2", "--lambda", "2,1", "--q", "1/3", "--method", "weyl"],
+     "--method weyl does not apply to qwhittaker"),
+    (["compute", "schur", "--n", "1", "--lambda", "2", "--method", "weyl", "--a", "1"],
+     "--a 1 is not a generic point"),
+    (["law", "--n", "3", "--t", "0.25", "--a", "1.3,0.9,1.1", "--q", "0.5", "--window", "4"],
+     "--n 3 needs a torus grid of 512^3 points"),
+    (["moments", "--n", "3", "--t", "0.25", "--a", "1.3,0.9,1.1", "--q", "0.5"],
+     "--n 3 needs a torus grid of 512^3 points"),
+    (["verify", "orthogonality", "--n", "3", "--q", "0.4", "--max-weight", "2"],
+     "--n 3 needs a torus grid of 512^3 points"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -33,7 +33,7 @@ def test_params_validation():
         ContinuousParams(2, (0.4, 0.9))
     with pytest.raises(ValueError):
         ContinuousParams(1, (-0.5,))
-    assert ContinuousParams(2, (0.9, 0.4)).drift_table(4) == (0.9, -0.9, 0.4, -0.4)
+    assert _drift_ladder((0.9, 0.4), 4) == (0.9, -0.9, 0.4, -0.4)
 
 
 def test_phi1_exact():
@@ -179,7 +179,7 @@ def test_bottom_drift_matches_grad_log_phi():
 
 def test_sde_reproducible_and_finite():
     params = ContinuousParams(1, (0.9,))
-    x0 = wedge_start(2, gap=4.0)
+    x0 = wedge_start(2)
     r1 = sde_simulate(2, params, x0, t=0.5, h=0.01, replicas=20, seed=11)
     r2 = sde_simulate(2, params, x0, t=0.5, h=0.01, replicas=20, seed=11)
     assert np.array_equal(r1["bottom"], r2["bottom"])
@@ -464,7 +464,6 @@ def test_polymer_wide_rows_are_reported():
     (dict(N=3, lam=(0.9,), t=1.0, replicas=10), "--lambda needs at least 2 values"),
     (dict(N=1, lam=(0.9,), t=-1.0, replicas=10), "--t must be positive"),
     (dict(N=1, lam=(0.9,), t=1.0, replicas=0), "--replicas must be at least 1"),
-    (dict(N=1, lam=(0.9,), t=1.0, replicas=10, steps=0), "steps must be at least 1"),
 ])
 def test_polymer_identity_check_rejects_bad_input(kwargs, message):
     with pytest.raises(ValueError, match=message):

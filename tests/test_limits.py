@@ -12,9 +12,9 @@ import pytest
 
 from sympgt.algebra import QSeriesCtx
 from sympgt.characters import qwhittaker_pattern_sum
+from sympgt.continuous import central_derivatives
 from sympgt.limits import (ScalingCtx, _psi_rank_one, bessel_k, convergence_table,
-                           out_of_order, scaled_qwhittaker, so3_whittaker,
-                           so_eigen_residual, so_whittaker)
+                           scaled_qwhittaker, so3_whittaker, so_whittaker)
 
 SO_REF = json.loads((Path(__file__).parent / "data" / "so_whittaker_reference.json").read_text())
 
@@ -38,17 +38,6 @@ def test_z_shape_rejects_disordered():
     s = ScalingCtx(0.1, (0.7, 0.3))
     with pytest.raises(ValueError):
         s.z_shape(2, (0.0, 10.0))
-    assert out_of_order((0.0, 1.0)) == (0,)
-    assert out_of_order((-1.0,)) == (0,)
-    assert out_of_order((2.0, 1.0)) == ()
-
-
-def test_f_scaled_expansion():
-    # f_1(y,eps) e^{-A} -> e^{e^{-y}} and f_2 -> 1 as eps -> 0
-    s = ScalingCtx(0.02, (0.7,))
-    target = math.exp(math.exp(-1.0))
-    assert abs(s.f_scaled(1, 1.0) - target) / target < 3e-2
-    assert abs(s.f_scaled(2, 1.0) - 1.0) < 3e-2
 
 
 def test_bessel_symmetry_and_decay():
@@ -95,6 +84,15 @@ def test_rank_two_far_from_the_wall():
 
 def test_givental_positive_at_zero_order():
     assert so_whittaker(1, 0.0, 0.3).real > 0
+
+
+def so_eigen_residual(lam: complex, x: float) -> float:
+    """|H Psi - (lam^2/2) Psi| at rank one, H = d^2/dx^2 / 2 - e^{-x}/2, with
+    d^2/dx^2 by central_derivatives of so_whittaker."""
+    f = lambda xv: so_whittaker(1, lam, xv)
+    val = f((x,))
+    _, d2 = central_derivatives(f, (x,), 0, val)
+    return abs(0.5 * d2 - 0.5 * math.exp(-x) * val - 0.5 * lam ** 2 * val)
 
 
 def test_so_eigen_residual():

@@ -2,13 +2,15 @@ import json
 import math
 from fractions import Fraction as F
 from pathlib import Path
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from sympgt import spectral
-from sympgt.algebra import INF, LaurentPoly, QSeriesCtx, big_q_hermite, q_hermite, q_pochhammer
+from sympgt.algebra import (INF, LaurentPoly, QSeriesCtx, Scalar, _f, bracket_poly, q_binomial,
+                            q_hermite, q_pochhammer)
 from sympgt.characters import monomial_symmetric, qwhittaker_recursion
 from sympgt.dynamics import build_generator
 from sympgt.spectral import (
@@ -24,7 +26,6 @@ from sympgt.spectral import (
     norm_squared_factor,
     orthogonality_matrix,
     pochhammer_depth,
-    reconstruct,
 )
 
 REFERENCE = json.loads((Path(__file__).parent / "data" / "torus_reference.json").read_text())
@@ -63,13 +64,6 @@ def test_norm_factor_closed_form(quad1):
     ctx = QSeriesCtx(0.4)
     H3 = q_hermite(ctx, 3)
     assert abs(inner_product(H3, H3, quad1).real * norm_squared_factor((3,), 1, ctx) - 1) < 1e-8
-
-
-def test_completeness_reconstruction(quad1):
-    pts = [np.exp(1j * th) for th in (0.3, 0.9, 1.7, 2.5, 3.0)]
-    vals = reconstruct(lambda a: a + 1 / a, pts, 1, 0.4, 6, quad=quad1)
-    for pt, v in zip(pts, vals):
-        assert abs(v - (pt + 1 / pt)) < 1e-4
 
 
 def test_law_is_delta_at_time_zero():
@@ -181,6 +175,105 @@ def test_contour_spec_validation():
         ContourSpec([(0.0, 2.0)]).validate((1.3,), 0.5)  # encloses the origin
 
 
+def basic_hypergeometric_3phi2(ctx: QSeriesCtx, numerators: Sequence[Scalar],
+                               denominators: Sequence[Scalar], z: Scalar,
+                               max_terms: int | None = None) -> Scalar:
+    """3phi2 series sum_k (a1,a2,a3;q)_k / ((b1,b2;q)_k (q;q)_k) z^k.
+
+    The series must terminate (some numerator q-Pochhammer hits zero) unless
+    max_terms is supplied."""
+    if len(numerators) != 3 or len(denominators) != 2:
+        raise ValueError("3phi2 takes three numerator and two denominator parameters")
+    q = ctx.q
+    total: Scalar = 0
+    term: Scalar = F(1) if ctx.exact else 1.0
+    k = 0
+    while True:
+        total = total + term
+        # Multiply the k-th factor ratio to move from term k to term k+1.
+        num = 1
+        for aa in numerators:
+            num *= 1 - aa * q ** k
+        den = 1 - q ** (k + 1)
+        for bb in denominators:
+            den *= 1 - bb * q ** k
+        if den == 0:
+            raise ZeroDivisionError("3phi2 denominator parameter hit a pole")
+        term = term * num * z / den
+        k += 1
+        if term == 0:
+            return total
+        if max_terms is not None and k >= max_terms:
+            return total
+        if max_terms is None and k > 10000:
+            raise ValueError("non-terminating 3phi2 without truncation depth")
+
+
+def big_q_hermite(ctx: QSeriesCtx, l: int, t0: Scalar, x: Scalar,
+                  method: str = "phi") -> Scalar:
+    """Continuous big q-Hermite polynomial H_l(x;t0|q), evaluated at the
+    Laurent point x.  Two routes:
+
+    - "phi":       t0^{-l} 3phi2(q^{-l}, t0 x, t0/x ; 0, 0 | q; q)
+    - "expansion": t0^{-l} sum_r binom(l,r)_q t0^r q^{r^2-lr} <x;t0>_{q,r}
+    """
+    if t0 == 0:
+        raise ValueError("t0 must be nonzero")
+    if x == 0:
+        raise ValueError("x must be nonzero")
+    if l < 0:
+        raise ValueError("degree must be nonnegative")
+    q, t0, x = ctx.q, _f(t0), _f(x)
+    if method == "phi":
+        series = basic_hypergeometric_3phi2(
+            ctx, [_f(q) ** (-l), t0 * x, t0 / x], [0, 0], q, max_terms=l + 1)
+        return t0 ** (-l) * series
+    if method == "expansion":
+        total: Scalar = 0
+        for r in range(l + 1):
+            total = total + (q_binomial(ctx, l, r) * t0 ** r
+                             * q ** (r * r - l * r)
+                             * bracket_poly(ctx, t0, r).evaluate((x,)))
+        return t0 ** (-l) * total
+    raise ValueError(f"unknown method {method!r}")
+
+
+def test_3phi2_terminating():
+    ctx = QSeriesCtx(F(1, 2))
+    q = F(1, 2)
+    # a1 = q^{-2} makes the series terminate after 3 terms
+    val = basic_hypergeometric_3phi2(ctx, (q ** -2, F(1, 3), F(1, 5)), (F(0), F(0)), q)
+    s = F(0)
+    term = F(1)
+    for k in range(3):
+        s += term
+        num = (1 - q ** -2 * q ** k) * (1 - F(1, 3) * q ** k) * (1 - F(1, 5) * q ** k)
+        term = term * num / (1 - q ** (k + 1)) * q
+    assert val == s
+
+
+@pytest.mark.parametrize("q", [F(1, 3), F(1, 2), F(2, 5)])
+def test_big_q_hermite_two_routes_agree(q):
+    ctx = QSeriesCtx(q)
+    for t0 in (F(1, 3), F(7, 10)):
+        for x in (F(2), F(3, 2), F(5, 7)):
+            for l in range(6):
+                assert big_q_hermite(ctx, l, t0, x, method="phi") == \
+                    big_q_hermite(ctx, l, t0, x, method="expansion")
+
+
+def test_big_q_hermite_small_t0_limit_is_q_hermite():
+    # exact arithmetic avoids the catastrophic cancellation of the small-t0
+    # regime; the limit t0 -> 0 recovers the one-parameter polynomials
+    ctx = QSeriesCtx(F(1, 2))
+    x = F(3)
+    t0 = F(1, 10 ** 8)
+    for l in range(6):
+        h = q_hermite(ctx, l).evaluate((x,))
+        v = big_q_hermite(ctx, l, t0, x, method="phi")
+        assert abs(float(v - h)) < 1e-5 * max(1.0, abs(float(h)))
+
+
 def test_gram_schmidt_matches_big_q_hermite():
     q, t0 = 0.5, 0.3
     ctx = QSeriesCtx(q)
@@ -235,13 +328,11 @@ def test_fft_inner_product_equals_grid_mean(n, nodes):
     def mean(a, b):
         return complex(np.mean(a * np.conj(b) * quad.weight)) / order
 
-    def pi(*xs):
-        return np.exp(0.7 * xs[0] + sum(0.2 / x for x in xs))
-
+    # law reads a grid function against a polynomial through _against
+    P = np.exp(0.7 * quad.grids[0] + sum(0.2 / x for x in quad.grids))
     cases = [(inner_product(f, g, quad), mean(F_, G)),
              (inner_product(g, g, quad), mean(G, G)),
-             (inner_product(pi, g, quad), mean(pi(*quad.grids), G)),
-             (inner_product(g, pi, quad), mean(G, pi(*quad.grids)))]
+             (spectral._against(quad.spectrum(P), g) / order, mean(P, G))]
     for got, want in cases:
         assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
 
@@ -252,6 +343,13 @@ def test_real_weight_equals_complex_product(n, nodes, t0):
     ref = quad._weight(quad.truncation, quad.grids)
     assert quad.weight.dtype == np.float64
     assert np.abs(quad.weight - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_torus_grid_past_the_budget_raises_before_allocating():
+    # the default rank-3 grid, 512^3 points, would take 2.1 GB per complex
+    # array; the check comes before the first allocation
+    with pytest.raises(ValueError, match="--n 3 needs a torus grid of 512\\^3 points"):
+        TorusQuadrature(3)
 
 
 def test_short_truncation_raises_on_every_construction():
