@@ -87,6 +87,9 @@ def _cmd_compute(args) -> int:
                              symplectic_schur_patterns, symplectic_schur_tableaux,
                              symplectic_schur_weyl)
     n, lam = args.n, args.lam
+    if args.a and 0 in args.a:
+        raise ValueError(f"--a entries must be nonzero, got {','.join(map(str, args.a))}: "
+                         "the characters are Laurent polynomials in a")
     if args.family == "schur":
         method = args.method or "tableaux"
         if method == "weyl":
@@ -179,6 +182,8 @@ def _cmd_moments(args) -> int:
 def _cmd_limit(args) -> int:
     from .limits import convergence_table
     n, xs = args.n, args.x
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     if len(xs) % n:
         raise ValueError(f"--x takes points of {n} coordinates each, "
                          f"but got {len(xs)} numbers")

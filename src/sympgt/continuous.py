@@ -44,12 +44,14 @@ def _drift_ladder(lam: Sequence[float], N: int) -> tuple:
 
 def _check_n_lambda_replicas(N: int, lam: Sequence[float], replicas: int) -> None:
     """The input checks that ``sde`` and ``polymer`` share, each naming its
-    flag: N >= 1, a lam for every odd level up to N, and replicas >= 1."""
+    flag: N >= 1, a finite lam for every odd level up to N, and replicas >= 1."""
     if N < 1:
         raise ValueError(f"--N must be at least 1, got {N}")
     if len(lam) < level_len(N):
         raise ValueError(f"--lambda needs at least {level_len(N)} values for --N {N}, "
                          f"got {len(lam)}")
+    if not all(math.isfinite(l) for l in lam):
+        raise ValueError(f"--lambda entries must be finite, got {list(lam)}")
     if replicas < 1:
         raise ValueError(f"--replicas must be at least 1, got {replicas}")
 
@@ -352,7 +354,8 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
     Bad input raises a one-line ValueError that names the CLI flag: N < 1,
     fewer than ceil(N / 2) lam values, t < 0 or not finite, h <= 0 (the
     clock would never advance) or replicas < 1.  At t = 0 the start is
-    returned."""
+    returned.  A run that flags every replica raises a one-line ValueError
+    that names the start."""
     _check_n_lambda_replicas(N, params.lam, replicas)
     if not 0 <= t < math.inf:
         raise ValueError(f"--t must be nonnegative and finite, got {t}")
@@ -386,6 +389,11 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
             clock += step
     for lv in levels:
         ok &= np.isfinite(lv).all(axis=1)
+    if not ok.any():
+        start = [np.asarray(lv, dtype=float).tolist() for lv in x0]
+        raise ValueError(f"all {replicas} replicas were flagged: from the start {start} "
+                         f"the drift outruns 4096 substeps of --h {h}; give a --start whose "
+                         "level 1 sits nearer 0, where its wall drift e^(-x) is small")
     return {"bottom": levels[N - 1][ok], "flagged": int(replicas - ok.sum())}
 
 

@@ -163,6 +163,8 @@ def convergence_table(n: int, lam: Sequence[float], xs: Sequence,
                       eps_list: Sequence[float]) -> list:
     """Rows (x, eps, scaled value, so-target, abs error, snap distance) for
     the imaginary-direction family; targets from so_whittaker."""
+    if not all(math.isfinite(l) for l in lam):
+        raise ValueError(f"--lambda entries must be finite, got {list(lam)}")
     points = [tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist()) for x in xs]
     targets = {xv: so_whittaker(n, tuple(1j * l for l in lam), xv).real
                for xv in points}

@@ -1,7 +1,8 @@
 """Torus quadrature for the hyperoctahedral inner product, the time-t law of
 the bottom shape, the Koornwinder difference operator, moment formulas by
-three independent routes (law summation, operator powers, nested contour
-integrals) and a Gram-Schmidt probe for the t0-deformed family.
+three independent routes (law summation, operator powers, and nested contour
+integrals deformed onto small circles around their poles) and a
+Gram-Schmidt probe for the t0-deformed family.
 
 Inner products against a Laurent polynomial come from Fourier coefficients,
 not from evaluating the polynomial on the grid: on the uniform N^n grid the
@@ -11,11 +12,12 @@ through the spectrum of the weight alone.  The weight itself is a real
 product of 1-D factors |(e^{i phi};q)_inf|^2, each evaluated once on the
 N-point circle and gathered onto the grid by index.
 
-At rank 1 the direct moment route sums q^{-kz} p_z over a law computed in
-mpmath: there the weight times (q;q)_inf is the Jacobi triple-product theta
-series, the trapezoid rule runs over half the circle (every factor depends
-on cos theta alone), and the working precision is 30 digits past the
-amplification q^{-3 window} of the largest moment the contour route checks."""
+At rank 1 the law, and the direct moment route's sum of q^{-kz} p_z over
+it, are computed in mpmath: there the weight times (q;q)_inf is the Jacobi
+triple-product theta series, the trapezoid rule runs over half the circle
+(every factor depends on cos theta alone), and the working precision is 30
+digits past the amplification q^{-3 window} of the largest moment the
+contour route checks."""
 from __future__ import annotations
 
 import functools
@@ -31,8 +33,8 @@ from .combinatorics import padded, part, partitions_max_weight
 from .dynamics import ShapeLaw
 
 
-# every torus grid and every l-fold contour grid has at most this many
-# points (2^24 complex entries are 256 MiB per array)
+# every torus grid has at most this many points (2^24 complex entries are
+# 256 MiB per array)
 _GRID_POINTS = 2 ** 24
 
 
@@ -54,7 +56,7 @@ class TorusQuadrature:
     it and keeps the probe's residual as ``truncation_residual``.  A grid of
     more than _GRID_POINTS points raises before anything is allocated."""
     n: int
-    nodes: int = 0
+    nodes: int = 512
     q: float = 0.5
     t0: float = 0.0
     truncation: int = 0
@@ -63,8 +65,8 @@ class TorusQuadrature:
                                                    compare=False)
 
     def __post_init__(self):
-        if self.nodes == 0:
-            self.nodes = 4096 if self.n == 1 else 512
+        if self.n < 1:
+            raise ValueError(f"--n must be at least 1, got {self.n}")
         if self.nodes ** self.n > _GRID_POINTS:
             raise ValueError(f"--n {self.n} needs a torus grid of {self.nodes}^{self.n} "
                              f"points, past the budget of 2^{math.log2(_GRID_POINTS):g}; "
@@ -184,39 +186,30 @@ def pi_norm(a: Sequence[float], t: float) -> float:
 
 
 def law(n: int, t: float, a: Sequence[float], q: float, window: int,
-        quad: Optional[TorusQuadrature] = None, tol: float = 1e-6) -> ShapeLaw:
-    """Time-t distribution of the bottom shape started from the empty shape:
+        tol: float = 1e-6) -> ShapeLaw:
+    """Time-t distribution of the bottom shape started from the empty shape.
+    At rank 1 it is ``_rank_one_law``, with a noise floor of 0.  Above it
     p_t(z) is the character at the real point times the torus coefficient of
-    the exponential generating function, normalized by exp(sum(a+1/a) t).
-    Negative p_t(z) are clamped to 0.  ``error`` is |mass defect| + |clamped
-    mass| + the summed noise floors; ``stats`` holds the mass defect 1 - sum p
-    (after the clamp), the clamped mass and the number of clamped states."""
+    the exponential generating function, normalized by exp(sum(a+1/a) t);
+    positive p_t(z) up to 1e-15 read 0.  Negative p_t(z) are clamped to 0.
+    ``error`` is |mass defect| + |clamped mass| + the summed noise floors;
+    ``stats`` holds the mass defect 1 - sum p (after the clamp), the clamped
+    mass and the number of clamped states."""
     if not 0 <= t < INF:
         raise ValueError(f"--t must be nonnegative and finite, got {t}")
     check_rates(a)
     a = tuple(float(x) for x in a)
-    norm = pi_norm(a, t)  # at least every pi_val, so a finite norm means no overflow
-    quad = quad or TorusQuadrature(n, q=q)
-    ctx = QSeriesCtx(q, truncation=quad.truncation)
-    states = sorted(z for z in partitions_max_weight(n, window * n)
-                    if part(z, 1) <= window)
-    two_t_cos = sum(g + 1 / g for g in quad.grids) * t
-    pi_vals = np.exp(two_t_cos)
-    wmax = float(np.abs(pi_vals * quad.weight).max())
-    spec = quad.spectrum(pi_vals)
-    table, noise = {}, {}
-    clamped_mass, clamped_states = 0.0, 0
-    for z in states:
-        poly = qwhittaker_recursion(n, z, ctx)
-        nf = norm_squared_factor(z, n, ctx)
-        coeff = _against(spec, poly) / _group_order(n) * nf
-        at_a = float(poly.evaluate(a))
-        p = at_a * coeff.real / norm
-        if p < 0:
-            clamped_mass += p
-            clamped_states += 1
-        table[z] = max(p, 0.0) if abs(p) > 1e-15 else 0.0
-        noise[z] = 1e-15 * wmax * at_a * nf / norm
+    if n == 1:
+        if not 0 < q < 1:
+            raise ValueError(f"--q must satisfy |q| < 1, and q > 0 at --n 1, got {q}")
+        raw = {(z,) if z else (): (float(p), 0.0)
+               for z, p in enumerate(_rank_one_law(t, a[0], q, window))}
+    else:
+        raw = _torus_law(n, t, a, q, window)
+    table = {z: max(p, 0.0) for z, (p, _) in raw.items()}
+    noise = {z: floor for z, (_, floor) in raw.items()}
+    clamped = sum((p for p, _ in raw.values() if p < 0), 0.0)
+    clamped_states = sum(p < 0 for p, _ in raw.values())
     defect = 1.0 - sum(table.values())
     if defect > tol:
         raise ValueError(f"window mass defect {defect:.2e} exceeds {tol:.0e}; "
@@ -224,9 +217,31 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     if defect < -tol:
         raise ValueError(f"window mass defect {defect:.2e} is below -{tol:.0e}: states "
                          "past the quadrature noise floor add mass; shrink the window")
-    return ShapeLaw(table, abs(defect) + abs(clamped_mass) + sum(noise.values()), noise,
-                    {"mass_defect": defect, "clamped_mass": clamped_mass,
+    return ShapeLaw(table, abs(defect) + abs(clamped) + sum(noise.values()), noise,
+                    {"mass_defect": defect, "clamped_mass": clamped,
                      "clamped_states": clamped_states})
+
+
+def _torus_law(n: int, t: float, a: tuple, q: float, window: int) -> dict:
+    """State -> (p_t(z), noise floor) from one FFT on the default torus grid."""
+    norm = pi_norm(a, t)  # at least every pi_val, so a finite norm means no overflow
+    quad = TorusQuadrature(n, q=q)
+    ctx = QSeriesCtx(q, truncation=quad.truncation)
+    states = sorted(z for z in partitions_max_weight(n, window * n)
+                    if part(z, 1) <= window)
+    two_t_cos = sum(g + 1 / g for g in quad.grids) * t
+    pi_vals = np.exp(two_t_cos)
+    wmax = float(np.abs(pi_vals * quad.weight).max())
+    spec = quad.spectrum(pi_vals)
+    out = {}
+    for z in states:
+        poly = qwhittaker_recursion(n, z, ctx)
+        nf = norm_squared_factor(z, n, ctx)
+        coeff = _against(spec, poly) / _group_order(n) * nf
+        at_a = float(poly.evaluate(a))
+        p = at_a * coeff.real / norm
+        out[z] = (0.0 if 0 <= p <= 1e-15 else p, 1e-15 * wmax * at_a * nf / norm)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,110 +282,101 @@ def koornwinder_apply(F: Callable, a: Sequence[complex], n: int, q: float,
 # contour moments
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ContourSpec:
-    """Nested circles (outermost first) for the moment integrals: each must
-    enclose the a-poles and the images of every inner circle under s -> qs
-    and s -> 1/(qs), exclude the origin, and keep the inner circles clear of
-    the reflected poles s/q and 1/(qs), by margins of 0.02 inside a circle
-    and 0.003 outside it."""
-    circles: list                   # [(center, radius)] outermost first
-
-    def validate(self, a: Sequence[float], q: float) -> None:
-        samples = np.exp(1j * np.linspace(0, 2 * np.pi, 720, endpoint=False))
-
-        def inside(pts, c, r, want):
-            d = np.abs(np.asarray(pts) - c)
-            if want and not np.all(d < r - 0.02):
-                raise ValueError("contour fails to enclose required poles; "
-                                 "suggest increasing the radius")
-            if not want and not np.all(d > r + 0.003):
-                raise ValueError("contour encloses an excluded singularity; "
-                                 "suggest shifting the center or shrinking")
-
-        poles = [x for ai in a for x in (ai, 1 / ai)]
-        for j, (c, r) in enumerate(self.circles):
-            inside(poles, c, r, True)
-            inside([0.0], c, r, False)
-            for ci, ri in self.circles[j + 1:]:
-                curve = ci + ri * samples
-                inside(q * curve, c, r, True)
-                inside(1 / (q * curve), c, r, True)
-                outer_curve = c + r * samples
-                inside_pts = np.concatenate([outer_curve / q, 1 / (q * outer_curve)])
-                inside(inside_pts, ci, ri, False)
+# each variable runs over circles of radius _RHO with _NODES nodes, one per
+# pole or per cluster of poles closer than _MERGE; the values on _NODES and
+# _NODES / 2 nodes must agree to _CONTOUR_TOL relative
+_RHO = 0.01
+_MERGE = 6 * _RHO
+_NODES = 32
+_CONTOUR_TOL = 1e-5
 
 
-def default_contour_spec(a: Sequence[float], q: float, depth: int) -> ContourSpec:
-    """Pole bookkeeping for real positive a: an innermost circle hugging the
-    a-cluster, then successively larger circles enclosing the shifted images."""
-    pts = [x for ai in a for x in (ai, 1 / ai)]
-    lo, hi = min(pts), max(pts)
-    circles = [( (lo + hi) / 2, (hi - lo) / 2 + 0.1 )]
-    for _ in range(depth - 1):
-        c, r = circles[0]
-        # images of the inner circle under s -> qs and s -> 1/(qs)
-        qc, qr = q * c, q * r
-        ic = qc / (qc ** 2 - qr ** 2)
-        ir = qr / abs(qc ** 2 - qr ** 2)
-        hi_new = max(hi, qc + qr, ic + ir) + 0.06
-        lo_new = max(min(lo, qc - qr, ic - ir) - 0.06, 0.03)
-        center = (lo_new + hi_new) / 2
-        radius = (hi_new - lo_new) / 2
-        circles.insert(0, (center, radius))
-    spec = ContourSpec(circles)
-    spec.validate(a, q)
-    return spec
+def _clusters(points: Sequence[complex]) -> list:
+    """The points linked by gaps under _MERGE, as lists of indices."""
+    groups: list = []
+    for i, p in enumerate(points):
+        near = [g for g in groups if min(abs(p - points[j]) for j in g) < _MERGE]
+        groups = [g for g in groups if g not in near] + [sum(near, [i])]
+    return groups
 
 
+def _deformed_integral(l: int, t: float, a: Sequence[float], q: float, nodes: int) -> complex:
+    """The l-fold integral over s_1 (outermost) .. s_l of prod_j
+    ds_j / (2 pi i s_j) g(s_j) (e^{f(s_j)} prod_{i<j} R(s_i, s_j) - 1), with
+    g(s) = 1 / ((1 - q s^2) prod (s - a_i)(s - 1/a_i)),
+    f(s) = ((q - 1) s + (1/q - 1) / s) t and
+    R(u, v) = (u - v)(u - 1/v) / ((u - q v)(u - 1/(q v))).
+
+    Each nested circle encloses the a-poles and the images q s_m, 1/(q s_m)
+    of the inner variables, but not 0.  Placed innermost first, each
+    variable runs instead over small circles around just those points, at
+    the inner variables' current nodes.  Points within _MERGE of each other
+    at the inner circles' centres share one circle, about their mean and of
+    radius _RHO plus their spread at each node: two circles around one pole
+    would count it twice."""
+    poles = [x for ai in a for x in (ai, 1 / ai)]
+    phase = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+
+    def integrand_sum(xs, w):
+        total = w
+        for p, x in enumerate(xs):
+            r = np.exp(((q - 1) * x + (1 / q - 1) / x) * t)
+            for u in xs[p + 1:]:
+                r = r * (u - x) * (u - 1 / x) / ((u - q * x) * (u - 1 / (q * x)))
+            g = 1 / ((1 - q * x * x) * x)
+            for ai in a:
+                g = g / ((x - ai) * (x - 1 / ai))
+            total = total * g * (r - 1)
+        return complex(total.sum())
+
+    # xs: the placed variables broadcast over their nodes, cs: their circles'
+    # centres at the inner centres, w: the product of their weights
+    def place(xs, cs, w):
+        if len(xs) == l:
+            return integrand_sum(xs, w)
+        members = [(p, p) for p in poles]
+        for x, c in zip(xs, cs):
+            members += [(q * x, q * c), (1 / (q * x), 1 / (q * c))]
+        total = 0j
+        for group in _clusters([c for _, c in members]):
+            pts = np.stack(np.broadcast_arrays(*[members[i][0] for i in group]))
+            centre = pts.mean(0)
+            mid = centre[..., None]
+            s = mid + (_RHO + np.abs(pts - centre).max(0)[..., None]) * phase
+            total += place([x[..., None] for x in xs] + [s],
+                           cs + [np.mean([members[i][1] for i in group])],
+                           w[..., None] * (s - mid) / nodes)
+        return total
+
+    return place([], [], np.ones(()))
 
 
 def contour_moment(n: int, k: int, t: float, a: Sequence[float], q: float) -> float:
-    """<q^{-k Z_1}> via the nested contour representation (k <= 3).  The
-    l-fold term uses min(1024, floor(2^(24 / l))) nodes per circle, so its
-    grid stays within _GRID_POINTS: 1024 for l <= 2, 256 for l = 3."""
+    """<q^{-k Z_1}> = sum_l binom(k, l) (-1)^l Re I_l (I_0 = 1) from the
+    nested contour integrals I_l of Borodin-Corwin, each deformed onto small
+    circles around its poles (``_deformed_integral``), so that no node comes
+    near the essential singularity at 0 (k <= 3).  Raises a ValueError when
+    the integrand overflows a double, or when _NODES and _NODES / 2 nodes per
+    circle differ by more than _CONTOUR_TOL relative."""
     if k > 3:
         raise ValueError("contour route implemented for k <= 3")
     a = tuple(float(x) for x in a)
-    total = 1.0   # l = 0 term
-    for l in range(1, k + 1):
-        sp = default_contour_spec(a, q, l)
-        per_axis = min(1024, int(2 ** (math.log2(_GRID_POINTS) / l)))
-        phi = np.exp(2j * np.pi * np.arange(per_axis) / per_axis)
-        ss, dw = [], []
-        for d, (c, r) in enumerate(sp.circles):
-            shape = [1] * l
-            shape[d] = per_axis
-            s = (c + r * phi).reshape(shape)
-            ss.append(s)
-            dw.append(((s - c) / s))
-
-        def base(s):
-            f = 1 / (1 - q * s ** 2)
-            for ai in a:
-                f = f / ((s - ai) * (s - 1 / ai))
-            return f
-
-        def exp_factor(s):
-            return np.exp(((q - 1) * s + (1 / q - 1) / s) * t)
-
-        # cross and the integrand are built in place, so that at most two
-        # full l-fold grids are alive at once
-        integrand = np.ones([1] * l, dtype=complex)
-        for j in range(l):
-            cross = np.ones([per_axis] * (j + 1) + [1] * (l - j - 1), dtype=complex)
-            for i in range(j):
-                cross *= ss[i] - ss[j]
-                cross *= ss[i] - 1 / ss[j]
-                cross /= (ss[i] - q * ss[j]) * (ss[i] - 1 / (q * ss[j]))
-            cross *= exp_factor(ss[j])
-            cross -= 1
-            integrand = integrand * base(ss[j])
-            integrand *= cross
-            integrand *= dw[j]
-            del cross
-        val = complex(np.mean(integrand))
-        total += math.comb(k, l) * ((-1) ** l) * val.real
+    total, spread = 1.0, 0.0
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for l in range(1, k + 1):
+                full = _deformed_integral(l, t, a, q, _NODES)
+                half = _deformed_integral(l, t, a, q, _NODES // 2)
+                total += math.comb(k, l) * (-1) ** l * full.real
+                spread += math.comb(k, l) * abs(full - half)
+    except FloatingPointError:
+        raise ValueError(f"the contour integrand overflows a double at t = {t}, q = {q}; "
+                         "use a smaller --t or a larger --q") from None
+    if not spread <= _CONTOUR_TOL * abs(total):
+        raise ValueError(f"the contour route has not converged at t = {t}, q = {q}: "
+                         f"{_NODES} and {_NODES // 2} nodes per circle differ by "
+                         f"{spread / abs(total):.1e} relative; use a smaller --k or --t, "
+                         "or a larger --q")
     return total
 
 
@@ -493,10 +499,12 @@ def _rank_one_law(t: float, a: float, q: float, zmax: int) -> tuple:
 def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
             window: int = 40) -> dict:
     """<q^{-k Z_1}> by three independent routes: direct law summation,
-    Koornwinder operator powers, and nested contour integrals.  Above rank
-    1, direct is the mean over ``law``, whose ``error`` bounds its mass but
-    not this sum: q^{-kz} amplifies the noise, so for k > 0 a state counts
-    only when its probability exceeds 20 times its noise floor."""
+    Koornwinder operator powers, and the nested contour integrals deformed
+    onto small circles around their poles (``contour_moment``, which raises
+    where its two node counts disagree).  Above rank 1, direct is the mean
+    over ``law``, whose ``error`` bounds its mass but not this sum: q^{-kz}
+    amplifies the noise, so for k > 0 a state counts only when its
+    probability exceeds 20 times its noise floor."""
     if not 0 < q < 1:
         raise ValueError(f"--q must lie in (0, 1), got {q}")
     if not 0 <= t < INF:

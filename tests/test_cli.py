@@ -80,6 +80,15 @@ def test_law_at_q_near_one_with_a_small_window(capsys):
     assert len(rows) == 16 and abs(mass + float(header["mass_defect"]) - 1) < 1e-12
 
 
+def test_rank_one_law_at_q_09_and_window_40(capsys):
+    # the 4096-node FFT law put -1.71 of mass past the window here and exited 2
+    code, out, _ = _run(capsys, ["law", "--n", "1", "--t", "1", "--a", "1", "--q", "0.9"])
+    assert code == 0
+    header, rows = _csv_report(out)
+    assert len(rows) == 41 and abs(float(header["mass_defect"])) <= 1e-15
+    assert {float(r["noise_floor"]) for r in rows} == {0.0}
+
+
 def test_law_reports_its_clamp_next_to_the_mass_defect(capsys):
     code, out, _ = _run(capsys, ["law", "--n", "2", "--t", "0.25", "--a", "1,1", "--q", "0.5",
                                  "--window", "8"])
@@ -147,7 +156,7 @@ def test_compute_qwhittaker_at_q_one(capsys):
     (["sde", "--N", "3", "--lambda", "0.9,0.4", "--t", "0.5", "--start", "1,0,0",
       "--replicas", "2", "--seed", "1"],
      "--start takes 4 coordinates for --N 3"),
-    (["law", "--n", "1", "--t", "1", "--a", "1", "--q", "0.9"],
+    (["law", "--n", "2", "--t", "1", "--a", "1,1", "--q", "0.9", "--window", "10"],
      "shrink the window"),
     (["polymer", "--N", "3", "--lambda", "0.9", "--replicas", "10", "--seed", "1"],
      "--lambda needs at least 2 values for --N 3"),
@@ -230,6 +239,23 @@ def test_compute_qwhittaker_at_q_one(capsys):
      "--n 3 needs a torus grid of 512^3 points"),
     (["verify", "orthogonality", "--n", "3", "--q", "0.4", "--max-weight", "2"],
      "--n 3 needs a torus grid of 512^3 points"),
+    (["compute", "qwhittaker", "--n", "1", "--lambda", "2", "--q", "1/2", "--a", "0"],
+     "--a entries must be nonzero"),
+    (["compute", "schur", "--n", "1", "--lambda", "2", "--a", "0"],
+     "--a entries must be nonzero"),
+    (["law", "--n", "0", "--t", "1", "--a", "1", "--q", "0.5"], "--n must be at least 1"),
+    (["verify", "orthogonality", "--n", "0", "--q", "0.4"], "--n must be at least 1"),
+    (["limit", "--n", "0", "--lambda", "0.7", "--x", "0", "--eps", "0.1"],
+     "--n must be at least 1"),
+    (["limit", "--n", "1", "--lambda", "nan", "--x", "0", "--eps", "0.1"],
+     "--lambda entries must be finite"),
+    (["sde", "--N", "1", "--lambda", "nan", "--t", "0.1", "--replicas", "3", "--seed", "1"],
+     "--lambda entries must be finite"),
+    (["sde", "--N", "4", "--lambda", "0.9,0.4", "--t", "0.05", "--replicas", "20",
+      "--seed", "1"], "all 20 replicas were flagged: from the start [[-24.0], [-16.0]"),
+    (["law", "--n", "1", "--t", "1", "--a", "1", "--q", "0"], "q > 0 at --n 1"),
+    (["moments", "--t", "1", "--a", "1.3", "--q", "0.3", "--k", "3"],
+     "32 and 16 nodes per circle differ by"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

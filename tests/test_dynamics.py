@@ -487,3 +487,16 @@ def test_bar_a_interleaving():
     assert bar_a(a, 1) == 2.0 and bar_a(a, 2) == 0.5
     assert bar_a(a, 3) == 5.0 and bar_a(a, 4) == 0.2
     assert isinstance(bar_a((3,), 2), F) and bar_a((3,), 2) == F(1, 3)
+
+
+def test_intertwining_cascade_rank_three():
+    # rank 3 is the only rank where helper_row_cascade pulls through a
+    # particle that is not the wall (its i + 1 < n branches)
+    ctx = QSeriesCtx(F(1, 3))
+    a = (F(6, 5), F(3, 7), F(5, 2))
+    probes = [(x, y, z) for z in [(1, 1, 0), (2, 1, 0), (2, 1, 1), (2, 2, 1), (3, 1, 0)]
+              for y in interlacings(z, 3) for x in interlacings(y, 2)]
+    assert len(probes) == 56
+    results = verify_intertwining_cascade(3, probes, ctx, a)
+    assert len(results) == 308
+    assert all(ok for *_, ok in results)

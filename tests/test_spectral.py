@@ -14,10 +14,9 @@ from sympgt.algebra import (INF, LaurentPoly, QSeriesCtx, Scalar, _f, bracket_po
 from sympgt.characters import monomial_symmetric, qwhittaker_recursion
 from sympgt.dynamics import build_generator
 from sympgt.spectral import (
-    ContourSpec,
     TorusQuadrature,
     conjecture_distance,
-    default_contour_spec,
+    contour_moment,
     gram_schmidt_koornwinder,
     inner_product,
     koornwinder_apply,
@@ -90,8 +89,7 @@ def test_law_forward_equation():
     q, a, t, h = 0.5, (1.2,), 1.0, 1e-3
     gen = build_generator(2, 30, QSeriesCtx(F(1, 2)), (F(6, 5),))
     Q = gen.dense()
-    quad = TorusQuadrature(1, q=q)
-    tables = [law(1, s, a, q, 30, quad=quad, tol=1e-4).table for s in (t - h, t, t + h)]
+    tables = [law(1, s, a, q, 30, tol=1e-4).table for s in (t - h, t, t + h)]
     p = np.array([[tb.get(z, 0.0) for z in gen.states] for tb in tables])
     dp = (p[2] - p[0]) / (2 * h)
     residual = np.abs(dp - p[1] @ Q)[:20].max()
@@ -150,8 +148,8 @@ def test_moments_three_way_at_q_near_one():
 
 
 def test_third_moment_routes_agree_on_a_capped_contour_grid():
-    # the 3-fold contour grid takes 256 nodes per circle (2^24 points), not
-    # the 1024^3 = 16 GiB of complex entries of an uncapped grid
+    # the 3-fold term on 32 nodes per deformed circle; the nested circles'
+    # uncapped grid had 1024^3 = 16 GiB of complex entries
     m = moments(1, 3, 0.25, (1.3,), 0.7, window=10)
     vals = [m["direct"], m["operator"], m["contour"]]
     for i in range(3):
@@ -159,20 +157,33 @@ def test_third_moment_routes_agree_on_a_capped_contour_grid():
             assert abs(vals[i] - vals[j]) <= 1e-6 * abs(vals[j])
 
 
+@pytest.mark.parametrize("k, t, q, tol", [(2, 1.0, 0.3, 1e-12), (2, 4.0, 0.3, 1e-12),
+                                          (2, 1.0, 0.2, 1e-12), (3, 1.0, 0.5, 1e-9),
+                                          (3, 0.25, 0.9, 1e-9)])
+def test_contour_route_matches_the_operator_at_small_q_and_k_3(k, t, q, tol):
+    # the nested circles were 1.4e-4, 1.6e10 and 1.6e11 relative off at the
+    # k = 2 points, and did not exist at k = 3, q = 0.5
+    m = moments(1, k, t, (1.3,), q)
+    assert abs(m["contour"] - m["operator"]) <= tol * m["operator"]
+
+
+@pytest.mark.parametrize("k, t, a, q, message", [
+    (3, 1.0, (1.3,), 0.3, "32 and 16 nodes per circle differ by"),
+    (2, 3.0, (2.0,), 0.1, "the contour integrand overflows a double"),
+])
+def test_contour_route_raises_one_line_past_its_estimate(k, t, a, q, message):
+    # pyproject makes a RuntimeWarning fail the test, so this also checks
+    # that numpy does not warn of the overflow first
+    with pytest.raises(ValueError, match=message) as exc:
+        contour_moment(1, k, t, a, q)
+    assert "\n" not in str(exc.value)
+
+
 def test_moments_trivial_cases():
     m = moments(1, 0, 1.0, (1.3,), 0.5)
     assert all(abs(v - 1) < 1e-9 for v in m.values())
     m0 = moments(1, 1, 0.0, (1.3,), 0.5, window=5)
     assert all(abs(v - 1) < 1e-9 for v in m0.values())
-
-
-def test_contour_spec_validation():
-    spec = default_contour_spec((1.3,), 0.5, 2)
-    spec.validate((1.3,), 0.5)
-    with pytest.raises(ValueError):
-        ContourSpec([(1.0, 0.1)]).validate((1.3,), 0.5)
-    with pytest.raises(ValueError):
-        ContourSpec([(0.0, 2.0)]).validate((1.3,), 0.5)  # encloses the origin
 
 
 def basic_hypergeometric_3phi2(ctx: QSeriesCtx, numerators: Sequence[Scalar],
@@ -395,11 +406,24 @@ def test_law_reports_what_its_clamp_removed():
 
 
 def test_law_error_shows_the_clamp_that_the_mass_defect_hides():
-    lt = law(1, 1.0, (1.0,), 0.9, 15)
-    assert abs(lt.stats["mass_defect"]) < 1e-6 < lt.error
-    assert lt.error == pytest.approx(5.0e-6, rel=0.01)
+    # the rank-2 FFT law clamps 3 states; the rank-1 law is exact to 1e-30
+    lt = law(2, 0.25, (1, 1), 0.5, 8)
+    assert lt.stats["clamped_mass"] < 0
     assert lt.error == (abs(lt.stats["mass_defect"]) + abs(lt.stats["clamped_mass"])
                         + sum(lt.noise.values()))
+    assert lt.error == pytest.approx(1.85388e-8, rel=1e-5)
+
+
+def test_rank_one_law_is_the_exact_law_with_its_negative_tail_clamped():
+    # at q = 0.9 the FFT law clamped 2 states holding -3.3e-6 of mass at
+    # window 15, and put -1.71 of mass past window 40
+    lt = law(1, 1.0, (1.0,), 0.9, 40)
+    exact = spectral._rank_one_law(1.0, 1.0, 0.9, 40)
+    assert list(lt.table.values()) == [max(float(p), 0.0) for p in exact]
+    assert set(lt.noise.values()) == {0.0}
+    assert lt.stats["clamped_states"] > 0 and -1e-30 < lt.stats["clamped_mass"] < 0
+    assert abs(lt.stats["mass_defect"]) <= 1e-15
+    assert lt.error == abs(lt.stats["mass_defect"]) + abs(lt.stats["clamped_mass"])
 
 
 def test_rank_two_moments_are_pinned():
