@@ -151,16 +151,41 @@ def qwhittaker_pattern_sum(N: int, z: Sequence[int], ctx: QSeriesCtx) -> Laurent
     return LaurentPoly(nvars, terms())
 
 
+def _kernel_term(ctx: QSeriesCtx, nu, mu, lam_p, upper: Scalar) -> tuple:
+    """The term of Q(nu, lam) from the middle level mu, given the weight
+    ``upper`` of the slice from mu to lam: the pair (exponent of a_n, the
+    two slice weights' product)."""
+    n = len(lam_p)
+    return ((2 * sum(mu) - sum(nu) - sum(lam_p),),
+            slice_binomials(ctx, 2 * n - 1, nu, mu) * upper)
+
+
 def qwhittaker_kernel(ctx: QSeriesCtx, nu: Sequence[int], lam: Sequence[int], n: int) -> LaurentPoly:
     """Two-slice kernel Q(nu, lam) linking rank n-1 to rank n, a Laurent
     polynomial in a_n: the slice weights of levels 2n-1 and 2n summed over
     the middle levels mu, zero when none interlaces between nu and lam."""
     lam_p = padded(lam, n)
     nu_c = canon(nu)
-    return LaurentPoly(1, (((2 * sum(mu) - sum(nu_c) - sum(lam_p),),
-                            slice_binomials(ctx, 2 * n - 1, nu_c, mu)
-                            * slice_binomials(ctx, 2 * n, mu, lam_p))
+    return LaurentPoly(1, (_kernel_term(ctx, nu_c, mu, lam_p,
+                                        slice_binomials(ctx, 2 * n, mu, lam_p))
                            for mu in interlacings(lam_p, n) if interlaces(nu_c, mu)))
+
+
+def _kernels(ctx: QSeriesCtx, lam_p: tuple) -> dict:
+    """Every nonzero Q(nu, lam) at rank n = len(lam_p), keyed by canonical nu
+    in order of first appearance, from one walk over the mu interlacing below
+    lam and the nu interlacing below each mu; each mu's slice weight to lam
+    is computed once.  Each kernel's terms come in the order of
+    ``qwhittaker_kernel``'s walk, so the two agree bitwise."""
+    n = len(lam_p)
+    terms: dict = {}
+    for mu in interlacings(lam_p, n):
+        upper = slice_binomials(ctx, 2 * n, mu, lam_p)
+        for nu in interlacings(mu, n - 1):
+            nu = canon(nu)
+            terms.setdefault(nu, []).append(_kernel_term(ctx, nu, mu, lam_p, upper))
+    kernels = {nu: LaurentPoly(1, pairs) for nu, pairs in terms.items()}
+    return {nu: ker for nu, ker in kernels.items() if ker}
 
 
 _recursion_cache: dict = {}
@@ -170,10 +195,11 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
     """Level recursion for the q-deformed character of 2n levels, as a
     Laurent polynomial: rank 1 is the one-variable q-Hermite polynomial;
     rank n is ``sum_nu P_nu(a_1..a_{n-1}) Q(nu, lam)(a_n)`` over the distinct
-    nu two interlacing steps below lam.  Each rank n-1 term c a^e times each
-    kernel term w a_n^d is the pair ``(e + d, c * w)``, and the constructor
-    sums the pairs in one pass.  The symbolic build serves where the whole
-    polynomial is needed: ``compute``, the torus coefficients of ``law``,
+    nu two interlacing steps below lam, with every kernel from one walk
+    (``_kernels``).  Each rank n-1 term c a^e times each kernel term w a_n^d
+    is the pair ``(e + d, c * w)``, and the constructor sums the pairs in
+    one pass.  The symbolic build serves where the whole polynomial is
+    needed: ``compute``, the torus coefficients of ``law``,
     ``orthogonality_matrix``, the Gram-Schmidt probe and the ledger's exact
     identities.  The dynamics evaluate characters at a point by the slice
     recursion of ``_char`` instead.
@@ -195,14 +221,10 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
         lam_p = padded(lam, n)
 
         def terms():
-            nus = dict.fromkeys(canon(nu) for mu in interlacings(lam_p, n)
-                                for nu in interlacings(mu, n - 1))
-            for nu in nus:
-                ker = qwhittaker_kernel(ctx, nu, lam_p, n)
-                if ker:
-                    lower = qwhittaker_recursion(n - 1, nu, ctx)
-                    yield from ((e + d, c * w) for e, c in lower.terms.items()
-                                for d, w in ker.terms.items())
+            for nu, ker in _kernels(ctx, lam_p).items():
+                lower = qwhittaker_recursion(n - 1, nu, ctx)
+                yield from ((e + d, c * w) for e, c in lower.terms.items()
+                            for d, w in ker.terms.items())
 
         result = LaurentPoly(n, terms())
     _recursion_cache[key] = result

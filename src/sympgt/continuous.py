@@ -114,13 +114,23 @@ def h_d_adjoint(f: Callable, y: Sequence[float], theta: float) -> float:
     return out - math.exp(-y[-1]) * (d1 + (theta - 1.0) * val)
 
 
+def _log_q_nn_rest(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log_q_nn without its theta term, real for real x and y."""
+    return (-2.0 * np.exp(-y[..., -1]) - np.exp(y - x).sum(-1)
+            - np.exp(x[..., 1:] - y[..., :-1]).sum(-1))
+
+
+def _log_q_nnm1_rest(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log_q_nnm1 without its theta term, real for real x and y."""
+    return -(np.exp(x[..., 1:] - y) + np.exp(y - x[..., :-1])).sum(-1)
+
+
 def log_q_nn(theta: float, x, y) -> np.ndarray:
     """Log of the kernel linking same-size levels: theta(|y|-|x|) - 2e^{-y_n}
     - sum e^{y_i-x_i} - sum e^{x_{i+1}-y_i}.  Coordinates run along the last
     axis; leading axes broadcast."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return (theta * (y.sum(-1) - x.sum(-1)) - 2.0 * np.exp(-y[..., -1])
-            - np.exp(y - x).sum(-1) - np.exp(x[..., 1:] - y[..., :-1]).sum(-1))
+    return theta * (y.sum(-1) - x.sum(-1)) + _log_q_nn_rest(x, y)
 
 
 def log_q_nnm1(theta: float, x, y) -> np.ndarray:
@@ -128,8 +138,7 @@ def log_q_nnm1(theta: float, x, y) -> np.ndarray:
     theta(|x|-|y|) - sum (e^{x_{i+1}-y_i} + e^{y_i-x_i}).  Coordinates run
     along the last axis; leading axes broadcast."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return (theta * (x.sum(-1) - y.sum(-1))
-            - (np.exp(x[..., 1:] - y) + np.exp(y - x[..., :-1])).sum(-1))
+    return theta * (x.sum(-1) - y.sum(-1)) + _log_q_nnm1_rest(x, y)
 
 
 def q_nn(theta: float, x: Sequence[float], y: Sequence[float]) -> float:
@@ -219,8 +228,14 @@ def log_phi(N: int, lam: Sequence[complex], x) -> complex:
     log-sum-exp, so no value underflows.  M = 1000 for N <= 3 and 100 at
     N = 4, where level 3 on the grid holds M^3 kernel values.
 
-    lam may be complex; each row is then shifted by the max of its real
-    part and the value is the complex log.
+    theta enters either kernel only as +-theta (|x| - |y|), a row term plus a
+    column term, so each level's grid holds the real rest of the kernel
+    (``_log_q_nn_rest`` or ``_log_q_nnm1_rest``) plus the real part of the
+    column term
+    c_y = -+theta |y| + log f_y + lw_y.  Each row is shifted by its max and
+    exponentiated once in reals; a complex lam then weights the terms by
+    e^{i Im c_y}, and the row term +-theta |x| is added back after the log.
+    So lam may be complex, and the value is then the complex log.
 
     Measured quadrature error, relative, on the region of _PHI_RANGE (other
     points raise ValueError).  Phi^{(2)} against its Bessel form, at 30
@@ -240,9 +255,20 @@ def log_phi(N: int, lam: Sequence[complex], x) -> complex:
     pts, log_f, lw = np.zeros((1, 0)), np.zeros(1), np.zeros(1)
     for k in range(1, N + 1):
         at, lw_at = (x[None, :], None) if k == N else _product_grid(u, logw, level_len(k))
-        kernel = log_q_nnm1 if k % 2 else log_q_nn
-        a = kernel(lam[(k - 1) // 2], at[:, None, :], pts[None, :, :]) + (log_f + lw)
-        pts, log_f, lw = at, _log_sum_exp(a), lw_at
+        # q_nnm1 (k odd) carries theta (|x| - |y|), q_nn (k even) theta (|y| - |x|)
+        rest, sign = (_log_q_nnm1_rest, 1) if k % 2 else (_log_q_nn_rest, -1)
+        theta = lam[(k - 1) // 2]
+        col = log_f + lw - sign * theta * pts.sum(-1)
+        a = rest(at[:, None, :], pts[None, :, :])
+        a += col.real
+        m = a.max(axis=1)
+        a -= m[:, None]
+        np.exp(a, out=a)
+        if np.iscomplexobj(col):
+            total = a @ np.cos(col.imag) + 1j * (a @ np.sin(col.imag))
+        else:
+            total = a.sum(axis=1)
+        pts, log_f, lw = at, np.log(total) + m + sign * theta * at.sum(-1), lw_at
     return log_f[0].item()
 
 
@@ -434,10 +460,10 @@ def _log_cumsum_exp(a: np.ndarray) -> int:
 
 
 def _log_sum_exp(a: np.ndarray) -> np.ndarray:
-    """Row sums log(sum(exp(a))) of the 2-D array ``a``, shifted by the row
-    max m of the real part, so a real row is exact at any width (the terms
-    at m sum to at least 1); overwrites ``a``, which may be complex."""
-    m = a.real.max(axis=1)
+    """Row sums log(sum(exp(a))) of the real 2-D array ``a``, shifted by the
+    row max m, so a row is exact at any width (the terms at m sum to at
+    least 1); overwrites ``a``."""
+    m = a.max(axis=1)
     a -= m[:, None]
     np.exp(a, out=a)
     return np.log(a.sum(axis=1)) + m

@@ -12,6 +12,11 @@ through the spectrum of the weight alone.  The weight itself is a real
 product of 1-D factors |(e^{i phi};q)_inf|^2, each evaluated once on the
 N-point circle and gathered onto the grid by index.
 
+Each torus grid is sized from what it integrates (``_torus_nodes``): entry
+e of the spectrum is exact up to the Fourier modes of F w past N - |e|, so
+N must exceed the largest |e| read plus the per-axis bandwidth of F w,
+which is read off one 1-D FFT of each factor.
+
 At rank 1 the law, and the direct moment route's sum of q^{-kz} p_z over
 it, are computed in mpmath: there the weight times (q;q)_inf is the Jacobi
 triple-product theta series, the trapezoid rule runs over half the circle
@@ -48,15 +53,58 @@ def pochhammer_depth(q: float) -> int:
     return max(60, math.floor(math.log(1e-17) / math.log(abs(q))) + 1)
 
 
+def _smooth_above(m: int) -> int:
+    """The smallest 2^a 3^b above m, a size the FFT factors well."""
+    sizes, p3 = [], 1
+    while p3 // 3 <= m:
+        # 2^a > m / 3^b first at a = bit length of m // 3^b
+        sizes.append(p3 * 2 ** (m // p3).bit_length())
+        p3 *= 3
+    return min(sizes)
+
+
+def _bandwidth(f: Callable) -> int:
+    """The largest |k| whose Fourier coefficient of the function f on the
+    unit circle reaches 1e-15 of the largest one, read off one FFT of f on
+    256 points of the circle, or on twice as many until |k| is at most a
+    quarter of them."""
+    m = 256
+    while True:
+        c = np.abs(np.fft.fft(f(np.exp(2j * np.pi * np.arange(m) / m))))
+        k = np.flatnonzero(c >= 1e-15 * c.max())
+        width = int(np.minimum(k, m - k).max())
+        if width <= m // 4:
+            return width
+        m *= 2
+
+
+def _torus_nodes(n: int, q: float, reach: int, t: float = 0.0, t0: float = 0.0) -> int:
+    """Nodes per axis of a torus grid whose spectrum of e^{2t cos theta_j}
+    times the weight is exact, to 1e-15 of each factor's peak, at every index
+    up to ``reach`` per axis: the smallest 2^a 3^b above reach plus the
+    integrand's bandwidth per axis.  Along each axis the weight has
+    |(e^{i phi};q)_inf|^2, of bandwidth B, at 2 theta_j (2B) and at
+    theta_j +- theta_k for each other axis (B each), 2nB in all; the t0
+    factor and e^{2t cos theta_j} add their own bandwidths."""
+    poch = functools.partial(q_pochhammer, QSeriesCtx(float(q), pochhammer_depth(q)), k=INF)
+    width = 2 * n * _bandwidth(lambda c: np.abs(poch(c)) ** 2)
+    if t0:
+        width += _bandwidth(lambda c: 1 / np.abs(poch(t0 * c)) ** 2)
+    if t:
+        width += _bandwidth(lambda c: np.exp(2 * t * c.real))
+    return _smooth_above(reach + width)
+
+
 @dataclass
 class TorusQuadrature:
     """Uniform trapezoid nodes on the n-torus with the orthogonality weight
-    cached; spectrally accurate for Laurent-polynomial integrands.  A
-    truncation of 0 means ``pochhammer_depth(q)``; each construction probes
-    it and keeps the probe's residual as ``truncation_residual``.  A grid of
-    more than _GRID_POINTS points raises before anything is allocated."""
+    cached; spectrally accurate for Laurent-polynomial integrands on a grid
+    sized by ``_torus_nodes``.  A truncation of 0 means
+    ``pochhammer_depth(q)``; each construction probes it and keeps the
+    probe's residual as ``truncation_residual``.  A grid of more than
+    _GRID_POINTS points raises before anything is allocated."""
     n: int
-    nodes: int = 512
+    nodes: int
     q: float = 0.5
     t0: float = 0.0
     truncation: int = 0
@@ -70,7 +118,7 @@ class TorusQuadrature:
         if self.nodes ** self.n > _GRID_POINTS:
             raise ValueError(f"--n {self.n} needs a torus grid of {self.nodes}^{self.n} "
                              f"points, past the budget of 2^{math.log2(_GRID_POINTS):g}; "
-                             "use --n 2 or less")
+                             "use a smaller --n")
         if self.truncation == 0:
             self.truncation = pochhammer_depth(self.q)
         # 16 points off the zeros of the weight: axis j is shifted by 0.7 j,
@@ -136,6 +184,11 @@ def _terms(p: LaurentPoly) -> tuple:
     return exps, np.array([complex(c) for c in p.terms.values()])
 
 
+def _degree(polys: Sequence[LaurentPoly]) -> int:
+    """The largest |exponent| in the terms of polys."""
+    return max(abs(e) for p in polys for exps in p.terms for e in exps)
+
+
 def _against(spec: np.ndarray, g: LaurentPoly) -> complex:
     """Grid mean of F conj(g) w from the spectrum of F w."""
     exps, coef = _terms(g)
@@ -185,27 +238,50 @@ def pi_norm(a: Sequence[float], t: float) -> float:
                          "a double") from None
 
 
+def _check_rank(n: int, a: Sequence) -> None:
+    """Raise a one-line ValueError naming --a and --n unless the rate vector
+    ``a`` has one entry per rank n."""
+    if len(a) != n:
+        raise ValueError(f"--a needs one rate per rank, {n} for --n {n}, got {len(a)}")
+
+
+# the torus law's self-check: the same table on the next grid size may move
+# no state by more than this many noise floors
+_ALIAS_FLOORS = 10
+
+
 def law(n: int, t: float, a: Sequence[float], q: float, window: int,
         tol: float = 1e-6) -> ShapeLaw:
     """Time-t distribution of the bottom shape started from the empty shape.
-    At rank 1 it is ``_rank_one_law``, with a noise floor of 0.  Above it
+    At rank 1 it is ``_rank_one_law``, with a noise floor of 0.  At rank 2
     p_t(z) is the character at the real point times the torus coefficient of
     the exponential generating function, normalized by exp(sum(a+1/a) t);
     positive p_t(z) up to 1e-15 read 0.  Negative p_t(z) are clamped to 0.
-    ``error`` is |mass defect| + |clamped mass| + the summed noise floors;
-    ``stats`` holds the mass defect 1 - sum p (after the clamp), the clamped
-    mass and the number of clamped states."""
+    Rank 3 and above raise at once: there the float torus law cannot meet
+    the 1e-6 mass gate on any grid.  ``error`` is |mass defect| + |clamped
+    mass| + the summed noise floors; ``stats`` holds the mass defect
+    1 - sum p (after the clamp), the clamped mass and the number of clamped
+    states, and at rank 2 the grid's ``nodes`` per axis and ``alias_gap``
+    (see ``_torus_law``).  The mass defect must lie within tol, and the
+    alias gap within _ALIAS_FLOORS."""
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
+    if n > 2:
+        raise ValueError(f"--n {n}: the float torus law meets its {tol:.0e} mass gate at "
+                         "ranks 1 and 2 only; use --n 1 or 2")
     if not 0 <= t < INF:
         raise ValueError(f"--t must be nonnegative and finite, got {t}")
     check_rates(a)
+    _check_rank(n, a)
     a = tuple(float(x) for x in a)
+    grid = {}
     if n == 1:
         if not 0 < q < 1:
             raise ValueError(f"--q must satisfy |q| < 1, and q > 0 at --n 1, got {q}")
         raw = {(z,) if z else (): (float(p), 0.0)
                for z, p in enumerate(_rank_one_law(t, a[0], q, window))}
     else:
-        raw = _torus_law(n, t, a, q, window)
+        raw, grid = _torus_law(n, t, a, q, window)
     table = {z: max(p, 0.0) for z, (p, _) in raw.items()}
     noise = {z: floor for z, (_, floor) in raw.items()}
     clamped = sum((p for p, _ in raw.values() if p < 0), 0.0)
@@ -217,31 +293,47 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     if defect < -tol:
         raise ValueError(f"window mass defect {defect:.2e} is below -{tol:.0e}: states "
                          "past the quadrature noise floor add mass; shrink the window")
+    if grid and grid["alias_gap"] > _ALIAS_FLOORS:
+        raise ValueError(f"the torus law on {grid['nodes']} nodes per axis moves by "
+                         f"{grid['alias_gap']:.0f} noise floors on the next grid size; "
+                         "use a smaller --t or --window")
     return ShapeLaw(table, abs(defect) + abs(clamped) + sum(noise.values()), noise,
                     {"mass_defect": defect, "clamped_mass": clamped,
-                     "clamped_states": clamped_states})
+                     "clamped_states": clamped_states, **grid})
 
 
-def _torus_law(n: int, t: float, a: tuple, q: float, window: int) -> dict:
-    """State -> (p_t(z), noise floor) from one FFT on the default torus grid."""
+def _torus_law(n: int, t: float, a: tuple, q: float, window: int) -> tuple:
+    """State -> (p_t(z), noise floor) from one FFT on a torus grid sized by
+    ``_torus_nodes`` for the characters' largest exponent and e^{2t cos},
+    and the grid's stats: its ``nodes`` per axis and ``alias_gap``, the
+    largest move of a state, in its noise floors, when the table is
+    recomputed on the next larger size.  ``law`` raises past
+    _ALIAS_FLOORS."""
     norm = pi_norm(a, t)  # at least every pi_val, so a finite norm means no overflow
-    quad = TorusQuadrature(n, q=q)
-    ctx = QSeriesCtx(q, truncation=quad.truncation)
+    ctx = QSeriesCtx(q, truncation=pochhammer_depth(q))
     states = sorted(z for z in partitions_max_weight(n, window * n)
                     if part(z, 1) <= window)
-    two_t_cos = sum(g + 1 / g for g in quad.grids) * t
-    pi_vals = np.exp(two_t_cos)
-    wmax = float(np.abs(pi_vals * quad.weight).max())
-    spec = quad.spectrum(pi_vals)
-    out = {}
-    for z in states:
-        poly = qwhittaker_recursion(n, z, ctx)
+    polys = [qwhittaker_recursion(n, z, ctx) for z in states]
+
+    def spectrum(nodes: int) -> tuple:
+        """The spectrum of e^{2t cos} times the weight on nodes per axis, and
+        the largest |value| of that product."""
+        quad = TorusQuadrature(n, nodes, q)
+        pi_vals = np.exp(sum(g + 1 / g for g in quad.grids) * t)
+        return quad.spectrum(pi_vals), float(np.abs(pi_vals * quad.weight).max())
+
+    nodes = _torus_nodes(n, q, _degree(polys), t=t)
+    (spec, wmax), (check, _) = spectrum(nodes), spectrum(_smooth_above(nodes))
+    out, gap = {}, 0.0
+    for z, poly in zip(states, polys):
         nf = norm_squared_factor(z, n, ctx)
-        coeff = _against(spec, poly) / _group_order(n) * nf
         at_a = float(poly.evaluate(a))
-        p = at_a * coeff.real / norm
-        out[z] = (0.0 if 0 <= p <= 1e-15 else p, 1e-15 * wmax * at_a * nf / norm)
-    return out
+        p, p_check = (at_a * (_against(s, poly) / _group_order(n) * nf).real / norm
+                      for s in (spec, check))
+        floor = 1e-15 * wmax * at_a * nf / norm
+        gap = max(gap, abs(p - p_check) / floor)
+        out[z] = (0.0 if 0 <= p <= 1e-15 else p, floor)
+    return out, {"nodes": nodes, "alias_gap": gap}
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +448,12 @@ def contour_moment(n: int, k: int, t: float, a: Sequence[float], q: float) -> fl
     nested contour integrals I_l of Borodin-Corwin, each deformed onto small
     circles around its poles (``_deformed_integral``), so that no node comes
     near the essential singularity at 0 (k <= 3).  Raises a ValueError when
-    the integrand overflows a double, or when _NODES and _NODES / 2 nodes per
-    circle differ by more than _CONTOUR_TOL relative."""
+    a has not one entry per rank n, when the integrand overflows a double, or
+    when _NODES and _NODES / 2 nodes per circle differ by more than
+    _CONTOUR_TOL relative."""
     if k > 3:
         raise ValueError("contour route implemented for k <= 3")
+    _check_rank(n, a)
     a = tuple(float(x) for x in a)
     total, spread = 1.0, 0.0
     try:
@@ -514,6 +608,7 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
     if window < 1:
         raise ValueError(f"--window must be at least 1, got {window}")
     check_rates(a)
+    _check_rank(n, a)
     a = tuple(float(x) for x in a)
     norm = pi_norm(a, t)
     if n == 1:
@@ -537,13 +632,16 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
 # orthogonality checks and the Gram-Schmidt probe
 # ---------------------------------------------------------------------------
 
-def orthogonality_matrix(n: int, shapes: Sequence, q: float,
-                         quad: Optional[TorusQuadrature] = None) -> np.ndarray:
+def orthogonality_matrix(n: int, shapes: Sequence, q: float) -> np.ndarray:
     """Matrix <P_lam, P_mu> * norm factor; the identity when orthogonality
-    holds for the recursion-defined family."""
-    quad = quad or TorusQuadrature(n, q=q)
-    ctx = QSeriesCtx(q, truncation=quad.truncation)
+    holds for the recursion-defined family.  A pair reads the weight's
+    spectrum at exponent differences up to twice the largest exponent, on a
+    grid sized for that."""
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
+    ctx = QSeriesCtx(q, truncation=pochhammer_depth(q))
     polys = [qwhittaker_recursion(n, tuple(z), ctx) for z in shapes]
+    quad = TorusQuadrature(n, _torus_nodes(n, q, 2 * _degree(polys)), q)
     m = len(shapes)
     out = np.zeros((m, m))
     for i in range(m):
@@ -559,9 +657,10 @@ def gram_schmidt_koornwinder(n: int, q: float, t0: float, max_weight: int) -> di
     shape -> LaurentPoly with float coefficients."""
     if not 0 <= t0 < 1:
         raise ValueError("t0 must lie in [0, 1)")
-    quad = TorusQuadrature(n, q=q, t0=t0, nodes=2048 if n == 1 else 256)
     shapes = sorted(partitions_max_weight(n, max_weight),
                     key=lambda z: (sum(z), z))
+    # every member has exponents up to max_weight, so a pair reads up to twice that
+    quad = TorusQuadrature(n, _torus_nodes(n, q, 2 * max_weight, t0=t0), q, t0)
     family: dict = {}
     norms: dict = {}
     for lam in shapes:

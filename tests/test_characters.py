@@ -245,6 +245,23 @@ def test_kernel_is_pinned_on_the_pairs_the_recursion_visits(q):
     assert _digest(lines) == PINS[f"kernel {q}"]
 
 
+@pytest.mark.parametrize("q", [F(1, 3), 0.5, F(0)])
+def test_one_walk_kernels_are_the_single_kernels_term_for_term(q):
+    # same nu, same terms in the same order, so the recursion sums the same
+    # pairs as when it built each kernel by its own walk
+    ctx = QSeriesCtx(q)
+    for n in (2, 3):
+        for lam in partitions_max_weight(n, 5):
+            lam_p = padded(lam, n)
+            nus = dict.fromkeys(canon(nu) for mu in interlacings(lam_p, n)
+                                for nu in interlacings(mu, n - 1))
+            single = {nu: qwhittaker_kernel(ctx, nu, lam_p, n) for nu in nus}
+            kernels = characters._kernels(ctx, lam_p)
+            assert list(kernels) == [nu for nu, ker in single.items() if ker]
+            for nu, ker in kernels.items():
+                assert list(ker.terms.items()) == list(single[nu].terms.items())
+
+
 def test_schur_patterns_are_pinned():
     assert _digest(f"{n} {lam} {symplectic_schur_patterns(n, lam).canonical()}"
                    for n in (1, 2, 3) for lam in partitions_max_weight(n, 4)) \

@@ -95,8 +95,11 @@ def test_law_reports_its_clamp_next_to_the_mass_defect(capsys):
     assert code == 0
     header, rows = _csv_report(out)
     keys = list(header)
-    assert keys[keys.index("mass_defect") + 1:][:2] == ["clamped_mass", "clamped_states"]
-    assert float(header["clamped_mass"]) < 0 and int(header["clamped_states"]) == 3
+    assert keys[keys.index("mass_defect") + 1:][:4] == ["clamped_mass", "clamped_states",
+                                                         "nodes", "alias_gap"]
+    assert float(header["clamped_mass"]) < 0 and int(header["clamped_states"]) == 4
+    # the grid is sized from the window and the integrand
+    assert int(header["nodes"]) <= 96 and float(header["alias_gap"]) <= 10
     assert int(header["clamped_states"]) <= sum(float(r["probability"]) == 0 for r in rows)
 
 
@@ -119,8 +122,11 @@ def test_law_reports_its_clamp_next_to_the_mass_defect(capsys):
      lambda out: max(json.loads(out)["eigen_residuals"].values()) < 1e-4),
     (["verify", "orthogonality", "--n", "2", "--q", "0.4", "--max-weight", "2"],
      lambda out: json.loads(out)["max_deviation_from_identity"] < 1e-13),
+    (["verify", "orthogonality", "--n", "3", "--q", "0.4", "--max-weight", "2"],
+     lambda out: json.loads(out)["max_deviation_from_identity"] < 1e-13),
 ], ids=["compute-qwhittaker", "compute-schur", "berele", "law", "moments", "polymer",
-        "verify-branching", "verify-continuous", "verify-orthogonality"])
+        "verify-branching", "verify-continuous", "verify-orthogonality",
+        "verify-orthogonality-rank-3"])
 def test_subcommand_runs(capsys, argv, check):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
@@ -234,11 +240,11 @@ def test_compute_qwhittaker_at_q_one(capsys):
     (["compute", "schur", "--n", "1", "--lambda", "2", "--method", "weyl", "--a", "1"],
      "--a 1 is not a generic point"),
     (["law", "--n", "3", "--t", "0.25", "--a", "1.3,0.9,1.1", "--q", "0.5", "--window", "4"],
-     "--n 3 needs a torus grid of 512^3 points"),
+     "--n 3: the float torus law meets its 1e-06 mass gate at ranks 1 and 2 only"),
     (["moments", "--n", "3", "--t", "0.25", "--a", "1.3,0.9,1.1", "--q", "0.5"],
-     "--n 3 needs a torus grid of 512^3 points"),
-    (["verify", "orthogonality", "--n", "3", "--q", "0.4", "--max-weight", "2"],
-     "--n 3 needs a torus grid of 512^3 points"),
+     "--n 3: the float torus law meets its 1e-06 mass gate at ranks 1 and 2 only"),
+    (["verify", "orthogonality", "--n", "4", "--q", "0.4", "--max-weight", "2"],
+     "--n 4 needs a torus grid of 81^4 points"),
     (["compute", "qwhittaker", "--n", "1", "--lambda", "2", "--q", "1/2", "--a", "0"],
      "--a entries must be nonzero"),
     (["compute", "schur", "--n", "1", "--lambda", "2", "--a", "0"],
@@ -256,6 +262,14 @@ def test_compute_qwhittaker_at_q_one(capsys):
     (["law", "--n", "1", "--t", "1", "--a", "1", "--q", "0"], "q > 0 at --n 1"),
     (["moments", "--t", "1", "--a", "1.3", "--q", "0.3", "--k", "3"],
      "32 and 16 nodes per circle differ by"),
+    (["moments", "--n", "1", "--t", "0.5", "--a", "1.3,0.9", "--q", "0.5", "--k", "1"],
+     "--a needs one rate per rank, 1 for --n 1, got 2"),
+    (["moments", "--n", "2", "--t", "0.5", "--a", "1.3", "--q", "0.5"],
+     "--a needs one rate per rank, 2 for --n 2, got 1"),
+    (["law", "--n", "2", "--t", "0.5", "--a", "1.3", "--q", "0.5"],
+     "--a needs one rate per rank, 2 for --n 2, got 1"),
+    (["law", "--n", "1", "--t", "0.5", "--a", "1.3,0.9", "--q", "0.5"],
+     "--a needs one rate per rank, 1 for --n 1, got 2"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

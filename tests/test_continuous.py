@@ -13,10 +13,12 @@ import pytest
 
 import sympgt
 import sympgt.continuous
+from sympgt.combinatorics import level_len
 from sympgt.continuous import (_BLOCK, _WIDE, ContinuousParams, _drift_ladder,
                                _kolmogorov_sf, _ks_two_sample, _log_cumsum_exp,
-                               _log_sum_exp, _log_trapz_weights, _polymer_samples,
-                               _Replay, _sde_drift, grad_log_phi, h_b, h_d, log_phi,
+                               _log_sum_exp, _log_trapz_weights, _phi_point,
+                               _polymer_samples, _product_grid, _Replay, _sde_drift,
+                               grad_log_phi, h_b, h_d, log_phi, log_q_nn, log_q_nnm1,
                                phi, phi2_bessel,
                                phi_eigen_residual, polymer_identity_check,
                                polymer_reversal_gap, q_nn, q_nnm1,
@@ -114,6 +116,36 @@ def test_phi_matches_pinned_values():
     lam, x = (0.9, 0.4), (0.5, -0.3)
     assert phi(3, lam, x) == pytest.approx(float(PHI["phi3"]), rel=1e-12)
     assert phi(4, lam, x) == pytest.approx(float(PHI["phi4"]), rel=1e-12)
+
+
+def _complex_log_phi(N, lam, x):
+    """log_phi as first written: each level's whole kernel, theta term
+    included, on the grid, and a complex log-sum-exp whose rows are shifted
+    by the max of their real part."""
+    x = _phi_point(N, lam, x)
+    m = 1000 if N <= 3 else 100
+    u = np.linspace(min(x.min(), 0.0) - 12.0, x.max() + 12.0, m)
+    logw = _log_trapz_weights(m - 1, u[1] - u[0])
+    pts, log_f, lw = np.zeros((1, 0)), np.zeros(1), np.zeros(1)
+    for k in range(1, N + 1):
+        at, lw_at = (x[None, :], None) if k == N else _product_grid(u, logw, level_len(k))
+        kernel = log_q_nnm1 if k % 2 else log_q_nn
+        a = kernel(lam[(k - 1) // 2], at[:, None, :], pts[None, :, :]) + (log_f + lw)
+        shift = a.real.max(axis=1)
+        pts, log_f, lw = at, np.log(np.exp(a - shift[:, None]).sum(axis=1)) + shift, lw_at
+    return log_f[0].item()
+
+
+@pytest.mark.parametrize("N, lam, x", [
+    (2, (0.8,), (1.5,)), (2, (0.7j,), (-3.0,)),
+    (3, (0.9, 0.4), (2.0, 0.5)), (3, (0.7j, 0.3j), (1.0, -1.0)),
+    (4, (0.9, 0.4), (0.5, -0.3)), (4, (0.7j, 0.3j), (3.0, 1.0)),
+])
+def test_real_kernel_grid_matches_the_complex_log_sum_exp(N, lam, x):
+    # the grid holds the kernel's real part, and theta's row and column terms
+    # are added apart from it
+    want = _complex_log_phi(N, lam, x)
+    assert abs(log_phi(N, lam, x) - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("N, lam, x", [

@@ -32,12 +32,7 @@ REFERENCE = json.loads((Path(__file__).parent / "data" / "torus_reference.json")
 
 @pytest.fixture(scope="module")
 def quad1():
-    return TorusQuadrature(1, q=0.4)
-
-
-@pytest.fixture(scope="module")
-def quad2():
-    return TorusQuadrature(2, q=0.4)
+    return TorusQuadrature(1, 512, q=0.4)
 
 
 def test_hermite_orthogonality_rank_one(quad1):
@@ -52,9 +47,9 @@ def test_hermite_orthogonality_rank_one(quad1):
             assert abs(ip - expect) < 1e-8
 
 
-def test_orthogonality_matrix_rank_two(quad2):
+def test_orthogonality_matrix_rank_two():
     shapes = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
-    M = orthogonality_matrix(2, shapes, 0.4, quad=quad2)
+    M = orthogonality_matrix(2, shapes, 0.4)
     assert np.abs(M - np.eye(len(shapes))).max() < 1e-6
 
 
@@ -177,6 +172,11 @@ def test_contour_route_raises_one_line_past_its_estimate(k, t, a, q, message):
     with pytest.raises(ValueError, match=message) as exc:
         contour_moment(1, k, t, a, q)
     assert "\n" not in str(exc.value)
+
+
+def test_contour_moment_reads_its_rank_from_n():
+    with pytest.raises(ValueError, match="--a needs one rate per rank, 2 for --n 2, got 1"):
+        contour_moment(2, 1, 0.5, (1.3,), 0.5)
 
 
 def test_moments_trivial_cases():
@@ -357,10 +357,10 @@ def test_real_weight_equals_complex_product(n, nodes, t0):
 
 
 def test_torus_grid_past_the_budget_raises_before_allocating():
-    # the default rank-3 grid, 512^3 points, would take 2.1 GB per complex
-    # array; the check comes before the first allocation
+    # a rank-3 grid of 512^3 points would take 2.1 GB per complex array; the
+    # check comes before the first allocation
     with pytest.raises(ValueError, match="--n 3 needs a torus grid of 512\\^3 points"):
-        TorusQuadrature(3)
+        TorusQuadrature(3, 512)
 
 
 def test_short_truncation_raises_on_every_construction():
@@ -385,33 +385,72 @@ def test_default_truncation_follows_q():
 
 
 def test_law_matches_grid_quadrature_reference():
+    # p within the 512-node reference's floors; the floors themselves are
+    # those of the sized grid
     lt = law(2, 0.25, (1, 1), 0.5, 8)
     ref = {tuple(json.loads(z)): v for z, v in REFERENCE["law_n2"].items()}
+    floors = {tuple(json.loads(z)): v for z, v in REFERENCE["law_n2_sized_noise"].items()}
     assert set(lt.table) == set(ref)
     for z, v in ref.items():
         assert abs(lt.table[z] - v["p"]) <= v["noise"]
-        assert lt.noise[z] == pytest.approx(v["noise"], rel=1e-12)
+        assert lt.noise[z] == pytest.approx(floors[z], rel=1e-12)
     lt1 = law(1, 2.0, (1.0,), 0.5, 40)
     ref1 = {tuple(json.loads(z)): p for z, p in REFERENCE["law_n1"].items()}
     assert set(lt1.table) == set(ref1)
     assert max(abs(lt1.table[z] - p) for z, p in ref1.items()) <= 1e-13
 
 
+@pytest.mark.parametrize("t, a, q, window", [(0.25, (1, 1), 0.5, 8), (0.5, (1.3, 0.9), 0.5, 12),
+                                              (1.0, (1, 1), 0.3, 12)])
+def test_sized_law_matches_the_512_node_law(monkeypatch, t, a, q, window):
+    sized = law(2, t, a, q, window)
+    assert sized.stats["nodes"] <= 96 and sized.stats["alias_gap"] <= 10
+    monkeypatch.setattr(spectral, "_torus_nodes", lambda *args, **kwargs: 512)
+    full = law(2, t, a, q, window)
+    assert set(sized.table) == set(full.table)
+    for z, p in full.table.items():
+        assert abs(sized.table[z] - p) <= 4 * full.noise[z]
+
+
+def test_law_self_check_raises_on_a_coarse_grid(monkeypatch):
+    # 32 and 36 nodes per axis alias: the table moves by 29 noise floors
+    monkeypatch.setattr(spectral, "_torus_nodes", lambda *args, **kwargs: 32)
+    with pytest.raises(ValueError, match="on 32 nodes per axis moves by 29 noise floors") as exc:
+        law(2, 0.25, (1, 1), 0.5, 8)
+    assert "\n" not in str(exc.value)
+
+
+def test_grid_sizes_are_smooth_and_follow_the_integrand():
+    assert [spectral._smooth_above(m) for m in (0, 26, 59, 64, 71, 72, 100)] == \
+        [1, 27, 64, 72, 72, 81, 108]
+    # window 8, plus 2n B = 40 for the weight at q = 0.5 and 11 for e^{2t cos}
+    assert spectral._torus_nodes(2, 0.5, 8, t=0.25) == spectral._smooth_above(8 + 40 + 11)
+    assert spectral._torus_nodes(2, 0.5, 8) < spectral._torus_nodes(2, 0.5, 8, t=2.0)
+    assert spectral._torus_nodes(1, 0.5, 4) < spectral._torus_nodes(1, 0.5, 4, t0=0.3)
+    assert spectral._torus_nodes(2, 0.3, 4) < spectral._torus_nodes(2, 0.9, 4)
+
+
+def test_law_past_rank_two_raises_before_any_work():
+    with pytest.raises(ValueError, match="--n 3: the float torus law meets its 1e-06 mass "
+                                         "gate at ranks 1 and 2 only"):
+        law(3, 0.25, (1.3, 0.9, 1.1), 0.5, 40)
+
+
 def test_law_reports_what_its_clamp_removed():
     lt = law(2, 0.25, (1, 1), 0.5, 8)
-    assert lt.stats["clamped_states"] == 3 and lt.stats["clamped_mass"] < 0
+    assert lt.stats["clamped_states"] == 4 and lt.stats["clamped_mass"] < 0
     assert lt.stats["clamped_states"] <= sum(1 for p in lt.table.values() if p == 0)
     lt0 = law(1, 0.0, (1.3,), 0.5, 10)
     assert (lt0.stats["clamped_states"] == 0) == (lt0.stats["clamped_mass"] == 0)
 
 
 def test_law_error_shows_the_clamp_that_the_mass_defect_hides():
-    # the rank-2 FFT law clamps 3 states; the rank-1 law is exact to 1e-30
+    # the rank-2 FFT law clamps 4 states; the rank-1 law is exact to 1e-30
     lt = law(2, 0.25, (1, 1), 0.5, 8)
     assert lt.stats["clamped_mass"] < 0
     assert lt.error == (abs(lt.stats["mass_defect"]) + abs(lt.stats["clamped_mass"])
                         + sum(lt.noise.values()))
-    assert lt.error == pytest.approx(1.85388e-8, rel=1e-5)
+    assert lt.error == pytest.approx(2.00900e-8, rel=1e-5)
 
 
 def test_rank_one_law_is_the_exact_law_with_its_negative_tail_clamped():
@@ -428,8 +467,8 @@ def test_rank_one_law_is_the_exact_law_with_its_negative_tail_clamped():
 
 def test_rank_two_moments_are_pinned():
     # k > 0 drops the states within 20 noise floors of 0 (44 of 91 here)
-    assert moments(2, 1, 0.5, (1.3, 0.9), 0.5, window=12)["direct"] == 4.729184380643159
-    assert moments(2, 2, 0.5, (1.3, 0.9), 0.5, window=12)["direct"] == 59.884197080978275
+    assert moments(2, 1, 0.5, (1.3, 0.9), 0.5, window=12)["direct"] == 4.729183145991534
+    assert moments(2, 2, 0.5, (1.3, 0.9), 0.5, window=12)["direct"] == 59.88279565361739
 
 
 def _product_law(t, a, q, zmax, dps, factors, nodes=512):
