@@ -11,6 +11,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import getitem
 from typing import Sequence, Union
 
 Scalar = Union[Fraction, int, float, complex]
@@ -191,11 +192,21 @@ class LaurentPoly:
         return self.terms.get(tuple(exps), Fraction(0))
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        """The sum of c prod a_i^{e_i} over the terms, in term order; each
-        power a_i^e is computed once per call, kept in a table per
-        variable."""
+        """The sum of c prod a_i^{e_i} over the terms.
+
+        When every point entry and every coefficient is an int or a Fraction
+        the sum is done in integers: with a_i = p_i / r_i and variable i's
+        exponents between lo_i and hi_i, each term is (c L) prod_i
+        p_i^{e_i - lo_i} r_i^{hi_i - e_i}, L the lcm of the coefficient
+        denominators, and the one Fraction made is that sum times
+        prod_i p_i^{lo_i} / r_i^{hi_i}, over L.  The value is an int where the
+        term-by-term product would be one, a Fraction otherwise, also at an
+        int point with a negative exponent.  Float and complex points sum in
+        term order, each power a_i^e computed once per call."""
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
+        if all(map(is_exact, point)) and all(map(is_exact, self.terms.values())):
+            return self._evaluate_exact(point)
         powers = [{} for _ in point]
         total: Scalar = 0
         for exps, c in self.terms.items():
@@ -207,6 +218,24 @@ class LaurentPoly:
                     val *= pw[e]
             total = total + val
         return total
+
+    def _evaluate_exact(self, point: Sequence[Union[Fraction, int]]) -> Union[Fraction, int]:
+        coeffs = self.terms.values()
+        L = math.lcm(*(c.denominator for c in coeffs))
+        num, den = 1, L
+        as_int = all(type(c) is int for c in coeffs)
+        tables = []
+        for a, col in zip(point, zip(*self.terms)):
+            p, r = a.numerator, a.denominator
+            lo, hi = min(col), max(col)
+            tables.append({e: p ** (e - lo) * r ** (hi - e) for e in set(col)})
+            # the factor p^lo / r^hi, each power on the side its sign puts it
+            num *= p ** max(lo, 0) * r ** max(-hi, 0)
+            den *= p ** max(-lo, 0) * r ** max(hi, 0)
+            as_int = as_int and (lo == hi == 0 or type(a) is int and lo >= 0)
+        num *= sum(c.numerator * (L // c.denominator) * math.prod(map(getitem, tables, exps))
+                   for exps, c in self.terms.items())
+        return num if as_int else Fraction(num, den)
 
     def map_coefficients(self, fn) -> "LaurentPoly":
         return LaurentPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})

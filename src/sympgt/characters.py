@@ -4,12 +4,18 @@ functions, q-deformed pattern characters with their level recursion, and the
 Pieri difference operator.  ``slice_binomials`` is the one home of the
 pattern weight: the oracle ``_char`` evaluates a pattern character at a
 point by the slice recursion, and the Markov link ``_link`` is the slice
-weight times the lower character over the upper one."""
+weight times the lower character over the upper one.
+
+In exact mode the Weyl ratio, the pattern sum and the level recursion
+multiply and sum Python integers and make one Fraction per value or per
+output coefficient; ``_char`` stays on Fractions."""
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 from itertools import permutations, product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import INF, LaurentPoly, QSeriesCtx, Scalar, _f, is_exact, q_binomial, q_hermite
 from .combinatorics import (
@@ -41,37 +47,41 @@ def monomial_symmetric(n: int, lam: Sequence[int]) -> LaurentPoly:
     return LaurentPoly(n, {mu: 1 for mu in orbit})
 
 
-def symplectic_schur_weyl(n: int, lam: Sequence[int], a: Sequence[Scalar]) -> Scalar:
-    """Weyl ratio of determinants at a point.  Requires a generic point
-    (a_i not in {0, 1, -1}, a_i != a_j^{+-1}), where the denominator does
-    not vanish; raises a ValueError naming --a otherwise."""
-    import numpy as np
-
+def symplectic_schur_weyl(n: int, lam: Sequence[int], a: Sequence[Scalar]) -> Fraction:
+    """Weyl ratio of determinants at a rational point, in integers.  With
+    a_i = p_i / r_i, the entry a_i^e - a_i^{-e} of a determinant whose
+    largest exponent is E is (p_i^{2e} - r_i^{2e}) (p_i r_i)^{E-e} over
+    (p_i r_i)^E; each integer determinant runs Bareiss elimination, and the
+    ratio of the two is divided by prod_i (p_i r_i)^{lambda_1}, the
+    difference of the row scales.  Requires a generic point (a_i not in
+    {0, 1, -1}, a_i != a_j^{+-1}), where the denominator does not vanish;
+    raises a ValueError naming --a otherwise."""
     lam = padded(lam, n)
     if len(a) != n:
         raise ValueError("point has wrong arity")
+    if not all(map(is_exact, a)):
+        raise ValueError(f"--a {','.join(map(str, a))} is not rational: the Weyl formula "
+                         "is evaluated exactly")
     if any(ai in (0, 1, -1) for ai in a) or any(
             a[i] == a[j] or a[i] * a[j] == 1 for i in range(n) for j in range(i)):
         raise ValueError(f"--a {','.join(map(str, a))} is not a generic point: the Weyl "
                          "formula needs a_i not in {0, 1, -1} and a_i != a_j^(+-1)")
+    pr = [(ai.numerator, ai.denominator) for ai in a]
     # 0-based column j holds exponent lambda_{j+1} + n - (j+1) + 1 = lam[j] + n - j
     exps_num = [lam[j] + n - j for j in range(n)]
     exps_den = [n - j for j in range(n)]
 
     def det(exps):
-        rows = [[_f(ai) ** e - _f(ai) ** (-e) for e in exps] for ai in a]
-        if all(is_exact(x) for row in rows for x in row):
-            return _det_exact(rows)
-        return np.linalg.det(np.array(rows, dtype=complex)) if any(
-            isinstance(x, complex) for row in rows for x in row
-        ) else np.linalg.det(np.array(rows, dtype=float))
+        E = exps[0]
+        return _det_int([[(p ** (2 * e) - r ** (2 * e)) * (p * r) ** (E - e) for e in exps]
+                         for p, r in pr])
 
-    return det(exps_num) / det(exps_den)
+    return Fraction(det(exps_num), det(exps_den) * math.prod(p * r for p, r in pr) ** lam[0])
 
 
-def _det_exact(rows):
-    """Fraction-free Gaussian elimination (Bareiss) for exact entries."""
-    m = [list(r) for r in rows]
+def _det_int(m):
+    """Fraction-free Gaussian elimination (Bareiss) on an integer matrix,
+    in place; every division is exact."""
     n = len(m)
     sign = 1
     prev = 1
@@ -86,9 +96,19 @@ def _det_exact(rows):
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def _tableau_weight(T, n: int) -> list:
+    """Exponent vector of a tableau: (count of i) - (count of i-bar), from
+    one pass over its rows (letter i is 2i-1, i-bar is 2i)."""
+    w = [0] * n
+    for row in T.rows:
+        for x in row:
+            w[(x - 1) // 2] += 1 if x % 2 else -1
+    return w
 
 
 def symplectic_schur_tableaux(n: int, lam: Sequence[int]) -> LaurentPoly:
@@ -97,9 +117,7 @@ def symplectic_schur_tableaux(n: int, lam: Sequence[int]) -> LaurentPoly:
     lam = canon(lam)
     if len(lam) > n:
         raise ValueError("shape has too many rows for the rank")
-    return LaurentPoly(n, ((tuple(T.count_letter(2 * i - 1) - T.count_letter(2 * i)
-                                  for i in range(1, n + 1)), 1)
-                           for T in enumerate_tableaux(lam, n)))
+    return LaurentPoly(n, ((_tableau_weight(T, n), 1) for T in enumerate_tableaux(lam, n)))
 
 
 def symplectic_schur_patterns(n: int, lam: Sequence[int]) -> LaurentPoly:
@@ -133,22 +151,54 @@ def qwhittaker_pattern_sum(N: int, z: Sequence[int], ctx: QSeriesCtx) -> Laurent
 
     Every pattern is still enumerated and its slice weights multiplied in
     level order; a slice (k, lower, upper) recurs across patterns, so its
-    weight is computed once per call."""
+    weight is computed once per call.  In exact mode a weight is kept as its
+    integer numerator and denominator, a pattern's product is one pair of
+    integers, and ``_fraction_sums`` adds the pairs per exponent vector."""
     nvars = (N + 1) // 2
-    weight = functools.cache(lambda k, lower, upper: slice_binomials(ctx, k, lower, upper))
 
-    def terms():
+    @functools.cache
+    def weight(k, lower, upper):
+        w = slice_binomials(ctx, k, lower, upper)
+        return (w.numerator, w.denominator) if ctx.exact else w
+
+    def patterns():
         for p in enumerate_patterns(z, N):
             sizes = [0] + [sum(lv) for lv in p.levels]
-            coeff: Scalar = 1
             exps = [0] * nvars
+            ws = []
             for k in range(1, N + 1):
-                coeff = coeff * weight(k, p.levels[k - 2] if k > 1 else (), p.levels[k - 1])
+                ws.append(weight(k, p.levels[k - 2] if k > 1 else (), p.levels[k - 1]))
                 delta = sizes[k] - sizes[k - 1]
                 exps[(k - 1) // 2] += delta if k % 2 else -delta
-            yield exps, coeff
+            yield exps, ws
 
-    return LaurentPoly(nvars, terms())
+    if not ctx.exact:
+        return LaurentPoly(nvars, ((exps, math.prod(ws)) for exps, ws in patterns()))
+    return LaurentPoly(nvars, _fraction_sums(
+        (tuple(exps), math.prod(nums), math.prod(dens))
+        for exps, ws in patterns() for nums, dens in [zip(*ws)]))
+
+
+def _fraction_sums(triples) -> Iterator[tuple]:
+    """Sum ``(exponents, numerator, denominator)`` triples per exponent
+    vector as one integer pair (N, D), with no gcd: where one denominator
+    divides the other the sum keeps the larger, otherwise the two multiply.
+    Yields one ``(exponents, Fraction(N, D))`` per vector, in order of first
+    appearance."""
+    acc: dict = {}
+    for exps, n, d in triples:
+        prev = acc.get(exps)
+        if prev is None:
+            acc[exps] = n, d
+            continue
+        N, D = prev
+        if D % d == 0:
+            acc[exps] = N + n * (D // d), D
+        elif d % D == 0:
+            acc[exps] = N * (d // D) + n, d
+        else:
+            acc[exps] = N * d + n * D, D * d
+    return ((exps, Fraction(N, D)) for exps, (N, D) in acc.items())
 
 
 def _kernel_term(ctx: QSeriesCtx, nu, mu, lam_p, upper: Scalar) -> tuple:
@@ -198,7 +248,9 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
     nu two interlacing steps below lam, with every kernel from one walk
     (``_kernels``).  Each rank n-1 term c a^e times each kernel term w a_n^d
     is the pair ``(e + d, c * w)``, and the constructor sums the pairs in
-    one pass.  The symbolic build serves where the whole polynomial is
+    one pass; in exact mode c w is one integer numerator and denominator,
+    ``_fraction_sums`` adds them per exponent vector, and the constructor
+    gets one Fraction per vector.  The symbolic build serves where the whole polynomial is
     needed: ``compute``, the torus coefficients of ``law``,
     ``orthogonality_matrix``, the Gram-Schmidt probe and the ledger's exact
     identities.  The dynamics evaluate characters at a point by the slice
@@ -219,14 +271,15 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
         result = q_hermite(ctx, part(lam, 1))
     else:
         lam_p = padded(lam, n)
-
-        def terms():
-            for nu, ker in _kernels(ctx, lam_p).items():
-                lower = qwhittaker_recursion(n - 1, nu, ctx)
-                yield from ((e + d, c * w) for e, c in lower.terms.items()
-                            for d, w in ker.terms.items())
-
-        result = LaurentPoly(n, terms())
+        pairs = ((qwhittaker_recursion(n - 1, nu, ctx).terms.items(), ker.terms.items())
+                 for nu, ker in _kernels(ctx, lam_p).items())
+        if ctx.exact:
+            result = LaurentPoly(n, _fraction_sums(
+                (e + d, c.numerator * w.numerator, c.denominator * w.denominator)
+                for lower, kernel in pairs for e, c in lower for d, w in kernel))
+        else:
+            result = LaurentPoly(n, ((e + d, c * w) for lower, kernel in pairs
+                                     for e, c in lower for d, w in kernel))
     _recursion_cache[key] = result
     return result
 

@@ -87,6 +87,8 @@ def _cmd_compute(args) -> int:
                              symplectic_schur_patterns, symplectic_schur_tableaux,
                              symplectic_schur_weyl)
     n, lam = args.n, args.lam
+    if args.a and len(args.a) != n:
+        raise ValueError(f"--a needs one entry per variable, {n} for --n {n}, got {len(args.a)}")
     if args.a and 0 in args.a:
         raise ValueError(f"--a entries must be nonzero, got {','.join(map(str, args.a))}: "
                          "the characters are Laurent polynomials in a")

@@ -130,9 +130,6 @@ class SymplecticTableau:
                 if x < 2 * (i + 1) - 1:
                     raise ValueError(f"S3 violated: entry {letter_str(x)} < {i + 1} in row {i + 1}")
 
-    def count_letter(self, letter: int) -> int:
-        return sum(row.count(letter) for row in self.rows)
-
     def __eq__(self, other):
         return isinstance(other, SymplecticTableau) and self.rows == other.rows
 

@@ -238,3 +238,32 @@ def test_evaluate_equals_the_term_by_term_product(point):
     for poly in (p, r, p * r, p * p + r):
         got, want = poly.evaluate(point), _evaluate_term_by_term(poly, point)
         assert got == want and repr(got) == repr(want)
+
+
+def test_exact_points_give_exact_values():
+    # an int entry under a negative exponent gives a Fraction, not a float
+    assert repr(LaurentPoly(1, {(-1,): 1}).evaluate((2,))) == "Fraction(1, 2)"
+    assert repr(LaurentPoly(2, {(1, -1): 1}).evaluate((1, 3))) == "Fraction(1, 3)"
+    assert repr(LaurentPoly(2, {(2, 1): 3, (0, 1): -1}).evaluate((2, 5))) == "55"
+    assert repr(LaurentPoly(2, {(2, 0): 3}).evaluate((2, F(1, 2)))) == "12"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_evaluate_equals_the_term_by_term_product(seed):
+    rng = random.Random(seed)
+
+    def rational():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    for _ in range(20):
+        terms = [(tuple(rng.randint(-3, 3) for _ in range(3)),
+                  rng.choice((rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 6)))))
+                 for _ in range(rng.randint(1, 10))]
+        p = LaurentPoly(3, terms)
+        point = (rational(), rational(), rational())
+        # a1 - a2 vanishes at the point: every coefficient of the product
+        # survives, but the terms cancel in the sum
+        zero = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): -1})
+        for poly, pt in ((p, point), (p * p - p, point), (p * zero, point[:1] * 2 + point[2:])):
+            got, want = poly.evaluate(pt), _evaluate_term_by_term(poly, pt)
+            assert got == want and repr(got) == repr(want)

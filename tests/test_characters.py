@@ -19,7 +19,7 @@ from sympgt.characters import (
     symplectic_schur_tableaux,
     symplectic_schur_weyl,
 )
-from sympgt.combinatorics import canon, interlacings, padded, partitions_max_weight
+from sympgt.combinatorics import canon, interlacings, padded, part, partitions_max_weight
 
 POINTS2 = [(F(2), F(3)), (F(1, 2), F(5)), (F(3, 7), F(7, 2)),
            (F(5, 3), F(2, 9)), (F(4), F(9, 5))]
@@ -63,6 +63,117 @@ def test_weyl_vs_tableaux_vs_patterns():
 def test_weyl_singular_point_raises():
     with pytest.raises(ValueError, match="--a 1 is not a generic point"):
         symplectic_schur_weyl(1, (2,), (F(1),))
+    with pytest.raises(ValueError, match="--a 0.5 is not rational"):
+        symplectic_schur_weyl(1, (2,), (0.5,))
+
+
+# References: the exact routes with one normalised Fraction per entry, product
+# and sum, against which the integer routes must agree bitwise.
+
+def _det_fraction(rows):
+    """Bareiss elimination on Fraction entries."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _weyl_rows(n, lam, a, numerator=True):
+    lam = padded(lam, n)
+    exps = [(lam[j] if numerator else 0) + n - j for j in range(n)]
+    return [[F(ai) ** e - F(ai) ** (-e) for e in exps] for ai in a]
+
+
+def _weyl_fraction(n, lam, a):
+    return _det_fraction(_weyl_rows(n, lam, a)) / _det_fraction(_weyl_rows(n, lam, a, False))
+
+
+def _pattern_sum_fraction(N, z, ctx):
+    nvars = (N + 1) // 2
+
+    def terms():
+        for p in characters.enumerate_patterns(z, N):
+            sizes = [0] + [sum(lv) for lv in p.levels]
+            coeff = 1
+            exps = [0] * nvars
+            for k in range(1, N + 1):
+                coeff = coeff * characters.slice_binomials(
+                    ctx, k, p.levels[k - 2] if k > 1 else (), p.levels[k - 1])
+                delta = sizes[k] - sizes[k - 1]
+                exps[(k - 1) // 2] += delta if k % 2 else -delta
+            yield exps, coeff
+
+    return LaurentPoly(nvars, terms())
+
+
+def _recursion_fraction(n, lam, ctx):
+    if n == 1:
+        return q_hermite(ctx, part(lam, 1))
+    return LaurentPoly(n, ((e + d, c * w)
+                           for nu, ker in characters._kernels(ctx, padded(lam, n)).items()
+                           for e, c in _recursion_fraction(n - 1, nu, ctx).terms.items()
+                           for d, w in ker.terms.items()))
+
+
+WEYL_POINTS = {1: [(F(-2),), (F(-3, 5),), (-4,)],
+               2: [(F(-2), F(3)), (F(-1, 2), F(-5, 3)), (F(2), F(-2))],
+               3: [(F(-2), F(2), F(7, 3)), (F(-3), F(1, 3), F(-5, 2)),
+                   (F(-1, 2), F(-7, 4), F(9, 5))]}
+
+
+def test_weyl_matches_the_fraction_reference():
+    for n, points in WEYL_POINTS.items():
+        for lam in partitions_max_weight(n, 5):
+            for a in points:
+                got, want = symplectic_schur_weyl(n, lam, a), _weyl_fraction(n, lam, a)
+                assert repr(got) == repr(want)
+    # at (-2, 2, 7/3) the leading 2x2 minor of the shape-(1) numerator
+    # vanishes, so the elimination's second pivot is 0 and it swaps rows
+    m = _weyl_rows(3, (1,), WEYL_POINTS[3][0])
+    assert m[0][0] * m[1][1] - m[1][0] * m[0][1] == 0 and m[0][0] != 0
+
+
+@pytest.mark.parametrize("q", [F(1, 3), F(2, 5), F(0), F(-1, 2), F(1), F(-1), F(3, 2), 0.5])
+def test_integer_routes_match_the_fraction_references(q):
+    # the same coefficients, of the same type, in the same term order
+    ctx = QSeriesCtx(q)
+    for n in (1, 2, 3):
+        for lam in partitions_max_weight(n, 4):
+            for got, want in ((qwhittaker_pattern_sum(2 * n, lam, ctx),
+                               _pattern_sum_fraction(2 * n, lam, ctx)),
+                              (qwhittaker_recursion(n, lam, ctx), _recursion_fraction(n, lam, ctx))):
+                assert got.canonical() == want.canonical()
+                assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+
+
+def test_fraction_sums_over_denominators_that_do_not_divide():
+    # 1/2 + 1/3 multiplies the denominators, + 5/12 keeps the larger one
+    triples = [((1,), 1, 2), ((0,), 1, 3), ((1,), 1, 3), ((1,), 5, 12), ((0,), -1, 3)]
+    assert list(characters._fraction_sums(triples)) == [((1,), F(5, 4)), ((0,), 0)]
+
+
+def test_recursion_caches_each_shape_under_its_own_key():
+    ctx = QSeriesCtx(F(2, 7))
+    first = qwhittaker_recursion(3, (2, 1), ctx)
+    assert qwhittaker_recursion(3, (2, 1), ctx) is first
+    cached = {key: p for key, p in characters._recursion_cache.items() if key[2:] == (F(2, 7), True)}
+    assert len(cached) > 3
+    for (n, lam, _q, _exact), p in cached.items():
+        assert p == _recursion_fraction(n, lam, ctx)
 
 
 def test_pattern_sum_rank1_is_q_hermite():

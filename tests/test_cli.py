@@ -270,6 +270,14 @@ def test_compute_qwhittaker_at_q_one(capsys):
      "--a needs one rate per rank, 2 for --n 2, got 1"),
     (["law", "--n", "1", "--t", "0.5", "--a", "1.3,0.9", "--q", "0.5"],
      "--a needs one rate per rank, 1 for --n 1, got 2"),
+    (["compute", "schur", "--n", "2", "--lambda", "2,1", "--a", "2"],
+     "--a needs one entry per variable, 2 for --n 2, got 1"),
+    (["compute", "schur", "--n", "2", "--lambda", "2,1", "--a", "2,3,4"],
+     "--a needs one entry per variable, 2 for --n 2, got 3"),
+    (["compute", "schur", "--n", "2", "--lambda", "2,1", "--method", "weyl", "--a", "2"],
+     "--a needs one entry per variable, 2 for --n 2, got 1"),
+    (["compute", "qwhittaker", "--n", "2", "--lambda", "2,1", "--q", "1/3", "--a", "2,3,4"],
+     "--a needs one entry per variable, 2 for --n 2, got 3"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)
