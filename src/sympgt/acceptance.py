@@ -355,7 +355,7 @@ def check_orthogonality_conjecture():
     """Reported coefficient distance between the small-t0 orthogonalized
     family and the recursion-defined character at rank 2; never a gate."""
     family = gram_schmidt_koornwinder(2, 0.4, 1e-3, 2)
-    dists = {str(lam): conjecture_distance(2, lam, 0.4, 1e-3, family=family)
+    dists = {str(lam): conjecture_distance(2, lam, 0.4, family)
              for lam in [(1,), (1, 1), (2,)]}
     return {"name": "orthogonality-conjecture", "passed": True, "soft": True,
             "t0": 1e-3, "coefficient_distances": dists}

@@ -25,14 +25,11 @@ def is_exact(x: Scalar) -> bool:
 
 @dataclass(frozen=True)
 class QSeriesCtx:
-    """Carries the deformation parameter q and the truncation depth used for
-    infinite Pochhammer products in numeric mode."""
+    """Carries the deformation parameter q; infinite Pochhammer products in
+    numeric mode are truncated at ``pochhammer_depth(q)`` factors."""
     q: Scalar
-    truncation: int = 60
 
     def __post_init__(self):
-        if self.truncation < 1:
-            raise ValueError("truncation must be >= 1")
         if not self.exact and not abs(self.q) < 1:
             raise ValueError("numeric mode requires |q| < 1")
 
@@ -41,14 +38,24 @@ class QSeriesCtx:
         return is_exact(self.q)
 
 
+def pochhammer_depth(q: float) -> int:
+    """Truncation of (x;q)_infinity: at least 60 factors, and enough that
+    |q|^K < 1e-17.  The product diverges for |q| >= 1."""
+    if abs(q) >= 1:
+        raise ValueError(f"--q must satisfy |q| < 1, got {q}")
+    if abs(q) < 1e-17:
+        return 60
+    return max(60, math.floor(math.log(1e-17) / math.log(abs(q))) + 1)
+
+
 def q_pochhammer(ctx: QSeriesCtx, x: Scalar, k) -> Scalar:
     """(x;q)_k = prod_{j=0}^{k-1} (1 - x q^j); k may be math.inf in numeric
-    mode, in which case the product is truncated at ctx.truncation factors."""
+    mode, in which case the product stops at pochhammer_depth(q) factors."""
     q = ctx.q
     if k == INF:
         if ctx.exact:
             raise ValueError("infinite q-Pochhammer is unsupported in exact mode")
-        k = ctx.truncation
+        k = pochhammer_depth(q)
     if k < 0 or k != int(k):
         raise ValueError("q-Pochhammer order must be a nonnegative integer or inf")
     result: Scalar = Fraction(1) if ctx.exact and is_exact(x) else 1.0

@@ -6,28 +6,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .combinatorics import SymplecticTableau, canon, letter_parse
+from .combinatorics import SymplecticTableau, letter_parse
 
 
-class PuncturedTableau:
-    """Tableau grid with exactly one empty cell, stored as (rows, hole)."""
-
-    __slots__ = ("rows", "hole")
-
-    def __init__(self, rows: Sequence[Sequence[int]], hole: tuple):
-        self.rows = [list(r) for r in rows]
-        i, j = hole
-        if not (0 <= i < len(self.rows) and 0 <= j < len(self.rows[i])):
-            raise ValueError("hole outside the shape")
-        self.hole = (i, j)
-
-
-def jeu_de_taquin(T: PuncturedTableau) -> SymplecticTableau:
-    """Slide the hole to a corner, each step switching with the smaller of
-    the right/below neighbours (below on ties, and whenever it is the only
-    neighbour), then drop the corner box."""
-    rows = T.rows
-    i, j = T.hole
+def jeu_de_taquin(rows: Sequence[Sequence[int]], hole: tuple) -> SymplecticTableau:
+    """Slide the empty cell hole = (i, j) of a copy of rows to a corner, each
+    step switching with the smaller of the right/below neighbours (below on
+    ties, and whenever it is the only neighbour), then drop the corner box."""
+    rows = [list(r) for r in rows]
+    i, j = hole
     while True:
         right = rows[i][j + 1] if j + 1 < len(rows[i]) else None
         below = rows[i + 1][j] if i + 1 < len(rows) and j < len(rows[i + 1]) else None
@@ -62,7 +49,7 @@ def insert(P: SymplecticTableau, letter: int) -> SymplecticTableau:
         bumped = row[pos]
         if cur == 2 * (i + 1) - 1 and bumped == cur + 1:
             # letter i+1 meets its bar in row i+1: cancel both
-            return jeu_de_taquin(PuncturedTableau(rows, (i, pos)))
+            return jeu_de_taquin(rows, (i, pos))
         row[pos] = cur
         cur = bumped
         i += 1
@@ -72,27 +59,32 @@ def insert(P: SymplecticTableau, letter: int) -> SymplecticTableau:
 @dataclass(frozen=True)
 class InsertionRecord:
     word: tuple
-    tableau: SymplecticTableau
-    shapes: tuple  # f^0 = (), ..., f^m = shape of tableau
+    tableaux: tuple  # P^0 = empty, ..., P^m after the whole word
+    shapes: tuple    # f^0 = (), ..., f^m, the shapes of the tableaux
+
+    @property
+    def tableau(self) -> SymplecticTableau:
+        return self.tableaux[-1]
 
 
 def process_word(word: Union[str, Sequence[int]], n: int) -> InsertionRecord:
     """Insert the word letter by letter starting from the empty tableau,
-    validating after each step and recording the shape path."""
+    validating after each step and recording every tableau and the shape
+    path."""
     if isinstance(word, str):
         letters = tuple(letter_parse(tok) for tok in word.split())
     else:
         letters = tuple(int(x) for x in word)
     if any(not 1 <= x <= 2 * n for x in letters):
         raise ValueError("letter outside the alphabet")
-    P = SymplecticTableau([])
+    tableaux = [SymplecticTableau([])]
     shapes: list = [()]
     for x in letters:
-        Q = insert(P, x)
-        Q.validate(n)
-        old, new = canon(P.shape), canon(Q.shape)
-        if sum(new) - sum(old) not in (-1, 1):
+        P = insert(tableaux[-1], x)
+        P.validate(n)
+        shape = P.shape
+        if sum(shape) - sum(shapes[-1]) not in (-1, 1):
             raise AssertionError("shape did not change by one box")
-        shapes.append(new)
-        P = Q
-    return InsertionRecord(letters, P, tuple(shapes))
+        tableaux.append(P)
+        shapes.append(shape)
+    return InsertionRecord(letters, tuple(tableaux), tuple(shapes))

@@ -258,8 +258,7 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
 
     Memoized in ``_recursion_cache`` under ``(n, lam, q, exact)``.  The
     exactness flag keeps ``q = 0.5`` and ``q = Fraction(1, 2)`` apart (they
-    compare and hash equal); the truncation depth is not in the key because
-    the recursion never reads it."""
+    compare and hash equal)."""
     lam = canon(lam)
     if len(lam) > n:
         raise ValueError("shape has too many rows for the rank")

@@ -126,10 +126,9 @@ def _cmd_berele(args) -> int:
     rec = process_word(args.word, args.n)
     words = rec.word
     if args.trace:
-        for m in range(1, len(words) + 1):
-            partial = process_word(words[:m], args.n)
-            print(f"after {letter_str(words[m - 1])!s}:  shape {partial.shapes[-1]}")
-            for row in partial.tableau.rows:
+        for letter, P, shape in zip(words, rec.tableaux[1:], rec.shapes[1:]):
+            print(f"after {letter_str(letter)}:  shape {shape}")
+            for row in P.rows:
                 print("  " + " ".join(letter_str(x) for x in row))
     print("word:   " + " ".join(letter_str(x) for x in words))
     print("shapes: " + " -> ".join(str(s) for s in rec.shapes))
@@ -205,8 +204,7 @@ def _cmd_limit(args) -> int:
 def _cmd_sde(args) -> int:
     import numpy as np
     from .combinatorics import level_len
-    from .continuous import ContinuousParams, sde_simulate, wedge_start
-    params = ContinuousParams(len(args.lam), args.lam)
+    from .continuous import sde_simulate, wedge_start
     x0 = wedge_start(args.N)
     if args.start:
         sizes = [level_len(k) for k in range(1, args.N + 1)]
@@ -216,7 +214,7 @@ def _cmd_sde(args) -> int:
                              f"but got {len(args.start)}")
         ends = np.cumsum(sizes)
         x0 = [np.array(args.start[e - l:e]) for l, e in zip(sizes, ends)]
-    rep = sde_simulate(args.N, params, x0, args.t, args.h,
+    rep = sde_simulate(args.N, args.lam, x0, args.t, args.h,
                        args.replicas, args.seed)
     bottom = rep["bottom"]
     _emit({"schema": SCHEMA, "N": args.N, "lambda": list(args.lam),

@@ -242,30 +242,24 @@ def interlacings(lam: Sequence[int], length: int) -> Iterator[tuple]:
         yield nu
 
 
-def enumerate_patterns(shape: Sequence[int], N: int) -> Iterator[GTPattern]:
-    """Every pattern with N levels and bottom level equal to shape, in
-    lexicographic order by level then coordinate.  Iterative chain walk."""
-    bottom = padded(shape, level_len(N))
-    if N == 1:
-        yield GTPattern([bottom])
+def _chains(bottom: tuple, lengths: Sequence[int]) -> Iterator[tuple]:
+    """Every chain (..., nu_2, nu_1, bottom), nu_k of lengths[k - 1] entries
+    interlaced below nu_{k-1}, lexicographic in nu_1, then in nu_2, and so
+    on: the order in which ``interlacings`` yields."""
+    if not lengths:
+        yield (bottom,)
         return
-    # choices[k] lists candidates for level k+1 given level k+2 (0-based).
-    levels: list = [None] * N
-    levels[N - 1] = bottom
-    iters: list = [None] * N
-    k = N - 2
-    iters[k] = iter(sorted(interlacings(levels[k + 1], level_len(k + 1))))
-    while k <= N - 2:
-        nxt = next(iters[k], None)
-        if nxt is None:
-            k += 1
-            continue
-        levels[k] = nxt
-        if k == 0:
-            yield GTPattern([tuple(lv) for lv in levels])
-        else:
-            k -= 1
-            iters[k] = iter(sorted(interlacings(levels[k + 1], level_len(k + 1))))
+    for nu in interlacings(bottom, lengths[0]):
+        for chain in _chains(nu, lengths[1:]):
+            yield chain + (bottom,)
+
+
+def enumerate_patterns(shape: Sequence[int], N: int) -> Iterator[GTPattern]:
+    """Every pattern with N levels and level N equal to shape, lexicographic
+    in level N - 1, then in level N - 2, and so on down to level 1."""
+    bottom = padded(shape, level_len(N))
+    for levels in _chains(bottom, [level_len(k) for k in range(N - 1, 0, -1)]):
+        yield GTPattern(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +268,7 @@ def enumerate_patterns(shape: Sequence[int], N: int) -> Iterator[GTPattern]:
 
 def enumerate_patterns_typeA(shape: Sequence[int], N: int) -> Iterator[list]:
     """Type-A Gelfand-Tsetlin patterns with top row = shape (N levels,
-    level k has k entries)."""
-    top = padded(shape, N)
-
-    def rec(levels):
-        k = len(levels)
-        if k == N:
-            yield list(reversed(levels))
-            return
-        for nu in interlacings(levels[-1], N - k):
-            yield from rec(levels + [nu])
-
-    yield from rec([top])
+    level k has k entries), listed from level 1 up, in the order of
+    enumerate_patterns."""
+    for levels in _chains(padded(shape, N), range(N - 1, 0, -1)):
+        yield list(levels)

@@ -15,26 +15,11 @@ last level of Z, where only the endpoint log I_N(t) is computed."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .combinatorics import level_len
-
-
-@dataclass(frozen=True)
-class ContinuousParams:
-    n: int
-    lam: tuple
-
-    def __post_init__(self):
-        if len(self.lam) != self.n:
-            raise ValueError("lam must have length n")
-        if any(self.lam[i] <= self.lam[i + 1] for i in range(self.n - 1)):
-            raise ValueError("lam must be strictly decreasing")
-        if self.lam[-1] <= 0:
-            raise ValueError("lam must be positive")
 
 
 def _drift_ladder(lam: Sequence[float], N: int) -> tuple:
@@ -362,7 +347,7 @@ def wedge_start(N: int) -> list:
     return levels
 
 
-def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
+def sde_simulate(N: int, lam: Sequence[float], x0: list, t: float,
                  h: float, replicas: int, seed: int) -> dict:
     """Euler-Maruyama paths of all replicas as one batch; returns the
     bottom-level endpoints and the count of replicas flagged, either for a
@@ -377,17 +362,21 @@ def sde_simulate(N: int, params: ContinuousParams, x0: list, t: float,
     draws, over the replicas it advances, one block of standard normals of
     shape (replicas, level size) per level, level 1 first.
 
-    Bad input raises a one-line ValueError that names the CLI flag: N < 1,
-    fewer than ceil(N / 2) lam values, t < 0 or not finite, h <= 0 (the
-    clock would never advance) or replicas < 1.  At t = 0 the start is
-    returned.  A run that flags every replica raises a one-line ValueError
-    that names the start."""
-    _check_n_lambda_replicas(N, params.lam, replicas)
+    Bad input raises a one-line ValueError: lam not strictly decreasing or
+    not positive, and, naming the CLI flag, N < 1, fewer than ceil(N / 2)
+    lam values, t < 0 or not finite, h <= 0 (the clock would never advance)
+    or replicas < 1.  At t = 0 the start is returned.  A run that flags
+    every replica raises a one-line ValueError that names the start."""
+    if any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
+        raise ValueError("lam must be strictly decreasing")
+    if lam[-1] <= 0:
+        raise ValueError("lam must be positive")
+    _check_n_lambda_replicas(N, lam, replicas)
     if not 0 <= t < math.inf:
         raise ValueError(f"--t must be nonnegative and finite, got {t}")
     if not h > 0:
         raise ValueError(f"--h must be positive, got {h}")
-    bar = _drift_ladder(params.lam, N)
+    bar = _drift_ladder(lam, N)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     levels = [np.tile(np.asarray(lv, dtype=float), (replicas, 1)) for lv in x0]
     ok = np.ones(replicas, dtype=bool)

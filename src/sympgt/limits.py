@@ -29,11 +29,8 @@ class ScalingCtx:
         self.lam = tuple(float(l) for l in lam)
         self.q = math.exp(-eps)
         self.m = -math.floor(math.log(eps) / eps)
-        if self.m < 1:
-            raise ValueError("shift m(eps) must be >= 1")
         self.A = -math.pi ** 2 / (6.0 * eps) - 0.5 * math.log(eps / TWO_PI)
         self._L = np.zeros(1)
-        self._memo: dict = {}
         self._psi1_table: dict = {}
 
     # -- log Pochhammer prefix sums ----------------------------------------
@@ -93,8 +90,6 @@ def _psi_rank_two(sctx: ScalingCtx, z: tuple) -> complex:
     level k, z32 <= k <= z31, with the rank-1 sums psi(k) innermost.  For
     each z31 the (z32, k) terms form one array whose entries with k < z32
     carry log weight -inf, so each z31 costs one masked array sum."""
-    if z in sctx._memo:
-        return sctx._memo[z]
     eps, A, l2 = sctx.eps, sctx.A, sctx.lam[1]
     L = sctx.log_pochhammer(z[0])
     psit = np.array([_psi_rank_one(sctx, k) for k in range(z[0] + 1)])
@@ -114,9 +109,7 @@ def _psi_rank_two(sctx: ScalingCtx, z: tuple) -> complex:
                       -np.inf)
         inner = np.exp(w2 + 1j * eps * l2 * (z31 - gap)) @ psit[:z31 + 1]
         total += eps * np.sum(np.exp(1j * eps * l2 * (z31 + z32 - sz) + w1) * inner)
-    val = complex(eps ** 2 * total)
-    sctx._memo[z] = val
-    return val
+    return complex(eps ** 2 * total)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import INF, LaurentPoly, QSeriesCtx, q_pochhammer
+from .algebra import INF, LaurentPoly, QSeriesCtx, pochhammer_depth, q_pochhammer
 from .characters import check_rates, monomial_symmetric, qwhittaker_recursion
 from .combinatorics import padded, part, partitions_max_weight
 from .dynamics import ShapeLaw
@@ -41,16 +41,6 @@ from .dynamics import ShapeLaw
 # every torus grid has at most this many points (2^24 complex entries are
 # 256 MiB per array)
 _GRID_POINTS = 2 ** 24
-
-
-def pochhammer_depth(q: float) -> int:
-    """Default truncation of (x;q)_infinity: at least 60 factors, and enough
-    that |q|^K < 1e-17.  The product diverges for |q| >= 1."""
-    if abs(q) >= 1:
-        raise ValueError(f"--q must satisfy |q| < 1, got {q}")
-    if abs(q) < 1e-17:
-        return 60
-    return max(60, math.floor(math.log(1e-17) / math.log(abs(q))) + 1)
 
 
 def _smooth_above(m: int) -> int:
@@ -86,7 +76,7 @@ def _torus_nodes(n: int, q: float, reach: int, t: float = 0.0, t0: float = 0.0) 
     |(e^{i phi};q)_inf|^2, of bandwidth B, at 2 theta_j (2B) and at
     theta_j +- theta_k for each other axis (B each), 2nB in all; the t0
     factor and e^{2t cos theta_j} add their own bandwidths."""
-    poch = functools.partial(q_pochhammer, QSeriesCtx(float(q), pochhammer_depth(q)), k=INF)
+    poch = functools.partial(q_pochhammer, QSeriesCtx(float(q)), k=INF)
     width = 2 * n * _bandwidth(lambda c: np.abs(poch(c)) ** 2)
     if t0:
         width += _bandwidth(lambda c: 1 / np.abs(poch(t0 * c)) ** 2)
@@ -99,15 +89,14 @@ def _torus_nodes(n: int, q: float, reach: int, t: float = 0.0, t0: float = 0.0) 
 class TorusQuadrature:
     """Uniform trapezoid nodes on the n-torus with the orthogonality weight
     cached; spectrally accurate for Laurent-polynomial integrands on a grid
-    sized by ``_torus_nodes``.  A truncation of 0 means
-    ``pochhammer_depth(q)``; each construction probes it and keeps the
-    probe's residual as ``truncation_residual``.  A grid of more than
+    sized by ``_torus_nodes``.  Each construction probes the weight at
+    ``pochhammer_depth(q)`` factors per symbol against twice as many and keeps
+    the residual as ``truncation_residual``.  A grid of more than
     _GRID_POINTS points raises before anything is allocated."""
     n: int
     nodes: int
     q: float = 0.5
     t0: float = 0.0
-    truncation: int = 0
     truncation_residual: float = field(init=False, compare=False)
     _weight_spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                                    compare=False)
@@ -119,17 +108,16 @@ class TorusQuadrature:
             raise ValueError(f"--n {self.n} needs a torus grid of {self.nodes}^{self.n} "
                              f"points, past the budget of 2^{math.log2(_GRID_POINTS):g}; "
                              "use a smaller --n")
-        if self.truncation == 0:
-            self.truncation = pochhammer_depth(self.q)
+        depth = pochhammer_depth(self.q)
         # 16 points off the zeros of the weight: axis j is shifted by 0.7 j,
         # since a_j = a_k would zero every pair factor
         probe = [np.exp(1j * (2 * np.pi * np.arange(16) / 16 + 0.1 + 0.7 * j))
                  for j in range(self.n)]
-        cur = self._weight(self.truncation, probe)
-        residual = float(np.abs(self._weight(2 * self.truncation, probe) - cur).max())
+        cur = self._weight(depth, probe)
+        residual = float(np.abs(self._weight(2 * depth, probe) - cur).max())
         if residual > 1e-10:
-            raise ValueError(f"pochhammer truncation {self.truncation} too short "
-                             f"for q = {self.q} (residual {residual:.1e}); raise it")
+            raise ValueError(f"pochhammer truncation {depth} too short "
+                             f"for q = {self.q} (residual {residual:.1e})")
         # relative: at q = 0.9 the weight reaches 1e7, whose rounding
         # alone exceeds an absolute 1e-9
         if float(np.abs(cur.imag).max()) > 1e-9 * float(np.abs(cur).max()):
@@ -142,7 +130,7 @@ class TorusQuadrature:
         self.grids = [circle[i] for i in idx]
         # |(e^{i phi};q)_inf|^2 at phi = 2 pi m / N: the weight is a product of
         # these at 2 theta_j and theta_j +- theta_k, gathered by index mod N
-        poch = functools.partial(q_pochhammer, QSeriesCtx(float(self.q), self.truncation), k=INF)
+        poch = functools.partial(q_pochhammer, QSeriesCtx(float(self.q)), k=depth)
         factor = np.abs(poch(circle)) ** 2
         single = factor[2 * np.arange(N) % N]
         if self.t0:
@@ -153,10 +141,11 @@ class TorusQuadrature:
             for k in range(j + 1, self.n):
                 self.weight *= factor[(idx[j] + idx[k]) % N] * factor[(idx[k] - idx[j]) % N]
 
-    def _weight(self, terms: int, grids: Sequence[np.ndarray]) -> np.ndarray:
+    def _weight(self, factors: int, grids: Sequence[np.ndarray]) -> np.ndarray:
         """The weight as the complex product of its 2n + 4 binom(n, 2)
-        Pochhammer symbols (2n more with t0) at the given points."""
-        poch = functools.partial(q_pochhammer, QSeriesCtx(float(self.q), terms), k=INF)
+        Pochhammer symbols (2n more with t0), each of the given number of
+        factors, at the given points."""
+        poch = functools.partial(q_pochhammer, QSeriesCtx(float(self.q)), k=factors)
         w = np.ones(np.broadcast(*grids).shape, dtype=complex)
         for aj in grids:
             w = w * poch(aj ** 2) * poch(aj ** -2)
@@ -310,7 +299,7 @@ def _torus_law(n: int, t: float, a: tuple, q: float, window: int) -> tuple:
     recomputed on the next larger size.  ``law`` raises past
     _ALIAS_FLOORS."""
     norm = pi_norm(a, t)  # at least every pi_val, so a finite norm means no overflow
-    ctx = QSeriesCtx(q, truncation=pochhammer_depth(q))
+    ctx = QSeriesCtx(q)
     states = sorted(z for z in partitions_max_weight(n, window * n)
                     if part(z, 1) <= window)
     polys = [qwhittaker_recursion(n, z, ctx) for z in states]
@@ -639,7 +628,7 @@ def orthogonality_matrix(n: int, shapes: Sequence, q: float) -> np.ndarray:
     grid sized for that."""
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
-    ctx = QSeriesCtx(q, truncation=pochhammer_depth(q))
+    ctx = QSeriesCtx(q)
     polys = [qwhittaker_recursion(n, tuple(z), ctx) for z in shapes]
     quad = TorusQuadrature(n, _torus_nodes(n, q, 2 * _degree(polys)), q)
     m = len(shapes)
@@ -677,13 +666,11 @@ def gram_schmidt_koornwinder(n: int, q: float, t0: float, max_weight: int) -> di
     return family
 
 
-def conjecture_distance(n: int, lam, q: float, t0: float,
-                        family: Optional[dict] = None) -> float:
-    """Reported (never asserted) coefficient distance between the small-t0
-    orthogonal family and the recursion-defined character."""
+def conjecture_distance(n: int, lam, q: float, family: dict) -> float:
+    """Reported (never asserted) coefficient distance between member lam of a
+    gram_schmidt_koornwinder family and the recursion-defined character."""
     from .combinatorics import canon
     lam = canon(lam)
-    fam = family or gram_schmidt_koornwinder(n, q, t0, sum(lam))
     target = qwhittaker_recursion(n, lam, QSeriesCtx(q)).map_coefficients(float)
-    diff = fam[lam] - target
+    diff = family[lam] - target
     return max((abs(c) for c in diff.terms.values()), default=0.0)

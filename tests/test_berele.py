@@ -3,20 +3,18 @@ from itertools import product
 
 import pytest
 
-from sympgt.berele import InsertionRecord, PuncturedTableau, insert, jeu_de_taquin, process_word
+from sympgt.berele import InsertionRecord, insert, jeu_de_taquin, process_word
 from sympgt.combinatorics import SymplecticTableau, enumerate_tableaux, pattern_to_tableau
 
 
 def test_jdt_worked_example():
     # hole at (1,1) of [_ 1 2 / 2 2]: slide right ("1<2"), then below on the tie
-    T = PuncturedTableau([[0, 1, 3], [3, 3]], (0, 0))
-    out = jeu_de_taquin(T)
+    out = jeu_de_taquin([[0, 1, 3], [3, 3]], (0, 0))
     assert out.rows == ((1, 3, 3), (3,))
 
 
 def test_jdt_corner_hole():
-    T = PuncturedTableau([[1, 3], [3]], (1, 0))
-    out = jeu_de_taquin(T)
+    out = jeu_de_taquin([[1, 3], [3]], (1, 0))
     assert out.rows == ((1, 3),)
 
 
@@ -33,7 +31,7 @@ def test_jdt_fuzz_validity():
             # a hole at a random cell is artificial, and the slide may break
             # S3 there, so only the shape mechanics are checked: the slide
             # removes exactly one box
-            out = jeu_de_taquin(PuncturedTableau(rows, (i, j)))
+            out = jeu_de_taquin(rows, (i, j))
             assert sum(out.shape) == sum(shape) - 1
             cases += 1
     assert cases > 50

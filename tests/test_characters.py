@@ -282,11 +282,6 @@ def test_recursion_memo_keeps_exact_and_float_apart():
     assert all(isinstance(c, float) for c in floats2.terms.values())
 
 
-def test_recursion_memo_ignores_truncation():
-    short = qwhittaker_recursion(2, (3, 1), QSeriesCtx(0.3, truncation=10))
-    assert qwhittaker_recursion(2, (3, 1), QSeriesCtx(0.3, truncation=80)) is short
-
-
 def test_builders_make_one_polynomial_not_one_per_term(monkeypatch):
     # each builder passes its stream of terms to one constructor call, so the
     # number of polynomials made does not grow with the tableaux or patterns

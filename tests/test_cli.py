@@ -278,6 +278,14 @@ def test_compute_qwhittaker_at_q_one(capsys):
      "--a needs one entry per variable, 2 for --n 2, got 1"),
     (["compute", "qwhittaker", "--n", "2", "--lambda", "2,1", "--q", "1/3", "--a", "2,3,4"],
      "--a needs one entry per variable, 2 for --n 2, got 3"),
+    (["sde", "--N", "2", "--lambda", "0.4,0.9", "--t", "0.1", "--replicas", "3", "--seed", "1"],
+     "lam must be strictly decreasing"),
+    (["sde", "--N", "1", "--lambda", "-0.5", "--t", "0.1", "--replicas", "3", "--seed", "1"],
+     "lam must be positive"),
+    (["limit", "--n", "1", "--lambda", "0.7", "--x", "0", "--eps", "1.5"],
+     "eps must lie in (0,1)"),
+    (["berele", "--word", "5", "--n", "2"], "letter outside the alphabet"),
+    (["berele", "--word", "x", "--n", "2"], "invalid literal for int() with base 10: 'x'"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -1,3 +1,4 @@
+from fractions import Fraction as F
 from itertools import product
 
 import pytest
@@ -12,6 +13,9 @@ from sympgt.combinatorics import (
     interlaces,
     letter_parse,
     letter_str,
+    level_len,
+    padded,
+    part,
     partitions_max_weight,
     pattern_to_tableau,
     tableau_to_pattern,
@@ -114,3 +118,35 @@ def test_enumerate_patterns_counts():
 def test_typeA_pattern_count():
     # standard GT count for shape (2,1), 3 variables: dim = 8
     assert len(list(enumerate_patterns_typeA((2, 1), 3))) == 8
+
+
+def _below(x, y) -> bool:
+    """x interlaced below y, written out: y_i >= x_i >= y_{i+1}."""
+    return all(y[i] >= x[i] >= (y[i + 1] if i + 1 < len(y) else 0) for i in range(len(x)))
+
+
+def test_pattern_walk_order_is_the_sorted_brute_force_list():
+    # the character sums add their terms in this order, so a change of order
+    # would move both sides of the term-order pins in test_characters at once
+    for N in range(1, 7):
+        for shape in partitions_max_weight(level_len(N), 6):
+            top = padded(shape, level_len(N))
+            chains = [(top,)]
+            for k in range(N - 1, 0, -1):
+                cands = [x for x in product(range(part(top, 1) + 1), repeat=level_len(k))
+                         if list(x) == sorted(x, reverse=True)]
+                chains = [(x,) + ch for ch in chains for x in cands if _below(x, ch[0])]
+            # level N - 1 first, then N - 2, and so on down to level 1
+            chains.sort(key=lambda ch: ch[-2::-1])
+            assert [p.levels for p in enumerate_patterns(shape, N)] == chains, (N, shape)
+
+
+def test_typeA_pattern_counts_follow_the_hook_content_formula():
+    for N in range(1, 6):
+        for shape in partitions_max_weight(N, 6):
+            cells = [(i, j) for i, r in enumerate(shape) for j in range(r)]
+            cols = transpose(shape)
+            dim = 1
+            for i, j in cells:
+                dim *= F(N + j - i, shape[i] - j + cols[j] - i - 1)
+            assert len(list(enumerate_patterns_typeA(shape, N))) == dim, (N, shape)

@@ -14,7 +14,7 @@ import pytest
 import sympgt
 import sympgt.continuous
 from sympgt.combinatorics import level_len
-from sympgt.continuous import (_BLOCK, _WIDE, ContinuousParams, _drift_ladder,
+from sympgt.continuous import (_BLOCK, _WIDE, _drift_ladder,
                                _kolmogorov_sf, _ks_two_sample, _log_cumsum_exp,
                                _log_sum_exp, _log_trapz_weights, _phi_point,
                                _polymer_samples, _product_grid, _Replay, _sde_drift,
@@ -30,11 +30,12 @@ PHI = json.loads((Path(__file__).parent / "data" / "phi_reference.json").read_te
 
 
 def test_params_validation():
-    ContinuousParams(2, (0.9, 0.4))
-    with pytest.raises(ValueError):
-        ContinuousParams(2, (0.4, 0.9))
-    with pytest.raises(ValueError):
-        ContinuousParams(1, (-0.5,))
+    x0 = wedge_start(2)
+    sde_simulate(2, (0.9, 0.4), x0, t=0.0, h=0.1, replicas=1, seed=0)
+    with pytest.raises(ValueError, match="lam must be strictly decreasing"):
+        sde_simulate(2, (0.4, 0.9), x0, t=0.0, h=0.1, replicas=1, seed=0)
+    with pytest.raises(ValueError, match="lam must be positive"):
+        sde_simulate(2, (-0.5,), x0, t=0.0, h=0.1, replicas=1, seed=0)
     assert _drift_ladder((0.9, 0.4), 4) == (0.9, -0.9, 0.4, -0.4)
 
 
@@ -210,10 +211,9 @@ def test_bottom_drift_matches_grad_log_phi():
 
 
 def test_sde_reproducible_and_finite():
-    params = ContinuousParams(1, (0.9,))
     x0 = wedge_start(2)
-    r1 = sde_simulate(2, params, x0, t=0.5, h=0.01, replicas=20, seed=11)
-    r2 = sde_simulate(2, params, x0, t=0.5, h=0.01, replicas=20, seed=11)
+    r1 = sde_simulate(2, (0.9,), x0, t=0.5, h=0.01, replicas=20, seed=11)
+    r2 = sde_simulate(2, (0.9,), x0, t=0.5, h=0.01, replicas=20, seed=11)
     assert np.array_equal(r1["bottom"], r2["bottom"])
     assert r1["flagged"] == 0
     assert np.isfinite(r1["bottom"]).all()
@@ -223,7 +223,7 @@ def test_sde_bottom_law_matches_scalar_engine():
     # `sde --N 2 --lambda 0.9 --t 1` (h = 1e-3, wedge start) with the earlier
     # per-replica scalar engine, 1000 replicas, seed 1: bottom mean and std
     ref_n, ref_mean, ref_std = 1000, 0.11722017943306022, 0.6589193630118396
-    rep = sde_simulate(2, ContinuousParams(1, (0.9,)), wedge_start(2), t=1.0,
+    rep = sde_simulate(2, (0.9,), wedge_start(2), t=1.0,
                        h=1e-3, replicas=2000, seed=1)
     assert rep["flagged"] == 0
     b = rep["bottom"][:, 0]

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from sympgt import spectral
-from sympgt.algebra import (INF, LaurentPoly, QSeriesCtx, Scalar, _f, bracket_poly, q_binomial,
-                            q_hermite, q_pochhammer)
+from sympgt.algebra import (INF, LaurentPoly, QSeriesCtx, Scalar, _f, bracket_poly,
+                            pochhammer_depth, q_binomial, q_hermite, q_pochhammer)
 from sympgt.characters import monomial_symmetric, qwhittaker_recursion
 from sympgt.dynamics import build_generator
 from sympgt.spectral import (
@@ -24,7 +24,6 @@ from sympgt.spectral import (
     moments,
     norm_squared_factor,
     orthogonality_matrix,
-    pochhammer_depth,
 )
 
 REFERENCE = json.loads((Path(__file__).parent / "data" / "torus_reference.json").read_text())
@@ -298,10 +297,10 @@ def test_gram_schmidt_matches_big_q_hermite():
 def test_gram_schmidt_small_t0_approaches_characters():
     q, t0 = 0.5, 1e-3
     fam = gram_schmidt_koornwinder(1, q, t0, 3)
-    d = conjecture_distance(1, (3,), q, t0, family=fam)
+    d = conjecture_distance(1, (3,), q, fam)
     assert d < 0.05  # O(t0) coefficient drift
     fam0 = gram_schmidt_koornwinder(1, q, 1e-4, 3)
-    d0 = conjecture_distance(1, (3,), q, 1e-4, family=fam0)
+    d0 = conjecture_distance(1, (3,), q, fam0)
     assert d0 < d
 
 
@@ -309,7 +308,7 @@ def test_conjecture_probe_rank_two_reported():
     q, t0 = 0.4, 1e-3
     fam = gram_schmidt_koornwinder(2, q, t0, 2)
     for lam in [(1, 0), (1, 1), (2, 0)]:
-        d = conjecture_distance(2, lam, q, t0, family=fam)
+        d = conjecture_distance(2, lam, q, fam)
         assert math.isfinite(d)
         assert d < 0.1  # loose sanity bound; the probe is reported, not gated
 
@@ -351,7 +350,7 @@ def test_fft_inner_product_equals_grid_mean(n, nodes):
 @pytest.mark.parametrize("n, nodes, t0", [(1, 64, 0.0), (2, 48, 0.0), (2, 32, 0.3)])
 def test_real_weight_equals_complex_product(n, nodes, t0):
     quad = TorusQuadrature(n, nodes=nodes, q=0.5, t0=t0)
-    ref = quad._weight(quad.truncation, quad.grids)
+    ref = quad._weight(pochhammer_depth(0.5), quad.grids)
     assert quad.weight.dtype == np.float64
     assert np.abs(quad.weight - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -363,25 +362,31 @@ def test_torus_grid_past_the_budget_raises_before_allocating():
         TorusQuadrature(3, 512)
 
 
-def test_short_truncation_raises_on_every_construction():
+def test_short_truncation_raises_on_every_construction(monkeypatch):
+    # every construction probes the depth that spectral reads against twice
+    # as many factors and keeps the residual; here that depth is set by hand
+    def quad(n, nodes, q, depth):
+        monkeypatch.setattr(spectral, "pochhammer_depth", lambda q: depth)
+        return TorusQuadrature(n, nodes=nodes, q=q)
+
     for _ in range(2):
-        # every construction probes its own truncation and keeps the residual
-        short = TorusQuadrature(1, nodes=64, q=0.5, truncation=45)
-        full = TorusQuadrature(1, nodes=64, q=0.5)
+        short = quad(1, 64, 0.5, 45)
+        full = quad(1, 64, 0.5, pochhammer_depth(0.5))
         assert full.truncation_residual < 1e-15 < short.truncation_residual <= 1e-10
         with pytest.raises(ValueError, match="truncation 5 too short"):
-            TorusQuadrature(1, nodes=64, q=0.5, truncation=5)
+            quad(1, 64, 0.5, 5)
         with pytest.raises(ValueError, match="truncation 60 too short"):
-            TorusQuadrature(1, nodes=64, q=0.9, truncation=60)
+            quad(1, 64, 0.9, 60)
         # the probe points must not sit on a_1 = a_2, where every rank-2 weight is 0
         with pytest.raises(ValueError, match="truncation 30 too short"):
-            TorusQuadrature(2, nodes=16, q=0.5, truncation=30)
+            quad(2, 16, 0.5, 30)
 
 
 def test_default_truncation_follows_q():
     assert pochhammer_depth(0.5) == 60 and pochhammer_depth(0.0) == 60
     assert 0.9 ** pochhammer_depth(0.9) < 1e-17 <= 0.9 ** (pochhammer_depth(0.9) - 1)
-    assert TorusQuadrature(1, nodes=64, q=0.9).truncation == pochhammer_depth(0.9)
+    ctx = QSeriesCtx(0.9)
+    assert q_pochhammer(ctx, 0.3, INF) == q_pochhammer(ctx, 0.3, pochhammer_depth(0.9))
 
 
 def test_law_matches_grid_quadrature_reference():
