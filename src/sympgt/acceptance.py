@@ -227,7 +227,8 @@ def _two_level_probes(N, shapes):
 
 def check_intertwining():
     """Exact intertwining of the single-level and cascade transition kernels
-    with the shape-chain generator at rational parameters."""
+    with the shape-chain generator at rational parameters, the cascade at
+    ranks 2 and 3."""
     ctx = QSeriesCtx(F(1, 3))
     reports = {}
     ok = True
@@ -241,16 +242,18 @@ def check_intertwining():
         ok = ok and len(probes) >= 20 and not bad
         reports[f"single-level-N{N}"] = {"probes": len(probes), "identities": len(res),
                                          "failures": len(bad)}
-    casc_probes = []
-    for z in [(1, 1), (2, 0), (2, 1), (2, 2), (3, 1)]:
-        for y in interlacings(z, 2):
-            for x in interlacings(y, 1):
-                casc_probes.append((x, y, z))
-    res = verify_intertwining_cascade(2, casc_probes, ctx, (F(6, 5), F(3, 7)))
-    bad = [r for r in res if not r[-1]]
-    ok = ok and len(casc_probes) >= 20 and not bad
-    reports["cascade-n2"] = {"probes": len(casc_probes), "identities": len(res),
-                             "failures": len(bad)}
+    # rank 3 is the first where the cascade pulls a particle that is not the
+    # wall (the i + 1 < n branches of helper_row_cascade)
+    for n, shapes, a, least in (
+            (2, [(1, 1), (2, 0), (2, 1), (2, 2), (3, 1)], (F(6, 5), F(3, 7)), 20),
+            (3, [(2, 1, 1)], (F(6, 5), F(3, 7), F(5, 2)), 9)):
+        casc_probes = [(x, y, z) for z in shapes for y in interlacings(z, n)
+                       for x in interlacings(y, n - 1)]
+        res = verify_intertwining_cascade(n, casc_probes, ctx, a)
+        bad = [r for r in res if not r[-1]]
+        ok = ok and len(casc_probes) >= least and not bad
+        reports[f"cascade-n{n}"] = {"probes": len(casc_probes), "identities": len(res),
+                                    "failures": len(bad)}
     return {"name": "intertwining", "passed": ok, "reports": reports}
 
 

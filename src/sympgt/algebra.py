@@ -153,12 +153,7 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.constant(self.nvars, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -171,25 +166,9 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("use explicit monomials for negative powers")
-        result = LaurentPoly.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        return self.terms == LaurentPoly.constant(self.nvars, other).terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return (isinstance(other, LaurentPoly) and self.nvars == other.nvars
+                and self.terms == other.terms)
 
     def __bool__(self):
         return bool(self.terms)

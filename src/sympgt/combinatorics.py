@@ -130,12 +130,6 @@ class SymplecticTableau:
                 if x < 2 * (i + 1) - 1:
                     raise ValueError(f"S3 violated: entry {letter_str(x)} < {i + 1} in row {i + 1}")
 
-    def __eq__(self, other):
-        return isinstance(other, SymplecticTableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
         return f"SymplecticTableau({list(map(list, self.rows))})"
 
@@ -196,12 +190,6 @@ class GTPattern:
                 raise ValueError(f"level {k} not weakly decreasing")
             if k > 1 and not interlaces(self.levels[k - 2], lv):
                 raise ValueError(f"levels {k - 1} and {k} do not interlace")
-
-    def __eq__(self, other):
-        return isinstance(other, GTPattern) and self.levels == other.levels
-
-    def __hash__(self):
-        return hash(self.levels)
 
     def __repr__(self):
         return f"GTPattern({list(map(list, self.levels))})"

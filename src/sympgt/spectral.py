@@ -10,7 +10,10 @@ trapezoid mean of F x^-e w is entry [e mod N] of fftn(F w) / N^n.  So one
 FFT of F w serves every polynomial paired with F, and two polynomials pair
 through the spectrum of the weight alone.  The weight itself is a real
 product of 1-D factors |(e^{i phi};q)_inf|^2, each evaluated once on the
-N-point circle and gathered onto the grid by index.
+N-point circle and gathered onto the grid by index.  Each symbol stops at
+the K factors where |q|^K < 1e-17 (``q_pochhammer`` at k = INF), so its
+relative tail is at most |q|^K / (1 - |q|) to first order; no other form of
+the weight is built.
 
 Each torus grid is sized from what it integrates (``_torus_nodes``): entry
 e of the spectrum is exact up to the Fourier modes of F w past N - |e|, so
@@ -32,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import INF, LaurentPoly, QSeriesCtx, pochhammer_depth, q_pochhammer
+from .algebra import INF, LaurentPoly, QSeriesCtx, q_pochhammer
 from .characters import check_rates, monomial_symmetric, qwhittaker_recursion
 from .combinatorics import padded, part, partitions_max_weight
 from .dynamics import ShapeLaw
@@ -89,15 +92,14 @@ def _torus_nodes(n: int, q: float, reach: int, t: float = 0.0, t0: float = 0.0) 
 class TorusQuadrature:
     """Uniform trapezoid nodes on the n-torus with the orthogonality weight
     cached; spectrally accurate for Laurent-polynomial integrands on a grid
-    sized by ``_torus_nodes``.  Each construction probes the weight at
-    ``pochhammer_depth(q)`` factors per symbol against twice as many and keeps
-    the residual as ``truncation_residual``.  A grid of more than
-    _GRID_POINTS points raises before anything is allocated."""
+    sized by ``_torus_nodes``.  Each Pochhammer symbol of the weight stops
+    at the K factors where |q|^K < 1e-17, so its relative tail is at most
+    |q|^K / (1 - |q|) to first order.  A grid of more than _GRID_POINTS
+    points raises before anything is allocated."""
     n: int
     nodes: int
-    q: float = 0.5
+    q: float
     t0: float = 0.0
-    truncation_residual: float = field(init=False, compare=False)
     _weight_spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                                    compare=False)
 
@@ -108,21 +110,6 @@ class TorusQuadrature:
             raise ValueError(f"--n {self.n} needs a torus grid of {self.nodes}^{self.n} "
                              f"points, past the budget of 2^{math.log2(_GRID_POINTS):g}; "
                              "use a smaller --n")
-        depth = pochhammer_depth(self.q)
-        # 16 points off the zeros of the weight: axis j is shifted by 0.7 j,
-        # since a_j = a_k would zero every pair factor
-        probe = [np.exp(1j * (2 * np.pi * np.arange(16) / 16 + 0.1 + 0.7 * j))
-                 for j in range(self.n)]
-        cur = self._weight(depth, probe)
-        residual = float(np.abs(self._weight(2 * depth, probe) - cur).max())
-        if residual > 1e-10:
-            raise ValueError(f"pochhammer truncation {depth} too short "
-                             f"for q = {self.q} (residual {residual:.1e})")
-        # relative: at q = 0.9 the weight reaches 1e7, whose rounding
-        # alone exceeds an absolute 1e-9
-        if float(np.abs(cur.imag).max()) > 1e-9 * float(np.abs(cur).max()):
-            raise ValueError("weight not real on the torus")
-        self.truncation_residual = residual
         N = self.nodes
         circle = np.exp(2j * np.pi * np.arange(N) / N)
         idx = [np.arange(N).reshape([N if k == j else 1 for k in range(self.n)])
@@ -130,7 +117,7 @@ class TorusQuadrature:
         self.grids = [circle[i] for i in idx]
         # |(e^{i phi};q)_inf|^2 at phi = 2 pi m / N: the weight is a product of
         # these at 2 theta_j and theta_j +- theta_k, gathered by index mod N
-        poch = functools.partial(q_pochhammer, QSeriesCtx(float(self.q)), k=depth)
+        poch = functools.partial(q_pochhammer, QSeriesCtx(float(self.q)), k=INF)
         factor = np.abs(poch(circle)) ** 2
         single = factor[2 * np.arange(N) % N]
         if self.t0:
@@ -140,22 +127,6 @@ class TorusQuadrature:
             self.weight *= single[idx[j]]
             for k in range(j + 1, self.n):
                 self.weight *= factor[(idx[j] + idx[k]) % N] * factor[(idx[k] - idx[j]) % N]
-
-    def _weight(self, factors: int, grids: Sequence[np.ndarray]) -> np.ndarray:
-        """The weight as the complex product of its 2n + 4 binom(n, 2)
-        Pochhammer symbols (2n more with t0), each of the given number of
-        factors, at the given points."""
-        poch = functools.partial(q_pochhammer, QSeriesCtx(float(self.q)), k=factors)
-        w = np.ones(np.broadcast(*grids).shape, dtype=complex)
-        for aj in grids:
-            w = w * poch(aj ** 2) * poch(aj ** -2)
-            if self.t0:
-                w = w / (poch(self.t0 * aj) * poch(self.t0 / aj))
-        for j in range(self.n):
-            for k in range(j + 1, self.n):
-                aj, ak = grids[j], grids[k]
-                w = w * poch(aj * ak) * poch(ak / aj) * poch(aj / ak) * poch(1 / (aj * ak))
-        return w
 
     def spectrum(self, F: Optional[np.ndarray] = None) -> np.ndarray:
         """fftn(F * weight) / weight.size: entry [e mod nodes] is the grid mean
@@ -234,13 +205,13 @@ def _check_rank(n: int, a: Sequence) -> None:
         raise ValueError(f"--a needs one rate per rank, {n} for --n {n}, got {len(a)}")
 
 
-# the torus law's self-check: the same table on the next grid size may move
-# no state by more than this many noise floors
+# the law's mass defect must lie within this, and its self-check on the
+# next grid size may move no state by more than _ALIAS_FLOORS noise floors
+_MASS_TOL = 1e-6
 _ALIAS_FLOORS = 10
 
 
-def law(n: int, t: float, a: Sequence[float], q: float, window: int,
-        tol: float = 1e-6) -> ShapeLaw:
+def law(n: int, t: float, a: Sequence[float], q: float, window: int) -> ShapeLaw:
     """Time-t distribution of the bottom shape started from the empty shape.
     At rank 1 it is ``_rank_one_law``, with a noise floor of 0.  At rank 2
     p_t(z) is the character at the real point times the torus coefficient of
@@ -251,12 +222,12 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     mass| + the summed noise floors; ``stats`` holds the mass defect
     1 - sum p (after the clamp), the clamped mass and the number of clamped
     states, and at rank 2 the grid's ``nodes`` per axis and ``alias_gap``
-    (see ``_torus_law``).  The mass defect must lie within tol, and the
-    alias gap within _ALIAS_FLOORS."""
+    (see ``_torus_law``).  The mass defect must lie within _MASS_TOL, and
+    the alias gap within _ALIAS_FLOORS."""
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
     if n > 2:
-        raise ValueError(f"--n {n}: the float torus law meets its {tol:.0e} mass gate at "
+        raise ValueError(f"--n {n}: the float torus law meets its {_MASS_TOL:.0e} mass gate at "
                          "ranks 1 and 2 only; use --n 1 or 2")
     if not 0 <= t < INF:
         raise ValueError(f"--t must be nonnegative and finite, got {t}")
@@ -276,11 +247,11 @@ def law(n: int, t: float, a: Sequence[float], q: float, window: int,
     clamped = sum((p for p, _ in raw.values() if p < 0), 0.0)
     clamped_states = sum(p < 0 for p, _ in raw.values())
     defect = 1.0 - sum(table.values())
-    if defect > tol:
-        raise ValueError(f"window mass defect {defect:.2e} exceeds {tol:.0e}; "
+    if defect > _MASS_TOL:
+        raise ValueError(f"window mass defect {defect:.2e} exceeds {_MASS_TOL:.0e}; "
                          "enlarge the window")
-    if defect < -tol:
-        raise ValueError(f"window mass defect {defect:.2e} is below -{tol:.0e}: states "
+    if defect < -_MASS_TOL:
+        raise ValueError(f"window mass defect {defect:.2e} is below -{_MASS_TOL:.0e}: states "
                          "past the quadrature noise floor add mass; shrink the window")
     if grid and grid["alias_gap"] > _ALIAS_FLOORS:
         raise ValueError(f"the torus law on {grid['nodes']} nodes per axis moves by "
@@ -469,7 +440,7 @@ def _rank_one_dps(q: float, zmax: int) -> int:
     return max(40, 30 + math.ceil(3 * zmax * math.log10(1 / q)))
 
 
-def _direct_moment_rank_one(k: int, t: float, a: float, q: float, zmax: int = 40) -> float:
+def _direct_moment_rank_one(k: int, t: float, a: float, q: float, zmax: int) -> float:
     """Direct sum sum_z q^{-kz} p_z for n=1 over the law of ``_rank_one_law``,
     in that law's precision: q^{-kz} multiplies each p_z's rounding noise by
     up to q^{-3 zmax}, which the precision rule leaves 30 digits to spare.
@@ -479,8 +450,8 @@ def _direct_moment_rank_one(k: int, t: float, a: float, q: float, zmax: int = 40
     law_z = _rank_one_law(t, a, q, zmax)
     with mp.workdps(_rank_one_dps(q, zmax)):
         defect = 1 - mp.fsum(law_z)
-        if defect > 1e-6:
-            raise ValueError(f"window mass defect {float(defect):.2e} exceeds 1e-06; "
+        if defect > _MASS_TOL:
+            raise ValueError(f"window mass defect {float(defect):.2e} exceeds {_MASS_TOL:.0e}; "
                              "enlarge the window")
         qm = mp.mpf(q)
         return float(mp.fsum(qm ** (-k * z) * p_z for z, p_z in enumerate(law_z)))

@@ -1,8 +1,10 @@
 """Command-line surface: seeded reruns, report schema and input errors."""
 
+import argparse
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -124,9 +126,12 @@ def test_law_reports_its_clamp_next_to_the_mass_defect(capsys):
      lambda out: json.loads(out)["max_deviation_from_identity"] < 1e-13),
     (["verify", "orthogonality", "--n", "3", "--q", "0.4", "--max-weight", "2"],
      lambda out: json.loads(out)["max_deviation_from_identity"] < 1e-13),
+    # the weight reaches 3e7 here, past any absolute gate on its rounding
+    (["verify", "orthogonality", "--n", "3", "--q", "0.7", "--max-weight", "1"],
+     lambda out: json.loads(out)["max_deviation_from_identity"] < 1e-9),
 ], ids=["compute-qwhittaker", "compute-schur", "berele", "law", "moments", "polymer",
         "verify-branching", "verify-continuous", "verify-orthogonality",
-        "verify-orthogonality-rank-3"])
+        "verify-orthogonality-rank-3", "verify-orthogonality-rank-3-q07"])
 def test_subcommand_runs(capsys, argv, check):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
@@ -291,3 +296,90 @@ def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and message in err
+
+
+# one cheap run of every subcommand; the sweep sets each of its numeric or
+# list flags in turn to every value of _BAD_VALUES
+_SWEEP_BASES = [
+    ["compute", "qwhittaker", "--n", "1", "--lambda", "2", "--q", "1/2", "--a", "2"],
+    ["compute", "schur", "--n", "1", "--lambda", "2", "--a", "2"],
+    ["berele", "--word", "1 2~ 1", "--n", "1"],
+    ["simulate", "--model", "randomized", "--N", "2", "--a", "1", "--q", "0.5", "--t", "0.5",
+     "--replicas", "5", "--seed", "1"],
+    ["simulate", "--model", "berele", "--N", "2", "--a", "1", "--q", "0.5", "--t", "0.5",
+     "--replicas", "5", "--seed", "1"],
+    ["law", "--n", "1", "--t", "0.5", "--a", "1", "--q", "0.5", "--window", "10"],
+    ["law", "--n", "2", "--t", "0.25", "--a", "1,1", "--q", "0.5", "--window", "4"],
+    ["moments", "--t", "0.5", "--a", "1.3", "--q", "0.5", "--k", "1", "--window", "10"],
+    ["limit", "--n", "1", "--lambda", "0.7", "--x", "0", "--eps", "0.1"],
+    ["sde", "--N", "2", "--lambda", "0.9", "--t", "0.05", "--h", "0.01", "--replicas", "3",
+     "--seed", "1"],
+    ["polymer", "--N", "1", "--t", "0.5", "--replicas", "10", "--seed", "1"],
+    ["verify", "branching", "--lambda", "2,1", "--nu", "1", "--q", "1/3"],
+    ["verify", "orthogonality", "--n", "1", "--q", "0.4", "--max-weight", "2"],
+    ["verify", "continuous", "--which", "phi2"],
+]
+_BAD_VALUES = ["0", "-1", "nan", "inf", "1.5", "-0.5"]
+
+
+def _subparsers(parser, path=()):
+    """(subcommand path, parser) of every leaf subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for a in subs:
+        for name, p in a.choices.items():
+            yield from _subparsers(p, path + (name,))
+
+
+def _swept_flags(parser) -> list:
+    """The option strings of the flags that take a typed value: every
+    numeric or comma-list flag, not the choices, switches and file names."""
+    return [a.option_strings[-1] for a in parser._actions
+            if a.option_strings and a.type is not None and not a.choices]
+
+
+def _sweep_cases() -> list:
+    """(argv, bad value) for every base, swept flag and value."""
+    leaves = dict(_subparsers(cli.build_parser()))
+    swept = {path: flags for path, p in leaves.items() if (flags := _swept_flags(p))}
+    bases = {}
+    for argv in _SWEEP_BASES:
+        path = next(path for path in swept if tuple(argv[:len(path)]) == path)
+        bases.setdefault(path, []).append(argv)
+    assert set(bases) == set(swept), "a subcommand with typed flags has no sweep base"
+    cases = []
+    for path, flags in swept.items():
+        for base in bases[path]:
+            for flag in flags:
+                for value in _BAD_VALUES:
+                    argv = list(base)
+                    if flag in argv:
+                        argv[argv.index(flag) + 1] = value
+                    else:
+                        argv += [flag, value]
+                    cases.append((argv, value))
+    return cases
+
+
+def test_flag_sweep_ends_in_a_one_line_error_a_usage_error_or_finite_output(capsys):
+    outcomes = {"one-line": 0, "usage": 0, "finite": 0}
+    for argv, value in _sweep_cases():
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse rejected the value itself
+            out, err = capsys.readouterr()
+            assert exc.code == 2 and out == "" and "usage: sympgt" in err, argv
+            outcomes["usage"] += 1
+            continue
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == "" and err.count("\n") == 1 and err.startswith("sympgt "), argv
+            outcomes["one-line"] += 1
+        else:
+            assert (code, err) == (0, ""), argv
+            # an accepted inf (sde --h inf: no cap on the step) is echoed once
+            assert not re.search("nan", out, re.IGNORECASE), (argv, out)
+            assert len(re.findall("inf", out, re.IGNORECASE)) <= (value == "inf"), (argv, out)
+            outcomes["finite"] += 1
+    assert all(outcomes.values()), outcomes

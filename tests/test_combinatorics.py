@@ -90,7 +90,7 @@ def test_tableau_pattern_bijection_worked_example():
     T = SymplecticTableau([[1, 2, 3, 3, 4], [4, 4]])
     p = tableau_to_pattern(T, 2)
     assert p.levels == ((1,), (2,), (4, 0), (5, 2))
-    assert pattern_to_tableau(p) == T
+    assert pattern_to_tableau(p).rows == T.rows
 
 
 def test_tableau_pattern_bijection_exhaustive():
@@ -98,10 +98,10 @@ def test_tableau_pattern_bijection_exhaustive():
         n = 2 if len(shape) <= 2 else 3
         tabs = list(enumerate_tableaux(shape, n))
         pats = [tableau_to_pattern(T, n) for T in tabs]
-        assert len(set(pats)) == len(tabs)
+        assert len({p.levels for p in pats}) == len(tabs)
         for T, p in zip(tabs, pats):
             p.validate()
-            assert pattern_to_tableau(p) == T
+            assert pattern_to_tableau(p).rows == T.rows
         # pattern enumeration agrees with the tableau count
         assert len(list(enumerate_patterns(shape, 2 * n))) == len(tabs)
 

@@ -34,6 +34,9 @@ ITEM_1 = "ROADMAP item 1: no ledger check runs the direct moment route at rank >
 ITEM_3 = "ROADMAP item 3: no ledger identity runs the SDE's interior drift or grad_log_phi"
 ITEM_7 = "ROADMAP item 7: kept for the ledger check of the q = 0 cascade"
 ITEM_13 = "ROADMAP item 13: reached only by tests, or by a CLI route that no op runs"
+SCALAR_ADD = ("kept: a scalar plus a polynomial (sum() starts from 0) goes through "
+              "__radd__, which is __add__, as perfbench's self-test asserts")
+REPR = "kept: pytest prints these when an assertion about the object fails"
 DATA = "data-dependent: no input of the ledger or the ops takes this branch"
 
 _ALLOWED_LINES = {
@@ -111,68 +114,27 @@ _ALLOWED_LINES = {
         ],
     },
     ITEM_13: {
-        "algebra.LaurentPoly.__add__": [
-            "other = LaurentPoly.constant(self.nvars, other)",
-        ],
-        "algebra.LaurentPoly.__eq__": [
-            "return self.terms == LaurentPoly.constant(self.nvars, other).terms",
-        ],
-        "algebra.LaurentPoly.__hash__": [
-            "return hash((self.nvars, frozenset(self.terms.items())))",
-        ],
-        "algebra.LaurentPoly.__pow__": [
-            "base = base * base",
-            "base = self",
-            "if k & 1:",
-            "if k < 0:",
-            "k >>= 1",
-            "result = LaurentPoly.one(self.nvars)",
-            "result = result * base",
-            "return result",
-            "while k:",
-        ],
-        "algebra.LaurentPoly.__repr__": [
-            'return f"LaurentPoly({self.nvars}, {self.canonical()!r})"',
-        ],
-        "algebra.LaurentPoly.__rsub__": [
-            "return (-self) + other",
-        ],
-        "algebra.LaurentPoly.__sub__": [
-            "other = LaurentPoly.constant(self.nvars, other)",
-        ],
         "characters.qwhittaker_pattern_sum": [
             "return LaurentPoly(nvars, ((exps, math.prod(ws)) for exps, ws in patterns()))",
         ],
         "characters.symplectic_schur_patterns": [
             "return qwhittaker_pattern_sum(2 * n, lam, QSeriesCtx(0))",
         ],
-        "combinatorics.GTPattern.__eq__": [
-            "return isinstance(other, GTPattern) and self.levels == other.levels",
+    },
+    SCALAR_ADD: {
+        "algebra.LaurentPoly.__add__": [
+            "other = LaurentPoly.constant(self.nvars, other)",
         ],
-        "combinatorics.GTPattern.__hash__": [
-            "return hash(self.levels)",
+    },
+    REPR: {
+        "algebra.LaurentPoly.__repr__": [
+            'return f"LaurentPoly({self.nvars}, {self.canonical()!r})"',
         ],
         "combinatorics.GTPattern.__repr__": [
             'return f"GTPattern({list(map(list, self.levels))})"',
         ],
-        "combinatorics.SymplecticTableau.__eq__": [
-            "return isinstance(other, SymplecticTableau) and self.rows == other.rows",
-        ],
-        "combinatorics.SymplecticTableau.__hash__": [
-            "return hash(self.rows)",
-        ],
         "combinatorics.SymplecticTableau.__repr__": [
             'return f"SymplecticTableau({list(map(list, self.rows))})"',
-        ],
-        "dynamics.helper_row_cascade": [
-            "add((xp, _bump(y, i + 1, +1), _bump(z, i + 1, +1)),",
-            "add((xp, _bump(y, i + 1, +1), _bump(z, i + 2, +1)),",
-            "add((xp, _bump(y, i + 1, -1), _bump(z, i + 1, -1)),",
-            "add((xp, _bump(y, i + 1, -1), _bump(z, i + 2, -1)),",
-            "r * (1 - ri_yx) * (1 - r_prob(ctx, y, z, i + 1)))",
-            "r * (1 - ri_yx) * r_prob(ctx, y, z, i + 1))",
-            "r * li_yx * (1 - l_prob(ctx, y, z, i + 1)))",
-            "r * li_yx * l_prob(ctx, y, z, i + 1))",
         ],
     },
     DATA: {
