@@ -157,12 +157,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_law(args) -> int:
     from .spectral import law
     lt = law(args.n, args.t, args.a, args.q, args.window)
-    rows = [{"shape": ",".join(map(str, z)) or "0", "probability": p,
-             "noise_floor": lt.noise[z]}
+    rows = [{"shape": ",".join(map(str, z)) or "0", "probability": p}
             for z, p in sorted(lt.table.items())]
     _emit({"schema": SCHEMA, "n": args.n, "t": args.t, "a": list(args.a),
            "q": args.q, "window": args.window, **lt.stats, "rows": rows},
-          args, ["shape", "probability", "noise_floor"])
+          args, ["shape", "probability"])
     return 0
 
 
@@ -327,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, "csv")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("law", help="bottom-shape law via torus quadrature")
+    p = sub.add_parser("law", help="bottom-shape law: the exact torus integral at rank 1, "
+                                   "the shape-chain generator's row above")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--a", type=_floats, required=True)

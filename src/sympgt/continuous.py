@@ -365,8 +365,9 @@ def sde_simulate(N: int, lam: Sequence[float], x0: list, t: float,
     Bad input raises a one-line ValueError: lam not strictly decreasing or
     not positive, and, naming the CLI flag, N < 1, fewer than ceil(N / 2)
     lam values, t < 0 or not finite, h <= 0 (the clock would never advance)
-    or replicas < 1.  At t = 0 the start is returned.  A run that flags
-    every replica raises a one-line ValueError that names the start."""
+    or not finite, or replicas < 1.  At t = 0 the start is returned.  A run
+    that flags every replica raises a one-line ValueError that names the
+    start."""
     if any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError("lam must be strictly decreasing")
     if lam[-1] <= 0:
@@ -374,8 +375,8 @@ def sde_simulate(N: int, lam: Sequence[float], x0: list, t: float,
     _check_n_lambda_replicas(N, lam, replicas)
     if not 0 <= t < math.inf:
         raise ValueError(f"--t must be nonnegative and finite, got {t}")
-    if not h > 0:
-        raise ValueError(f"--h must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"--h must be positive and finite, got {h}")
     bar = _drift_ladder(lam, N)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     levels = [np.tile(np.asarray(lv, dtype=float), (replicas, 1)) for lv in x0]

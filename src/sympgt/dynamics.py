@@ -301,11 +301,9 @@ def sample_initial(z: Sequence[int], N: int, ctx: QSeriesCtx, a: Sequence[float]
 class ShapeLaw:
     """A law of the bottom shape: ``table`` maps each shape to its
     probability, ``error`` bounds the total mass by which ``table`` can be
-    off, ``noise`` maps shapes to their noise floor (empty where the producer
-    has none) and ``stats`` holds what the producer counted."""
+    off and ``stats`` holds what the producer counted."""
     table: dict
     error: float
-    noise: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
     def tv(self, other: "ShapeLaw") -> float:
@@ -339,20 +337,25 @@ class GeneratorMatrix:
         """Row ``start`` (a shape) of expm(t Q), by uniformization: with
         Lambda = max |Q_ii| and P = I + Q / Lambda, expm(t Q) is the Poisson
         mixture sum_n e^{-Lambda t} (Lambda t)^n / n! P^n, and a row vector
-        is carried through v <- v P.  The sum stops at the first n >= Lambda t
-        at which the Poisson mass past n, bounded by w_n Lambda t /
-        (n + 1 - Lambda t), is below 1e-16.  When Lambda t > 500, t is split
-        into ceil(Lambda t / 500) equal pieces, so e^{-Lambda t} never
+        is carried through v <- v P.  Every term is nonnegative, so each
+        entry of v carries relative rounding only.  The sum stops at the
+        first n >= Lambda t at which the Poisson mass past n, bounded by
+        w_n Lambda t / (n + 1 - Lambda t), is below 1e-300: a cut at the
+        scale of the total mass, such as 1e-16, drops the far states' small
+        probabilities, which an observable like q^{-k z_1} weights up, and
+        1e-300 still keeps w_n a normal double.  When Lambda t > 500, t is
+        split into ceil(Lambda t / 500) equal pieces, so e^{-Lambda t} never
         underflows.  Boundary rows leak mass, which only makes P
         substochastic: the law's ``error`` is that leaked mass, 1 - sum v."""
         if t < 0:
             raise ValueError(f"t must be nonnegative, got {t}")
-        Q = self.dense()
+        P = self.dense()
         v = np.zeros(len(self.states))
         v[self.index[start]] = 1.0
-        lam = float(-Q.diagonal().min(initial=0.0))
+        lam = float(-P.diagonal().min(initial=0.0))
         if lam * t > 0:
-            P = Q / lam
+            # P = I + Q / Lambda, in place: one dense matrix
+            P /= lam
             P[np.diag_indices_from(P)] += 1
             pieces = math.ceil(lam * t / 500)
             lt = lam * t / pieces
@@ -360,12 +363,12 @@ class GeneratorMatrix:
                 w = math.exp(-lt)
                 term, v = v, w * v
                 n = 0
-                while n < lt or w * lt / (n + 1 - lt) >= 1e-16:
+                while n < lt or w * lt / (n + 1 - lt) >= 1e-300:
                     n += 1
                     term = term @ P
                     w *= lt / n
                     v += w * term
-        return ShapeLaw(dict(zip(self.states, v)), max(0.0, 1.0 - float(v.sum())))
+        return ShapeLaw(dict(zip(self.states, v.tolist())), max(0.0, 1.0 - float(v.sum())))
 
 
 def _moves(N: int, z, ctx: QSeriesCtx):

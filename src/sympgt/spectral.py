@@ -4,6 +4,11 @@ three independent routes (law summation, operator powers, and nested contour
 integrals deformed onto small circles around their poles) and a
 Gram-Schmidt probe for the t0-deformed family.
 
+Above rank 1 the law is the empty shape's row of the shape chain's
+transition semigroup, by uniformization of its generator on a box of
+shapes; the torus formula for it (``_torus_law``, one FFT) stays as the
+ledger's cross-check.
+
 Inner products against a Laurent polynomial come from Fourier coefficients,
 not from evaluating the polynomial on the grid: on the uniform N^n grid the
 trapezoid mean of F x^-e w is entry [e mod N] of fftn(F w) / N^n.  So one
@@ -20,12 +25,12 @@ e of the spectrum is exact up to the Fourier modes of F w past N - |e|, so
 N must exceed the largest |e| read plus the per-axis bandwidth of F w,
 which is read off one 1-D FFT of each factor.
 
-At rank 1 the law, and the direct moment route's sum of q^{-kz} p_z over
-it, are computed in mpmath: there the weight times (q;q)_inf is the Jacobi
-triple-product theta series, the trapezoid rule runs over half the circle
-(every factor depends on cos theta alone), and the working precision is 30
-digits past the amplification q^{-3 window} of the largest moment the
-contour route checks."""
+At rank 1 the law, and the direct moment route's sum of q^{-kz} p_z over it,
+are torus integrals computed in mpmath: there the weight times (q;q)_inf is
+the Jacobi triple-product theta series, the trapezoid rule runs over half
+the circle (every factor depends on cos theta alone), and the working
+precision is 30 digits past the amplification q^{-3 window} of the largest
+moment the contour route checks."""
 from __future__ import annotations
 
 import functools
@@ -38,7 +43,7 @@ import numpy as np
 from .algebra import INF, LaurentPoly, QSeriesCtx, q_pochhammer
 from .characters import check_rates, monomial_symmetric, qwhittaker_recursion
 from .combinatorics import padded, part, partitions_max_weight
-from .dynamics import ShapeLaw
+from .dynamics import ShapeLaw, build_generator
 
 
 # every torus grid has at most this many points (2^24 complex entries are
@@ -205,95 +210,67 @@ def _check_rank(n: int, a: Sequence) -> None:
         raise ValueError(f"--a needs one rate per rank, {n} for --n {n}, got {len(a)}")
 
 
-# the law's mass defect must lie within this, and its self-check on the
-# next grid size may move no state by more than _ALIAS_FLOORS noise floors
+# the law's mass defect must lie within this; the generator above rank 1 is
+# a dense matrix, 128 MiB at _DENSE_STATES states
 _MASS_TOL = 1e-6
-_ALIAS_FLOORS = 10
+_DENSE_STATES = 4096
 
 
 def law(n: int, t: float, a: Sequence[float], q: float, window: int) -> ShapeLaw:
-    """Time-t distribution of the bottom shape started from the empty shape.
-    At rank 1 it is ``_rank_one_law``, with a noise floor of 0.  At rank 2
-    p_t(z) is the character at the real point times the torus coefficient of
-    the exponential generating function, normalized by exp(sum(a+1/a) t);
-    positive p_t(z) up to 1e-15 read 0.  Negative p_t(z) are clamped to 0.
-    Rank 3 and above raise at once: there the float torus law cannot meet
-    the 1e-6 mass gate on any grid.  ``error`` is |mass defect| + |clamped
-    mass| + the summed noise floors; ``stats`` holds the mass defect
-    1 - sum p (after the clamp), the clamped mass and the number of clamped
-    states, and at rank 2 the grid's ``nodes`` per axis and ``alias_gap``
-    (see ``_torus_law``).  The mass defect must lie within _MASS_TOL, and
-    the alias gap within _ALIAS_FLOORS."""
+    """Time-t distribution of the bottom shape started from the empty shape,
+    over the shapes with z_1 <= window.  At rank 1 it is ``_rank_one_law``,
+    whose mpmath rounding (below 1e-30) can leave a tail value negative; those
+    read 0.  Above rank 1 it is the empty shape's row of expm(t Q) for the
+    shape-chain generator Q on that box, ``build_generator(2n, window)``
+    and ``GeneratorMatrix.transient``: uniformization adds nonnegative terms
+    only, so its one error is the mass that leaks through the cap.  A box of
+    more than _DENSE_STATES shapes raises before any work.  ``error`` is the
+    |mass defect| and ``stats`` holds the mass defect 1 - sum p, which must
+    lie within _MASS_TOL."""
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
-    if n > 2:
-        raise ValueError(f"--n {n}: the float torus law meets its {_MASS_TOL:.0e} mass gate at "
-                         "ranks 1 and 2 only; use --n 1 or 2")
     if not 0 <= t < INF:
         raise ValueError(f"--t must be nonnegative and finite, got {t}")
     check_rates(a)
     _check_rank(n, a)
+    if not (0 < q < 1 if n == 1 else -1 < q < 1):
+        raise ValueError(f"--q must satisfy |q| < 1, and q > 0 at --n 1, got {q}")
     a = tuple(float(x) for x in a)
-    grid = {}
     if n == 1:
-        if not 0 < q < 1:
-            raise ValueError(f"--q must satisfy |q| < 1, and q > 0 at --n 1, got {q}")
-        raw = {(z,) if z else (): (float(p), 0.0)
-               for z, p in enumerate(_rank_one_law(t, a[0], q, window))}
+        table = {(z,) if z else (): max(float(p), 0.0)
+                 for z, p in enumerate(_rank_one_law(t, a[0], q, window))}
     else:
-        raw, grid = _torus_law(n, t, a, q, window)
-    table = {z: max(p, 0.0) for z, (p, _) in raw.items()}
-    noise = {z: floor for z, (_, floor) in raw.items()}
-    clamped = sum((p for p, _ in raw.values() if p < 0), 0.0)
-    clamped_states = sum(p < 0 for p, _ in raw.values())
+        if window < 0:
+            raise ValueError(f"--window must be nonnegative, got {window}")
+        states = math.comb(window + n, n)
+        if states > _DENSE_STATES:
+            raise ValueError(f"--window {window} at --n {n} spans {states} shapes, past the "
+                             f"{_DENSE_STATES} of a dense generator; use a smaller --window")
+        table = build_generator(2 * n, window, QSeriesCtx(q), a).transient(t, ()).table
     defect = 1.0 - sum(table.values())
     if defect > _MASS_TOL:
         raise ValueError(f"window mass defect {defect:.2e} exceeds {_MASS_TOL:.0e}; "
                          "enlarge the window")
-    if defect < -_MASS_TOL:
-        raise ValueError(f"window mass defect {defect:.2e} is below -{_MASS_TOL:.0e}: states "
-                         "past the quadrature noise floor add mass; shrink the window")
-    if grid and grid["alias_gap"] > _ALIAS_FLOORS:
-        raise ValueError(f"the torus law on {grid['nodes']} nodes per axis moves by "
-                         f"{grid['alias_gap']:.0f} noise floors on the next grid size; "
-                         "use a smaller --t or --window")
-    return ShapeLaw(table, abs(defect) + abs(clamped) + sum(noise.values()), noise,
-                    {"mass_defect": defect, "clamped_mass": clamped,
-                     "clamped_states": clamped_states, **grid})
+    return ShapeLaw(table, abs(defect), {"mass_defect": defect})
 
 
-def _torus_law(n: int, t: float, a: tuple, q: float, window: int) -> tuple:
-    """State -> (p_t(z), noise floor) from one FFT on a torus grid sized by
-    ``_torus_nodes`` for the characters' largest exponent and e^{2t cos},
-    and the grid's stats: its ``nodes`` per axis and ``alias_gap``, the
-    largest move of a state, in its noise floors, when the table is
-    recomputed on the next larger size.  ``law`` raises past
-    _ALIAS_FLOORS."""
-    norm = pi_norm(a, t)  # at least every pi_val, so a finite norm means no overflow
+def _torus_law(n: int, t: float, a: tuple, q: float, window: int) -> dict:
+    """State -> p_t(z) by the torus formula: the character at the real point
+    times the torus coefficient of the exponential generating function,
+    over the norm <P_z, P_z> and exp(sum(a + 1/a) t), from one FFT on a grid
+    sized by ``_torus_nodes`` for the characters' largest exponent and
+    e^{2t cos}.  ``law`` does not use it; the ledger's ``torus-law`` check
+    holds it against the generator row."""
+    norm = pi_norm(a, t)
     ctx = QSeriesCtx(q)
     states = sorted(z for z in partitions_max_weight(n, window * n)
                     if part(z, 1) <= window)
     polys = [qwhittaker_recursion(n, z, ctx) for z in states]
-
-    def spectrum(nodes: int) -> tuple:
-        """The spectrum of e^{2t cos} times the weight on nodes per axis, and
-        the largest |value| of that product."""
-        quad = TorusQuadrature(n, nodes, q)
-        pi_vals = np.exp(sum(g + 1 / g for g in quad.grids) * t)
-        return quad.spectrum(pi_vals), float(np.abs(pi_vals * quad.weight).max())
-
-    nodes = _torus_nodes(n, q, _degree(polys), t=t)
-    (spec, wmax), (check, _) = spectrum(nodes), spectrum(_smooth_above(nodes))
-    out, gap = {}, 0.0
-    for z, poly in zip(states, polys):
-        nf = norm_squared_factor(z, n, ctx)
-        at_a = float(poly.evaluate(a))
-        p, p_check = (at_a * (_against(s, poly) / _group_order(n) * nf).real / norm
-                      for s in (spec, check))
-        floor = 1e-15 * wmax * at_a * nf / norm
-        gap = max(gap, abs(p - p_check) / floor)
-        out[z] = (0.0 if 0 <= p <= 1e-15 else p, floor)
-    return out, {"nodes": nodes, "alias_gap": gap}
+    quad = TorusQuadrature(n, _torus_nodes(n, q, _degree(polys), t=t), q)
+    spec = quad.spectrum(np.exp(sum(g + 1 / g for g in quad.grids) * t))
+    return {z: float(poly.evaluate(a)) / norm
+            * (_against(spec, poly) / _group_order(n) * norm_squared_factor(z, n, ctx)).real
+            for z, poly in zip(states, polys)}
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +533,9 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
     Koornwinder operator powers, and the nested contour integrals deformed
     onto small circles around their poles (``contour_moment``, which raises
     where its two node counts disagree).  Above rank 1, direct is the mean
-    over ``law``, whose ``error`` bounds its mass but not this sum: q^{-kz}
-    amplifies the noise, so for k > 0 a state counts only when its
-    probability exceeds 20 times its noise floor."""
+    over ``law``'s generator row, whose Poisson sum keeps the far states'
+    small probabilities that q^{-kz} weights up; the window bounds the mass
+    past it, not this sum."""
     if not 0 < q < 1:
         raise ValueError(f"--q must lie in (0, 1), got {q}")
     if not 0 <= t < INF:
@@ -574,9 +551,7 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
     if n == 1:
         direct = _direct_moment_rank_one(k, t, a[0], q, zmax=window)
     else:
-        lt = law(n, t, a, q, window)
-        direct = lt.mean(lambda z: q ** (-k * part(z, 1))
-                         if k == 0 or lt.table[z] > 20 * lt.noise[z] else 0.0)
+        direct = law(n, t, a, q, window).mean(lambda z: q ** (-k * part(z, 1)))
 
     def Pi(pt):
         return np.exp(sum((u + 1 / u) * t for u in pt))

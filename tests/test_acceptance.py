@@ -13,25 +13,30 @@ POLYMER = json.loads((Path(__file__).parent / "data" / "polymer_reference.json")
 def test_quick_ledger_passes():
     ledger = acceptance.run_all(quick=True)
     quick = [name for name, _fn, q in acceptance.REGISTRY if q]
-    assert ledger["passed"] and ledger["soft_failures"] == []
+    assert ledger["passed"] and ledger["hard_failures"] == []
     assert [r["name"] for r in ledger["checks"]] == quick
     # numpy bools would reach the JSON ledger as the string "True"
-    assert all(type(r["passed"]) is bool and type(r["soft"]) is bool for r in ledger["checks"])
+    assert all(type(r["passed"]) is bool and "soft" not in r for r in ledger["checks"])
+    assert "soft_failures" not in ledger
     by_name = {r["name"]: r for r in ledger["checks"]}
     ortho = by_name["orthogonality"]
     assert max(ortho["rank1_max_error"], ortho["rank2_max_error"]) <= 1e-13
     assert (by_name["moments-three-way"]["worst_relative"]
             == REFERENCE["moments_three_way_worst_relative"])
-    dists = by_name["orthogonality-conjecture"]["coefficient_distances"]
+    conjecture = by_name["orthogonality-conjecture"]
     for lam, d in REFERENCE["orthogonality_conjecture"].items():
-        assert abs(dists[lam] - d) <= 1e-12
+        assert abs(conjecture["coefficient_distances"][lam] - d) <= 1e-12
+    assert set(conjecture["t0_zero_distances"]) == {"rank1", "rank2", "rank3"}
+    assert max(conjecture["t0_zero_distances"].values()) <= 1e-13
+    torus = by_name["torus-law"]
+    assert torus["states"] == 45 and torus["tv"] <= 1e-8 and 0 < torus["mass_defect"] <= 1e-8
 
 
 @pytest.mark.slow
 def test_full_ledger_passes():
     ledger = acceptance.run_all()
-    assert len(ledger["checks"]) == len(acceptance.REGISTRY) == 15
-    assert all(r["passed"] for r in ledger["checks"]), ledger["soft_failures"]
+    assert len(ledger["checks"]) == len(acceptance.REGISTRY) == 16
+    assert all(r["passed"] for r in ledger["checks"]), ledger["hard_failures"]
     assert ledger["passed"]
 
 
@@ -44,7 +49,7 @@ def test_simulation_vs_law_is_unchanged():
 
 def test_polymer_identity_gates_level_one_by_path_and_level_two_in_law():
     rep = acceptance.check_polymer_identity()
-    assert rep["passed"] and rep["soft"]
+    assert rep["passed"] and "soft" not in rep
     assert rep["level1"]["paths"] == 2000 and rep["level1"]["relative_gap"] <= 1e-12
     pin = next(c for c in POLYMER["ledger"] if c["N"] == 2)
     assert (rep["level2"]["ks"], rep["level2"]["pvalue"]) == (pin["ks"], pin["pvalue"])
@@ -71,14 +76,14 @@ def test_crashing_check_is_a_failed_report(monkeypatch):
         raise RuntimeError("boom")
 
     def passes():
-        return {"name": "passes", "passed": True, "soft": False, "seconds": 0.0}
+        return {"name": "passes", "passed": True, "seconds": 0.0}
 
     monkeypatch.setattr(acceptance, "REGISTRY",
                         [("crashes", crashes, True), ("passes", passes, True)])
     ledger = acceptance.run_all(quick=True)
     assert not ledger["passed"] and ledger["hard_failures"] == ["crashes"]
     crashed, passed = ledger["checks"]
-    assert crashed["name"] == "crashes" and not crashed["passed"] and not crashed["soft"]
+    assert crashed["name"] == "crashes" and not crashed["passed"] and "soft" not in crashed
     assert crashed["error"] == "RuntimeError: boom"
     assert "RuntimeError: boom" in crashed["traceback"]
     assert passed["passed"]

@@ -72,7 +72,8 @@ def test_law_normalizes_and_nonnegative():
     assert all(p >= 0 for p in lt.table.values())
     lt2 = law(2, 0.5, (1.1, 0.9), 0.5, 10)
     assert abs(lt2.stats["mass_defect"]) < 1e-6
-    assert all(p >= -1e-12 for p in lt2.table.values())
+    # uniformization adds nonnegative terms only
+    assert all(p >= 0 for p in lt2.table.values())
 
 
 def test_law_window_error():
@@ -397,39 +398,34 @@ def test_default_truncation_follows_q():
 
 
 def test_law_matches_grid_quadrature_reference():
-    # p within the 512-node reference's floors; the floors themselves are
-    # those of the sized grid
-    lt = law(2, 0.25, (1, 1), 0.5, 8)
+    # the sized torus law lies within the 512-node reference's floors
     ref = {tuple(json.loads(z)): v for z, v in REFERENCE["law_n2"].items()}
-    floors = {tuple(json.loads(z)): v for z, v in REFERENCE["law_n2_sized_noise"].items()}
-    assert set(lt.table) == set(ref)
+    torus = spectral._torus_law(2, 0.25, (1.0, 1.0), 0.5, 8)
+    assert set(torus) == set(ref)
     for z, v in ref.items():
-        assert abs(lt.table[z] - v["p"]) <= v["noise"]
-        assert lt.noise[z] == pytest.approx(floors[z], rel=1e-12)
+        assert abs(torus[z] - v["p"]) <= v["noise"]
     lt1 = law(1, 2.0, (1.0,), 0.5, 40)
     ref1 = {tuple(json.loads(z)): p for z, p in REFERENCE["law_n1"].items()}
     assert set(lt1.table) == set(ref1)
     assert max(abs(lt1.table[z] - p) for z, p in ref1.items()) <= 1e-13
 
 
+def _tv(p: dict, r: dict) -> float:
+    return 0.5 * sum(abs(p[z] - r[z]) for z in r)
+
+
 @pytest.mark.parametrize("t, a, q, window", [(0.25, (1, 1), 0.5, 8), (0.5, (1.3, 0.9), 0.5, 12),
                                               (1.0, (1, 1), 0.3, 12)])
 def test_sized_law_matches_the_512_node_law(monkeypatch, t, a, q, window):
-    sized = law(2, t, a, q, window)
-    assert sized.stats["nodes"] <= 96 and sized.stats["alias_gap"] <= 10
+    # the torus law on the sized grid and on 512 nodes per axis, each against
+    # the generator row; the FFT's rounding at the far states, where p is
+    # below 1e-16, gives TV 1.3e-9, 8.9e-8 and 9.7e-10 here
+    row = law(2, t, a, q, window).table
+    sized = spectral._torus_law(2, t, a, q, window)
     monkeypatch.setattr(spectral, "_torus_nodes", lambda *args, **kwargs: 512)
-    full = law(2, t, a, q, window)
-    assert set(sized.table) == set(full.table)
-    for z, p in full.table.items():
-        assert abs(sized.table[z] - p) <= 4 * full.noise[z]
-
-
-def test_law_self_check_raises_on_a_coarse_grid(monkeypatch):
-    # 32 and 36 nodes per axis alias: the table moves by 29 noise floors
-    monkeypatch.setattr(spectral, "_torus_nodes", lambda *args, **kwargs: 32)
-    with pytest.raises(ValueError, match="on 32 nodes per axis moves by 29 noise floors") as exc:
-        law(2, 0.25, (1, 1), 0.5, 8)
-    assert "\n" not in str(exc.value)
+    full = spectral._torus_law(2, t, a, q, window)
+    assert set(sized) == set(full) == set(row)
+    assert _tv(sized, row) <= 2e-7 and _tv(full, row) <= 2e-7
 
 
 def test_grid_sizes_are_smooth_and_follow_the_integrand():
@@ -442,45 +438,52 @@ def test_grid_sizes_are_smooth_and_follow_the_integrand():
     assert spectral._torus_nodes(2, 0.3, 4) < spectral._torus_nodes(2, 0.9, 4)
 
 
-def test_law_past_rank_two_raises_before_any_work():
-    with pytest.raises(ValueError, match="--n 3: the float torus law meets its 1e-06 mass "
-                                         "gate at ranks 1 and 2 only"):
+def test_law_past_the_dense_budget_raises_before_any_work(monkeypatch):
+    monkeypatch.setattr(spectral, "build_generator", None)
+    with pytest.raises(ValueError, match="--window 40 at --n 3 spans 12341 shapes, past the "
+                                         "4096 of a dense generator; use a smaller --window"):
         law(3, 0.25, (1.3, 0.9, 1.1), 0.5, 40)
 
 
-def test_law_reports_what_its_clamp_removed():
+def test_law_error_is_the_leaked_mass():
+    # above rank 1 the law is the generator row, which leaks 9.0e-9 here
+    row = build_generator(4, 8, QSeriesCtx(0.5), (1.0, 1.0)).transient(0.25, ())
     lt = law(2, 0.25, (1, 1), 0.5, 8)
-    assert lt.stats["clamped_states"] == 4 and lt.stats["clamped_mass"] < 0
-    assert lt.stats["clamped_states"] <= sum(1 for p in lt.table.values() if p == 0)
-    lt0 = law(1, 0.0, (1.3,), 0.5, 10)
-    assert (lt0.stats["clamped_states"] == 0) == (lt0.stats["clamped_mass"] == 0)
-
-
-def test_law_error_shows_the_clamp_that_the_mass_defect_hides():
-    # the rank-2 FFT law clamps 4 states; the rank-1 law is exact to 1e-30
-    lt = law(2, 0.25, (1, 1), 0.5, 8)
-    assert lt.stats["clamped_mass"] < 0
-    assert lt.error == (abs(lt.stats["mass_defect"]) + abs(lt.stats["clamped_mass"])
-                        + sum(lt.noise.values()))
-    assert lt.error == pytest.approx(2.00900e-8, rel=1e-5)
+    assert lt.table == row.table and len(lt.table) == 45
+    assert lt.error == lt.stats["mass_defect"] == 1.0 - sum(lt.table.values())
+    assert lt.error == pytest.approx(9.0312e-9, rel=1e-4)
 
 
 def test_rank_one_law_is_the_exact_law_with_its_negative_tail_clamped():
     # at q = 0.9 the FFT law clamped 2 states holding -3.3e-6 of mass at
-    # window 15, and put -1.71 of mass past window 40
+    # window 15, and put -1.71 of mass past window 40; the exact law's tail
+    # is negative only by its mpmath rounding
     lt = law(1, 1.0, (1.0,), 0.9, 40)
     exact = spectral._rank_one_law(1.0, 1.0, 0.9, 40)
     assert list(lt.table.values()) == [max(float(p), 0.0) for p in exact]
-    assert set(lt.noise.values()) == {0.0}
-    assert lt.stats["clamped_states"] > 0 and -1e-30 < lt.stats["clamped_mass"] < 0
+    assert -1e-30 < min(exact) < 0
     assert abs(lt.stats["mass_defect"]) <= 1e-15
-    assert lt.error == abs(lt.stats["mass_defect"]) + abs(lt.stats["clamped_mass"])
+    assert lt.error == abs(lt.stats["mass_defect"])
 
 
 def test_rank_two_moments_are_pinned():
-    # k > 0 drops the states within 20 noise floors of 0 (44 of 91 here)
-    assert moments(2, 1, 0.5, (1.3, 0.9), 0.5, window=12)["direct"] == 4.729183145991534
-    assert moments(2, 2, 0.5, (1.3, 0.9), 0.5, window=12)["direct"] == 59.88279565361739
+    # the direct route over the generator row against the operator route;
+    # the FFT law read 59.883 against 59.956 at k = 2
+    for k in (1, 2):
+        m = moments(2, k, 0.5, (1.3, 0.9), 0.5, window=24)
+        assert abs(m["direct"] - m["operator"]) <= 1e-9 * abs(m["operator"])
+
+
+def test_transient_keeps_the_far_states_that_a_moment_weights():
+    # q^{-3z} weights z = 40 by 2^120: cut at 1e-16, the Poisson sum left
+    # this 5.9e-4 off the operator route
+    q, a, t = 0.5, (1.3,), 1.0
+    row = build_generator(2, 40, QSeriesCtx(q), a).transient(t, ())
+    direct = row.mean(lambda z: q ** (-3 * sum(z)))
+    Pi = lambda pt: np.exp(sum((u + 1 / u) * t for u in pt))
+    operator = sum(math.comb(3, j) * koornwinder_apply(Pi, a, 1, q, j).real
+                   for j in range(4)) / spectral.pi_norm(a, t)
+    assert abs(direct - operator) <= 1e-10 * operator
 
 
 def _product_law(t, a, q, zmax, dps, factors, nodes=512):
