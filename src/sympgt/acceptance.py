@@ -301,17 +301,18 @@ def check_moments_three_way():
 
 
 def check_orthogonality():
-    """Torus orthogonality of the recursion-defined family: rank 1 within
-    1e-8 of the identity up to degree 4, rank 2 within 1e-6 up to weight 2."""
+    """Torus orthogonality of the recursion-defined family within 1e-12 of
+    the identity: rank 1 up to degree 4, rank 2 up to weight 2."""
     shapes1 = [(k,) for k in range(5)]
     m1 = orthogonality_matrix(1, shapes1, 0.4)
     err1 = float(np.abs(m1 - np.eye(len(shapes1))).max())
     shapes2 = [canon(z) for z in partitions_max_weight(2, 2)]
     m2 = orthogonality_matrix(2, shapes2, 0.4)
     err2 = float(np.abs(m2 - np.eye(len(shapes2))).max())
-    return {"name": "orthogonality", "passed": err1 <= 1e-8 and err2 <= 1e-6,
+    tol = 1e-12
+    return {"name": "orthogonality", "passed": err1 <= tol and err2 <= tol,
             "rank1_max_error": err1, "rank2_max_error": err2,
-            "tolerances": {"rank1": 1e-8, "rank2": 1e-6}}
+            "tolerances": {"rank1": tol, "rank2": tol}}
 
 
 def check_scaling_limit():

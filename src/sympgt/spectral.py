@@ -26,11 +26,13 @@ N must exceed the largest |e| read plus the per-axis bandwidth of F w,
 which is read off one 1-D FFT of each factor.
 
 At rank 1 the law, and the direct moment route's sum of q^{-kz} p_z over it,
-are torus integrals computed in mpmath: there the weight times (q;q)_inf is
-the Jacobi triple-product theta series, the trapezoid rule runs over half
-the circle (every factor depends on cos theta alone), and the working
-precision is 30 digits past the amplification q^{-3 window} of the largest
-moment the contour route checks."""
+are torus integrals computed in mpmath with no grid at all: the weight times
+(q;q)_inf is the Jacobi triple-product theta series, so each integral is a
+finite sum of its coefficients against the Bessel coefficients of
+e^{2t cos theta} and the q-binomial coefficients of the character.  The
+working precision is 30 digits past the amplification q^{-3 window} of the
+largest moment the contour route checks, plus the digits that the sum
+loses to cancellation."""
 from __future__ import annotations
 
 import functools
@@ -283,7 +285,9 @@ def _A_coeff(a: Sequence[complex], q: float, i: int) -> complex:
         if j != i:
             den *= (1 - a[i] * aj) * (1 - a[i] / aj)
     if abs(den) < 1e-8:
-        raise ValueError("evaluation point too close to an operator pole")
+        raise ValueError("--a lies on or next to a pole of the operator route's difference "
+                         "operator (some a_i^2, a_i a_j or a_i / a_j an integer power of q); "
+                         "use an --a off 1 and off those points")
     return 1 / den
 
 
@@ -412,14 +416,15 @@ def contour_moment(n: int, k: int, t: float, a: Sequence[float], q: float) -> fl
 
 
 def _rank_one_dps(q: float, zmax: int) -> int:
-    """Working precision of the rank-1 law and moment sums: 30 digits past
-    the amplification q^{-kz} of every k <= 3 and z <= zmax, and at least 40."""
+    """Precision of the rank-1 moment sums, and the base of that of the law:
+    30 digits past the amplification q^{-kz} of every k <= 3 and z <= zmax,
+    and at least 40."""
     return max(40, 30 + math.ceil(3 * zmax * math.log10(1 / q)))
 
 
 def _direct_moment_rank_one(k: int, t: float, a: float, q: float, zmax: int) -> float:
     """Direct sum sum_z q^{-kz} p_z for n=1 over the law of ``_rank_one_law``,
-    in that law's precision: q^{-kz} multiplies each p_z's rounding noise by
+    in ``_rank_one_dps`` digits: q^{-kz} multiplies each p_z's rounding noise by
     up to q^{-3 zmax}, which the precision rule leaves 30 digits to spare.
     Raises when the window 0..zmax misses more than 1e-6 of the mass."""
     import mpmath as mp
@@ -436,94 +441,70 @@ def _direct_moment_rank_one(k: int, t: float, a: float, q: float, zmax: int) -> 
 
 @functools.lru_cache(maxsize=8)
 def _rank_one_law(t: float, a: float, q: float, zmax: int) -> tuple:
-    """p_z for z = 0..zmax at rank 1, in ``_rank_one_dps(q, zmax)`` digits:
-    the trapezoid rule on 512 points of the torus integral of
-    e^{2t cos theta} h_z(cos theta) |(e^{2i theta};q)_inf|^2, times the
-    character h_z at the real point, over (q;q)_z and exp((a + 1/a) t).
+    """p_z for z = 0..zmax at rank 1: the torus integral of
+    e^{2t cos theta} h_z(x) |(x^2;q)_inf|^2 at x = e^{i theta}, times the
+    character h_z at the real point, over (q;q)_z and exp((a + 1/a) t),
+    as a finite sum of Fourier coefficients.
 
-    By the Jacobi triple product the weight times (q;q)_inf is the theta
-    series sum_{m>=1} (-1)^m q^{m(m-1)/2} (2 cos 2m theta - 2 cos 2(m-1) theta),
-    summed by the Chebyshev recurrence in cos 2 theta until q^{m(m-1)/2} falls
-    below 10^{-dps-5}; the (q;q)_inf of the normalization cancels against it.
-    Every factor depends on theta through cos theta alone, and
-    cos theta_j = cos theta_{N-j}, so the rule's sum over j = 0..N-1 has
-    multiplicities 1, 2, ..., 2, 1 over j = 0..N/2; the weight vanishes at
-    j = 0 and N/2, so it is twice the sum over j = 1..N/2-1.  The q-Hermite
-    characters obey a three-term recurrence, on the nodes and at the real
-    point alike.  e^{2t cos theta} enters as e^{2t (cos theta - 1)} <= 1,
-    its e^{2t} moved into the normalization, so at any finite t the node
-    exponentials stay at most 1.
+    By the Jacobi triple product the weight times (q;q)_inf is
+    sum_j w_j x^{2j}, with w_0 = 2 and w_{+-j} = c_j - c_{j+1} for
+    c_m = (-1)^m q^{m(m-1)/2}, cut where q^{m(m-1)/2} < 10^-dps.  With
+    I^_n = I_|n|(2t) e^{-2t}, the coefficients of e^{2t (cos theta - 1)},
+    and h_z = sum_k [z k]_q x^{z-2k}, the integral is the constant term
+    M_z = sum_k [z k]_q G_{z-2k}, G_d = sum_j w_j I^_{d+2j}, and
+    p_z = h_z(a) M_z / (2 (q;q)_z e^{(a+1/a-2)t}).  The I^_n come from one
+    backward (Miller) recurrence normalized to I^_0 + 2 sum I^_n = 1, started
+    past the largest index read where t^n / n! >= I^_n is below 10^-dps;
+    at t = 0, I^_n is 1 at n = 0 and 0 elsewhere.  h_z(a) and [z k]_q come
+    from their three-term and q-Pascal recurrences.
 
-    The node loops run in fixed point on Python integers: a value x is the
-    integer round(x 2^B), B = ceil(dps log2 10) + 32 bits (32 guard bits
-    past the working precision), and each product is (x y) >> B.  mpmath
-    gives, at B bits and once each, cos theta_j, cos 2 theta_j, the damped
-    exponential, the theta coefficients and the recurrence factors
-    1 - q^z; the theta series, its product with the exponential, the
-    node recurrence and the dot product with the nodes are then integer
-    arithmetic, the last one exact.  The scalar recurrences (h_z at the
-    real point, (q;q)_z, the normalization) and the division stay in
-    mpmath at dps digits."""
-    from operator import mul
-
+    The rounding of M_z is that of its terms, up to [z k]_q <= 1 / (q;q)_z,
+    and reaches p_z times h_z(a) / (q;q)_z, where
+    h_z(a) <= (z + 1) max(a, 1/a)^z / (q;q)_z: so dps is ``_rank_one_dps``
+    plus zmax |log10 a| + 3 log10(1 / (q;q)_zmax) plus ten guard digits."""
     import mpmath as mp
 
-    dps, nodes = _rank_one_dps(q, zmax), 512
-    bits = math.ceil(dps * math.log2(10)) + 32
-
-    def fix(x) -> int:
-        return int(mp.nint(mp.ldexp(x, bits)))
-
-    with mp.workprec(bits):
-        qm = mp.mpf(q)
-        # 2 (-1)^m q^{m(m-1)/2} for m = 1, 2, ... while q^{m(m-1)/2} >= cut
-        theta_coef, qpow, m = [], mp.mpf(1), 1
-        cut = mp.mpf(10) ** (-dps - 5)
-        while qpow >= cut:
-            theta_coef.append(fix(-2 * qpow if m % 2 else 2 * qpow))
-            qpow *= qm ** m
-            m += 1
-        # cos of the angles 2 pi k / N, k = 0..N/2, gives cos theta_j at
-        # k = j and cos 2 theta_j at k = 2j folded into 0..N/2
-        cosk = [mp.cos(2 * mp.pi * k / nodes) for k in range(nodes // 2 + 1)]
-        half = range(1, nodes // 2)
-        cos1 = [fix(cosk[j]) for j in half]
-        cos2 = [fix(cosk[min(2 * j, nodes - 2 * j)]) for j in half]
-        damp = [fix(mp.exp(2 * t * (cosk[j] - 1))) for j in half]
-        facs = [fix(1 - qm ** z) for z in range(1, zmax)]
-    one = 1 << bits
-    # e^{2t (cos theta - 1)} * weight * (q;q)_inf, the last as the theta
-    # series in the Chebyshev T_m of cos 2 theta, at scale 2^B
-    pw = []
-    for c2, d in zip(cos2, damp):
-        t_prev, t_cur, acc = one, c2, 0
-        for cm in theta_coef:
-            acc += cm * (t_cur - t_prev)
-            t_prev, t_cur = t_cur, ((c2 * t_cur) >> (bits - 1)) - t_prev
-        pw.append((acc * d) >> (2 * bits))
-    # recurrence over the character degree on the nodes; dots at scale 2^{2B}
-    two_c = [2 * c for c in cos1]
-    h_prev, h_cur = [one] * len(cos1), two_c
-    dots = [sum(pw) << bits]
-    for z in range(1, zmax + 1):
-        dots.append(sum(map(mul, pw, h_cur)))
-        if z < zmax:
-            fac = facs[z - 1]
-            h_prev, h_cur = h_cur, [(tc * hc - fac * hp) >> bits
-                                    for tc, hc, hp in zip(two_c, h_cur, h_prev)]
+    lost = zmax * abs(math.log10(a)) - 3 * sum(math.log10(1 - q ** k)
+                                               for k in range(1, zmax + 1))
+    dps = _rank_one_dps(q, zmax) + math.ceil(lost) + 10
     with mp.workdps(dps):
         qm, tm, am = mp.mpf(q), mp.mpf(t), mp.mpf(a)
-        v_prev, v_cur = mp.mpf(1), am + 1 / am
-        qq_z = mp.mpf(1)
-        # the rule is twice the half sum over nodes, then over the group order 2
-        norm = nodes * mp.exp((am + 1 / am - 2) * tm)
+        # w_j for j = -M..M from c_1..c_M
+        c, qpow, cut = [], mp.mpf(1), mp.mpf(10) ** -dps
+        while qpow >= cut:
+            c.append(-qpow if len(c) % 2 == 0 else qpow)
+            qpow *= qm ** len(c)
+        w = [x - y for x, y in zip(c, c[1:] + [0])]
+        w = w[::-1] + [mp.mpf(2)] + w
+        reach = len(c)
+        # I^_n for n = 0..top, the largest index G_d reads
+        top = zmax + 2 * reach
+        if t == 0:
+            bessel = [mp.mpf(1)] + [mp.mpf(0)] * top
+        else:
+            start, log_bound = 0, 0.0
+            while start <= top or log_bound > -dps:
+                start += 1
+                log_bound += math.log10(t / start)
+            bessel = [mp.mpf(0)] * start + [mp.mpf(1), mp.mpf(0)]
+            for n in range(start, 0, -1):
+                bessel[n - 1] = bessel[n + 1] + n / tm * bessel[n]
+            scale = 2 * mp.fsum(bessel) - bessel[0]
+            bessel = [b / scale for b in bessel]
+        G = [mp.fdot(w, [bessel[abs(d + 2 * j)] for j in range(-reach, reach + 1)])
+             for d in range(zmax + 1)]
+        qpows = [qm ** k for k in range(zmax + 1)]
+        # row z of the q-binomials, (q;q)_z and h_z(a), advanced together
+        binom, qq_z, h_prev, h_z = [1], mp.mpf(1), mp.mpf(1), mp.mpf(1)
+        norm = 2 * mp.exp((am + 1 / am - 2) * tm)
         out = []
-        for z, dot in enumerate(dots):
-            vz = v_prev if z == 0 else v_cur
-            out.append(vz * mp.ldexp(dot, -2 * bits) / (qq_z * norm))
-            qq_z *= 1 - qm ** (z + 1)
-            if z >= 1:
-                v_prev, v_cur = v_cur, (am + 1 / am) * v_cur - (1 - qm ** z) * v_prev
+        for z in range(zmax + 1):
+            if z:
+                binom = [1] + [binom[k - 1] + qpows[k] * binom[k] for k in range(1, z)] + [1]
+                qq_z *= 1 - qpows[z]
+                h_prev, h_z = h_z, (am + 1 / am) * h_z - (1 - qpows[z - 1]) * h_prev
+            M_z = mp.fdot(binom, [G[abs(z - 2 * k)] for k in range(z + 1)])
+            out.append(h_z * M_z / (qq_z * norm))
         return tuple(out)
 
 
@@ -551,14 +532,23 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
     if n == 1:
         direct = _direct_moment_rank_one(k, t, a[0], q, zmax=window)
     else:
-        direct = law(n, t, a, q, window).mean(lambda z: q ** (-k * part(z, 1)))
+        try:
+            direct = law(n, t, a, q, window).mean(lambda z: q ** (-k * part(z, 1)))
+        except OverflowError:
+            raise ValueError(f"q^(-k z_1) overflows a double at --window {window}, --k {k}, "
+                             f"--q {q}; use a smaller --window or --k, or a larger --q") from None
 
     def Pi(pt):
         return np.exp(sum((u + 1 / u) * t for u in pt))
 
-    operator = sum(math.comb(k, j)
-                   * complex(koornwinder_apply(Pi, a, n, q, j)).real
-                   for j in range(k + 1)) / norm
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            operator = sum(math.comb(k, j)
+                           * complex(koornwinder_apply(Pi, a, n, q, j)).real
+                           for j in range(k + 1)) / norm
+    except FloatingPointError:
+        raise ValueError(f"the operator route overflows a double at t = {t}, q = {q}; "
+                         "use a smaller --t or a larger --q") from None
     contour = contour_moment(n, k, t, a, q)
     return {"direct": direct, "operator": operator, "contour": contour}
 

@@ -297,6 +297,12 @@ def test_compute_qwhittaker_at_q_one(capsys):
      "--window must be nonnegative, got -1"),
     (["law", "--n", "2", "--t", "0.25", "--a", "1,1", "--q", "1.5", "--window", "4"],
      "--q must satisfy |q| < 1"),
+    (["moments", "--n", "2", "--a", "1.3,0.9", "--k", "3", "--t", "1", "--q", "0.01",
+      "--window", "60"], "overflows a double at --window 60, --k 3, --q 0.01"),
+    (["moments", "--n", "1", "--a", "1.3", "--k", "3", "--t", "1", "--q", "0.01"],
+     "the operator route overflows a double at t = 1.0, q = 0.01; use a smaller --t"),
+    (["moments", "--n", "1", "--a", "1", "--k", "2", "--t", "1", "--q", "0.5"],
+     "use an --a off 1"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -456,12 +456,13 @@ def test_law_error_is_the_leaked_mass():
 
 def test_rank_one_law_is_the_exact_law_with_its_negative_tail_clamped():
     # at q = 0.9 the FFT law clamped 2 states holding -3.3e-6 of mass at
-    # window 15, and put -1.71 of mass past window 40; the exact law's tail
-    # is negative only by its mpmath rounding
+    # window 15, and put -1.71 of mass past window 40; the exact law is
+    # positive here (2.2e-43 at z = 40), and its mpmath rounding, below
+    # 1e-30, is all that could make a value negative
     lt = law(1, 1.0, (1.0,), 0.9, 40)
     exact = spectral._rank_one_law(1.0, 1.0, 0.9, 40)
     assert list(lt.table.values()) == [max(float(p), 0.0) for p in exact]
-    assert -1e-30 < min(exact) < 0
+    assert min(exact) > -1e-30
     assert abs(lt.stats["mass_defect"]) <= 1e-15
     assert lt.error == abs(lt.stats["mass_defect"])
 
@@ -548,8 +549,8 @@ def test_rank_one_law_matches_pochhammer_product(fresh_rank_one_cache):
 
 def test_rank_one_law_is_thirty_digits_exact_at_q_09(fresh_rank_one_cache, monkeypatch):
     # against the same law 60 digits past the rule: mpf arithmetic at the
-    # rule's precision was 1.15e-24 off here, the fixed-point kernel with its
-    # 32 guard bits 8.2e-33
+    # rule's precision was 1.15e-24 off here, the 512-node fixed-point
+    # trapezoid 8.2e-33, the Fourier-side sum 2.1e-57
     got = fresh_rank_one_cache(8.0, 1.3, 0.9, 40)
     rule = spectral._rank_one_dps
     monkeypatch.setattr(spectral, "_rank_one_dps", lambda q, zmax: rule(q, zmax) + 60)
@@ -562,6 +563,28 @@ def test_rank_one_law_is_thirty_digits_exact_at_q_09(fresh_rank_one_cache, monke
 def test_rank_one_direct_matches_operator_at_q_04():
     m = moments(1, 2, 1.0, (1.3,), 0.4, window=40)
     assert abs(m["direct"] - m["operator"]) <= 1e-12 * abs(m["operator"])
+
+
+@pytest.mark.parametrize("a, window, tol", [
+    # h_z(3) grows like 3^z: at the moment sums' precision the law was
+    # 1.6e-12 relative off
+    (3.0, 80, 1e-13),
+    # the 512-node trapezoid aliased (direct read -6.6e250)
+    pytest.param(1.3, 400, 1e-12, marks=pytest.mark.slow),
+    # h_z(0.7) outgrew the moment sums' precision (direct 914x off)
+    pytest.param(0.7, 300, 1e-12, marks=pytest.mark.slow),
+])
+def test_rank_one_direct_matches_operator_at_k_3(a, window, tol):
+    m = moments(1, 3, 1.0, (a,), 0.5, window=window)
+    assert abs(m["direct"] - m["operator"]) <= tol * abs(m["operator"])
+
+
+def test_rank_one_law_at_t_0_is_the_empty_shape(fresh_rank_one_cache):
+    # the 512-node trapezoid aliased here: its k = 3 moment read 1.00113
+    law_z = fresh_rank_one_cache(0.0, 1.3, 0.5, 300)
+    assert law_z[0] == 1
+    assert all(abs(p) * 2 ** (3 * z) <= 1e-30 for z, p in enumerate(law_z) if z)
+    assert spectral._direct_moment_rank_one(3, 0.0, 1.3, 0.5, zmax=300) == 1.0
 
 
 def test_rank_one_direct_is_the_operator_double_at_the_ledger_point():
