@@ -9,8 +9,10 @@ Monte Carlo samples by the two-sample Kolmogorov-Smirnov test, computed
 here in numpy: the statistic is ``scipy.stats.ks_2samp``'s, and the
 p-value is Stephens' asymptotic tail
 Q_KS((sqrt(en) + 0.12 + 0.11 / sqrt(en)) D), en = n1 n2 / (n1 + n2).  The
-sampler keeps a running log-integral between levels, except on the
-last level of Z, where only the endpoint log I_N(t) is computed."""
+sampler runs block-major: each block of replicas draws its levels in turn
+and runs the whole recurrence, keeping a running log-integral between
+levels, except on the last level of Z, where only the endpoint log I_N(t)
+is computed.  The two samples, Z and Y, run on two threads at once."""
 
 from __future__ import annotations
 
@@ -469,44 +471,27 @@ def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
     is log I_N(t); its last level computes only that endpoint, by one
     max-shifted log-sum-exp per row, and never takes the wide-row path.
     With ``integrated``, log I_1 = b_1 and the sample is
-    log int_0^t e^{log I_N(s)} ds.  Level k's Brownian path (drift
-    drifts[k], started at 0) is drawn _BLOCK replicas at a time, level-major
-    then replica-major, so the normals are those of one (levels, replicas,
-    steps) draw; only the running log-integral of shape (replicas, steps+1)
-    is kept between levels.
-
-    The draws run one block ahead on a helper thread, into two noise
-    buffers in turn, while this thread integrates the block before;
-    standard_normal releases the GIL.  At most one draw is outstanding and
-    all arithmetic stays on this thread, so the output does not depend on
-    the overlap."""
-    # imported here, not at module level, where it would add ~7 ms to
-    # every import of the package
-    from concurrent.futures import ThreadPoolExecutor
-
+    log int_0^t e^{log I_N(s)} ds.  The replicas run _BLOCK at a time,
+    block-major: a block draws level k's Brownian path (drift drifts[k],
+    started at 0) for k = 1..N in turn and runs the whole recurrence before
+    the next block starts, so the normals are those of one (levels, n,
+    steps) draw per block of n replicas, and only three (_BLOCK, steps + 1)
+    buffers and the output are held."""
     dt = t / steps
     sqrt_dt = math.sqrt(dt)
     logw = _log_trapz_weights(steps, dt)
-    log_i = np.zeros((replicas, steps + 1))
-    noise = np.empty((2, _BLOCK, steps))
+    out = np.empty(replicas)
+    noise = np.empty((_BLOCK, steps))
     path = np.zeros((_BLOCK, steps + 1))
+    log_i = np.empty((_BLOCK, steps + 1))
     last = len(drifts) - 1
-    blocks = [(k, drift, r0) for k, drift in enumerate(drifts)
-              for r0 in range(0, replicas, _BLOCK)]
     wide = 0
-    # the pool's exit waits for a draw still running when the loop raises
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        def draw(i: int):
-            """Block i's normals, drawn into noise[i % 2]."""
-            out = noise[i % 2, :min(_BLOCK, replicas - blocks[i][2])]
-            return pool.submit(rng.standard_normal, out=out)
-
-        pending = draw(0) if blocks else None
-        for i, (k, drift, r0) in enumerate(blocks):
-            inc = pending.result()
-            # block i - 1, the last reader of noise[(i + 1) % 2], is done
-            pending = draw(i + 1) if i + 1 < len(blocks) else None
-            rows, b = log_i[r0:r0 + _BLOCK], path[:len(inc)]
+    for r0 in range(0, replicas, _BLOCK):
+        n = min(_BLOCK, replicas - r0)
+        rows, inc, b = log_i[:n], noise[:n], path[:n]
+        rows[...] = 0.0
+        for k, drift in enumerate(drifts):
+            rng.standard_normal(out=inc)
             inc *= sqrt_dt
             inc += drift * dt
             if integrated and k == 0:
@@ -516,14 +501,14 @@ def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
             rows -= b
             rows += logw
             if k == last and not integrated:
-                rows[:, -1] = _log_sum_exp(rows) + b[:, -1]
+                out[r0:r0 + n] = _log_sum_exp(rows) + b[:, -1]
                 continue
             wide += _log_cumsum_exp(rows)
             rows += b
-    if not integrated:
-        return log_i[:, -1].copy(), wide  # a copy, so log_i can be freed
-    log_i += logw
-    return _log_sum_exp(log_i), wide
+        if integrated:
+            rows += logw
+            out[r0:r0 + n] = _log_sum_exp(rows)
+    return out, wide
 
 
 class _Replay:
@@ -601,17 +586,26 @@ def polymer_identity_check(N: int, lam: Sequence[float], t: float,
     (see _ks_two_sample).  ``stats`` counts the rows, over both samples and
     all levels, that took the exact wide-row path of the running
     log-sum-exp; the last level of Z computes only its endpoint and never
-    does.  Each sample draws its normals one block ahead on a helper
-    thread (see _polymer_samples); the report does not depend on it."""
+    does.  The Z and Y samples run at the same time on two threads; each
+    owns its Philox stream (SeedSequence(seed).spawn(2)) and its buffers,
+    so the report does not depend on the threads' schedule; standard_normal
+    and numpy's array loops release the GIL, so the two overlap."""
+    # imported here, not at module level, where it would add ~7 ms to
+    # every import of the package
+    from concurrent.futures import ThreadPoolExecutor
+
     _check_n_lambda_replicas(N, lam, replicas)
     if not 0 < t < math.inf:
         raise ValueError(f"--t must be positive and finite, got {t}")
     ladder = _drift_ladder(lam, N)
     ss = np.random.SeedSequence(seed).spawn(2)
-    z, wide_z = _polymer_samples(np.random.Generator(np.random.Philox(ss[0])),
-                                 ladder, t, _STEPS, replicas, integrated=False)
-    y, wide_y = _polymer_samples(np.random.Generator(np.random.Philox(ss[1])),
-                                 ladder[::-1], t, _STEPS, replicas, integrated=True)
+    # the pool's exit waits for the other sample when one raises
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        zf = pool.submit(_polymer_samples, np.random.Generator(np.random.Philox(ss[0])),
+                         ladder, t, _STEPS, replicas, False)
+        yf = pool.submit(_polymer_samples, np.random.Generator(np.random.Philox(ss[1])),
+                         ladder[::-1], t, _STEPS, replicas, True)
+        (z, wide_z), (y, wide_y) = zf.result(), yf.result()
     stat, pvalue = _ks_two_sample(z, y)
     return {"ks": stat, "pvalue": pvalue,
             "replicas": replicas, "steps": _STEPS,
