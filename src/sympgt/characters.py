@@ -120,12 +120,6 @@ def symplectic_schur_tableaux(n: int, lam: Sequence[int]) -> LaurentPoly:
     return LaurentPoly(n, ((_tableau_weight(T, n), 1) for T in enumerate_tableaux(lam, n)))
 
 
-def symplectic_schur_patterns(n: int, lam: Sequence[int]) -> LaurentPoly:
-    """Pattern form of the tableau sum, the pattern character at q = 0 (every
-    q-binomial is 1): a_i^{2|z^{2i-1}| - |z^{2i-2}| - |z^{2i}|} per pattern."""
-    return qwhittaker_pattern_sum(2 * n, lam, QSeriesCtx(0))
-
-
 # ---------------------------------------------------------------------------
 # q-deformed pattern characters
 # ---------------------------------------------------------------------------

@@ -84,8 +84,7 @@ def _emit(payload, args, field_order=None):
 def _cmd_compute(args) -> int:
     from .algebra import QSeriesCtx
     from .characters import (qwhittaker_pattern_sum, qwhittaker_recursion,
-                             symplectic_schur_patterns, symplectic_schur_tableaux,
-                             symplectic_schur_weyl)
+                             symplectic_schur_tableaux, symplectic_schur_weyl)
     n, lam = args.n, args.lam
     if args.a and len(args.a) != n:
         raise ValueError(f"--a needs one entry per variable, {n} for --n {n}, got {len(args.a)}")
@@ -102,8 +101,9 @@ def _cmd_compute(args) -> int:
         if method == "recursion":
             raise ValueError("--method recursion does not apply to schur; "
                              "use weyl, tableaux or patterns")
-        poly = {"tableaux": symplectic_schur_tableaux,
-                "patterns": symplectic_schur_patterns}[method](n, lam)
+        # the pattern form is the pattern character at q = 0
+        poly = (symplectic_schur_tableaux(n, lam) if method == "tableaux"
+                else qwhittaker_pattern_sum(2 * n, lam, QSeriesCtx(0)))
     else:
         if args.q is None:
             raise ValueError("qwhittaker needs --q")
@@ -167,13 +167,8 @@ def _cmd_law(args) -> int:
 
 def _cmd_moments(args) -> int:
     from .spectral import moments
-    reps = {}
-    for k in args.k:
-        m = moments(args.n, k, args.t, args.a, args.q, window=args.window)
-        vals = [m["direct"], m["operator"], m["contour"]]
-        rel = max(abs(vals[i] - vals[j]) / max(abs(vals[j]), 1.0)
-                  for i in range(3) for j in range(3))
-        reps[str(k)] = {**m, "max_pairwise_relative": rel}
+    reps = {str(k): moments(args.n, k, args.t, args.a, args.q, window=args.window)
+            for k in args.k}
     _emit({"schema": SCHEMA, "n": args.n, "t": args.t, "a": list(args.a),
            "q": args.q, "window": args.window, "moments": reps}, args)
     return 0
@@ -413,17 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_LIST_FLAGS = {"--x", "--eps", "--lambda", "--a", "--k", "--start"}
-
-
 def _glue_negative_lists(argv):
-    """Let comma lists start with a minus sign ('--x -1,0,1,2') by gluing the
-    value onto its flag before argparse sees it."""
+    """Let a flag's value start with a minus sign ('--x -1,0,1,2', '--q -1/2')
+    by gluing the value onto its flag before argparse sees it."""
     import re
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
-        if (tok in _LIST_FLAGS and i + 1 < len(argv)
+        if (re.fullmatch(r"--\w[\w-]*", tok) and i + 1 < len(argv)
                 and re.fullmatch(r"-[0-9][0-9.,/eE+-]*", argv[i + 1])):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2

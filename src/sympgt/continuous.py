@@ -128,30 +128,21 @@ def log_q_nnm1(theta: float, x, y) -> np.ndarray:
     return theta * (x.sum(-1) - y.sum(-1)) + _log_q_nnm1_rest(x, y)
 
 
-def q_nn(theta: float, x: Sequence[float], y: Sequence[float]) -> float:
-    """The same-size kernel, exp(log_q_nn)."""
-    return np.exp(log_q_nn(theta, x, y))
-
-
-def q_nnm1(theta: float, x: Sequence[float], y: Sequence[float]) -> float:
-    """The kernel dropping one coordinate, exp(log_q_nnm1)."""
-    return np.exp(log_q_nnm1(theta, x, y))
-
-
 def verify_operator_identities(theta: float, grid: Sequence) -> dict:
     """Residuals of both kernel intertwinings on a grid of (x, y) pairs,
     normalized by the kernel value."""
     res_nn, res_nnm1 = [], []
     for x, y in grid:
         x, y = tuple(x), tuple(y)
-        lhs = h_b(lambda xv: q_nn(theta, xv, y), x)
-        rhs = h_d_adjoint(lambda yv: q_nn(theta, x, yv), y, theta)
-        res_nn.append(abs(lhs - rhs) / q_nn(theta, x, y))
+        lhs = h_b(lambda xv: np.exp(log_q_nn(theta, xv, y)), x)
+        rhs = h_d_adjoint(lambda yv: np.exp(log_q_nn(theta, x, yv)), y, theta)
+        res_nn.append(abs(lhs - rhs) / np.exp(log_q_nn(theta, x, y)))
         y1 = y[:len(x) - 1]  # empty at rank 1, which has no lower level
         if y1:
-            k1 = q_nnm1(theta, x, y1)
-            lhs1 = h_d(lambda xv: q_nnm1(theta, xv, y1), x, theta) - 0.5 * theta ** 2 * k1
-            rhs1 = h_b(lambda yv: q_nnm1(theta, x, yv), y1)
+            k1 = np.exp(log_q_nnm1(theta, x, y1))
+            lhs1 = (h_d(lambda xv: np.exp(log_q_nnm1(theta, xv, y1)), x, theta)
+                    - 0.5 * theta ** 2 * k1)
+            rhs1 = h_b(lambda yv: np.exp(log_q_nnm1(theta, x, yv)), y1)
             res_nnm1.append(abs(lhs1 - rhs1) / k1)
     return {"nn_max": max(res_nn), "nnm1_max": max(res_nnm1, default=float("nan"))}
 

@@ -33,7 +33,7 @@ from .combinatorics import (
 
 def _qpow(q: Scalar, e) -> Scalar:
     """q^e with q^infinity = 0."""
-    if e == INF or e == math.inf:
+    if e == INF:
         return 0
     return q ** int(e)
 
@@ -444,11 +444,12 @@ def _check_level(name: str, v: tuple, length: int) -> None:
         raise ValueError(f"level {name} must have length {length}, got {tuple(v)}")
 
 
-def helper_row_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequence) -> dict:
-    """Nonzero off-diagonal helper-matrix entries out of the two-level state
-    (x, y), where x is the level above the bottom level y, with
-    level_len(N - 1) and level_len(N) parts.  Covers both the even-bottom
-    and odd-bottom tables."""
+def helper_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequence) -> tuple:
+    """(row, diagonal) of the helper matrix at the two-level state (x, y),
+    where x is the level above the bottom level y, with level_len(N - 1)
+    and level_len(N) parts: row holds the nonzero off-diagonal entries,
+    diagonal is the shape chain's diagonal at x minus each own move of y.
+    Covers both the even-bottom and odd-bottom tables."""
     _check_level("x", x, level_len(N - 1))
     _check_level("y", y, level_len(N))
     out: dict = {}
@@ -462,34 +463,28 @@ def helper_row_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequen
             tgt = (xp, y)
         _add(out, tgt, _rate(N - 1, x, xp, c, ctx, a))
     # own moves of the bottom level y
-    aN = bar_a(a, N)
-    for i in range(1, len(y) + 1):
-        _add(out, (x, _bump(y, i, +1)), aN * R_rate(ctx, x, y, i))
-        _add(out, (x, _bump(y, i, -1)), L_rate(ctx, x, y, i) / aN)
-    return out
-
-
-def helper_diag_randomized(N: int, x: tuple, y: tuple, ctx: QSeriesCtx, a: Sequence) -> Scalar:
-    _check_level("x", x, level_len(N - 1))
-    _check_level("y", y, level_len(N))
     d = shape_diagonal(N - 1, canon(x), ctx, a)
     aN = bar_a(a, N)
     for i in range(1, len(y) + 1):
-        d = d - aN * R_rate(ctx, x, y, i) - L_rate(ctx, x, y, i) / aN
-    return d
+        right, left = aN * R_rate(ctx, x, y, i), L_rate(ctx, x, y, i) / aN
+        _add(out, (x, _bump(y, i, +1)), right)
+        _add(out, (x, _bump(y, i, -1)), left)
+        d = d - right - left
+    return out, d
 
 
 def _verify_intertwining(N: int, probes: Sequence, ctx: QSeriesCtx, a: Sequence,
-                         m, sources, row, diagonal) -> list:
+                         m, sources, helper) -> list:
     """The exact identity Q(b, b') m(s') = sum_{s in sources(b)} m(s) A(s, s')
     for each probe s' with bottom level b' and each b in {b'} and the moves
-    out of b', where A is the helper matrix with off-diagonal row(*s) and
-    diagonal diagonal(*s).  Returns a list of (s', b, lhs, rhs, ok).
+    out of b', where A is the helper matrix and helper(*s) = (row, diagonal)
+    gives its off-diagonal row and its diagonal entry at s.  Returns a list
+    of (s', b, lhs, rhs, ok).
 
-    A source serves many (s', b) pairs, so m, row and diagonal are
-    computed at most once per source within one call; the cached rows are
-    only read, never changed."""
-    m, row, diagonal = map(functools.cache, (m, row, diagonal))
+    A source serves many (s', b) pairs, so m and helper are computed at
+    most once per source within one call; the cached rows are only read,
+    never changed."""
+    m, helper = functools.cache(m), functools.cache(helper)
     results = []
     for probe in probes:
         probe = tuple(map(tuple, probe))
@@ -501,9 +496,10 @@ def _verify_intertwining(N: int, probes: Sequence, ctx: QSeriesCtx, a: Sequence,
             rhs: Scalar = 0
             for src in sources(b):
                 m_src = m(*src)
+                row, diagonal = helper(*src)
                 if src == probe:
-                    rhs = rhs + m_src * diagonal(*src)
-                rhs = rhs + m_src * row(*src).get(probe, 0)
+                    rhs = rhs + m_src * diagonal
+                rhs = rhs + m_src * row.get(probe, 0)
             results.append((probe, b, lhs, rhs, lhs == rhs))
     return results
 
@@ -520,8 +516,7 @@ def verify_intertwining_randomized(N: int, probes: Sequence, ctx: QSeriesCtx,
         N, probes, ctx, a,
         m=lambda x, y: _link(N, x, y, ctx, a),
         sources=lambda y: ((x, y) for x in interlacings(y, level_len(N - 1))),
-        row=lambda x, y: helper_row_randomized(N, x, y, ctx, a),
-        diagonal=lambda x, y: helper_diag_randomized(N, x, y, ctx, a))
+        helper=lambda x, y: helper_randomized(N, x, y, ctx, a))
 
 
 # --- cascade (three-level) helper ------------------------------------------
@@ -584,8 +579,8 @@ def verify_intertwining_cascade(n: int, probes: Sequence, ctx: QSeriesCtx,
         m=lambda x, y, z: _link(2 * n, y, z, ctx, a) * _link(2 * n - 1, x, y, ctx, a),
         sources=lambda z: ((x, y, z) for y in interlacings(z, n)
                            for x in interlacings(y, n - 1)),
-        row=lambda x, y, z: helper_row_cascade(n, x, y, z, ctx, a),
-        diagonal=lambda x, y, z: shape_diagonal(2 * n, canon(z), ctx, a))
+        helper=lambda x, y, z: (helper_row_cascade(n, x, y, z, ctx, a),
+                                shape_diagonal(2 * n, canon(z), ctx, a)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,34 +14,26 @@ import numpy as np
 
 from .continuous import _PHI_RANGE, log_phi
 
-TWO_PI = 2.0 * math.pi
-
 
 class ScalingCtx:
     """Lattice scaling at mesh eps: q = e^{-eps}, a_l = e^{i eps lam_l},
     shift m(eps) = -floor(log(eps)/eps) and normalizer
-    A(eps) = -pi^2/(6 eps) - log(eps/2pi)/2."""
+    A(eps) = -pi^2/(6 eps) - log(eps/2pi)/2.  An immutable value: it holds
+    eps, lam, m and A and no tables, so a value computed from it does not
+    depend on what was computed before."""
 
     def __init__(self, eps: float, lam: Sequence[float]):
         if not 0.0 < eps < 1.0:
             raise ValueError("eps must lie in (0,1)")
         self.eps = float(eps)
         self.lam = tuple(float(l) for l in lam)
-        self.q = math.exp(-eps)
         self.m = -math.floor(math.log(eps) / eps)
-        self.A = -math.pi ** 2 / (6.0 * eps) - 0.5 * math.log(eps / TWO_PI)
-        self._L = np.zeros(1)
-        self._psi1_table: dict = {}
+        self.A = -math.pi ** 2 / (6.0 * eps) - 0.5 * math.log(eps / (2.0 * math.pi))
 
-    # -- log Pochhammer prefix sums ----------------------------------------
     def log_pochhammer(self, kmax: int) -> np.ndarray:
-        """Array L with L[k] = log (q;q)_k for 0 <= k <= kmax."""
-        if len(self._L) <= kmax:
-            start = len(self._L)
-            j = np.arange(start, kmax + 1, dtype=float)
-            steps = np.log(-np.expm1(-self.eps * j))
-            self._L = np.concatenate([self._L, self._L[-1] + np.cumsum(steps)])
-        return self._L
+        """Array L with L[k] = log (q;q)_k for 0 <= k <= kmax, one prefix sum."""
+        j = np.arange(1, kmax + 1, dtype=float)
+        return np.concatenate([[0.0], np.cumsum(np.log(-np.expm1(-self.eps * j)))])
 
     # -- lattice embedding ---------------------------------------------------
     def _floor(self, v: float) -> int:
@@ -61,15 +53,13 @@ class ScalingCtx:
         return max(abs(xi - self.eps * self._floor(xi)) for xi in x)
 
 
-def _psi_rank_one(sctx: ScalingCtx, z: int) -> complex:
-    tab = sctx._psi1_table
-    if z not in tab:
-        L = sctx.log_pochhammer(z)
-        ks = np.arange(z + 1)
-        logw = L[z] - L[ks] - L[z - ks] + sctx.A
-        phase = np.exp(1j * sctx.eps * sctx.lam[0] * (2 * ks - z))
-        tab[z] = complex(sctx.eps * np.sum(np.exp(logw) * phase))
-    return tab[z]
+def _psi_rank_one(sctx: ScalingCtx, L: np.ndarray, z: int) -> complex:
+    """The rank-1 lattice sum at the shape z, with L = sctx.log_pochhammer(k)
+    for some k >= z."""
+    ks = np.arange(z + 1)
+    logw = L[z] - L[ks] - L[z - ks] + sctx.A
+    phase = np.exp(1j * sctx.eps * sctx.lam[0] * (2 * ks - z))
+    return complex(sctx.eps * np.sum(np.exp(logw) * phase))
 
 
 def scaled_qwhittaker(sctx: ScalingCtx, n: int, x: Sequence[float]) -> complex:
@@ -80,19 +70,20 @@ def scaled_qwhittaker(sctx: ScalingCtx, n: int, x: Sequence[float]) -> complex:
     if len(x) != n:
         raise ValueError("x must have length n")
     z = sctx.z_shape(n, x)
-    if n == 1:
-        return _psi_rank_one(sctx, z[0])
-    return _psi_rank_two(sctx, z)
-
-
-def _psi_rank_two(sctx: ScalingCtx, z: tuple) -> complex:
-    """The rank-2 nested sum over the middle level (z31, z32) and the bottom
-    level k, z32 <= k <= z31, with the rank-1 sums psi(k) innermost.  For
-    each z31 the (z32, k) terms form one array whose entries with k < z32
-    carry log weight -inf, so each z31 costs one masked array sum."""
-    eps, A, l2 = sctx.eps, sctx.A, sctx.lam[1]
     L = sctx.log_pochhammer(z[0])
-    psit = np.array([_psi_rank_one(sctx, k) for k in range(z[0] + 1)])
+    if n == 1:
+        return _psi_rank_one(sctx, L, z[0])
+    return _psi_rank_two(sctx, L, z)
+
+
+def _psi_rank_two(sctx: ScalingCtx, L: np.ndarray, z: tuple) -> complex:
+    """The rank-2 nested sum over the middle level (z31, z32) and the bottom
+    level k, z32 <= k <= z31, with the rank-1 sums psi(k) innermost, all
+    read from the one table L = sctx.log_pochhammer(z[0]).  For each z31
+    the (z32, k) terms form one array whose entries with k < z32 carry log
+    weight -inf, so each z31 costs one masked array sum."""
+    eps, A, l2 = sctx.eps, sctx.A, sctx.lam[1]
+    psit = np.array([_psi_rank_one(sctx, L, k) for k in range(z[0] + 1)])
     sz = z[0] + z[1]
     z32 = np.arange(z[1] + 1)
     col = z32[:, None]
@@ -116,18 +107,11 @@ def _psi_rank_two(sctx: ScalingCtx, z: tuple) -> complex:
 # classical Whittaker functions
 # ---------------------------------------------------------------------------
 
-def bessel_k(nu: complex, z: float) -> float:
-    """Macdonald function K_nu(z) for z > 0, by mpmath; real for real or
-    imaginary nu."""
-    if z <= 0:
-        raise ValueError("z must be positive")
-    return float(mp.re(mp.besselk(nu, z)))
-
-
 def so3_whittaker(lam: complex, x: float) -> float:
-    """Closed form 2 K_{2 lam}(2 e^{-x/2}); for the scaling comparisons lam
-    is purely imaginary (order i*mu) and the value is real."""
-    return 2.0 * bessel_k(2 * lam, 2.0 * math.exp(-x / 2.0))
+    """Closed form 2 K_{2 lam}(2 e^{-x/2}), the Macdonald function by
+    mpmath; for real or purely imaginary lam (order i*mu in the scaling
+    comparisons) it is real, and its real part is returned."""
+    return 2.0 * float(mp.re(mp.besselk(2 * lam, 2.0 * math.exp(-x / 2.0))))
 
 
 def so_whittaker(n: int, lam, x) -> complex:

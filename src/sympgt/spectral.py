@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import INF, LaurentPoly, QSeriesCtx, q_pochhammer
 from .characters import check_rates, monomial_symmetric, qwhittaker_recursion
-from .combinatorics import padded, part, partitions_max_weight
+from .combinatorics import canon, padded, part, partitions_max_weight
 from .dynamics import ShapeLaw, build_generator
 
 
@@ -98,8 +98,9 @@ def _torus_nodes(n: int, q: float, reach: int, t: float = 0.0, t0: float = 0.0) 
 @dataclass
 class TorusQuadrature:
     """Uniform trapezoid nodes on the n-torus with the orthogonality weight
-    cached; spectrally accurate for Laurent-polynomial integrands on a grid
-    sized by ``_torus_nodes``.  Each Pochhammer symbol of the weight stops
+    and its spectrum, fftn(weight) / weight.size, both computed once at
+    construction; spectrally accurate for Laurent-polynomial integrands on
+    a grid sized by ``_torus_nodes``.  Each Pochhammer symbol of the weight stops
     at the K factors where |q|^K < 1e-17, so its relative tail is at most
     |q|^K / (1 - |q|) to first order.  A grid of more than _GRID_POINTS
     points raises before anything is allocated."""
@@ -107,8 +108,6 @@ class TorusQuadrature:
     nodes: int
     q: float
     t0: float = 0.0
-    _weight_spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                                   compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -134,15 +133,12 @@ class TorusQuadrature:
             self.weight *= single[idx[j]]
             for k in range(j + 1, self.n):
                 self.weight *= factor[(idx[j] + idx[k]) % N] * factor[(idx[k] - idx[j]) % N]
+        self.weight_spectrum = np.fft.fftn(self.weight) / self.weight.size
 
-    def spectrum(self, F: Optional[np.ndarray] = None) -> np.ndarray:
+    def spectrum(self, F: np.ndarray) -> np.ndarray:
         """fftn(F * weight) / weight.size: entry [e mod nodes] is the grid mean
-        of F * x^-e * weight.  Without F, the spectrum of the weight, cached."""
-        if F is not None:
-            return np.fft.fftn(F * self.weight) / self.weight.size
-        if self._weight_spectrum is None:
-            self._weight_spectrum = np.fft.fftn(self.weight) / self.weight.size
-        return self._weight_spectrum
+        of F * x^-e * weight."""
+        return np.fft.fftn(F * self.weight) / self.weight.size
 
 
 def _terms(p: LaurentPoly) -> tuple:
@@ -168,7 +164,7 @@ def _pair(f: LaurentPoly, g: LaurentPoly, quad: TorusQuadrature) -> complex:
     ef, cf = _terms(f)
     eg, cg = _terms(g)
     diff = (eg[None, :, :] - ef[:, None, :]) % quad.nodes
-    return complex(cf @ quad.spectrum()[tuple(np.moveaxis(diff, -1, 0))] @ np.conj(cg))
+    return complex(cf @ quad.weight_spectrum[tuple(np.moveaxis(diff, -1, 0))] @ np.conj(cg))
 
 
 def _group_order(n: int) -> int:
@@ -516,7 +512,9 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
     where its two node counts disagree).  Above rank 1, direct is the mean
     over ``law``'s generator row, whose Poisson sum keeps the far states'
     small probabilities that q^{-kz} weights up; the window bounds the mass
-    past it, not this sum."""
+    past it, not this sum.  max_pairwise_relative is the routes' spread:
+    the largest |v_i - v_j| / max(|v_j|, 1) over the pairs i < j of
+    (direct, operator, contour)."""
     if not 0 < q < 1:
         raise ValueError(f"--q must lie in (0, 1), got {q}")
     if not 0 <= t < INF:
@@ -550,7 +548,11 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
         raise ValueError(f"the operator route overflows a double at t = {t}, q = {q}; "
                          "use a smaller --t or a larger --q") from None
     contour = contour_moment(n, k, t, a, q)
-    return {"direct": direct, "operator": operator, "contour": contour}
+    vals = (direct, operator, contour)
+    spread = max(abs(vals[i] - vals[j]) / max(abs(vals[j]), 1.0)
+                 for i in range(3) for j in range(i + 1, 3))
+    return {"direct": direct, "operator": operator, "contour": contour,
+            "max_pairwise_relative": spread}
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +607,6 @@ def gram_schmidt_koornwinder(n: int, q: float, t0: float, max_weight: int) -> di
 def conjecture_distance(n: int, lam, q: float, family: dict) -> float:
     """Reported (never asserted) coefficient distance between member lam of a
     gram_schmidt_koornwinder family and the recursion-defined character."""
-    from .combinatorics import canon
     lam = canon(lam)
     target = qwhittaker_recursion(n, lam, QSeriesCtx(q)).map_coefficients(float)
     diff = family[lam] - target

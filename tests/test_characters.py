@@ -15,7 +15,6 @@ from sympgt.characters import (
     qwhittaker_pattern_sum,
     qwhittaker_recursion,
     schur_typeA,
-    symplectic_schur_patterns,
     symplectic_schur_tableaux,
     symplectic_schur_weyl,
 )
@@ -55,7 +54,7 @@ def test_weyl_vs_tableaux_vs_patterns():
     for n, points in ((2, POINTS2), (3, POINTS3)):
         for lam in partitions_max_weight(n, 4):
             st = symplectic_schur_tableaux(n, lam)
-            assert symplectic_schur_patterns(n, lam) == st
+            assert qwhittaker_pattern_sum(2 * n, lam, QSeriesCtx(0)) == st
             for a in points:
                 assert symplectic_schur_weyl(n, lam, a) == st.evaluate(a)
 
@@ -318,7 +317,7 @@ def test_pattern_sum_builds_each_slice_weight_once(monkeypatch):
 
 # SHA-256 of the canonical forms below.  They hold every output bit of the
 # float recursion and kernel, whose rounding follows the order in which the
-# slice q-binomials are multiplied, and of symplectic_schur_patterns, the
+# slice q-binomials are multiplied, and of the schur pattern form, the
 # pattern character at q = 0
 PINS = {
     "recursion 0.5": "cc1532ce325afd5527330a1f8169bf84223d4f8c14275f779594b9bcae15a33c",
@@ -369,6 +368,7 @@ def test_one_walk_kernels_are_the_single_kernels_term_for_term(q):
 
 
 def test_schur_patterns_are_pinned():
-    assert _digest(f"{n} {lam} {symplectic_schur_patterns(n, lam).canonical()}"
+    ctx = QSeriesCtx(0)
+    assert _digest(f"{n} {lam} {qwhittaker_pattern_sum(2 * n, lam, ctx).canonical()}"
                    for n in (1, 2, 3) for lam in partitions_max_weight(n, 4)) \
         == PINS["schur patterns"]

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from sympgt import cli
+from sympgt.acceptance import check_moments_three_way
 
 
 def _run(capsys, argv):
@@ -154,6 +155,38 @@ def test_compute_qwhittaker_at_q_one(capsys):
     # divides by zero
     argv = ["compute", "qwhittaker", "--n", "1", "--lambda", "2", "--q", "1"]
     assert _run(capsys, argv) == (0, "1 * a1^2 + 2 + 1 * a1^-2\n", "")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["compute", "qwhittaker", "--n", "1", "--lambda", "2", "--q", "-1/2"], "--q"),
+    (["verify", "branching", "--lambda", "2,1", "--nu", "1", "--q", "1/3",
+      "--t0-ladder", "-1/2"], "--t0-ladder"),
+])
+def test_a_negative_rational_may_follow_its_flag(capsys, argv, flag):
+    i = argv.index(flag)
+    glued = _run(capsys, argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:])
+    assert glued[0] == 0
+    assert _run(capsys, argv) == glued
+
+
+def test_a_limit_row_does_not_depend_on_the_points_before_it(capsys):
+    argv = ["limit", "--n", "1", "--lambda", "0.7", "--eps", "0.05", "--x"]
+    code, alone, _ = _run(capsys, argv + ["2"])
+    assert code == 0
+    code, both, _ = _run(capsys, argv + ["-1,2"])
+    assert code == 0
+    assert both.splitlines()[-1] == alone.splitlines()[-1]
+    assert both.splitlines()[-1].startswith('"(2.0,)",0.05,')
+
+
+def test_moments_spread_is_the_ledgers(capsys):
+    # the ledger's worst pair at (t, a, q) = (1, 1.3, 0.5) is the one at k = 2
+    code, out, _ = _run(capsys, ["moments", "--t", "1", "--a", "1.3", "--q", "0.5",
+                                 "--k", "1,2"])
+    assert code == 0
+    rep = json.loads(out)["moments"]
+    assert list(rep["2"]) == ["direct", "operator", "contour", "max_pairwise_relative"]
+    assert rep["2"]["max_pairwise_relative"] == check_moments_three_way()["worst_relative"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -21,7 +21,7 @@ from sympgt.continuous import (_BLOCK, _WIDE, _drift_ladder,
                                grad_log_phi, h_b, h_d, log_phi, log_q_nn, log_q_nnm1,
                                phi, phi2_bessel,
                                phi_eigen_residual, polymer_identity_check,
-                               polymer_reversal_gap, q_nn, q_nnm1,
+                               polymer_reversal_gap,
                                sde_simulate, verify_operator_identities,
                                wedge_start)
 
@@ -237,11 +237,6 @@ def test_wedge_start_shape():
     x0 = wedge_start(4)
     assert [len(lv) for lv in x0] == [1, 1, 2, 2]
     assert x0[3][0] > x0[3][1]
-
-
-def test_kernels_positive():
-    assert q_nn(0.5, (0.3,), (-0.2,)) > 0
-    assert q_nnm1(0.5, (0.5, -0.3), (0.1,)) > 0
 
 
 def test_polymer_identity_rank_one():

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from sympgt import characters, dynamics
+from sympgt.acceptance import _two_level_probes
 from sympgt.algebra import QSeriesCtx
 from sympgt.characters import (_char, _link, bar_a, qwhittaker_pattern_sum,
                                qwhittaker_recursion)
@@ -21,7 +22,7 @@ from sympgt.dynamics import (
     _event_rates,
     _Layout,
     build_generator,
-    helper_row_randomized,
+    helper_randomized,
     l_prob,
     r_prob,
     sample_initial,
@@ -160,7 +161,7 @@ def test_randomized_matches_helper_rows_two_levels():
     x, y = (1,), (3,)
     lay, S = _batch([[x, y]])
     right, left = _event_rates(S, lay, QSeriesCtx(0.5), "randomized", (2.0,))[0, [1, 3]]
-    row = helper_row_randomized(2, x, y, ctx, a)
+    row, _ = helper_randomized(2, x, y, ctx, a)
     assert right == pytest.approx(float(row[(x, (4,))]))
     assert left == pytest.approx(float(row[(x, (2,))]))
 
@@ -274,17 +275,6 @@ def test_generator_rank_three_exact_rows_conserve():
     assert len(gen.states) == 56 and len(interior) == 35
     for i in interior:
         assert sum(gen.rows[i].values()) + gen.diagonal[i] == 0
-
-
-def _two_level_probes(N, shapes):
-    from sympgt.combinatorics import level_len, padded
-
-    probes = []
-    for y in shapes:
-        y = padded(y, level_len(N))
-        for x in interlacings(y, level_len(N - 1)):
-            probes.append((x, y))
-    return probes
 
 
 def _assert_transient_matches_expm(gen, t, starts):

@@ -14,9 +14,8 @@ from sympgt.acceptance import _two_level_probes
 from sympgt.algebra import QSeriesCtx
 from sympgt.combinatorics import interlacings
 from sympgt.dynamics import (
-    helper_diag_randomized,
+    helper_randomized,
     helper_row_cascade,
-    helper_row_randomized,
     verify_intertwining_cascade,
     verify_intertwining_randomized,
 )
@@ -65,7 +64,7 @@ def _counting(monkeypatch, name):
 def test_each_helper_row_is_built_once_per_verify_call(monkeypatch):
     distinct = 0
     for key in ("randomized-N4", "randomized-N5"):
-        calls = _counting(monkeypatch, "helper_row_randomized")
+        calls = _counting(monkeypatch, "helper_randomized")
         verify_intertwining_randomized(*RANDOMIZED[key])
         assert set(calls.values()) == {1}
         distinct += len(calls)
@@ -76,8 +75,7 @@ def test_each_helper_row_is_built_once_per_verify_call(monkeypatch):
 
 
 @pytest.mark.parametrize("call, expected", [
-    (lambda: helper_row_randomized(4, (1,), (2, 1), CTX, A2), "level x must have length 2"),
-    (lambda: helper_diag_randomized(4, (1,), (2, 1), CTX, A2), "level x must have length 2"),
+    (lambda: helper_randomized(4, (1,), (2, 1), CTX, A2), "level x must have length 2"),
     (lambda: helper_row_cascade(2, (1,), (2,), (2, 1), CTX, A2), "level y must have length 2"),
     (lambda: helper_row_cascade(2, (1, 0), (2, 1), (2, 1), CTX, A2), "level x must have length 1"),
 ])

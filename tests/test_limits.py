@@ -13,7 +13,7 @@ import pytest
 from sympgt.algebra import QSeriesCtx
 from sympgt.characters import qwhittaker_pattern_sum
 from sympgt.continuous import central_derivatives
-from sympgt.limits import (ScalingCtx, _psi_rank_one, bessel_k, convergence_table,
+from sympgt.limits import (ScalingCtx, _psi_rank_one, convergence_table,
                            scaled_qwhittaker, so3_whittaker, so_whittaker)
 
 SO_REF = json.loads((Path(__file__).parent / "data" / "so_whittaker_reference.json").read_text())
@@ -21,8 +21,8 @@ SO_REF = json.loads((Path(__file__).parent / "data" / "so_whittaker_reference.js
 
 def test_scaling_ctx_fields():
     s = ScalingCtx(0.1, (0.7,))
-    assert s.m == 24
-    assert math.isclose(s.q, math.exp(-0.1))
+    # the value and nothing else: no table that a computation could grow
+    assert vars(s) == {"eps": 0.1, "lam": (0.7,), "m": 24, "A": s.A}
     assert math.isclose(s.A, -math.pi ** 2 / 0.6 - 0.5 * math.log(0.1 / (2 * math.pi)))
     with pytest.raises(ValueError):
         ScalingCtx(1.5, (0.7,))
@@ -38,6 +38,11 @@ def test_z_shape_rejects_disordered():
     s = ScalingCtx(0.1, (0.7, 0.3))
     with pytest.raises(ValueError):
         s.z_shape(2, (0.0, 10.0))
+
+
+def bessel_k(nu: complex, z: float) -> float:
+    """K_nu(z) = so3_whittaker(nu/2, -2 log(z/2)) / 2, the closed form read back."""
+    return so3_whittaker(nu / 2, -2.0 * math.log(z / 2.0)) / 2.0
 
 
 def test_bessel_symmetry_and_decay():
@@ -111,13 +116,22 @@ def test_rank_one_convergence_ladder():
         assert errs[2] <= 5e-2
 
 
+def test_a_table_row_does_not_depend_on_the_points_before_it():
+    xs, eps = [-1, 0, 1, 2], [0.1, 0.05, 0.02]
+    alone = {(r["x"], r["eps"]): r for x in xs for r in convergence_table(1, (0.7,), [x], eps)}
+    rows = convergence_table(1, (0.7,), xs, eps)
+    assert len(rows) == len(alone) == 12
+    for r in rows:
+        assert repr(r) == repr(alone[r["x"], r["eps"]])
+
+
 def test_rank_two_matches_exact_character():
     # coarse mesh keeps the lattice small enough for the exact pattern sum
     eps = 0.5
     s = ScalingCtx(eps, (0.7, 0.3))
     x = (1.0, 0.2)
     z = s.z_shape(2, x)
-    poly = qwhittaker_pattern_sum(4, z, QSeriesCtx(q=s.q))
+    poly = qwhittaker_pattern_sum(4, z, QSeriesCtx(q=math.exp(-s.eps)))
     a = [complex(math.cos(eps * l), math.sin(eps * l)) for l in s.lam]
     direct = eps ** 4 * math.exp(4 * s.A) * poly.evaluate(a)
     val = scaled_qwhittaker(s, 2, x)
@@ -129,7 +143,7 @@ def _psi_rank_two_loop(sctx, z):
     the masked arrays of ``limits._psi_rank_two``."""
     eps, A, l2 = sctx.eps, sctx.A, sctx.lam[1]
     L = sctx.log_pochhammer(z[0])
-    psit = np.array([_psi_rank_one(sctx, k) for k in range(z[0] + 1)])
+    psit = np.array([_psi_rank_one(sctx, L, k) for k in range(z[0] + 1)])
     sz = z[0] + z[1]
     total = 0.0 + 0.0j
     for z31 in range(z[1], z[0] + 1):
