@@ -228,7 +228,7 @@ def _two_level_probes(N, shapes):
 def check_intertwining():
     """Exact intertwining of the single-level and cascade transition kernels
     with the shape-chain generator at rational parameters, the cascade at
-    ranks 2 and 3."""
+    ranks 1, 2 and 3."""
     ctx = QSeriesCtx(F(1, 3))
     reports = {}
     ok = True
@@ -242,9 +242,11 @@ def check_intertwining():
         ok = ok and len(probes) >= 20 and not bad
         reports[f"single-level-N{N}"] = {"probes": len(probes), "identities": len(res),
                                          "failures": len(bad)}
-    # rank 3 is the first where the cascade pulls a particle that is not the
-    # wall (the i + 1 < n branches of helper_row_cascade)
+    # rank 1 is the only rank where the edge clock drives the wall; rank 3 is
+    # the first where the cascade pulls a particle that is not the wall (the
+    # i + 1 < n branches of helper_row_cascade)
     for n, shapes, a, least in (
+            (1, [(0,), (1,), (2,), (3,), (5,)], (F(6, 5),), 16),
             (2, [(1, 1), (2, 0), (2, 1), (2, 2), (3, 1)], (F(6, 5), F(3, 7)), 20),
             (3, [(2, 1, 1)], (F(6, 5), F(3, 7), F(5, 2)), 9)):
         casc_probes = [(x, y, z) for z in shapes for y in interlacings(z, n)

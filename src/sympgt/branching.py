@@ -25,7 +25,8 @@ class BranchingPair:
             raise ValueError("shapes too long for the rank")
         lt, nt = transpose(self.lam), transpose(self.nu)
         self.m = len(lt)
-        diffs = [part(lt, i) - part(nt, i) for i in range(1, self.m + 1)]
+        # every column of either shape, so that a nu sticking out of lam fails
+        diffs = [part(lt, i) - part(nt, i) for i in range(1, max(self.m, len(nt)) + 1)]
         if any(x not in (0, 1, 2) for x in diffs):
             raise ValueError("shapes do not differ by two horizontal strips")
         self.d = sum(1 for x in diffs if x == 1)

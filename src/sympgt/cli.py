@@ -13,12 +13,17 @@ did under schema 1.  The ``simulate`` report has dropped its ``truncation``
 key, and ``simulate`` its ``--truncation`` flag: the simulator reads no
 truncation depth.  Bad input (a ``ValueError``) exits with code 2 and a
 one-line message on stderr.
+
+Each subcommand has one output, on stdout.  ``simulate``, ``law`` and
+``limit`` print a table as CSV: one ``# key,value`` line per report field,
+then the header row and the data rows.  ``moments``, ``sde``, ``polymer`` and
+``verify`` print a report as indented JSON; ``compute`` and ``berele`` print
+text.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -52,29 +57,18 @@ def _rationals(s: str) -> tuple:
     return tuple(_rational(x) for x in s.split(","))
 
 
-def _emit(payload, args, field_order=None):
-    """Write a report as JSON (default) or CSV ('rows' key) to --output."""
-    fmt = getattr(args, "format", "json")
-    out = io.StringIO()
-    if fmt == "json":
-        json.dump(payload, out, indent=2, default=str)
-        out.write("\n")
-    else:
-        rows = payload.get("rows", [])
-        fields = field_order or (list(rows[0]) if rows else [])
-        w = csv.writer(out, lineterminator="\n")
-        for k, v in payload.items():
-            if k != "rows":
-                w.writerow([f"# {k}", v if not isinstance(v, dict) else json.dumps(v, default=str)])
-        w.writerow(fields)
-        for r in rows:
-            w.writerow([r.get(f, "") for f in fields])
-    text = out.getvalue()
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _report(payload: dict) -> None:
+    """Print a report as indented JSON; a Fraction prints as its str, p/q."""
+    sys.stdout.write(json.dumps(payload, indent=2, default=str) + "\n")
+
+
+def _table(header: dict, fields: list, rows: list) -> None:
+    """Print a table as CSV: a '# key,value' line per header entry, then the
+    field names and one line per row tuple."""
+    w = csv.writer(sys.stdout, lineterminator="\n")
+    w.writerows([f"# {k}", v] for k, v in header.items())
+    w.writerow(fields)
+    w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +138,21 @@ def _cmd_simulate(args) -> int:
                     args.replicas, args.seed, start=args.start)
     hist = simulate(cfg)
     total = sum(hist.values())
-    rows = [{"shape": ",".join(map(str, z)) or "0", "count": c,
-             "frequency": c / total}
-            for z, c in sorted(hist.items())]
-    _emit({"schema": SCHEMA, "model": args.model, "N": args.N,
-           "a": list(args.a), "q": args.q, "t": args.t,
-           "replicas": args.replicas, "seed": args.seed, "rows": rows},
-          args, ["shape", "count", "frequency"])
+    rows = [(",".join(map(str, z)) or "0", c, c / total) for z, c in sorted(hist.items())]
+    _table({"schema": SCHEMA, "model": args.model, "N": args.N,
+            "a": list(args.a), "q": args.q, "t": args.t,
+            "replicas": args.replicas, "seed": args.seed},
+           ["shape", "count", "frequency"], rows)
     return 0
 
 
 def _cmd_law(args) -> int:
     from .spectral import law
     lt = law(args.n, args.t, args.a, args.q, args.window)
-    rows = [{"shape": ",".join(map(str, z)) or "0", "probability": p}
-            for z, p in sorted(lt.table.items())]
-    _emit({"schema": SCHEMA, "n": args.n, "t": args.t, "a": list(args.a),
-           "q": args.q, "window": args.window, **lt.stats, "rows": rows},
-          args, ["shape", "probability"])
+    rows = [(",".join(map(str, z)) or "0", p) for z, p in sorted(lt.table.items())]
+    _table({"schema": SCHEMA, "n": args.n, "t": args.t, "a": list(args.a),
+            "q": args.q, "window": args.window, **lt.stats},
+           ["shape", "probability"], rows)
     return 0
 
 
@@ -169,8 +160,8 @@ def _cmd_moments(args) -> int:
     from .spectral import moments
     reps = {str(k): moments(args.n, k, args.t, args.a, args.q, window=args.window)
             for k in args.k}
-    _emit({"schema": SCHEMA, "n": args.n, "t": args.t, "a": list(args.a),
-           "q": args.q, "window": args.window, "moments": reps}, args)
+    _report({"schema": SCHEMA, "n": args.n, "t": args.t, "a": list(args.a),
+             "q": args.q, "window": args.window, "moments": reps})
     return 0
 
 
@@ -183,15 +174,11 @@ def _cmd_limit(args) -> int:
         raise ValueError(f"--x takes points of {n} coordinates each, "
                          f"but got {len(xs)} numbers")
     points = xs if n == 1 else [xs[i:i + n] for i in range(0, len(xs), n)]
-    rows = convergence_table(n, args.lam, points, args.eps)
-    out_rows = [{"x": r["x"], "eps": r["eps"],
-                 "value_re": float(r["value"].real),
-                 "value_im": float(r["value"].imag),
-                 "target": r["target"], "abs_error": r["abs_error"],
-                 "snap": r["snap"]} for r in rows]
-    _emit({"schema": SCHEMA, "n": args.n, "lambda": list(args.lam),
-           "rows": out_rows}, args,
-          ["x", "eps", "value_re", "value_im", "target", "abs_error", "snap"])
+    rows = [(r["x"], r["eps"], float(r["value"].real), float(r["value"].imag),
+             r["target"], r["abs_error"], r["snap"])
+            for r in convergence_table(n, args.lam, points, args.eps)]
+    _table({"schema": SCHEMA, "n": args.n, "lambda": list(args.lam)},
+           ["x", "eps", "value_re", "value_im", "target", "abs_error", "snap"], rows)
     return 0
 
 
@@ -211,11 +198,11 @@ def _cmd_sde(args) -> int:
     rep = sde_simulate(args.N, args.lam, x0, args.t, args.h,
                        args.replicas, args.seed)
     bottom = rep["bottom"]
-    _emit({"schema": SCHEMA, "N": args.N, "lambda": list(args.lam),
-           "t": args.t, "h": args.h, "replicas": args.replicas,
-           "seed": args.seed, "flagged": rep["flagged"],
-           "bottom_mean": [float(v) for v in np.mean(bottom, axis=0)],
-           "bottom_std": [float(v) for v in np.std(bottom, axis=0)]}, args)
+    _report({"schema": SCHEMA, "N": args.N, "lambda": list(args.lam),
+             "t": args.t, "h": args.h, "replicas": args.replicas,
+             "seed": args.seed, "flagged": rep["flagged"],
+             "bottom_mean": [float(v) for v in np.mean(bottom, axis=0)],
+             "bottom_std": [float(v) for v in np.std(bottom, axis=0)]})
     return 0
 
 
@@ -223,8 +210,8 @@ def _cmd_polymer(args) -> int:
     from .continuous import polymer_identity_check
     rep = polymer_identity_check(args.N, args.lam, args.t,
                                  replicas=args.replicas, seed=args.seed)
-    _emit({"schema": SCHEMA, "N": args.N, "lambda": list(args.lam),
-           "t": args.t, "seed": args.seed, **rep}, args)
+    _report({"schema": SCHEMA, "N": args.N, "lambda": list(args.lam),
+             "t": args.t, "seed": args.seed, **rep})
     return 0
 
 
@@ -232,7 +219,7 @@ def _cmd_verify(args) -> int:
     if args.what == "all":
         from .acceptance import run_all
         ledger = run_all(quick=args.quick)
-        _emit({"schema": SCHEMA, **ledger}, args)
+        _report({"schema": SCHEMA, **ledger})
         return 0 if ledger["passed"] else 1
 
     if args.what == "branching":
@@ -240,9 +227,8 @@ def _cmd_verify(args) -> int:
         from .branching import BranchingPair, conjecture_checks
         pair = BranchingPair(args.n or max(len(args.lam), len(args.nu) + 1), args.lam, args.nu)
         rep = conjecture_checks(pair, QSeriesCtx(args.q), t0_ladder=args.t0_ladder)
-        _emit({"schema": SCHEMA, "lambda": list(args.lam), "nu": list(args.nu),
-               "q": str(args.q), "t0_ladder": [str(t) for t in args.t0_ladder],
-               **{k: _jsonable(v) for k, v in rep.items()}}, args)
+        _report({"schema": SCHEMA, "lambda": list(args.lam), "nu": list(args.nu),
+                 "q": args.q, "t0_ladder": args.t0_ladder, **rep})
         return 0
 
     if args.what == "orthogonality":
@@ -252,43 +238,27 @@ def _cmd_verify(args) -> int:
         shapes = sorted({canon(z) for z in partitions_max_weight(args.n, args.max_weight)})
         m = orthogonality_matrix(args.n, shapes, args.q)
         dev = float(np.abs(m - np.eye(len(shapes))).max())
-        _emit({"schema": SCHEMA, "n": args.n, "q": args.q,
-               "max_weight": args.max_weight, "shapes": [list(s) for s in shapes],
-               "max_deviation_from_identity": dev}, args)
+        _report({"schema": SCHEMA, "n": args.n, "q": args.q,
+                 "max_weight": args.max_weight, "shapes": shapes,
+                 "max_deviation_from_identity": dev})
         return 0
 
     # continuous
     from .continuous import kernel_identity_residuals, phi2_bessel_errors, phi_eigen_residuals
     if args.which == "kernels":
-        rank1 = kernel_identity_residuals(1, args.theta)
-        rep = {"rank1": {"nn_max": rank1["nn_max"]},  # no lower level at rank 1
+        rep = {"rank1": kernel_identity_residuals(1, args.theta),
                "rank2": kernel_identity_residuals(2, args.theta)}
     elif args.which == "eigen":
         rep = {"eigen_residuals": phi_eigen_residuals(args.theta)}
     else:
         rep = {"closed_form_relative_errors": phi2_bessel_errors(args.theta)}
-    _emit({"schema": SCHEMA, "which": args.which, "theta": args.theta, **rep}, args)
+    _report({"schema": SCHEMA, "which": args.which, "theta": args.theta, **rep})
     return 0
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def _add_output_flags(p, default_fmt="json"):
-    p.add_argument("--format", choices=["json", "csv"], default=default_fmt)
-    p.add_argument("--output", help="write the report to a file instead of stdout")
-
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="sympgt", description=__doc__)
@@ -318,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--start", type=_shape, default=())
-    _add_output_flags(p, "csv")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("law", help="bottom-shape law: the exact torus integral at rank 1, "
@@ -328,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_floats, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--window", type=int, default=40)
-    _add_output_flags(p, "csv")
     p.set_defaults(fn=_cmd_law)
 
     p = sub.add_parser("moments", help="q-moments by three routes")
@@ -339,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_floats, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--window", type=int, default=40)
-    _add_output_flags(p)
     p.set_defaults(fn=_cmd_moments)
 
     p = sub.add_parser("limit", help="scaled-character convergence table")
@@ -348,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_floats, required=True,
                    help="points, n numbers each: with --n 2, '0,-1,1,0' is (0,-1), (1,0)")
     p.add_argument("--eps", type=_floats, required=True)
-    _add_output_flags(p, "csv")
     p.set_defaults(fn=_cmd_limit)
 
     p = sub.add_parser("sde", help="interacting diffusions in the wall wedge")
@@ -361,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=_floats, default=(),
                    help="start coordinates, level 1 first, level k holding ceil(k/2); "
                         "default: a wedge near minus infinity")
-    _add_output_flags(p)
     p.set_defaults(fn=_cmd_sde)
 
     p = sub.add_parser("polymer", help="partition-function identity check")
@@ -370,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=2.0)
     p.add_argument("--replicas", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_output_flags(p)
     p.set_defaults(fn=_cmd_polymer)
 
     p = sub.add_parser("verify", help="verification reports and the full gate")
@@ -382,27 +346,23 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int)
     v.add_argument("--q", type=_rational, required=True)
     v.add_argument("--t0-ladder", dest="t0_ladder", type=_rationals, default=())
-    _add_output_flags(v)
     v.set_defaults(fn=_cmd_verify)
 
     v = vsub.add_parser("orthogonality")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--q", type=float, required=True)
     v.add_argument("--max-weight", type=int, default=4)
-    _add_output_flags(v)
     v.set_defaults(fn=_cmd_verify)
 
     v = vsub.add_parser("continuous")
     v.add_argument("--which", choices=["kernels", "eigen", "phi2"], required=True)
     v.add_argument("--theta", type=float, default=0.8,
                    help="drift/index parameter of the kernels")
-    _add_output_flags(v)
     v.set_defaults(fn=_cmd_verify)
 
     v = vsub.add_parser("all")
     v.add_argument("--quick", action="store_true",
                    help="run the fast subset of the gate")
-    _add_output_flags(v)
     v.set_defaults(fn=_cmd_verify)
 
     return top

@@ -129,8 +129,9 @@ def log_q_nnm1(theta: float, x, y) -> np.ndarray:
 
 
 def verify_operator_identities(theta: float, grid: Sequence) -> dict:
-    """Residuals of both kernel intertwinings on a grid of (x, y) pairs,
-    normalized by the kernel value."""
+    """Largest residuals of the kernel intertwinings on a grid of (x, y)
+    pairs, normalized by the kernel value; rank 1 has no lower level, so no
+    nnm1_max."""
     res_nn, res_nnm1 = [], []
     for x, y in grid:
         x, y = tuple(x), tuple(y)
@@ -144,7 +145,11 @@ def verify_operator_identities(theta: float, grid: Sequence) -> dict:
                     - 0.5 * theta ** 2 * k1)
             rhs1 = h_b(lambda yv: np.exp(log_q_nnm1(theta, x, yv)), y1)
             res_nnm1.append(abs(lhs1 - rhs1) / k1)
-    return {"nn_max": max(res_nn), "nnm1_max": max(res_nnm1, default=float("nan"))}
+    # np.max, unlike max, keeps a NaN residual
+    out = {"nn_max": np.max(res_nn)}
+    if res_nnm1:
+        out["nnm1_max"] = np.max(res_nnm1)
+    return out
 
 
 def kernel_identity_residuals(n: int, theta: float) -> dict:
@@ -155,7 +160,25 @@ def kernel_identity_residuals(n: int, theta: float) -> dict:
         grid = [((a,), (b,)) for a in pts for b in pts]
     else:
         grid = [((a, a - 0.7), (b, b - 1.1)) for a in pts for b in pts]
-    return verify_operator_identities(theta, grid)
+    return _in_double_range(theta, lambda: verify_operator_identities(theta, grid))
+
+
+def _in_double_range(theta: float, residuals: Callable[[], dict]) -> dict:
+    """residuals(), once theta and every residual are finite: a theta far
+    from 0 takes Phi past the range of math.exp, or a kernel residual to
+    inf or NaN."""
+    if not math.isfinite(theta):
+        raise ValueError(f"--theta must be finite, got {theta}")
+    message = (f"--theta {theta} takes the values past double range; "
+               "use a smaller --theta in absolute value")
+    try:
+        with np.errstate(all="ignore"):  # checked below
+            out = residuals()
+    except OverflowError:
+        raise ValueError(message) from None
+    if not all(math.isfinite(v) for v in out.values()):
+        raise ValueError(message)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +290,11 @@ def phi2_bessel(lam: float, x: float) -> float:
 def phi2_bessel_errors(lam: float) -> dict:
     """Relative error of phi(2) against phi2_bessel at the 11 points of
     linspace(-2, 3, 11), keyed by the point to one decimal."""
-    errors = {}
-    for x in np.linspace(-2.0, 3.0, 11):
-        exact = phi2_bessel(lam, float(x))
-        errors[f"{x:.1f}"] = abs(phi(2, (lam,), float(x)) - exact) / abs(exact)
-    return errors
+    def error(x: float) -> float:
+        exact = phi2_bessel(lam, x)
+        return abs(phi(2, (lam,), x) - exact) / abs(exact)
+    return _in_double_range(lam, lambda: {f"{x:.1f}": error(float(x))
+                                          for x in np.linspace(-2.0, 3.0, 11)})
 
 
 def grad_log_phi(N: int, lam: Sequence[float], x) -> np.ndarray:
@@ -291,7 +314,8 @@ def phi_eigen_residual(n: int, lam: Sequence[float], x) -> float:
 
 def phi_eigen_residuals(lam: float) -> dict:
     """phi_eigen_residual at rank 1 at x = -0.5, 0 and 1, keyed by str(x)."""
-    return {str(x): phi_eigen_residual(1, (lam,), x) for x in (-0.5, 0.0, 1.0)}
+    return _in_double_range(lam, lambda: {str(x): phi_eigen_residual(1, (lam,), x)
+                                          for x in (-0.5, 0.0, 1.0)})
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +476,8 @@ def _log_sum_exp(a: np.ndarray) -> np.ndarray:
     return np.log(a.sum(axis=1)) + m
 
 
-def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
-                     replicas: int, integrated: bool) -> tuple:
+def _polymer_samples(rng, drifts: Sequence[float], t: float, replicas: int,
+                     integrated: bool) -> tuple:
     """Samples of the nested recurrence log I_k = b_k + log int_0^. e^{log
     I_{k-1} - b_k} (trapezoid in log space) over the levels b_k, and the
     count of rows that took the wide-row path of _log_cumsum_exp.
@@ -466,15 +490,15 @@ def _polymer_samples(rng, drifts: Sequence[float], t: float, steps: int,
     block-major: a block draws level k's Brownian path (drift drifts[k],
     started at 0) for k = 1..N in turn and runs the whole recurrence before
     the next block starts, so the normals are those of one (levels, n,
-    steps) draw per block of n replicas, and only three (_BLOCK, steps + 1)
+    _STEPS) draw per block of n replicas, and only three (_BLOCK, _STEPS + 1)
     buffers and the output are held."""
-    dt = t / steps
+    dt = t / _STEPS
     sqrt_dt = math.sqrt(dt)
-    logw = _log_trapz_weights(steps, dt)
+    logw = _log_trapz_weights(_STEPS, dt)
     out = np.empty(replicas)
-    noise = np.empty((_BLOCK, steps))
-    path = np.zeros((_BLOCK, steps + 1))
-    log_i = np.empty((_BLOCK, steps + 1))
+    noise = np.empty((_BLOCK, _STEPS))
+    path = np.zeros((_BLOCK, _STEPS + 1))
+    log_i = np.empty((_BLOCK, _STEPS + 1))
     last = len(drifts) - 1
     wide = 0
     for r0 in range(0, replicas, _BLOCK):
@@ -527,9 +551,8 @@ def polymer_reversal_gap(lam: float, t: float, paths: int, seed: int) -> dict:
     over max(1, max |Z|).  The normals live only inside this call."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     normals = rng.standard_normal((paths, _STEPS))
-    z = _polymer_samples(_Replay(normals), (lam,), t, _STEPS, paths, integrated=False)[0]
-    y = _polymer_samples(_Replay(normals[:, ::-1]), (lam,), t, _STEPS, paths,
-                         integrated=True)[0]
+    z = _polymer_samples(_Replay(normals), (lam,), t, paths, integrated=False)[0]
+    y = _polymer_samples(_Replay(normals[:, ::-1]), (lam,), t, paths, integrated=True)[0]
     gap = float(np.abs(z - y).max())
     return {"paths": paths, "gap": gap,
             "relative_gap": gap / max(1.0, float(np.abs(z).max()))}
@@ -593,9 +616,9 @@ def polymer_identity_check(N: int, lam: Sequence[float], t: float,
     # the pool's exit waits for the other sample when one raises
     with ThreadPoolExecutor(max_workers=2) as pool:
         zf = pool.submit(_polymer_samples, np.random.Generator(np.random.Philox(ss[0])),
-                         ladder, t, _STEPS, replicas, False)
+                         ladder, t, replicas, False)
         yf = pool.submit(_polymer_samples, np.random.Generator(np.random.Philox(ss[1])),
-                         ladder[::-1], t, _STEPS, replicas, True)
+                         ladder[::-1], t, replicas, True)
         (z, wide_z), (y, wide_y) = zf.result(), yf.result()
     stat, pvalue = _ks_two_sample(z, y)
     return {"ks": stat, "pvalue": pvalue,

@@ -562,9 +562,13 @@ def helper_row_cascade(n: int, x: tuple, y: tuple, z: tuple, ctx: QSeriesCtx,
                     r * li_yx * l_prob(ctx, y, z, i + 1))
             else:
                 add((xp, _bump(y, n, -1), _bump(z, n, -1)), r * li_yx)
-    # edge clocks of the two bottom levels
+    # edge clocks of the two bottom levels; at n = 1 particle 1 of y is the
+    # wall, which pulls z left when it does not push it right
     add((x, _bump(y, 1, +1), _bump(z, 1, +1)), an * r_prob(ctx, y, z, 1))
-    add((x, _bump(y, 1, +1), _bump(z, 2, +1)), an * (1 - r_prob(ctx, y, z, 1)))
+    if n > 1:
+        add((x, _bump(y, 1, +1), _bump(z, 2, +1)), an * (1 - r_prob(ctx, y, z, 1)))
+    else:
+        add((x, y, _bump(z, 1, -1)), an * (1 - r_prob(ctx, y, z, 1)))
     add((x, y, _bump(z, 1, +1)), 1 / an)
     return {k: v for k, v in out.items() if v != 0}
 

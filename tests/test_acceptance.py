@@ -10,8 +10,9 @@ REFERENCE = json.loads((Path(__file__).parent / "data" / "torus_reference.json")
 POLYMER = json.loads((Path(__file__).parent / "data" / "polymer_reference.json").read_text())
 
 
-def test_quick_ledger_passes():
-    ledger = acceptance.run_all(quick=True)
+def test_quick_ledger_passes(capsys):
+    assert cli.main(["verify", "all", "--quick"]) == 0
+    ledger = json.loads(capsys.readouterr().out)
     quick = [name for name, _fn, q in acceptance.REGISTRY if q]
     assert ledger["passed"] and ledger["hard_failures"] == []
     assert [r["name"] for r in ledger["checks"]] == quick
@@ -69,6 +70,21 @@ def test_threads_flag_is_rejected():
         cli.main(["simulate", "--model", "randomized", "--N", "2", "--a", "1", "--q", "0.5",
                   "--t", "1", "--replicas", "10", "--seed", "1", "--truncation", "40"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["law", "--n", "1", "--t", "0.5", "--a", "1", "--q", "0.5", "--window", "10"],
+    ["verify", "branching", "--lambda", "2,1", "--nu", "1", "--q", "1/3"],
+], ids=["table", "report"])
+@pytest.mark.parametrize("flag", [["--format", "json"], ["--output", "x"]],
+                         ids=["format", "output"])
+def test_output_flags_are_rejected(capsys, argv, flag):
+    # every subcommand prints its one output to stdout
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + flag)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage: sympgt" in err and "unrecognized arguments" in err
 
 
 def test_crashing_check_is_a_failed_report(monkeypatch):

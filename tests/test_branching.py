@@ -23,6 +23,8 @@ def test_pair_derivation():
     assert len(p.Jc) == 2
     with pytest.raises(ValueError):
         BranchingPair(3, (1, 1, 1), ())  # a column grows by three
+    with pytest.raises(ValueError, match="two horizontal strips"):
+        BranchingPair(2, (2, 1), (3,))  # the third column of nu sticks out of lam
 
 
 def test_c_factor_closed_form():

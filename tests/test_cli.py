@@ -336,11 +336,25 @@ def test_moments_spread_is_the_ledgers(capsys):
      "the operator route overflows a double at t = 1.0, q = 0.01; use a smaller --t"),
     (["moments", "--n", "1", "--a", "1", "--k", "2", "--t", "1", "--q", "0.5"],
      "use an --a off 1"),
+    (["verify", "branching", "--lambda", "2,1", "--nu", "3", "--q", "1/3"],
+     "shapes do not differ by two horizontal strips"),
+    (["verify", "continuous", "--which", "kernels", "--theta", "nan"],
+     "--theta must be finite, got nan"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("which, theta", [("phi2", "100"), ("eigen", "100"), ("phi2", "800"),
+                                          ("eigen", "800"), ("kernels", "800")])
+def test_a_theta_past_double_range_is_a_one_line_error(capsys, which, theta):
+    # past double range phi overflows math.exp and the kernel residuals go NaN
+    code, out, err = _run(capsys, ["verify", "continuous", "--which", which, "--theta", theta])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"--theta {float(theta)}" in err
+    assert "use a smaller --theta" in err
 
 
 # one cheap run of every subcommand; the sweep sets each of its numeric or
@@ -379,7 +393,7 @@ def _subparsers(parser, path=()):
 
 def _swept_flags(parser) -> list:
     """The option strings of the flags that take a typed value: every
-    numeric or comma-list flag, not the choices, switches and file names."""
+    numeric or comma-list flag, not the choices and switches."""
     return [a.option_strings[-1] for a in parser._actions
             if a.option_strings and a.type is not None and not a.choices]
 

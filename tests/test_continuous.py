@@ -312,9 +312,9 @@ def test_streamed_polymer_matches_unstreamed_reference(t):
             2000.0: lambda w: w == 2 * replicas}[t]
     for integrated in (False, True):
         ref = _reference_samples(np.random.Generator(np.random.Philox(2)), drifts,
-                                 t, 64, replicas, integrated)
+                                 t, 512, replicas, integrated)
         got, wide = _polymer_samples(np.random.Generator(np.random.Philox(2)), drifts,
-                                     t, 64, replicas, integrated)
+                                     t, replicas, integrated)
         assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
         assert want(wide)
 
@@ -334,7 +334,7 @@ def test_endpoint_level_matches_logaddexp_reduce_on_wide_rows():
     ref = _reference_samples(np.random.Generator(np.random.Philox(2)), drifts,
                              2000.0, steps, 300, False)
     got, wide = _polymer_samples(np.random.Generator(np.random.Philox(2)), drifts,
-                                 2000.0, steps, 300, False)
+                                 2000.0, 300, False)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     assert wide == 300  # only the first level keeps a running integral
 
@@ -355,10 +355,10 @@ def test_polymer_samples_are_unchanged(case):
     N, lam, t = case["N"], tuple(case["lam"]), case["t"]
     ss = np.random.SeedSequence(case["seed"]).spawn(2)
     ladder = _drift_ladder(lam, N)
-    z, _ = _polymer_samples(np.random.Generator(np.random.Philox(ss[0])), ladder, t, 512,
+    z, _ = _polymer_samples(np.random.Generator(np.random.Philox(ss[0])), ladder, t,
                             case["replicas"], integrated=False)
     y, _ = _polymer_samples(np.random.Generator(np.random.Philox(ss[1])), ladder[::-1], t,
-                            512, case["replicas"], integrated=True)
+                            case["replicas"], integrated=True)
     levels = POLYMER["quantile_levels"]
     for got, ref in [(np.quantile(z, levels), case["z"]), (np.quantile(y, levels), case["y"])]:
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
@@ -382,8 +382,8 @@ def test_level_one_gap_needs_the_reversal():
     # the same normals unreversed give a different integral on every path
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
     normals = rng.standard_normal((2000, 512))
-    z, _ = _polymer_samples(_Replay(normals), (0.9,), 2.0, 512, 2000, integrated=False)
-    y, _ = _polymer_samples(_Replay(normals), (0.9,), 2.0, 512, 2000, integrated=True)
+    z, _ = _polymer_samples(_Replay(normals), (0.9,), 2.0, 2000, integrated=False)
+    y, _ = _polymer_samples(_Replay(normals), (0.9,), 2.0, 2000, integrated=True)
     assert np.abs(z - y).max() > 1.0
 
 
@@ -404,17 +404,17 @@ def test_threaded_samples_keep_the_serial_stream_order(monkeypatch, levels, t):
     lam, replicas, seed = (0.9, 0.4), 2 * _BLOCK + 17, levels
     sample, got = sympgt.continuous._polymer_samples, {}
 
-    def recorded(rng, drifts, t, steps, replicas, integrated):
-        got[integrated] = sample(rng, drifts, t, steps, replicas, integrated)
+    def recorded(rng, drifts, t, replicas, integrated):
+        got[integrated] = sample(rng, drifts, t, replicas, integrated)
         return got[integrated]
 
     monkeypatch.setattr(sympgt.continuous, "_polymer_samples", recorded)
     rep = polymer_identity_check(levels, lam, t, replicas, seed)
     assert polymer_identity_check(levels, lam, t, replicas, seed) == rep
     ss, ladder = np.random.SeedSequence(seed).spawn(2), _drift_ladder(lam, levels)
-    z, wide_z = sample(np.random.Generator(np.random.Philox(ss[0])), ladder, t, 512,
+    z, wide_z = sample(np.random.Generator(np.random.Philox(ss[0])), ladder, t,
                        replicas, False)
-    y, wide_y = sample(np.random.Generator(np.random.Philox(ss[1])), ladder[::-1], t, 512,
+    y, wide_y = sample(np.random.Generator(np.random.Philox(ss[1])), ladder[::-1], t,
                        replicas, True)
     assert np.array_equal(got[False][0], z) and np.array_equal(got[True][0], y)
     assert (rep["ks"], rep["pvalue"]) == _ks_two_sample(z, y)
@@ -444,9 +444,9 @@ def test_a_failing_draw_is_raised_and_its_thread_ends(monkeypatch):
     for failing in (False, True):
         rng = _FailingGenerator(fail_at=3)
 
-        def failing_sample(gen, drifts, t, steps, replicas, integrated):
-            return sample(rng if integrated == failing else gen, drifts, t, steps,
-                          replicas, integrated)
+        def failing_sample(gen, drifts, t, replicas, integrated):
+            return sample(rng if integrated == failing else gen, drifts, t, replicas,
+                          integrated)
 
         monkeypatch.setattr(sympgt.continuous, "_polymer_samples", failing_sample)
         before = threading.active_count()

@@ -346,6 +346,18 @@ def test_intertwining_randomized_odd():
     assert all(ok for *_, ok in results)
 
 
+@pytest.mark.parametrize("q", [F(1, 3), F(0), F(2, 5)])
+def test_intertwining_cascade_rank_one(q):
+    # at rank 1 the edge clock drives the wall: z moves left when y does not
+    # push it right; the table bumped z_2, which rank 1 does not have
+    probes = [(x, y, z) for z in [(0,), (1,), (2,), (3,), (5,)]
+              for y in interlacings(z, 1) for x in interlacings(y, 0)]
+    assert len(probes) == 16
+    results = verify_intertwining_cascade(1, probes, QSeriesCtx(q), (F(6, 5),))
+    assert len(results) == 47
+    assert all(ok for *_, ok in results)
+
+
 def test_intertwining_cascade_rank_two():
     ctx = QSeriesCtx(F(1, 3))
     a = (F(3, 2), F(4, 5))

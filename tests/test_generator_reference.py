@@ -51,5 +51,5 @@ def test_helper_rows_match_reference():
 def test_intertwining_ledger_counts():
     rep = check_intertwining()
     assert rep["passed"]
-    assert [r["identities"] for r in rep["reports"].values()] == [93, 124, 166, 45]
+    assert [r["identities"] for r in rep["reports"].values()] == [93, 124, 47, 166, 45]
     assert all(r["failures"] == 0 for r in rep["reports"].values())

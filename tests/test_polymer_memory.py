@@ -37,7 +37,7 @@ def _sampler_peak(replicas: int, integrated: bool) -> int:
     rng = np.random.Generator(np.random.Philox(1))
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
-    _polymer_samples(rng, _drift_ladder((0.9, 0.4), 2), 2.0, 512, replicas, integrated)
+    _polymer_samples(rng, _drift_ladder((0.9, 0.4), 2), 2.0, replicas, integrated)
     return tracemalloc.get_traced_memory()[1] - base
 
 
