@@ -350,9 +350,9 @@ def check_polymer_identity():
     2000 paths driven by the same normals, one copy reversed, max |Z - Y|
     <= 1e-12 max(1, max |Z|).  At level 2 it holds in law only (O'Connell),
     gated at two-sample KS <= 0.02 over 2e4 replicas per side."""
-    # the samplers run block-major and hold about 3 MB of buffers each, so
-    # level 1's (2000, 512) normals, 8 MB, set this check's peak; neither
-    # order changes a figure, since each level has its own seed
+    # the samplers run block-major and hold about 3 MB of buffers each, and
+    # level 1 draws its normals 256 paths (1 MB) at a time; neither order
+    # changes a figure, since each level has its own seed
     rep2 = polymer_identity_check(2, (0.9, 0.4), 2.0, replicas=20000, seed=8)
     rep1 = polymer_reversal_gap(0.9, 2.0, paths=2000, seed=7)
     return {"name": "polymer-identity",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import getitem
@@ -26,8 +26,12 @@ def is_exact(x: Scalar) -> bool:
 @dataclass(frozen=True)
 class QSeriesCtx:
     """Carries the deformation parameter q; infinite Pochhammer products in
-    numeric mode are truncated at ``pochhammer_depth(q)`` factors."""
+    numeric mode are truncated at ``pochhammer_depth(q)`` factors.
+    ``binomials`` memoizes ``q_binomial`` at this q under (n, k): a key of
+    two ints hashes cheaply, where a Fraction q hashes slowly, and a ctx
+    holds one q, so q = 0.5 and q = Fraction(1, 2) stay apart."""
     q: Scalar
+    binomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.exact and not abs(self.q) < 1:
@@ -66,17 +70,13 @@ def q_pochhammer(ctx: QSeriesCtx, x: Scalar, k) -> Scalar:
     return result
 
 
-_q_binomial_cache: dict = {}
-
-
 def q_binomial(ctx: QSeriesCtx, n: int, k: int) -> Scalar:
-    """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_{n-k}), memoized on
-    (q, exact, n, k), so that q = 0.5 and q = Fraction(1, 2) stay apart."""
+    """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_{n-k}), memoized in
+    ``ctx.binomials``."""
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"q-binomial requires 0 <= k <= n, got n={n}, k={k}")
     q = ctx.q
-    key = (q, ctx.exact, n, k)
-    value = _q_binomial_cache.get(key)
+    value = ctx.binomials.get((n, k))
     if value is None:
         # Product form binom(n,k)_q = prod_{j=1}^{k} (1-q^{n-k+j})/(1-q^j).
         if ctx.exact and q in (1, -1):
@@ -101,7 +101,7 @@ def q_binomial(ctx: QSeriesCtx, n: int, k: int) -> Scalar:
                 num *= 1 - q ** (n - k + j)
                 den *= 1 - q ** j
             value = num / den
-        _q_binomial_cache[key] = value
+        ctx.binomials[n, k] = value
     return value
 
 

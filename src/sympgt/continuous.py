@@ -406,13 +406,18 @@ def sde_simulate(N: int, lam: Sequence[float], x0: list, t: float,
         while clock < t - 1e-12:
             step = min(h, t - clock)
             live = np.flatnonzero(ok)
-            scale = np.maximum(1.0, step * _max_abs(_sde_drift([lv[live] for lv in levels], bar)))
+            x = [lv[live] for lv in levels]
+            drift = _sde_drift(x, bar)
+            scale = np.maximum(1.0, step * _max_abs(drift))
             nsub = np.fmin(4096, np.ceil(2 * scale))
             for s in range(int(nsub.max(initial=0))):
                 busy = (nsub > s) & ok[live]
                 rows, sub = live[busy], step / nsub[busy, None]
-                x = [lv[rows] for lv in levels]
-                drift = _sde_drift(x, bar)
+                # at substep 0 every live replica is busy and sits at the
+                # step's start, whose drift is already known
+                if s:
+                    x = [lv[rows] for lv in levels]
+                    drift = _sde_drift(x, bar)
                 blown = ~(_max_abs(drift) * sub[:, 0] <= 50.0)
                 ok[rows[blown]] = False
                 rows, sub = rows[~blown], sub[~blown]
@@ -544,18 +549,24 @@ def polymer_reversal_gap(lam: float, t: float, paths: int, seed: int) -> dict:
     """Level 1 of the polymer identity, path by path.  Z^1(t) = log int_0^t
     e^{b(t) - b(s)} ds, and the Y side log int_0^t e^{b'(s)} ds with b'(s) =
     b(t) - b(t - s) the time reversal of b, which has the same drift lam
-    (Matsumoto-Yor).  One (paths, 512 steps) draw of normals from
-    ``Philox(SeedSequence(seed))`` drives Z's sampler, and the same draw
-    with its steps reversed drives Y's; both run through _polymer_samples.
-    Returns ``paths``, the gap max |Z - Y| and ``relative_gap``, the gap
-    over max(1, max |Z|).  The normals live only inside this call."""
+    (Matsumoto-Yor).  The normals of one (paths, 512 steps) draw from
+    ``Philox(SeedSequence(seed))`` drive Z's sampler, and the same normals
+    with their steps reversed drive Y's; both run through _polymer_samples.
+    The draw is taken _BLOCK paths at a time, as a C-order draw split into
+    row blocks gives the same normals, and each block runs Z and Y before
+    the next is drawn, so only one block of normals is held.  Returns
+    ``paths``, the gap max |Z - Y| and ``relative_gap``, the gap over
+    max(1, max |Z|)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    normals = rng.standard_normal((paths, _STEPS))
-    z = _polymer_samples(_Replay(normals), (lam,), t, paths, integrated=False)[0]
-    y = _polymer_samples(_Replay(normals[:, ::-1]), (lam,), t, paths, integrated=True)[0]
-    gap = float(np.abs(z - y).max())
-    return {"paths": paths, "gap": gap,
-            "relative_gap": gap / max(1.0, float(np.abs(z).max()))}
+    gap = top = 0.0
+    for r0 in range(0, paths, _BLOCK):
+        normals = rng.standard_normal((min(_BLOCK, paths - r0), _STEPS))
+        z = _polymer_samples(_Replay(normals), (lam,), t, len(normals), integrated=False)[0]
+        y = _polymer_samples(_Replay(normals[:, ::-1]), (lam,), t, len(normals),
+                             integrated=True)[0]
+        gap = max(gap, float(np.abs(z - y).max()))
+        top = max(top, float(np.abs(z).max()))
+    return {"paths": paths, "gap": gap, "relative_gap": gap / max(1.0, top)}
 
 
 def _kolmogorov_sf(x: float) -> float:

@@ -85,6 +85,11 @@ def L_rate(ctx: QSeriesCtx, upper: Sequence[int], cur: Sequence[int], j: int) ->
 # replica batches
 # ---------------------------------------------------------------------------
 
+# rows of a batch whose event rates are held at once: with them, a round
+# holds S, its clock and one wait per row, not (rows, events) arrays
+_CHUNK = 8192
+
+
 class _Layout:
     """Columns of a batch of N-level patterns, one replica per row.
 
@@ -148,24 +153,41 @@ def _distinct_rows(rows: np.ndarray) -> tuple:
 
 
 def _event_rates(S: np.ndarray, lay: _Layout, ctx: QSeriesCtx, model: str,
-                 a: Sequence[float]) -> np.ndarray:
-    """Rates of the events of each replica (row) of S.
+                 a: Sequence[float], out: np.ndarray) -> np.ndarray:
+    """Rates of the events of each replica (row) of S, written into and
+    returned as ``out``, one row per row of S.
 
     Cascade model: the edge clock of level k rings at rate bar_a(a, k),
     whatever the state.  Randomized model: columns 0..P-1 are the right
     jumps a_k R_rate, columns P..2P-1 the left jumps L_rate / a_k of every
-    particle, in the arithmetic order of R_rate and L_rate; q ** inf == 0
-    plays the part of _qpow.  The denominators are 1 - q^e with e >= 1 on
-    any valid pattern, so they never vanish."""
+    particle, in the arithmetic order of R_rate and L_rate, one particle
+    column at a time.  Each q^e is read from the table np.power(q, 0..K+1),
+    K the batch's largest coordinate plus 2, with entries K and K + 1 set to
+    0: every finite exponent is at most K - 1, and a difference with the
+    +inf sentinel is clamped to K, so its q^e and q^(e+1) read 0, as q **
+    inf does in _qpow.  The denominators are 1 - q^e with e >= 1 on any
+    valid pattern, so they never vanish."""
     ak = np.array([float(bar_a(a, k)) for k in range(1, lay.N + 1)])
     if model == "berele":
-        return np.broadcast_to(ak, (len(S), lay.N))
-    q, col, k, j = float(ctx.q), lay.col, lay.k, lay.j
-    C, Cm, Cp = S[:, col[k, j]], S[:, col[k, j - 1]], S[:, col[k, j + 1]]
-    Um, U = S[:, col[k - 1, j - 1]], S[:, col[k - 1, j]]
-    right = (1 - q ** (Um - C)) * (1 - q ** (C - Cp + 1)) / (1 - q ** (C - U + 1))
-    left = (1 - q ** (C - U)) * (1 - q ** (Cm - C + 1)) / (1 - q ** (Um - C + 1))
-    return np.concatenate([ak[k - 1] * right, left / ak[k - 1]], axis=1)
+        out[...] = ak
+        return out
+    K = int(S[:, :lay.P].max(initial=0)) + 2
+    qe = np.power(float(ctx.q), np.arange(K + 2.0))
+    qe[K:] = 0
+    qe1 = qe[1:]
+
+    def e(hi, lo):
+        """Table index of q^(S[:, hi] - S[:, lo])."""
+        return np.minimum(S[:, hi] - S[:, lo], K).astype(np.intp)
+
+    col = lay.col
+    for p, (k, j) in enumerate(zip(lay.k, lay.j)):
+        c = col[k, j]
+        um_c, c_u = e(col[k - 1, j - 1], c), e(c, col[k - 1, j])
+        cm_c, c_cp = e(col[k, j - 1], c), e(c, col[k, j + 1])
+        out[:, p] = ak[k - 1] * ((1 - qe[um_c]) * (1 - qe1[c_cp]) / (1 - qe1[c_u]))
+        out[:, lay.P + p] = (1 - qe[c_u]) * (1 - qe1[cm_c]) / (1 - qe1[um_c]) / ak[k - 1]
+    return out
 
 
 def _push_chain(S: np.ndarray, lay: _Layout, c: np.ndarray, step: np.ndarray) -> None:
@@ -244,22 +266,6 @@ def _cascade(S: np.ndarray, lay: _Layout, ctx: QSeriesCtx, level: np.ndarray, rn
         k = k + draws
 
 
-def _apply_events(S: np.ndarray, lay: _Layout, ctx: QSeriesCtx, model: str,
-                  cum: np.ndarray, rng) -> None:
-    """One event in each row of S, chosen by inverse CDF on the row's
-    cumulative rates ``cum`` with one uniform per row: the first event whose
-    cumulative rate exceeds the uniform times the total, so a zero-rate event
-    is never chosen."""
-    total = cum[:, -1]
-    # a uniform just below 1 times total can round up to total
-    u = np.minimum(rng.random(len(S)) * total, np.nextafter(total, 0))
-    event = (cum <= u[:, None]).sum(axis=1)
-    if model == "berele":
-        _cascade(S, lay, ctx, event + 1, rng)
-    else:
-        _push_chain(S, lay, event % lay.P, np.where(event < lay.P, 1, -1))
-
-
 # ---------------------------------------------------------------------------
 # initial sampling
 # ---------------------------------------------------------------------------
@@ -274,7 +280,8 @@ def sample_initial(z: Sequence[int], N: int, ctx: QSeriesCtx, a: Sequence[float]
     Replicas are grouped by their current row; each group's candidate
     weights are computed once, and a replica takes the first candidate whose
     cumulative weight reaches its uniform times the total.  Every distinct
-    pattern drawn is validated."""
+    pattern drawn is validated, once: the distinct rows are found _CHUNK
+    rows at a time, so no sort of the whole batch is held."""
     lay = _Layout(N)
     S = lay.empty(replicas)
     S[:, lay.level(N)] = padded(z, level_len(N))
@@ -288,7 +295,8 @@ def sample_initial(z: Sequence[int], N: int, ctx: QSeriesCtx, a: Sequence[float]
             members = np.flatnonzero(group == g)
             pick = np.searchsorted(cum, u[members] * cum[-1], side="left")
             S[members, lay.level(k - 1)] = np.array(cands)[np.minimum(pick, len(cands) - 1)]
-    for row in _distinct_rows(S)[0]:
+    distinct = [_distinct_rows(S[i:i + _CHUNK])[0] for i in range(0, replicas, _CHUNK)]
+    for row in _distinct_rows(np.concatenate([S[:0], *distinct]))[0]:
         lay.pattern(row).validate()
     return S
 
@@ -603,20 +611,67 @@ class SimConfig:
     start: tuple = ()               # bottom shape of the initial law
 
 
+def _round(S: np.ndarray, clock: np.ndarray, t: float, lay: _Layout, ctx: QSeriesCtx,
+           model: str, a: Sequence[float], rng, buf: np.ndarray) -> tuple:
+    """One round of ``simulate`` over the rows of S and their clocks.
+
+    Draws one standard exponential per row; a row's clock grows by its draw
+    over its total rate, and the rows whose clock passes t retire with
+    their state unchanged.  Each kept row then takes one event, by inverse
+    CDF on its cumulative rates with one uniform: the first event whose
+    cumulative rate exceeds the uniform times the total, so a zero-rate
+    event is never chosen.  The rates, in ``buf``, are computed _CHUNK rows
+    at a time; each chunk draws the uniforms of its kept rows, in row
+    order, so the round draws as one call per kind would.  The kept rows
+    move, in order, to the front of S and clock.  The randomized model runs
+    each chunk's push chains at once; the cascade model runs ``_cascade``
+    over all kept rows after the last chunk, since its uniforms follow all
+    of the round's.  Returns (number of rows kept, bottom levels of the
+    retired rows)."""
+    wait = rng.standard_exponential(len(S))
+    retired, events, kept = [], [], 0
+    for i0 in range(0, len(S), _CHUNK):
+        rows = slice(i0, min(i0 + _CHUNK, len(S)))
+        cum = _event_rates(S[rows], lay, ctx, model, a, buf[:rows.stop - i0])
+        np.cumsum(cum, axis=1, out=cum)
+        clock[rows] += wait[rows] / cum[:, -1]
+        running = clock[rows] <= t
+        retired.append(S[rows, lay.level(lay.N)][~running])
+        cum = cum[running]
+        total = cum[:, -1]
+        # a uniform just below 1 times total can round up to total
+        u = np.minimum(rng.random(len(cum)) * total, np.nextafter(total, 0))
+        event = (cum <= u[:, None]).sum(axis=1)
+        # the kept rows of this chunk sit at or after their new place
+        new = slice(kept, kept + len(cum))
+        S[new], clock[new] = S[rows][running], clock[rows][running]
+        if model == "berele":
+            events.append(event)
+        else:
+            _push_chain(S[new], lay, event % lay.P, np.where(event < lay.P, 1, -1))
+        kept = new.stop
+    if model == "berele":
+        _cascade(S[:kept], lay, ctx, np.concatenate(events) + 1, rng)
+    return kept, retired
+
+
 def simulate(config: SimConfig) -> dict:
     """Run `config.replicas` independent replicas as one batch; returns a
     histogram {bottom shape: count} at time t.
 
     All draws come from one ``Philox(SeedSequence(config.seed))`` stream, in
     this order: ``sample_initial`` draws the initial patterns; then each
-    round, over the replicas still running, draws one standard exponential
-    per replica (its waiting time is that draw over its total rate), retires
-    the replicas whose clock passes t with their state unchanged, and draws
-    one uniform per remaining replica to pick its event; the cascade then
-    draws its uniforms level by level (see ``_cascade``).  The same seed and
-    config give the same histogram.  Bad input raises a one-line ValueError
-    that names the CLI flag: t not positive and finite, N < 1,
-    replicas < 0 or an entry of a not positive and finite."""
+    round (see ``_round``), over the replicas still running, draws one
+    standard exponential per replica (its waiting time is that draw over
+    its total rate), retires the replicas whose clock passes t with their
+    state unchanged, and draws one uniform per remaining replica to pick
+    its event; the cascade then draws its uniforms level by level (see
+    ``_cascade``).  A round works through the batch _CHUNK rows at a time,
+    so it holds the batch, its clocks and waits and one (_CHUNK, events)
+    buffer of rates.  The same seed and config give the same histogram.
+    Bad input raises a one-line ValueError that names the CLI flag: t not
+    positive and finite, N < 1, replicas < 0 or an entry of a not positive
+    and finite."""
     if not 0 < config.t < INF:
         raise ValueError(f"--t: the time horizon must be positive and finite, got {config.t}")
     if config.N < 1:
@@ -631,13 +686,11 @@ def simulate(config: SimConfig) -> dict:
     lay = _Layout(config.N)
     S = sample_initial(config.start, config.N, ctx, config.a, rng, config.replicas)
     clock = np.zeros(len(S))
+    buf = np.empty((min(len(S), _CHUNK), config.N if config.model == "berele" else 2 * lay.P))
     finished = [S[:0, lay.level(config.N)]]     # zero replicas: an empty histogram
     while len(S):
-        cum = np.cumsum(_event_rates(S, lay, ctx, config.model, config.a), axis=1)
-        clock += rng.standard_exponential(len(S)) / cum[:, -1]
-        running = clock <= config.t
-        finished.append(S[~running][:, lay.level(config.N)])
-        S, clock, cum = S[running], clock[running], cum[running]
-        _apply_events(S, lay, ctx, config.model, cum, rng)
+        kept, retired = _round(S, clock, config.t, lay, ctx, config.model, config.a, rng, buf)
+        finished += retired
+        S, clock = S[:kept], clock[:kept]
     shapes, _, counts = _distinct_rows(np.concatenate(finished))
     return {canon(z): int(c) for z, c in zip(shapes, counts)}

@@ -531,6 +531,8 @@ def moments(n: int, k: int, t: float, a: Sequence[float], q: float,
         direct = _direct_moment_rank_one(k, t, a[0], q, zmax=window)
     else:
         try:
+            # the largest q^(-k z_1) of the window, before its generator is built
+            q ** (-k * window)
             direct = law(n, t, a, q, window).mean(lambda z: q ** (-k * part(z, 1)))
         except OverflowError:
             raise ValueError(f"q^(-k z_1) overflows a double at --window {window}, --k {k}, "

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from sympgt import algebra
 from sympgt.algebra import (
     INF,
     LaurentPoly,
@@ -49,8 +48,9 @@ def test_q_binomial_symmetry_and_range(q):
 
 
 def test_q_binomial_memo_keeps_exact_and_float_apart():
-    # 0.5 == Fraction(1, 2) and both hash alike, so only the exactness in
-    # the memo key keeps the float value from being served in exact mode
+    # 0.5 == Fraction(1, 2), and the two ctxs compare and hash alike; each
+    # ctx holds its own memo, so the float value is never served in exact
+    # mode
     approx = q_binomial(QSeriesCtx(0.5), 7, 3)
     exact = q_binomial(QSeriesCtx(F(1, 2)), 7, 3)
     assert isinstance(approx, float) and isinstance(exact, F)
@@ -65,7 +65,6 @@ def test_q_binomial_memo_keeps_exact_and_float_apart():
 def test_exact_q_binomial_is_the_product_form(q):
     # the product of Fractions, as the exact branch computed it before it
     # moved to integer numerators and a power of q's denominator
-    algebra._q_binomial_cache.clear()
     ctx = QSeriesCtx(q)
     for n in range(41):
         for k in range(n + 1):
@@ -79,7 +78,6 @@ def test_exact_q_binomial_is_the_product_form(q):
 
 @pytest.mark.parametrize("q", [F(1), F(-1)])
 def test_exact_q_binomial_at_q_plus_minus_one_is_the_q_pascal_rule(q):
-    algebra._q_binomial_cache.clear()
     ctx = QSeriesCtx(q)
     pascal = {}
     for n in range(13):

@@ -219,6 +219,28 @@ def test_sde_reproducible_and_finite():
     assert np.isfinite(r1["bottom"]).all()
 
 
+@pytest.mark.parametrize("N, lam, x0, t, h, replicas, seed, flagged, bottom", [
+    # nsub = 3 at every step from this start
+    (2, (0.9,), [[-1.0], [0.0]], 1.5, 0.5, 5, 3, 0,
+     [[1.2498539120637648], [0.6431027882276614], [0.3938186371566189],
+      [0.3129255513761533], [2.834489064445515]]),
+    # level 1 leaps about 40 in its first of 4096 substeps and level 2,
+    # 12.2 below it, is flagged on the noise of that substep
+    (2, (0.9,), [[-12.0], [15.5]], 2.0, 1.0, 8, 1, 2,
+     [[62.72855359734133], [63.94739136982483], [62.85375267050786],
+      [62.844327128232784], [64.66079880530343], [60.974667449013936]]),
+    (3, (0.9, 0.4), [[-3.0], [-4.0], [-2.0, -9.0]], 0.5, 0.25, 4, 4, 0,
+     [[-1.5555558321980687, -1.0796515532191573], [-1.5394780621479933, -0.9303821157276162],
+      [-0.43695390200341, -1.0047136573055813], [-2.4901265828190673, -0.6612672156439231]]),
+])
+def test_sde_seeded_paths_are_pinned(N, lam, x0, t, h, replicas, seed, flagged, bottom):
+    # recorded when each substep computed its own drift, the first one
+    # included
+    rep = sde_simulate(N, lam, x0, t, h, replicas, seed)
+    assert rep["flagged"] == flagged
+    assert rep["bottom"].tolist() == bottom
+
+
 def test_sde_bottom_law_matches_scalar_engine():
     # `sde --N 2 --lambda 0.9 --t 1` (h = 1e-3, wedge start) with the earlier
     # per-replica scalar engine, 1000 replicas, seed 1: bottom mean and std
@@ -376,6 +398,18 @@ def test_level_one_is_a_time_reversal_path_by_path(t):
         dt = t / 512
         b = np.cumsum(rng.standard_normal((2000, 512)) * math.sqrt(dt) + 0.9 * dt, axis=1)
         assert (np.maximum(b.max(axis=1), 0) - np.minimum(b.min(axis=1), 0) > _WIDE).all()
+
+
+@pytest.mark.parametrize("paths, gap, relative", [
+    (2000, 9.769962616701378e-15, 1.5544324063097738e-15),
+    (700, 7.993605777301127e-15, 1.2718083324352694e-15),
+    (300, 7.105427357601002e-15, 1.4585334880314055e-15),
+    (256, 7.105427357601002e-15, 1.5607640731440195e-15),
+])
+def test_level_one_gap_is_pinned(paths, gap, relative):
+    # recorded when the whole (paths, 512) draw was taken at once
+    assert polymer_reversal_gap(0.9, 2.0, paths, seed=7) == {
+        "paths": paths, "gap": gap, "relative_gap": relative}
 
 
 def test_level_one_gap_needs_the_reversal():

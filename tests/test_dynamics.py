@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,10 @@ from sympgt.dynamics import (
     L_rate,
     R_rate,
     ShapeLaw,
-    _apply_events,
     _cascade,
     _event_rates,
     _Layout,
+    _round,
     build_generator,
     helper_randomized,
     l_prob,
@@ -58,9 +60,26 @@ def _levels(lay, row):
     return [list(map(int, lv)) for lv in lay.pattern(row).levels]
 
 
+def _rates(S, lay, ctx, a):
+    """The randomized model's rates of the rows of S, in a new array."""
+    return _event_rates(S, lay, ctx, "randomized", a, np.empty((len(S), 2 * lay.P)))
+
+
+def _power_rates(S, lay, q, a):
+    """The randomized rates as whole-batch gathers and q ** e, the form the
+    table of q^e replaced."""
+    ak = np.array([float(bar_a(a, k)) for k in range(1, lay.N + 1)])
+    col, k, j = lay.col, lay.k, lay.j
+    C, Cm, Cp = S[:, col[k, j]], S[:, col[k, j - 1]], S[:, col[k, j + 1]]
+    Um, U = S[:, col[k - 1, j - 1]], S[:, col[k - 1, j]]
+    right = (1 - q ** (Um - C)) * (1 - q ** (C - Cp + 1)) / (1 - q ** (C - U + 1))
+    left = (1 - q ** (C - U)) * (1 - q ** (Cm - C + 1)) / (1 - q ** (Um - C + 1))
+    return np.concatenate([ak[k - 1] * right, left / ak[k - 1]], axis=1)
+
+
 def test_rank_one_randomized_rates():
     lay, S = _batch([[(4,)]])
-    rates = _event_rates(S, lay, QSeriesCtx(0.5), "randomized", (1.5,))
+    rates = _rates(S, lay, QSeriesCtx(0.5), (1.5,))
     # right: a; left: (1 - q^4) / a
     assert rates.tolist() == [[1.5, (1 - 0.5 ** 4) / 1.5]]
 
@@ -77,7 +96,7 @@ def test_batched_rates_equal_exact_rates():
         patterns = [p.levels for z in partitions_max_weight(level_len(N), 4)
                     for p in enumerate_patterns(z, N)]
         lay, S = _batch(patterns)
-        got = _event_rates(S, lay, ctx, "randomized", a)
+        got = _rates(S, lay, ctx, a)
         for row, levels in zip(got, patterns):
             expect_float, expect_exact = [], []
             for side in (R_rate, L_rate):
@@ -94,6 +113,22 @@ def test_batched_rates_equal_exact_rates():
                             expect_exact.append(float(e / bar_a(a_exact, k)))
             assert row.tolist() == pytest.approx(expect_float, rel=1e-14, abs=0)
             assert row.tolist() == pytest.approx(expect_exact, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("q", [0.5, 1 / 3, 0.0, -0.4])
+def test_table_rates_equal_the_power_rates_bitwise(q):
+    # every pattern with N <= 5 and bottom weight <= 4, and the same patterns
+    # shifted far right, where the table grows past q's underflow
+    a = (1.2, 0.9, 1.1)
+    for N in range(1, 6):
+        patterns = [p.levels for z in partitions_max_weight(level_len(N), 4)
+                    for p in enumerate_patterns(z, N)]
+        lay, S = _batch(patterns)
+        far = S.copy()
+        far[:, :lay.P] += 3000
+        for batch in (S, far):
+            got = _rates(batch, lay, QSeriesCtx(q), a)
+            assert np.array_equal(got, _power_rates(batch, lay, q, a))
 
 
 def test_wall_probabilities():
@@ -160,7 +195,7 @@ def test_randomized_matches_helper_rows_two_levels():
     ctx = QSeriesCtx(q)
     x, y = (1,), (3,)
     lay, S = _batch([[x, y]])
-    right, left = _event_rates(S, lay, QSeriesCtx(0.5), "randomized", (2.0,))[0, [1, 3]]
+    right, left = _rates(S, lay, QSeriesCtx(0.5), (2.0,))[0, [1, 3]]
     row, _ = helper_randomized(2, x, y, ctx, a)
     assert right == pytest.approx(float(row[(x, (4,))]))
     assert left == pytest.approx(float(row[(x, (2,))]))
@@ -434,6 +469,27 @@ def test_simulate_seeded_histograms_are_pinned():
         (6, 3): 1, (7, 1): 1, (8, 1): 1}
 
 
+SIM_REFERENCE = json.loads((Path(__file__).parent / "data" / "simulate_reference.json").read_text())
+
+
+@pytest.mark.parametrize("case", SIM_REFERENCE["cases"],
+                         ids=lambda c: f"{c['model']}-N{c['N']}-q{c['q']}-{c['replicas']}")
+def test_simulate_matches_the_recorded_histograms(case):
+    cfg = SimConfig(case["model"], case["N"], tuple(case["a"]), case["q"], case["t"],
+                    case["replicas"], case["seed"], tuple(case["start"]))
+    assert simulate(cfg) == {tuple(z): c for z, c in case["histogram"]}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_simulate_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    for cfg in (SimConfig("randomized", 3, (1.2, 0.9), -0.4, 0.8, 300, 4, start=(2, 1)),
+                SimConfig("berele", 4, (1.1, 0.8), 0.4, 0.5, 300, 5, start=(2, 1))):
+        expect = simulate(cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(dynamics, "_CHUNK", chunk)
+            assert simulate(cfg) == expect
+
+
 def test_cascade_at_q_zero_raises_no_float_error():
     # q^e with e < 0 is inf at q = 0; the cascade computes only the q^e it reads
     with np.errstate(all="raise"):
@@ -467,19 +523,23 @@ def test_berele_requires_even_levels():
 
 
 def test_step_preserves_interlacing():
-    # 300 rounds of one event per replica on a 64-replica batch, every
-    # replica validated after every round; the sentinels never move
+    # 300 rounds of one event per replica on a 64-replica batch, in chunks of
+    # 16 rows, with a horizon no clock reaches; every replica validated after
+    # every round; the sentinels never move
     ctx = QSeriesCtx(0.5)
     a = (1.2, 0.8)
     for model in ("randomized", "berele"):
         rng = np.random.Generator(np.random.Philox(42))
         lay = _Layout(4)
-        S = lay.empty(64)
-        for _ in range(300):
-            cum = np.cumsum(_event_rates(S, lay, ctx, model, a), axis=1)
-            _apply_events(S, lay, ctx, model, cum, rng)
-            for row in S:
-                lay.pattern(row).validate()
+        S, clock = lay.empty(64), np.zeros(64)
+        buf = np.empty((16, 4 if model == "berele" else 2 * lay.P))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_CHUNK", 16)
+            for _ in range(300):
+                kept, retired = _round(S, clock, np.inf, lay, ctx, model, a, rng, buf)
+                assert kept == 64 and sum(map(len, retired)) == 0
+                for row in S:
+                    lay.pattern(row).validate()
         assert (S[:, lay.inf] == np.inf).all() and (S[:, lay.zero] == 0).all()
         assert S[:, :lay.P].sum() > 0
 

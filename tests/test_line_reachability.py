@@ -46,6 +46,7 @@ _ALLOWED_LINES = {
         ],
         "spectral.moments": [
             "direct = law(n, t, a, q, window).mean(lambda z: q ** (-k * part(z, 1)))",
+            "q ** (-k * window)",
             # the operator route's "try:" runs, the rank >= 2 direct route's does not
             "try:",
         ],

@@ -175,6 +175,17 @@ def test_contour_route_raises_one_line_past_its_estimate(k, t, a, q, message):
     assert "\n" not in str(exc.value)
 
 
+def test_rank_two_moment_overflow_raises_before_the_generator(monkeypatch):
+    # q^(-3 * 60) at q = 0.01 is 1e360; the 1,891-state generator took
+    # about 4 s to build before the overflow was found in its row
+    def no_generator(*args):
+        raise AssertionError("the generator was built")
+
+    monkeypatch.setattr(spectral, "build_generator", no_generator)
+    with pytest.raises(ValueError, match="q\\^\\(-k z_1\\) overflows a double at --window 60"):
+        moments(2, 3, 1.0, (1.3, 0.9), 0.01, window=60)
+
+
 def test_contour_moment_reads_its_rank_from_n():
     with pytest.raises(ValueError, match="--a needs one rate per rank, 2 for --n 2, got 1"):
         contour_moment(2, 1, 0.5, (1.3,), 0.5)
