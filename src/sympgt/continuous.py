@@ -217,6 +217,27 @@ def _product_grid(u: np.ndarray, logw: np.ndarray, d: int) -> tuple:
     return u[idx], logw[idx].sum(axis=1)
 
 
+# Grid points per row block of a log_phi level: the (rows, len(pts)) kernel
+# of one block is the largest array log_phi holds.  Keep it a multiple of
+# 64: on OpenBLAS the complex-lam products a @ cos, a @ sin give the bits of
+# the whole level at row blocks of 64 and 2000 but not of 1, 7, 333 or 655.
+_PHI_ROWS = 256
+
+
+def _log_row_sums(a: np.ndarray, col: np.ndarray, cos_sin) -> np.ndarray:
+    """log sum_y e^{a_xy + col_y} per row x of the kernel block a, max-shifted
+    per row; cos_sin holds cos and sin of col.imag when col is complex."""
+    a += col.real
+    top = a.max(axis=1)
+    a -= top[:, None]
+    np.exp(a, out=a)
+    if cos_sin is None:
+        total = a.sum(axis=1)
+    else:
+        total = a @ cos_sin[0] + 1j * (a @ cos_sin[1])
+    return np.log(total) + top
+
+
 def log_phi(N: int, lam: Sequence[complex], x) -> complex:
     """log Phi^{(N)}(x) by iterated kernel quadrature in log space, 1 <= N <= 4.
 
@@ -227,7 +248,10 @@ def log_phi(N: int, lam: Sequence[complex], x) -> complex:
     max x + 12, M): the lower levels lie below max x and above the wall
     near 0 or min x, whichever is lower.  Each integral is a max-shifted
     log-sum-exp, so no value underflows.  M = 1000 for N <= 3 and 100 at
-    N = 4, where level 3 on the grid holds M^3 kernel values.
+    N = 4.  A level's kernel is formed _PHI_ROWS grid points at a time and
+    only the level's log-values are kept, so the largest array is one
+    (_PHI_ROWS, M) block: a call's traced peak is about 1 MiB at N = 4 and
+    4 MiB at N = 3.
 
     theta enters either kernel only as +-theta (|x| - |y|), a row term plus a
     column term, so each level's grid holds the real rest of the kernel
@@ -260,16 +284,12 @@ def log_phi(N: int, lam: Sequence[complex], x) -> complex:
         rest, sign = (_log_q_nnm1_rest, 1) if k % 2 else (_log_q_nn_rest, -1)
         theta = lam[(k - 1) // 2]
         col = log_f + lw - sign * theta * pts.sum(-1)
-        a = rest(at[:, None, :], pts[None, :, :])
-        a += col.real
-        m = a.max(axis=1)
-        a -= m[:, None]
-        np.exp(a, out=a)
-        if np.iscomplexobj(col):
-            total = a @ np.cos(col.imag) + 1j * (a @ np.sin(col.imag))
-        else:
-            total = a.sum(axis=1)
-        pts, log_f, lw = at, np.log(total) + m + sign * theta * at.sum(-1), lw_at
+        cos_sin = (np.cos(col.imag), np.sin(col.imag)) if np.iscomplexobj(col) else None
+        out = np.empty(len(at), dtype=col.dtype)
+        for r in range(0, len(at), _PHI_ROWS):
+            rows = at[r:r + _PHI_ROWS, None, :]
+            out[r:r + _PHI_ROWS] = _log_row_sums(rest(rows, pts[None, :, :]), col, cos_sin)
+        pts, log_f, lw = at, out + sign * theta * at.sum(-1), lw_at
     return log_f[0].item()
 
 

@@ -24,7 +24,7 @@ class ScalingCtx:
 
     def __init__(self, eps: float, lam: Sequence[float]):
         if not 0.0 < eps < 1.0:
-            raise ValueError("eps must lie in (0,1)")
+            raise ValueError(f"--eps must lie in (0,1), got {eps}")
         self.eps = float(eps)
         self.lam = tuple(float(l) for l in lam)
         self.m = -math.floor(math.log(eps) / eps)

@@ -78,6 +78,18 @@ def _bandwidth(f: Callable) -> int:
         m *= 2
 
 
+def _circle_factor(q: float, c: np.ndarray) -> np.ndarray:
+    """|(c;q)_inf|^2 at points c of the unit circle, the weight's 1-D factor.
+    Its peak, 4 (-q;q)_inf^2 at c = -1, grows like e^{pi^2 / (6 (1 - q))} as
+    q -> 1 and passes double range from about q = 0.9977; there it raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.abs(q_pochhammer(QSeriesCtx(float(q)), c, INF)) ** 2
+    if not np.isfinite(factor).all():
+        raise ValueError(f"--q {q} puts the torus weight's |(e^(i phi);q)_inf|^2 past "
+                         "double range; use a --q nearer 0")
+    return factor
+
+
 def _torus_nodes(n: int, q: float, reach: int, t: float = 0.0, t0: float = 0.0) -> int:
     """Nodes per axis of a torus grid whose spectrum of e^{2t cos theta_j}
     times the weight is exact, to 1e-15 of each factor's peak, at every index
@@ -86,9 +98,9 @@ def _torus_nodes(n: int, q: float, reach: int, t: float = 0.0, t0: float = 0.0) 
     |(e^{i phi};q)_inf|^2, of bandwidth B, at 2 theta_j (2B) and at
     theta_j +- theta_k for each other axis (B each), 2nB in all; the t0
     factor and e^{2t cos theta_j} add their own bandwidths."""
-    poch = functools.partial(q_pochhammer, QSeriesCtx(float(q)), k=INF)
-    width = 2 * n * _bandwidth(lambda c: np.abs(poch(c)) ** 2)
+    width = 2 * n * _bandwidth(functools.partial(_circle_factor, q))
     if t0:
+        poch = functools.partial(q_pochhammer, QSeriesCtx(float(q)), k=INF)
         width += _bandwidth(lambda c: 1 / np.abs(poch(t0 * c)) ** 2)
     if t:
         width += _bandwidth(lambda c: np.exp(2 * t * c.real))
@@ -97,13 +109,17 @@ def _torus_nodes(n: int, q: float, reach: int, t: float = 0.0, t0: float = 0.0) 
 
 @dataclass
 class TorusQuadrature:
-    """Uniform trapezoid nodes on the n-torus with the orthogonality weight
-    and its spectrum, fftn(weight) / weight.size, both computed once at
-    construction; spectrally accurate for Laurent-polynomial integrands on
-    a grid sized by ``_torus_nodes``.  Each Pochhammer symbol of the weight stops
-    at the K factors where |q|^K < 1e-17, so its relative tail is at most
-    |q|^K / (1 - |q|) to first order.  A grid of more than _GRID_POINTS
-    points raises before anything is allocated."""
+    """Uniform trapezoid nodes on the n-torus with the orthogonality weight,
+    computed at construction, and its spectrum, fftn(weight) / weight.size,
+    computed on first read; spectrally accurate for Laurent-polynomial
+    integrands on a grid sized by ``_torus_nodes``.  Each Pochhammer symbol
+    of the weight stops at the K factors where |q|^K < 1e-17, so its
+    relative tail is at most |q|^K / (1 - |q|) to first order.  A grid of
+    more than _GRID_POINTS points raises before anything is allocated.
+
+    Each spectrum is transformed and scaled in place in one complex array,
+    so at the budget of 2^24 points the weight and one spectrum take 384 MiB;
+    fftn(...) / size would add a complex copy at each step, about 900 MiB."""
     n: int
     nodes: int
     q: float
@@ -115,7 +131,7 @@ class TorusQuadrature:
         if self.nodes ** self.n > _GRID_POINTS:
             raise ValueError(f"--n {self.n} needs a torus grid of {self.nodes}^{self.n} "
                              f"points, past the budget of 2^{math.log2(_GRID_POINTS):g}; "
-                             "use a smaller --n")
+                             "use a smaller --n or --max-weight, or a --q nearer 0")
         N = self.nodes
         circle = np.exp(2j * np.pi * np.arange(N) / N)
         idx = [np.arange(N).reshape([N if k == j else 1 for k in range(self.n)])
@@ -123,22 +139,33 @@ class TorusQuadrature:
         self.grids = [circle[i] for i in idx]
         # |(e^{i phi};q)_inf|^2 at phi = 2 pi m / N: the weight is a product of
         # these at 2 theta_j and theta_j +- theta_k, gathered by index mod N
-        poch = functools.partial(q_pochhammer, QSeriesCtx(float(self.q)), k=INF)
-        factor = np.abs(poch(circle)) ** 2
+        factor = _circle_factor(self.q, circle)
         single = factor[2 * np.arange(N) % N]
         if self.t0:
-            single = single / np.abs(poch(self.t0 * circle)) ** 2
+            poch = q_pochhammer(QSeriesCtx(float(self.q)), self.t0 * circle, INF)
+            single = single / np.abs(poch) ** 2
         self.weight = np.ones([N] * self.n)
         for j in range(self.n):
             self.weight *= single[idx[j]]
             for k in range(j + 1, self.n):
                 self.weight *= factor[(idx[j] + idx[k]) % N] * factor[(idx[k] - idx[j]) % N]
-        self.weight_spectrum = np.fft.fftn(self.weight) / self.weight.size
+
+    @functools.cached_property
+    def weight_spectrum(self) -> np.ndarray:
+        """fftn(weight) / weight.size."""
+        return _mean_spectrum(self.weight.astype(complex))
 
     def spectrum(self, F: np.ndarray) -> np.ndarray:
         """fftn(F * weight) / weight.size: entry [e mod nodes] is the grid mean
         of F * x^-e * weight."""
-        return np.fft.fftn(F * self.weight) / self.weight.size
+        return _mean_spectrum(np.asarray(F * self.weight, dtype=complex))
+
+
+def _mean_spectrum(spec: np.ndarray) -> np.ndarray:
+    """fftn(spec) / spec.size, overwriting the complex array spec."""
+    np.fft.fftn(spec, out=spec)
+    spec /= spec.size
+    return spec
 
 
 def _terms(p: LaurentPoly) -> tuple:

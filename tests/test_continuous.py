@@ -1,5 +1,6 @@
 """Diffusion-level checks: kernels, Phi family, SDEs, polymer identity."""
 
+import functools
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import sympgt.continuous
 from sympgt.combinatorics import level_len
 from sympgt.continuous import (_BLOCK, _WIDE, _drift_ladder,
                                _kolmogorov_sf, _ks_two_sample, _log_cumsum_exp,
+                               _log_q_nn_rest, _log_q_nnm1_rest,
                                _log_sum_exp, _log_trapz_weights, _phi_point,
                                _polymer_samples, _product_grid, _Replay, _sde_drift,
                                grad_log_phi, h_b, h_d, log_phi, log_q_nn, log_q_nnm1,
@@ -27,6 +29,7 @@ from sympgt.continuous import (_BLOCK, _WIDE, _drift_ladder,
 
 POLYMER = json.loads((Path(__file__).parent / "data" / "polymer_reference.json").read_text())
 PHI = json.loads((Path(__file__).parent / "data" / "phi_reference.json").read_text())
+SO_REF = json.loads((Path(__file__).parent / "data" / "so_whittaker_reference.json").read_text())
 
 
 def test_params_validation():
@@ -147,6 +150,54 @@ def test_real_kernel_grid_matches_the_complex_log_sum_exp(N, lam, x):
     # are added apart from it
     want = _complex_log_phi(N, lam, x)
     assert abs(log_phi(N, lam, x) - want) <= 1e-13 * abs(want)
+
+
+@functools.cache
+def _whole_level_log_phi(N, lam, x):
+    """log_phi with each level's kernel formed whole, (len(at), len(pts)) at
+    once: the form before the row blocks."""
+    x = _phi_point(N, lam, x)
+    m = 1000 if N <= 3 else 100
+    u = np.linspace(min(x.min(), 0.0) - 12.0, x.max() + 12.0, m)
+    logw = _log_trapz_weights(m - 1, u[1] - u[0])
+    pts, log_f, lw = np.zeros((1, 0)), np.zeros(1), np.zeros(1)
+    for k in range(1, N + 1):
+        at, lw_at = (x[None, :], None) if k == N else _product_grid(u, logw, level_len(k))
+        rest, sign = (_log_q_nnm1_rest, 1) if k % 2 else (_log_q_nn_rest, -1)
+        theta = lam[(k - 1) // 2]
+        col = log_f + lw - sign * theta * pts.sum(-1)
+        a = rest(at[:, None, :], pts[None, :, :])
+        a += col.real
+        m = a.max(axis=1)
+        a -= m[:, None]
+        np.exp(a, out=a)
+        if np.iscomplexobj(col):
+            total = a @ np.cos(col.imag) + 1j * (a @ np.sin(col.imag))
+        else:
+            total = a.sum(axis=1)
+        pts, log_f, lw = at, np.log(total) + m + sign * theta * at.sum(-1), lw_at
+    return log_f[0].item()
+
+
+# the points of phi_reference.json and so_whittaker_reference.json (the
+# latter as so_whittaker passes them: complex lam, x shifted by log 2), and
+# imaginary lam at N = 3 and 4
+_BLOCKED_CASES = (
+    [(2, (float(lam),), (float(x),)) for lam in PHI["phi2"] for x in ("-2.0", "0.5", "3.0")]
+    + [(N, (0.9, 0.4), (0.5, -0.3)) for N in (3, 4)]
+    + [(3, (0.7j, 0.3j), (1.0, -1.0)), (4, (0.7j, 0.3j), (3.0, 1.0))]
+    + [(4, tuple(complex(l) for l in p["lam"]), tuple(v + math.log(2.0) for v in p["x"]))
+       for p in SO_REF["points"]])
+
+
+# a real lam reduces each row by its own sum, the same bits at any block;
+# a complex lam's BLAS products keep them at blocks of a multiple of 64
+@pytest.mark.parametrize("N, lam, x, rows", [
+    (N, lam, x, rows) for N, lam, x in _BLOCKED_CASES for rows in (1, 7, 64, 256, 10 ** 6)
+    if rows % 64 == 0 or not any(isinstance(l, complex) for l in lam)])
+def test_row_blocked_levels_equal_the_whole_levels_bitwise(monkeypatch, N, lam, x, rows):
+    monkeypatch.setattr(sympgt.continuous, "_PHI_ROWS", rows)
+    assert log_phi(N, lam, x) == _whole_level_log_phi(N, lam, x)
 
 
 @pytest.mark.parametrize("N, lam, x", [

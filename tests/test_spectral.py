@@ -402,6 +402,36 @@ def test_orthogonality_where_the_weight_is_large(n, q, max_weight):
     assert np.abs(M - np.eye(len(shapes))).max() < 1e-9
 
 
+@pytest.mark.parametrize("n, nodes, t0", [(1, 64, 0.0), (2, 48, 0.3), (3, 18, 0.0)])
+def test_in_place_spectra_equal_fftn_over_size_bitwise(n, nodes, t0):
+    quad = TorusQuadrature(n, nodes=nodes, q=0.5, t0=t0)
+    assert "weight_spectrum" not in vars(quad)  # computed on first read
+    want = np.fft.fftn(quad.weight) / quad.weight.size
+    assert quad.weight_spectrum.tobytes() == want.tobytes()
+    assert quad.weight_spectrum is quad.weight_spectrum
+    F = np.exp(0.7 * quad.grids[0] + sum(0.2 / x for x in quad.grids))
+    for f in (F, F.real):
+        want = np.fft.fftn(f * quad.weight) / quad.weight.size
+        assert quad.spectrum(f).tobytes() == want.tobytes()
+
+
+def test_torus_law_transforms_its_integrand_only(monkeypatch):
+    # the law reads the spectrum of F w alone, so the weight's is never made
+    shapes = []
+    transform = spectral._mean_spectrum
+    monkeypatch.setattr(spectral, "_mean_spectrum",
+                        lambda spec: shapes.append(spec.shape) or transform(spec))
+    spectral._torus_law(2, 0.25, (1.0, 1.0), 0.5, 8)
+    assert len(shapes) == 1
+
+
+@pytest.mark.parametrize("n, q", [(1, 0.998), (2, 0.999)])
+def test_weight_past_double_range_raises_naming_q(n, q):
+    # |(e^{i phi};q)_inf|^2 overflows before the grid is sized
+    with pytest.raises(ValueError, match=f"--q {q} puts the torus weight's"):
+        spectral._torus_nodes(n, q, 4)
+
+
 def test_default_truncation_follows_q():
     assert pochhammer_depth(0.5) == 60 and pochhammer_depth(0.0) == 60
     assert 0.9 ** pochhammer_depth(0.9) < 1e-17 <= 0.9 ** (pochhammer_depth(0.9) - 1)
