@@ -283,16 +283,6 @@ def test_moments_spread_is_the_ledgers(capsys):
      "use a smaller --window"),
     (["verify", "orthogonality", "--n", "4", "--q", "0.4", "--max-weight", "2"],
      "--n 4 needs a torus grid of 81^4 points"),
-    (["verify", "orthogonality", "--n", "3", "--q", "0.99"],
-     "--n 3 needs a torus grid of 2592^3 points, past the budget of 2^24; "
-     "use a smaller --n or --max-weight, or a --q nearer 0"),
-    (["verify", "orthogonality", "--n", "1", "--q", "0.998"],
-     "--q 0.998 puts the torus weight's |(e^(i phi);q)_inf|^2 past double range; "
-     "use a --q nearer 0"),
-    (["verify", "orthogonality", "--n", "2", "--q", "0.999"],
-     "--q 0.999 puts the torus weight's |(e^(i phi);q)_inf|^2 past double range"),
-    (["limit", "--n", "1", "--lambda", "0.7", "--x", "0", "--eps", "nan"],
-     "--eps must lie in (0,1), got nan"),
     (["compute", "qwhittaker", "--n", "1", "--lambda", "2", "--q", "1/2", "--a", "0"],
      "--a entries must be nonzero"),
     (["compute", "schur", "--n", "1", "--lambda", "2", "--a", "0"],
@@ -350,6 +340,16 @@ def test_moments_spread_is_the_ledgers(capsys):
      "shapes do not differ by two horizontal strips"),
     (["verify", "continuous", "--which", "kernels", "--theta", "nan"],
      "--theta must be finite, got nan"),
+    (["verify", "orthogonality", "--n", "3", "--q", "0.99"],
+     "--n 3 needs a torus grid of 2592^3 points, past the budget of 2^24; "
+     "use a smaller --n or --max-weight, or a --q nearer 0"),
+    (["verify", "orthogonality", "--n", "1", "--q", "0.998"],
+     "--q 0.998 puts the torus weight's |(e^(i phi);q)_inf|^2 past double range; "
+     "use a --q nearer 0"),
+    (["verify", "orthogonality", "--n", "2", "--q", "0.999"],
+     "--q 0.999 puts the torus weight's |(e^(i phi);q)_inf|^2 past double range"),
+    (["limit", "--n", "1", "--lambda", "0.7", "--x", "0", "--eps", "nan"],
+     "--eps must lie in (0,1), got nan"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)
