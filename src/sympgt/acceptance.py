@@ -352,7 +352,9 @@ def check_polymer_identity():
     gated at two-sample KS <= 0.02 over 2e4 replicas per side."""
     # the samplers run block-major and hold about 3 MB of buffers each, and
     # level 1 draws its normals 256 paths (1 MB) at a time; neither order
-    # changes a figure, since each level has its own seed
+    # changes a figure, since each level has its own seed.  Every draw comes
+    # from SFC64 (continuous._polymer_generator): the normals are most of
+    # the check's cost, and SFC64 draws them about a third faster than Philox
     rep2 = polymer_identity_check(2, (0.9, 0.4), 2.0, replicas=20000, seed=8)
     rep1 = polymer_reversal_gap(0.9, 2.0, paths=2000, seed=7)
     return {"name": "polymer-identity",

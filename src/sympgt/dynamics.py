@@ -633,7 +633,10 @@ def _round(S: np.ndarray, clock: np.ndarray, t: float, lay: _Layout, ctx: QSerie
     for i0 in range(0, len(S), _CHUNK):
         rows = slice(i0, min(i0 + _CHUNK, len(S)))
         cum = _event_rates(S[rows], lay, ctx, model, a, buf[:rows.stop - i0])
-        np.cumsum(cum, axis=1, out=cum)
+        # a running sum column by column adds in np.cumsum's order, so the
+        # floats are the same, without cumsum's short per-row loops
+        for j in range(1, cum.shape[1]):
+            cum[:, j] += cum[:, j - 1]
         clock[rows] += wait[rows] / cum[:, -1]
         running = clock[rows] <= t
         retired.append(S[rows, lay.level(lay.N)][~running])
@@ -641,7 +644,9 @@ def _round(S: np.ndarray, clock: np.ndarray, t: float, lay: _Layout, ctx: QSerie
         total = cum[:, -1]
         # a uniform just below 1 times total can round up to total
         u = np.minimum(rng.random(len(cum)) * total, np.nextafter(total, 0))
-        event = (cum <= u[:, None]).sum(axis=1)
+        event = np.zeros(len(cum), dtype=np.intp)
+        for column in cum.T:
+            event += column <= u
         # the kept rows of this chunk sit at or after their new place
         new = slice(kept, kept + len(cum))
         S[new], clock[new] = S[rows][running], clock[rows][running]

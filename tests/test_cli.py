@@ -113,7 +113,8 @@ def test_rank_two_law_at_q_09_and_window_40(capsys):
     (["moments", "--t", "1", "--a", "1.3", "--q", "0.5", "--k", "1", "--window", "10"],
      lambda out: set(json.loads(out)["moments"]["1"]) >= {"direct", "operator", "contour"}),
     (["polymer", "--N", "1", "--replicas", "200", "--seed", "3"],
-     lambda out: json.loads(out)["replicas"] == 200),
+     lambda out: json.loads(out)["replicas"] == 200
+     and json.loads(out)["generator"] == "SFC64"),
     (["verify", "branching", "--lambda", "2,1", "--nu", "1", "--q", "1/3"],
      lambda out: json.loads(out)["leading_term"] is True),
     (["verify", "continuous", "--which", "eigen"],
