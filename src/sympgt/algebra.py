@@ -23,19 +23,26 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (Fraction, int))
 
 
+_Q_KEYS: dict = {}  # (q, exact) -> QSeriesCtx.key
+
+
 @dataclass(frozen=True)
 class QSeriesCtx:
     """Carries the deformation parameter q; infinite Pochhammer products in
     numeric mode are truncated at ``pochhammer_depth(q)`` factors.
     ``binomials`` memoizes ``q_binomial`` at this q under (n, k): a key of
     two ints hashes cheaply, where a Fraction q hashes slowly, and a ctx
-    holds one q, so q = 0.5 and q = Fraction(1, 2) stay apart."""
+    holds one q, so q = 0.5 and q = Fraction(1, 2) stay apart.  ``key`` is
+    a small int naming (q, exact), the same for every ctx of an equal q and
+    mode: the character memos key on it, so they hash q once per ctx."""
     q: Scalar
     binomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.exact and not abs(self.q) < 1:
             raise ValueError("numeric mode requires |q| < 1")
+        object.__setattr__(self, "key", _Q_KEYS.setdefault((self.q, self.exact), len(_Q_KEYS)))
 
     @property
     def exact(self) -> bool:

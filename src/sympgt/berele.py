@@ -3,6 +3,7 @@ insertion with the cancellation rule, and the word-level driver that records
 the shape path."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -27,33 +28,33 @@ def jeu_de_taquin(rows: Sequence[Sequence[int]], hole: tuple) -> SymplecticTable
             rows[i][j] = below
             i += 1
     del rows[i][j]
-    return SymplecticTableau(rows)
+    return SymplecticTableau.of(tuple(tuple(r) for r in rows if r))
 
 
 def insert(P: SymplecticTableau, letter: int) -> SymplecticTableau:
     """Insert one letter by row bumping.  If letter l reaches row l and would
     bump l-bar, both are erased and the hole is slid away; otherwise bumping
-    continues downward until a letter lands at the end of a row."""
-    rows = [list(r) for r in P.rows]
+    continues downward until a letter lands at the end of a row.
+
+    Rows are tuples: a bump rebuilds the one row it changes, the rows below
+    the last bump are P's own, and the bumped position is the first entry
+    greater than the letter, found by bisection in the weakly increasing
+    row."""
+    rows = list(P.rows)
     cur = letter
-    i = 0
-    while True:
-        if i == len(rows):
-            rows.append([cur])
-            break
-        row = rows[i]
-        pos = next((k for k, x in enumerate(row) if x > cur), None)
-        if pos is None:
-            row.append(cur)
-            break
+    for i, row in enumerate(rows):
+        pos = bisect_right(row, cur)
+        if pos == len(row):
+            rows[i] = row + (cur,)
+            return SymplecticTableau.of(tuple(rows))
         bumped = row[pos]
-        if cur == 2 * (i + 1) - 1 and bumped == cur + 1:
+        if cur == 2 * i + 1 and bumped == cur + 1:
             # letter i+1 meets its bar in row i+1: cancel both
             return jeu_de_taquin(rows, (i, pos))
-        row[pos] = cur
+        rows[i] = row[:pos] + (cur,) + row[pos + 1:]
         cur = bumped
-        i += 1
-    return SymplecticTableau(rows)
+    rows.append((cur,))
+    return SymplecticTableau.of(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ class InsertionRecord:
 def process_word(word: Union[str, Sequence[int]], n: int) -> InsertionRecord:
     """Insert the word letter by letter starting from the empty tableau,
     validating after each step and recording every tableau and the shape
-    path."""
+    path.  Each step's tableau shares the rows that its insertion left
+    alone with the one before it."""
     if isinstance(word, str):
         letters = tuple(letter_parse(tok) for tok in word.split())
     else:

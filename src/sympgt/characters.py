@@ -6,9 +6,16 @@ pattern weight: the oracle ``_char`` evaluates a pattern character at a
 point by the slice recursion, and the Markov link ``_link`` is the slice
 weight times the lower character over the upper one.
 
-In exact mode the Weyl ratio, the pattern sum and the level recursion
+The tableau sum and the pattern sum are depth-first walks that build no
+object per tableau or pattern: each keeps its current path (the filling,
+or the slice weights) and the exponent vector on the stack and adds a
+completed term per exponent vector, in the order of first appearance.  In
+exact mode the Weyl ratio, the pattern sum and the level recursion
 multiply and sum Python integers and make one Fraction per value or per
-output coefficient; ``_char`` stays on Fractions."""
+output coefficient; ``_char`` stays on Fractions.  The memos of
+``qwhittaker_recursion`` and ``_char`` key on ints: ``QSeriesCtx.key`` for
+q and its mode, and ``_point_keys`` for the point, so a lookup hashes no
+Fraction."""
 from __future__ import annotations
 
 import functools
@@ -20,9 +27,7 @@ from typing import Callable, Iterator, Sequence
 from .algebra import INF, LaurentPoly, QSeriesCtx, Scalar, _f, is_exact, q_binomial, q_hermite
 from .combinatorics import (
     canon,
-    enumerate_patterns,
     enumerate_patterns_typeA,
-    enumerate_tableaux,
     interlaces,
     interlacings,
     level_len,
@@ -101,23 +106,47 @@ def _det_int(m):
     return sign * m[n - 1][n - 1]
 
 
-def _tableau_weight(T, n: int) -> list:
-    """Exponent vector of a tableau: (count of i) - (count of i-bar), from
-    one pass over its rows (letter i is 2i-1, i-bar is 2i)."""
-    w = [0] * n
-    for row in T.rows:
-        for x in row:
-            w[(x - 1) // 2] += 1 if x % 2 else -1
-    return w
-
-
 def symplectic_schur_tableaux(n: int, lam: Sequence[int]) -> LaurentPoly:
     """Tableau generating function: sum over symplectic tableaux of shape lam
-    of prod_i a_i^{(count of i) - (count of i-bar)}."""
+    of prod_i a_i^{(count of i) - (count of i-bar)}.
+
+    The tableaux are filled cell by cell in row-major order, each cell
+    taking every letter from the least that S1, S2 and S3 allow up to
+    n-bar, depth first; the walk keeps the filling and its exponent vector
+    (letter i adds 1 to entry i, i-bar subtracts 1), and counts each
+    completed filling under its vector, in order of first appearance."""
     lam = canon(lam)
     if len(lam) > n:
         raise ValueError("shape has too many rows for the rank")
-    return LaurentPoly(n, ((_tableau_weight(T, n), 1) for T in enumerate_tableaux(lam, n)))
+    cells = [(i, j) for i, r in enumerate(lam) for j in range(r)]
+    grid = [[0] * r for r in lam]
+    weight = [0] * n
+    counts: dict = {}
+
+    def fill(c: int) -> None:
+        i, j = cells[c]
+        row = grid[i]
+        lo = 2 * i + 1                                # S3
+        if j and row[j - 1] > lo:
+            lo = row[j - 1]                           # S1
+        if i and grid[i - 1][j] >= lo:
+            lo = grid[i - 1][j] + 1                   # S2
+        for x in range(lo, 2 * n + 1):
+            row[j] = x
+            v, step = (x - 1) >> 1, 1 if x & 1 else -1
+            weight[v] += step
+            if c + 1 < len(cells):
+                fill(c + 1)
+            else:
+                key = tuple(weight)
+                counts[key] = counts.get(key, 0) + 1
+            weight[v] -= step
+
+    if cells:
+        fill(0)
+    else:
+        counts[tuple(weight)] = 1
+    return LaurentPoly(n, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -143,34 +172,49 @@ def qwhittaker_pattern_sum(N: int, z: Sequence[int], ctx: QSeriesCtx) -> Laurent
     (|z^{2l-1}| - |z^{2l-2}|) - (|z^{2l}| - |z^{2l-1}|) and, for odd N, the
     unmatched top slice contributing a_n^{|z^N| - |z^{N-1}|}.
 
-    Every pattern is still enumerated and its slice weights multiplied in
-    level order; a slice (k, lower, upper) recurs across patterns, so its
-    weight is computed once per call.  In exact mode a weight is kept as its
-    integer numerator and denominator, a pattern's product is one pair of
-    integers, and ``_fraction_sums`` adds the pairs per exponent vector."""
+    The patterns are walked depth first from level N down to level 1, in
+    the order of ``combinatorics._chains``, with no object per pattern.  The
+    slices below a level (k, upper) are listed once per call, each with its
+    weight and the step of |z^k| - |z^{k-1}| that it adds to the exponent
+    vector; the walk keeps the exponent vector and the slice weights of
+    the current path.  In exact mode a weight is its integer numerator and
+    denominator, the walk carries their products down the path, and
+    ``_fraction_sums`` adds each pattern's pair per exponent vector.  In
+    float mode a pattern's weight is the product of its slice weights in
+    level order, k = 1 to N, so the rounding is that of the product taken
+    pattern by pattern."""
     nvars = (N + 1) // 2
+    exact = ctx.exact
+    exps = [0] * nvars
+    path = [1] * N          # path[k - 1]: the weight of slice k on the current path
+    leaves: list = []
 
     @functools.cache
-    def weight(k, lower, upper):
-        w = slice_binomials(ctx, k, lower, upper)
-        return (w.numerator, w.denominator) if ctx.exact else w
+    def slices(k: int, upper: tuple) -> list:
+        size = sum(upper)
+        out = []
+        for lower in interlacings(upper, level_len(k - 1)):
+            w = slice_binomials(ctx, k, lower, upper)
+            step = size - sum(lower)
+            n, d = (w.numerator, w.denominator) if exact else (1, 1)
+            out.append((lower, step if k % 2 else -step, w, n, d))
+        return out
 
-    def patterns():
-        for p in enumerate_patterns(z, N):
-            sizes = [0] + [sum(lv) for lv in p.levels]
-            exps = [0] * nvars
-            ws = []
-            for k in range(1, N + 1):
-                ws.append(weight(k, p.levels[k - 2] if k > 1 else (), p.levels[k - 1]))
-                delta = sizes[k] - sizes[k - 1]
-                exps[(k - 1) // 2] += delta if k % 2 else -delta
-            yield exps, ws
+    def walk(k: int, upper: tuple, num: int, den: int) -> None:
+        v = (k - 1) // 2
+        for lower, step, w, n, d in slices(k, upper):
+            exps[v] += step
+            path[k - 1] = w
+            if k > 1:
+                walk(k - 1, lower, num * n, den * d)
+            elif exact:
+                leaves.append((tuple(exps), num * n, den * d))
+            else:
+                leaves.append((tuple(exps), math.prod(path)))
+            exps[v] -= step
 
-    if not ctx.exact:
-        return LaurentPoly(nvars, ((exps, math.prod(ws)) for exps, ws in patterns()))
-    return LaurentPoly(nvars, _fraction_sums(
-        (tuple(exps), math.prod(nums), math.prod(dens))
-        for exps, ws in patterns() for nums, dens in [zip(*ws)]))
+    walk(N, padded(z, level_len(N)), 1, 1)
+    return LaurentPoly(nvars, _fraction_sums(leaves) if exact else leaves)
 
 
 def _fraction_sums(triples) -> Iterator[tuple]:
@@ -250,13 +294,13 @@ def qwhittaker_recursion(n: int, lam: Sequence[int], ctx: QSeriesCtx) -> Laurent
     identities.  The dynamics evaluate characters at a point by the slice
     recursion of ``_char`` instead.
 
-    Memoized in ``_recursion_cache`` under ``(n, lam, q, exact)``.  The
-    exactness flag keeps ``q = 0.5`` and ``q = Fraction(1, 2)`` apart (they
-    compare and hash equal)."""
+    Memoized in ``_recursion_cache`` under ``(n, lam, ctx.key)``: the ctx
+    key names q with its exactness, so ``q = 0.5`` and ``q = Fraction(1,
+    2)`` (which compare and hash equal) stay apart."""
     lam = canon(lam)
     if len(lam) > n:
         raise ValueError("shape has too many rows for the rank")
-    key = (n, lam, ctx.q, ctx.exact)
+    key = (n, lam, ctx.key)
     hit = _recursion_cache.get(key)
     if hit is not None:
         return hit
@@ -303,6 +347,26 @@ def _slice_weight(N: int, lower, upper, ctx: QSeriesCtx, a: Sequence) -> Scalar:
 
 
 _char_cache: dict = {}
+_point_ids: dict = {}       # (prefix of a point, types of its entries) -> int
+_last_point: tuple = (None, ())
+
+
+def _point_keys(a: Sequence) -> tuple:
+    """One small int per prefix a[:l] of the point, l = 0..len(a), naming
+    its entries together with their types: ``0.5 == Fraction(1, 2)`` and
+    ``1.0 == Fraction(1)`` compare and hash equal, and the types keep exact
+    and float values apart.  Callers pass one point many times over, so the
+    keys of the last point passed as a tuple are kept, and its entries are
+    hashed once."""
+    global _last_point
+    last, keys = _last_point
+    if a is last:
+        return keys
+    keys = tuple(_point_ids.setdefault((pt, tuple(map(type, pt))), len(_point_ids))
+                 for pt in (tuple(a[:l]) for l in range(len(a) + 1)))
+    if type(a) is tuple:
+        _last_point = a, keys
+    return keys
 
 
 def _char(N: int, z, ctx: QSeriesCtx, a: Sequence) -> Scalar:
@@ -312,15 +376,13 @@ def _char(N: int, z, ctx: QSeriesCtx, a: Sequence) -> Scalar:
     interlace with z,
     sum_x bar_a(a, N)^{|z|-|x|} slice_binomials(N, x, z) char(N-1, x).
 
-    Memoized in ``_char_cache`` under ``(N, z, q, exact, a, types of a)``:
-    the exactness flag and the types keep exact and float values apart,
-    since ``0.5 == Fraction(1, 2)`` and ``1.0 == Fraction(1)`` compare and
-    hash equal."""
+    Memoized in ``_char_cache`` under ``(N, z, ctx.key, point key)``, the
+    point key naming the entries of a that N levels read
+    (``_point_keys``): all ints, so a lookup hashes no Fraction."""
     if N == 0:
         return 1
     z = canon(z)
-    pt = tuple(a[:(N + 1) // 2])
-    key = (N, z, ctx.q, ctx.exact, pt, tuple(map(type, pt)))
+    key = (N, z, ctx.key, _point_keys(a)[(N + 1) // 2])
     value = _char_cache.get(key)
     if value is None:
         top = padded(z, level_len(N))

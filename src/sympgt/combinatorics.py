@@ -7,6 +7,7 @@ letters render as `k~` in the ASCII form.
 from __future__ import annotations
 
 from itertools import product
+from operator import le, lt
 from typing import Iterator, Sequence
 
 Partition = tuple  # weakly decreasing tuple of nonnegative ints, no trailing zeros
@@ -18,10 +19,9 @@ Partition = tuple  # weakly decreasing tuple of nonnegative ints, no trailing ze
 
 def canon(parts: Sequence[int]) -> Partition:
     """Canonical partition: trailing zeros stripped, validity checked."""
-    parts = tuple(int(p) for p in parts)
-    for i in range(len(parts) - 1):
-        if parts[i] < parts[i + 1]:
-            raise ValueError(f"not weakly decreasing: {parts}")
+    parts = tuple(map(int, parts))
+    if any(map(lt, parts, parts[1:])):
+        raise ValueError(f"not weakly decreasing: {parts}")
     if parts and parts[-1] < 0:
         raise ValueError(f"negative part in {parts}")
     while parts and parts[-1] == 0:
@@ -110,55 +110,47 @@ class SymplecticTableau:
     def __init__(self, rows: Sequence[Sequence[int]]):
         self.rows = tuple(tuple(int(x) for x in row) for row in rows if row)
 
+    @classmethod
+    def of(cls, rows: tuple) -> "SymplecticTableau":
+        """The tableau with ``rows``, a tuple of nonempty tuples of ints,
+        taken as they are: insertion builds its rows from ints already, so
+        the constructor's ``int()`` per entry would only copy them."""
+        T = cls.__new__(cls)
+        T.rows = rows
+        return T
+
     @property
     def shape(self) -> Partition:
-        return canon(tuple(len(r) for r in self.rows))
+        return canon(tuple(map(len, self.rows)))
 
     def validate(self, n: int) -> None:
-        shape = tuple(len(r) for r in self.rows)
-        if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-            raise ValueError("shape rows must weakly decrease")
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if not 1 <= x <= 2 * n:
-                    raise ValueError(f"entry {x} at ({i},{j}) outside alphabet of rank {n}")
-                if j + 1 < len(row) and row[j + 1] < x:
-                    raise ValueError(f"S1 violated in row {i + 1}: {letter_str(x)} then {letter_str(row[j + 1])}")
-                if i + 1 < len(self.rows) and j < len(self.rows[i + 1]) \
-                        and self.rows[i + 1][j] <= x:
-                    raise ValueError(f"S2 violated in column {j + 1} between rows {i + 1},{i + 2}")
-                if x < 2 * (i + 1) - 1:
-                    raise ValueError(f"S3 violated: entry {letter_str(x)} < {i + 1} in row {i + 1}")
+        """Raise a ValueError for the first fault: a shape that is not a
+        partition, then, over the cells in row-major order, an entry outside
+        the alphabet 1..2n or a broken S1, S2 or S3 at that cell, in that
+        order.  Each row is checked whole: its first entry against S3, its
+        last against the alphabet, its entries against their right
+        neighbours, and its length and entries against the row above.  Only
+        a tableau that fails is read cell by cell, to name the fault."""
+        rows = self.rows
+        for i, row in enumerate(rows):
+            if (row[0] <= 2 * i or row[-1] > 2 * n
+                    or len(row) > 1 and not all(map(le, row, row[1:]))
+                    or i and (len(rows[i - 1]) < len(row) or not all(map(lt, rows[i - 1], row)))):
+                raise ValueError(
+                    "shape rows must weakly decrease"
+                    if any(len(r) < len(s) for r, s in zip(rows, rows[1:])) else
+                    next(message for i, row in enumerate(rows) for j, x in enumerate(row)
+                         for message in (
+                        not 1 <= x <= 2 * n and f"entry {x} at ({i},{j}) outside alphabet of rank {n}",
+                        j + 1 < len(row) and row[j + 1] < x
+                        and f"S1 violated in row {i + 1}: {letter_str(x)} then {letter_str(row[j + 1])}",
+                        i + 1 < len(rows) and j < len(rows[i + 1]) and rows[i + 1][j] <= x
+                        and f"S2 violated in column {j + 1} between rows {i + 1},{i + 2}",
+                        x <= 2 * i and f"S3 violated: entry {letter_str(x)} < {i + 1} in row {i + 1}")
+                         if message))
 
     def __repr__(self):
         return f"SymplecticTableau({list(map(list, self.rows))})"
-
-
-def enumerate_tableaux(shape: Sequence[int], n: int) -> Iterator[SymplecticTableau]:
-    """All symplectic tableaux of the given shape over alphabet rank n,
-    by brute-force cell-by-cell filling with early constraint pruning."""
-    shape = canon(shape)
-    if len(shape) > n:
-        return
-    cells = [(i, j) for i, r in enumerate(shape) for j in range(r)]
-    grid = [[0] * r for r in shape]
-
-    def rec(idx: int):
-        if idx == len(cells):
-            yield SymplecticTableau([row[:] for row in grid])
-            return
-        i, j = cells[idx]
-        lo = 2 * (i + 1) - 1                      # S3
-        if j > 0:
-            lo = max(lo, grid[i][j - 1])          # S1
-        if i > 0:
-            lo = max(lo, grid[i - 1][j] + 1)      # S2
-        for x in range(lo, 2 * n + 1):
-            grid[i][j] = x
-            yield from rec(idx + 1)
-        grid[i][j] = 0
-
-    yield from rec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +225,16 @@ def interlacings(lam: Sequence[int], length: int) -> Iterator[tuple]:
 def _chains(bottom: tuple, lengths: Sequence[int]) -> Iterator[tuple]:
     """Every chain (..., nu_2, nu_1, bottom), nu_k of lengths[k - 1] entries
     interlaced below nu_{k-1}, lexicographic in nu_1, then in nu_2, and so
-    on: the order in which ``interlacings`` yields."""
+    on: the order in which ``interlacings`` yields.  A depth-first walk that
+    yields each chain as a tuple of levels; the symplectic pattern sum of
+    ``characters`` walks the same tree in the same order without building
+    the chains."""
     if not lengths:
         yield (bottom,)
         return
     for nu in interlacings(bottom, lengths[0]):
         for chain in _chains(nu, lengths[1:]):
             yield chain + (bottom,)
-
-
-def enumerate_patterns(shape: Sequence[int], N: int) -> Iterator[GTPattern]:
-    """Every pattern with N levels and level N equal to shape, lexicographic
-    in level N - 1, then in level N - 2, and so on down to level 1."""
-    bottom = padded(shape, level_len(N))
-    for levels in _chains(bottom, [level_len(k) for k in range(N - 1, 0, -1)]):
-        yield GTPattern(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +244,6 @@ def enumerate_patterns(shape: Sequence[int], N: int) -> Iterator[GTPattern]:
 def enumerate_patterns_typeA(shape: Sequence[int], N: int) -> Iterator[list]:
     """Type-A Gelfand-Tsetlin patterns with top row = shape (N levels,
     level k has k entries), listed from level 1 up, in the order of
-    enumerate_patterns."""
+    ``_chains``."""
     for levels in _chains(padded(shape, N), range(N - 1, 0, -1)):
         yield list(levels)

@@ -22,6 +22,7 @@ from .algebra import INF, QSeriesCtx, Scalar, _f
 from .characters import _char, _link, _slice_weight, bar_a, check_rates, pieri_coefficients
 from .combinatorics import (
     GTPattern,
+    _chains,
     canon,
     interlacings,
     level_len,
@@ -523,7 +524,7 @@ def verify_intertwining_randomized(N: int, probes: Sequence, ctx: QSeriesCtx,
     return _verify_intertwining(
         N, probes, ctx, a,
         m=lambda x, y: _link(N, x, y, ctx, a),
-        sources=lambda y: ((x, y) for x in interlacings(y, level_len(N - 1))),
+        sources=lambda y: _chains(y, (level_len(N - 1),)),
         helper=lambda x, y: helper_randomized(N, x, y, ctx, a))
 
 
@@ -589,8 +590,7 @@ def verify_intertwining_cascade(n: int, probes: Sequence, ctx: QSeriesCtx,
     return _verify_intertwining(
         2 * n, probes, ctx, a,
         m=lambda x, y, z: _link(2 * n, y, z, ctx, a) * _link(2 * n - 1, x, y, ctx, a),
-        sources=lambda z: ((x, y, z) for y in interlacings(z, n)
-                           for x in interlacings(y, n - 1)),
+        sources=lambda z: _chains(z, (n, n - 1)),
         helper=lambda x, y, z: (helper_row_cascade(n, x, y, z, ctx, a),
                                 shape_diagonal(2 * n, canon(z), ctx, a)))
 

@@ -47,6 +47,16 @@ def test_q_binomial_symmetry_and_range(q):
         q_binomial(ctx, 3, 4)
 
 
+def test_ctx_key_is_shared_by_equal_q_and_apart_by_mode():
+    # the character memos key on ctx.key: equal q in the same mode share
+    # entries across ctxs, and 0.5 and Fraction(1, 2) do not
+    assert QSeriesCtx(F(1, 3)).key == QSeriesCtx(F(2, 6)).key
+    assert QSeriesCtx(0.5).key == QSeriesCtx(0.5).key
+    assert QSeriesCtx(0).key == QSeriesCtx(F(0)).key
+    keys = {QSeriesCtx(q).key for q in (F(1, 2), 0.5, F(1, 3), 1 / 3, F(0), 0.0)}
+    assert len(keys) == 6
+
+
 def test_q_binomial_memo_keeps_exact_and_float_apart():
     # 0.5 == Fraction(1, 2), and the two ctxs compare and hash alike; each
     # ctx holds its own memo, so the float value is never served in exact

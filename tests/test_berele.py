@@ -1,10 +1,48 @@
+import hashlib
 import random
 from itertools import product
 
 import pytest
 
+from sympgt import berele
 from sympgt.berele import InsertionRecord, insert, jeu_de_taquin, process_word
-from sympgt.combinatorics import SymplecticTableau, enumerate_tableaux, pattern_to_tableau
+from sympgt.combinatorics import (GTPattern, SymplecticTableau, _chains, level_len, padded,
+                                  pattern_to_tableau)
+
+# SHA-256 of every tableau and shape path of process_word over the words of
+# the insertion ledger check, recorded when insertion still built each row
+# with list bumping
+INSERTION_PIN = "b862cb722f8ce719f0b80656eb40c0f7df9aaaefd695f3b6b0150aee52ef785b"
+
+
+def _ledger_words():
+    for n, alphabet, length in ((2, 4, 5), (3, 6, 4)):
+        for w in product(range(1, alphabet + 1), repeat=length):
+            yield n, w
+
+
+def _insert_by_lists(P, letter):
+    """Row insertion on lists, scanning each row for the bumped entry: the
+    reference for ``insert``."""
+    rows = [list(r) for r in P.rows]
+    cur = letter
+    i = 0
+    while True:
+        if i == len(rows):
+            rows.append([cur])
+            break
+        row = rows[i]
+        pos = next((k for k, x in enumerate(row) if x > cur), None)
+        if pos is None:
+            row.append(cur)
+            break
+        bumped = row[pos]
+        if cur == 2 * (i + 1) - 1 and bumped == cur + 1:
+            return jeu_de_taquin(rows, (i, pos))
+        row[pos] = cur
+        cur = bumped
+        i += 1
+    return SymplecticTableau(rows)
 
 
 def test_jdt_worked_example():
@@ -22,7 +60,8 @@ def test_jdt_fuzz_validity():
     rng = random.Random(3)
     cases = 0
     for shape in [(2,), (2, 1), (3, 2), (2, 2), (3, 2, 1)]:
-        pool = list(enumerate_tableaux(shape, 3))
+        pool = [pattern_to_tableau(GTPattern(levels)) for levels in
+                _chains(padded(shape, 3), [level_len(k) for k in range(5, 0, -1)])]
         rng.shuffle(pool)
         for T in pool[:20]:
             rows = [list(r) for r in T.rows]
@@ -93,3 +132,31 @@ def test_every_step_valid_random_words():
         w = [rng.randrange(1, 2 * n + 1) for _ in range(rng.randrange(1, 9))]
         rec = process_word(w, n)  # validates internally each step
         assert rec.shapes[-1] == rec.tableau.shape
+
+
+def test_insertion_is_list_bumping_and_pinned_over_the_ledger_words():
+    lines = []
+    for n, w in _ledger_words():
+        rec = process_word(w, n)
+        for P, x, after in zip(rec.tableaux, w, rec.tableaux[1:]):
+            assert after.rows == _insert_by_lists(P, x).rows
+            assert all(type(e) is int for row in after.rows for e in row)
+        lines.append(f"{n} {w} {[T.rows for T in rec.tableaux]} {rec.shapes}")
+    assert len(lines) == 2320
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == INSERTION_PIN
+
+
+def test_every_step_is_validated(monkeypatch):
+    # an insertion that goes wrong at step 3 is caught at step 3
+    calls = []
+    real = berele.insert
+
+    def faulty(P, x):
+        calls.append(x)
+        return SymplecticTableau([[1, 1], [2]]) if len(calls) == 3 else real(P, x)
+
+    monkeypatch.setattr(berele, "insert", faulty)
+    with pytest.raises(ValueError) as exc:
+        process_word("1 2 1~ 2", 2)
+    assert str(exc.value) == "S3 violated: entry 1~ < 2 in row 2"
+    assert len(calls) == 3

@@ -18,7 +18,8 @@ from sympgt.characters import (
     symplectic_schur_tableaux,
     symplectic_schur_weyl,
 )
-from sympgt.combinatorics import canon, interlacings, padded, part, partitions_max_weight
+from sympgt.combinatorics import (GTPattern, _chains, canon, interlacings, level_len, padded,
+                                  part, partitions_max_weight, pattern_to_tableau)
 
 POINTS2 = [(F(2), F(3)), (F(1, 2), F(5)), (F(3, 7), F(7, 2)),
            (F(5, 3), F(2, 9)), (F(4), F(9, 5))]
@@ -101,11 +102,18 @@ def _weyl_fraction(n, lam, a):
     return _det_fraction(_weyl_rows(n, lam, a)) / _det_fraction(_weyl_rows(n, lam, a, False))
 
 
+def _patterns(z, N):
+    """Every pattern of N levels over z as an object, in the chain walk's
+    order."""
+    for levels in _chains(padded(z, level_len(N)), [level_len(k) for k in range(N - 1, 0, -1)]):
+        yield GTPattern(levels)
+
+
 def _pattern_sum_fraction(N, z, ctx):
     nvars = (N + 1) // 2
 
     def terms():
-        for p in characters.enumerate_patterns(z, N):
+        for p in _patterns(z, N):
             sizes = [0] + [sum(lv) for lv in p.levels]
             coeff = 1
             exps = [0] * nvars
@@ -169,9 +177,9 @@ def test_recursion_caches_each_shape_under_its_own_key():
     ctx = QSeriesCtx(F(2, 7))
     first = qwhittaker_recursion(3, (2, 1), ctx)
     assert qwhittaker_recursion(3, (2, 1), ctx) is first
-    cached = {key: p for key, p in characters._recursion_cache.items() if key[2:] == (F(2, 7), True)}
+    cached = {key: p for key, p in characters._recursion_cache.items() if key[2] == ctx.key}
     assert len(cached) > 3
-    for (n, lam, _q, _exact), p in cached.items():
+    for (n, lam, _q), p in cached.items():
         assert p == _recursion_fraction(n, lam, ctx)
 
 
@@ -299,6 +307,117 @@ def test_builders_make_one_polynomial_not_one_per_term(monkeypatch):
     assert len(made) == 1 and len(patterns.terms) > 10
 
 
+def _tableaux_in_filling_order(n, lam):
+    """Every tableau of shape lam over rank n, as objects, from the patterns
+    by the bijection, in the order of a cell-by-cell filling in row-major
+    order: lexicographic in the entries read row by row."""
+    tabs = [pattern_to_tableau(p) for p in _patterns(lam, 2 * n)]
+    return sorted(tabs, key=lambda T: [x for row in T.rows for x in row])
+
+
+def _tableau_weight(T, n):
+    w = [0] * n
+    for row in T.rows:
+        for x in row:
+            w[(x - 1) // 2] += 1 if x % 2 else -1
+    return w
+
+
+def _typed(c):
+    return c.hex() if isinstance(c, float) else f"{type(c).__name__}:{c}"
+
+
+def test_tableau_sum_is_the_object_walk_term_for_term():
+    lines = []
+    for n in (1, 2, 3):
+        for lam in partitions_max_weight(n, 6):
+            got = list(symplectic_schur_tableaux(n, lam).terms.items())
+            want = LaurentPoly(n, ((_tableau_weight(T, n), 1)
+                                   for T in _tableaux_in_filling_order(n, lam)))
+            assert got == list(want.terms.items()), (n, lam)
+            lines.append(f"{n} {lam} {[(e, _typed(c)) for e, c in got]}")
+    assert _digest(lines) == WALK_PINS["tableaux"]
+
+
+@pytest.mark.parametrize("q", [F(1, 3), F(2, 5), 0.5, 0.3])
+def test_pattern_sum_is_the_object_walk_term_for_term(q):
+    # in term order; bitwise and with the same types in float mode, where
+    # the reference is the sum as it was, and by value in exact mode, where
+    # the reference makes no Fraction of an integer coefficient
+    ctx = QSeriesCtx(q)
+    form = (lambda c: c) if ctx.exact else _typed
+    lines = []
+    for N in range(1, 7):
+        for z in partitions_max_weight(level_len(N), 5):
+            got = list(qwhittaker_pattern_sum(N, z, ctx).terms.items())
+            want = list(_pattern_sum_fraction(N, z, ctx).terms.items())
+            assert [(e, form(c)) for e, c in got] == [(e, form(c)) for e, c in want], (N, z)
+            lines.append(f"{N} {z} {[(e, _typed(c)) for e, c in got]}")
+    assert _digest(lines) == WALK_PINS[f"patterns {q}"]
+
+
+def _primes():
+    found = []
+    p = 2
+    while True:
+        if all(p % d for d in found):
+            found.append(p)
+            yield p
+        p += 1
+
+
+def test_pattern_sum_walks_the_patterns_in_chain_order(monkeypatch):
+    # every slice weight is a prime of its own, so the numerator of a
+    # pattern's weight names its slices, and the pairs reach _fraction_sums
+    # in the order of the walk
+    slices = {}
+    primes = _primes()
+
+    def prime_weight(ctx, k, lower, upper):
+        p = next(primes)
+        slices[p] = (k, upper)
+        return F(p)
+
+    walked = []
+    inner = characters._fraction_sums
+
+    def recording(triples):
+        walked.extend(triples)
+        return inner(triples)
+
+    monkeypatch.setattr(characters, "slice_binomials", prime_weight)
+    monkeypatch.setattr(characters, "_fraction_sums", recording)
+    for N in range(1, 7):
+        for z in partitions_max_weight(level_len(N), 4):
+            walked.clear()
+            slices.clear()
+            qwhittaker_pattern_sum(N, z, QSeriesCtx(F(1, 3)))
+            order = []
+            for _exps, num, _den in walked:
+                levels = {k: upper for p, (k, upper) in slices.items() if num % p == 0}
+                order.append(tuple(levels[k] for k in range(1, N + 1)))
+            assert order == [p.levels for p in _patterns(z, N)], (N, z)
+
+
+def test_memo_lookups_hash_no_fraction(monkeypatch):
+    ctx = QSeriesCtx(F(2, 9))
+    a = (F(6, 5), F(3, 7), F(5, 2))
+    qwhittaker_recursion(3, (2, 1), ctx)
+    characters._char(6, (2, 1), ctx, a)
+    hashes = []
+    inner = F.__hash__
+
+    def counting(self):
+        hashes.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(F, "__hash__", counting)
+    qwhittaker_recursion(3, (2, 1), QSeriesCtx(F(2, 9)))   # a new ctx of the same q
+    characters._char(6, (2, 1), ctx, a)
+    characters._char(5, (2, 1), ctx, a)
+    assert hashes == [F(2, 9)]                             # once, for the new ctx's key
+
+
 def test_pattern_sum_builds_each_slice_weight_once(monkeypatch):
     ctx = QSeriesCtx(F(2, 5))
     want = qwhittaker_pattern_sum(6, (3, 1, 1), ctx)
@@ -312,7 +431,7 @@ def test_pattern_sum_builds_each_slice_weight_once(monkeypatch):
     monkeypatch.setattr(characters, "slice_binomials", counting)
     assert qwhittaker_pattern_sum(6, (3, 1, 1), ctx) == want
     assert set(calls.values()) == {1}
-    assert sum(1 for _ in characters.enumerate_patterns((3, 1, 1), 6)) * 6 > len(calls)
+    assert sum(1 for _ in _patterns((3, 1, 1), 6)) * 6 > len(calls)
 
 
 # SHA-256 of the canonical forms below.  They hold every output bit of the
@@ -324,6 +443,18 @@ PINS = {
     "kernel 1/3": "4c0acd005e5cbeccf03f69be2cb229413f0964c72173b8ada041d4e0708cdf8f",
     "kernel 0.5": "392cfdc988722a2344813edece4672ff75d0a60e56f5b1325189c5af3207644c",
     "schur patterns": "8027ddf5e599950a3b1999b57dc531a15e82504eddacddb836b34c93ade6b19f",
+}
+
+
+# SHA-256 of the terms, in order and with their types, of the tableau sum
+# over n <= 3, |lambda| <= 6 and of the pattern sum over N = 1..6, |z| <= 5,
+# recorded when both sums still built one object per tableau or pattern
+WALK_PINS = {
+    "tableaux": "9ce58466e9596d0cec133319934c7bdc9dafee452cc29b2e6e75133dae3e9e2a",
+    "patterns 1/3": "b29e759e7a34816af2d751b5eb2669c728c4a219e60eb79bc45cf81df294c280",
+    "patterns 2/5": "3f7cb251a6462e8a4cf79d39777a4d45bf595ffb4d01cfdfa8f7beb169563f69",
+    "patterns 0.5": "ed3d7c83adf984df307281820b5324076b8dd401efee674561d67a69a56daab7",
+    "patterns 0.3": "521d80c777a8e625e5d9b80e7ff2619d918132e18a92c92243e75a3a1704bf64",
 }
 
 

@@ -144,7 +144,15 @@ def test_subcommand_runs(capsys, argv, check):
     (["compute", "qwhittaker", "--n", "3", "--lambda", "3,2,1", "--q", "1/3",
       "--method", "patterns"], "compute_qwhittaker_n3_321_q1_3.txt"),
     (["compute", "schur", "--n", "3", "--lambda", "2,1"], "compute_schur_n3_21.txt"),
-], ids=["qwhittaker-recursion", "qwhittaker-patterns", "schur"])
+    (["compute", "schur", "--n", "3", "--lambda", "3,2,1", "--method", "patterns"],
+     "compute_schur_n3_321.txt"),
+    (["compute", "schur", "--n", "3", "--lambda", "3,2,1", "--method", "tableaux"],
+     "compute_schur_n3_321.txt"),
+    # the float pattern sum, which no ledger check or benchmark op runs
+    (["compute", "qwhittaker", "--n", "3", "--lambda", "3,2,1", "--q", "0.5",
+      "--method", "patterns"], "compute_qwhittaker_n3_321_q0_5.txt"),
+], ids=["qwhittaker-recursion", "qwhittaker-patterns", "schur", "schur-patterns-321",
+        "schur-tableaux-321", "qwhittaker-patterns-float"])
 def test_compute_output_is_pinned(capsys, argv, pinned):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")

@@ -11,8 +11,7 @@ from sympgt.acceptance import _two_level_probes
 from sympgt.algebra import QSeriesCtx
 from sympgt.characters import (_char, _link, bar_a, qwhittaker_pattern_sum,
                                qwhittaker_recursion)
-from sympgt.combinatorics import (enumerate_patterns, interlacings, level_len, padded,
-                                  partitions_max_weight)
+from sympgt.combinatorics import _chains, interlacings, level_len, padded, partitions_max_weight
 from sympgt.dynamics import (
     GeneratorMatrix,
     SimConfig,
@@ -93,8 +92,9 @@ def test_batched_rates_equal_exact_rates():
     a = tuple(map(float, a_exact))
     exact, ctx = QSeriesCtx(F(1, 3)), QSeriesCtx(1 / 3)
     for N in range(1, 6):
-        patterns = [p.levels for z in partitions_max_weight(level_len(N), 4)
-                    for p in enumerate_patterns(z, N)]
+        patterns = [levels for z in partitions_max_weight(level_len(N), 4)
+                    for levels in _chains(padded(z, level_len(N)),
+                                          [level_len(k) for k in range(N - 1, 0, -1)])]
         lay, S = _batch(patterns)
         got = _rates(S, lay, ctx, a)
         for row, levels in zip(got, patterns):
@@ -121,8 +121,9 @@ def test_table_rates_equal_the_power_rates_bitwise(q):
     # shifted far right, where the table grows past q's underflow
     a = (1.2, 0.9, 1.1)
     for N in range(1, 6):
-        patterns = [p.levels for z in partitions_max_weight(level_len(N), 4)
-                    for p in enumerate_patterns(z, N)]
+        patterns = [levels for z in partitions_max_weight(level_len(N), 4)
+                    for levels in _chains(padded(z, level_len(N)),
+                                          [level_len(k) for k in range(N - 1, 0, -1)])]
         lay, S = _batch(patterns)
         far = S.copy()
         far[:, :lay.P] += 3000

@@ -115,8 +115,8 @@ _ALLOWED_LINES = {
         ],
     },
     ITEM_13: {
-        "characters.qwhittaker_pattern_sum": [
-            "return LaurentPoly(nvars, ((exps, math.prod(ws)) for exps, ws in patterns()))",
+        "characters.qwhittaker_pattern_sum.walk": [
+            "leaves.append((tuple(exps), math.prod(path)))",
         ],
     },
     SCALAR_ADD: {
@@ -191,9 +191,6 @@ _ALLOWED_LINES = {
         # divide the other
         "characters._fraction_sums": [
             "acc[exps] = N * d + n * D, D * d",
-        ],
-        "combinatorics.enumerate_tableaux": [
-            "return",
         ],
         # the ledger's one KS argument lies above 1 (D = 0.01305 at 2e4
         # replicas per side)
