@@ -19,7 +19,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from .algebra import QSeriesCtx
-from .berele import process_word
+from .berele import _insertion_tree, process_word
 from .branching import BranchingPair, conjecture_checks, single_block_index
 from .characters import (
     pieri_apply,
@@ -127,8 +127,8 @@ def check_pieri_identity():
 
 def check_koornwinder_eigenrelation():
     """The 2n-term difference operator acts on the recursion-defined character
-    with eigenvalue q^{-lam_1} - 1, to 1e-10 relative at complex points."""
-    tol = 1e-10
+    with eigenvalue q^{-lam_1} - 1, to 1e-12 relative at complex points."""
+    tol = 1e-12
     pts = {1: [(0.7 + 0.2j,), (1.3 - 0.4j,), (0.4 + 0.9j,), (2.1 + 0.1j,), (0.9 - 0.7j,)],
            2: [(0.8 + 0.1j, 1.3 - 0.2j), (1.1 + 0.3j, 0.6 - 0.1j),
                (0.5 + 0.6j, 1.7 + 0.2j), (2.0 - 0.3j, 0.9 + 0.4j),
@@ -198,19 +198,18 @@ def check_branching_limit():
 
 def check_insertion():
     """Reference insertion trace plus injectivity of word -> (tableau, shape
-    path) over all rank-2 words of length 5 and rank-3 words of length 4."""
-    rec = process_word("3~ 2 1~ 3~ 1 2 1", 3)
+    path) over all rank-2 words of length 5 and rank-3 words of length 4.
+    The example goes through ``process_word``; the words are walked as a
+    tree of prefixes by ``_insertion_tree``, which validates every step as
+    ``process_word`` does but inserts each of the 2,918 distinct prefixes
+    once instead of each word's 4 or 5 letters from the empty tableau."""
+    # the word 3~ 2 1~ 3~ 1 2 1, encoded (k -> 2k - 1, k~ -> 2k)
+    rec = process_word((6, 3, 2, 6, 1, 3, 1), 3)
     example_ok = (rec.shapes == ((), (1,), (1, 1), (1, 1, 1), (2, 1, 1),
                                  (2, 1), (2, 2), (2, 2, 1))
                   and rec.tableau.rows == ((1, 3), (3, 6), (6,)))
-    from itertools import product
-    counts = {}
-    for n, alphabet, length in ((2, 4, 5), (3, 6, 4)):
-        seen = set()
-        for w in product(range(1, alphabet + 1), repeat=length):
-            r = process_word(w, n)
-            seen.add((r.tableau.rows, r.shapes))
-        counts[f"rank{n}"] = len(seen)
+    counts = {f"rank{n}": len(set(_insertion_tree(n, length)))
+              for n, length in ((2, 5), (3, 4))}
     inj_ok = counts["rank2"] == 4 ** 5 and counts["rank3"] == 6 ** 4
     return {"name": "insertion", "passed": example_ok and inj_ok,
             "example_ok": example_ok, "distinct_images": counts}
@@ -262,18 +261,24 @@ def check_intertwining():
 def check_simulation_vs_law():
     """Empirical time-2 bottom-shape law at rank 1, a = 1, q = 1/2 against the
     truncated matrix exponential's empty-shape row, by uniformization
-    (TV <= 0.01), and the torus-integral law (TV <= 0.02), 1e5 replicas."""
+    (TV <= 0.01), and the torus-integral law (TV <= 0.02), 1e5 replicas.
+    The two references, the Fraction generator row and ``law``'s rank-1
+    Bessel sum, are gated against each other at TV <= 1e-12."""
+    tols = {"expm": 0.01, "torus": 0.02, "references": 1e-12}
     cfg = SimConfig("randomized", 2, (1.0,), 0.5, 2.0, 100000, 20260826)
     hist = simulate(cfg)
     emp = ShapeLaw({z: c / cfg.replicas for z, c in hist.items()}, 0.0)
     row = build_generator(2, 40, QSeriesCtx(F(1, 2)), (F(1),)).transient(2.0, ())
     torus = law(1, 2.0, (1.0,), 0.5, 40)
-    tv_expm, tv_law = emp.tv(row), emp.tv(torus)
-    return {"name": "simulation-vs-law", "passed": tv_expm <= 0.01 and tv_law <= 0.02,
+    tv_expm, tv_law, tv_refs = emp.tv(row), emp.tv(torus), row.tv(torus)
+    return {"name": "simulation-vs-law",
+            "passed": (tv_expm <= tols["expm"] and tv_law <= tols["torus"]
+                       and tv_refs <= tols["references"]),
             "replicas": cfg.replicas, "seed": cfg.seed,
             "tv_vs_expm": tv_expm, "tv_vs_torus_law": tv_law,
+            "tv_between_references": tv_refs,
             "reference_errors": {"expm": row.error, "torus": torus.error},
-            "tolerances": {"expm": 0.01, "torus": 0.02}}
+            "tolerances": tols}
 
 
 def check_torus_law():
@@ -327,20 +332,22 @@ def check_scaling_limit():
 
 
 def check_continuous_kernels():
-    """Level-2 eigenfunction matches its Bessel closed form to 1e-6 relative,
-    kernel intertwinings hold to 1e-6 on 25-point grids, and the level-2
-    eigen-residual stays below 1e-4."""
+    """Level-2 eigenfunction matches its Bessel closed form to 1e-12
+    relative, kernel intertwinings hold to 1e-6 on 25-point grids, and the
+    level-2 eigen-residual stays below 1e-7."""
+    tols = {"bessel": 1e-12, "intertwining": 1e-6, "eigen_residual": 1e-7}
     worst_bessel = max(phi2_bessel_errors(0.8).values())
     rep1 = kernel_identity_residuals(1, 0.7)
     rep2 = kernel_identity_residuals(2, 0.9)
     worst_nn = max(rep1["nn_max"], rep2["nn_max"])
     worst_nnm1 = rep2["nnm1_max"]
     eig = max(phi_eigen_residuals(0.8).values())
-    passed = worst_bessel <= 1e-6 and worst_nn <= 1e-6 and worst_nnm1 <= 1e-6 and eig <= 1e-4
+    passed = (worst_bessel <= tols["bessel"] and worst_nn <= tols["intertwining"]
+              and worst_nnm1 <= tols["intertwining"] and eig <= tols["eigen_residual"])
     return {"name": "continuous-kernels", "passed": passed,
             "bessel_worst_relative": worst_bessel,
             "intertwining_max": {"nn": worst_nn, "nnm1": worst_nnm1},
-            "eigen_residual": eig}
+            "eigen_residual": eig, "tolerances": tols}
 
 
 def check_polymer_identity():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .combinatorics import SymplecticTableau, letter_parse
 
@@ -68,11 +68,25 @@ class InsertionRecord:
         return self.tableaux[-1]
 
 
+def _step(P: SymplecticTableau, shape: tuple, letter: int, n: int) -> tuple:
+    """Insert letter into P, validate the result at rank n and check that
+    its shape differs from shape, P's, by one box: (tableau, its shape).
+    ``validate`` has checked that the rows, all nonempty, weakly shorten,
+    so their lengths are the shape as they are."""
+    P = insert(P, letter)
+    P.validate(n)
+    new = tuple(map(len, P.rows))
+    if sum(new) - sum(shape) not in (-1, 1):
+        raise AssertionError("shape did not change by one box")
+    return P, new
+
+
 def process_word(word: Union[str, Sequence[int]], n: int) -> InsertionRecord:
     """Insert the word letter by letter starting from the empty tableau,
     validating after each step and recording every tableau and the shape
     path.  Each step's tableau shares the rows that its insertion left
-    alone with the one before it."""
+    alone with the one before it.  ``_insertion_tree`` makes the same steps
+    for every word of one length at once."""
     if isinstance(word, str):
         letters = tuple(letter_parse(tok) for tok in word.split())
     else:
@@ -82,11 +96,27 @@ def process_word(word: Union[str, Sequence[int]], n: int) -> InsertionRecord:
     tableaux = [SymplecticTableau([])]
     shapes: list = [()]
     for x in letters:
-        P = insert(tableaux[-1], x)
-        P.validate(n)
-        shape = P.shape
-        if sum(shape) - sum(shapes[-1]) not in (-1, 1):
-            raise AssertionError("shape did not change by one box")
+        P, shape = _step(tableaux[-1], shapes[-1], x, n)
         tableaux.append(P)
         shapes.append(shape)
     return InsertionRecord(letters, tuple(tableaux), tuple(shapes))
+
+
+def _insertion_tree(n: int, length: int) -> Iterator[tuple]:
+    """(rows of the final tableau, shape path) of ``process_word`` for each
+    word of the given length over the letters 1..2n, in
+    ``itertools.product`` order.  The words are walked depth first as a
+    tree of prefixes, so each prefix is inserted, validated and checked
+    once, by the same step as ``process_word``'s, however many words
+    share it."""
+    letters = range(1, 2 * n + 1)
+
+    def walk(P, shapes):
+        if len(shapes) > length:
+            yield P.rows, shapes
+            return
+        for x in letters:
+            Q, shape = _step(P, shapes[-1], x, n)
+            yield from walk(Q, shapes + (shape,))
+
+    return walk(SymplecticTableau([]), ((),))

@@ -119,10 +119,6 @@ class SymplecticTableau:
         T.rows = rows
         return T
 
-    @property
-    def shape(self) -> Partition:
-        return canon(tuple(map(len, self.rows)))
-
     def validate(self, n: int) -> None:
         """Raise a ValueError for the first fault: a shape that is not a
         partition, then, over the cells in row-major order, an entry outside

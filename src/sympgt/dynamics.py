@@ -490,25 +490,35 @@ def _verify_intertwining(N: int, probes: Sequence, ctx: QSeriesCtx, a: Sequence,
     gives its off-diagonal row and its diagonal entry at s.  Returns a list
     of (s', b, lhs, rhs, ok).
 
-    A source serves many (s', b) pairs, so m and helper are computed at
-    most once per source within one call; the cached rows are only read,
-    never changed."""
+    The helper row of every source is built, so a row that cannot be built
+    fails the check, but m(s) is computed and m(s) A(s, s') added only
+    where A(s, s') is nonzero: a zero term leaves the sum as it is, and the
+    rows hold no diagonal entry, so the nonzero terms and their order are
+    those of adding every product.  rhs starts as m(s') * 0, the zero of
+    the identity's scalars.  A source serves many (s', b) pairs
+    and a bottom shape b' many probes, so m, helper and the column
+    Q(., b') are computed at most once per source or b' within one call;
+    the cached rows are only read, never changed."""
     m, helper = functools.cache(m), functools.cache(helper)
+
+    @functools.cache
+    def column(bp):
+        return [(b, shape_diagonal(N, canon(b), ctx, a) if b == bp
+                 else shape_rate(N, canon(b), canon(bp), ctx, a))
+                for b in sorted({bp, *(w for _, _, w, _ in _moves(N, bp, ctx))})]
+
     results = []
     for probe in probes:
         probe = tuple(map(tuple, probe))
-        bp = probe[-1]
         m_target = m(*probe)
-        for b in sorted({bp, *(w for _, _, w, _ in _moves(N, bp, ctx))}):
-            lhs = (shape_diagonal(N, canon(b), ctx, a) if b == bp
-                   else shape_rate(N, canon(b), canon(bp), ctx, a)) * m_target
-            rhs: Scalar = 0
+        for b, q_entry in column(probe[-1]):
+            lhs = q_entry * m_target
+            rhs = m_target * 0
             for src in sources(b):
-                m_src = m(*src)
                 row, diagonal = helper(*src)
-                if src == probe:
-                    rhs = rhs + m_src * diagonal
-                rhs = rhs + m_src * row.get(probe, 0)
+                v = row.get(probe, 0) + (diagonal if src == probe else 0)
+                if v != 0:
+                    rhs = rhs + m(*src) * v
             results.append((probe, b, lhs, rhs, lhs == rhs))
     return results
 

@@ -31,6 +31,10 @@ def test_quick_ledger_passes(capsys):
     assert max(conjecture["t0_zero_distances"].values()) <= 1e-13
     torus = by_name["torus-law"]
     assert torus["states"] == 45 and torus["tv"] <= 1e-8 and 0 < torus["mass_defect"] <= 1e-8
+    assert by_name["insertion"]["distinct_images"] == {"rank2": 1024, "rank3": 1296}
+    assert by_name["koornwinder-eigenrelation"]["tolerance"] == 1e-12
+    kernels = by_name["continuous-kernels"]
+    assert kernels["tolerances"] == {"bessel": 1e-12, "intertwining": 1e-6, "eigen_residual": 1e-7}
 
 
 @pytest.mark.slow
@@ -46,6 +50,8 @@ def test_simulation_vs_law_is_unchanged():
     assert rep["passed"]
     for key, tv in REFERENCE["simulation_vs_law"].items():
         assert abs(rep[key] - tv) <= 1e-12
+    # the generator row and the rank-1 Bessel sum, gated against each other
+    assert rep["tv_between_references"] <= rep["tolerances"]["references"] == 1e-12
 
 
 def test_polymer_identity_gates_level_one_by_path_and_level_two_in_law():

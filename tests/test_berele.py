@@ -5,9 +5,11 @@ from itertools import product
 import pytest
 
 from sympgt import berele
-from sympgt.berele import InsertionRecord, insert, jeu_de_taquin, process_word
-from sympgt.combinatorics import (GTPattern, SymplecticTableau, _chains, level_len, padded,
-                                  pattern_to_tableau)
+from sympgt.acceptance import check_insertion
+from sympgt.berele import (InsertionRecord, _insertion_tree, insert, jeu_de_taquin,
+                           process_word)
+from sympgt.combinatorics import (GTPattern, SymplecticTableau, _chains, canon, level_len,
+                                  padded, pattern_to_tableau)
 
 # SHA-256 of every tableau and shape path of process_word over the words of
 # the insertion ledger check, recorded when insertion still built each row
@@ -71,7 +73,7 @@ def test_jdt_fuzz_validity():
             # S3 there, so only the shape mechanics are checked: the slide
             # removes exactly one box
             out = jeu_de_taquin(rows, (i, j))
-            assert sum(out.shape) == sum(shape) - 1
+            assert sum(map(len, out.rows)) == sum(shape) - 1
             cases += 1
     assert cases > 50
 
@@ -131,7 +133,7 @@ def test_every_step_valid_random_words():
         n = rng.choice([2, 3])
         w = [rng.randrange(1, 2 * n + 1) for _ in range(rng.randrange(1, 9))]
         rec = process_word(w, n)  # validates internally each step
-        assert rec.shapes[-1] == rec.tableau.shape
+        assert rec.shapes[-1] == canon(tuple(map(len, rec.tableau.rows)))
 
 
 def test_insertion_is_list_bumping_and_pinned_over_the_ledger_words():
@@ -160,3 +162,52 @@ def test_every_step_is_validated(monkeypatch):
         process_word("1 2 1~ 2", 2)
     assert str(exc.value) == "S3 violated: entry 1~ < 2 in row 2"
     assert len(calls) == 3
+
+
+def test_insertion_tree_leaves_are_process_word_in_product_order():
+    leaves = [leaf for n, length in ((2, 5), (3, 4)) for leaf in _insertion_tree(n, length)]
+    expected = [(rec.tableau.rows, rec.shapes)
+                for rec in (process_word(w, n) for n, w in _ledger_words())]
+    assert len(leaves) == 2320
+    assert leaves == expected
+
+
+def test_insertion_tree_of_the_empty_word():
+    assert list(_insertion_tree(2, 0)) == [((), ((),))]
+
+
+def test_insertion_tree_inserts_each_prefix_once(monkeypatch):
+    calls = []
+    real = berele.insert
+
+    def counting(P, x):
+        calls.append(x)
+        return real(P, x)
+
+    monkeypatch.setattr(berele, "insert", counting)
+    for n, length in ((2, 5), (3, 4)):
+        list(_insertion_tree(n, length))
+    assert len(calls) == sum(4 ** k for k in range(1, 6)) + sum(6 ** k for k in range(1, 5))
+    assert len(calls) == 2918
+
+
+def test_check_insertion_validates_every_step_of_the_walk(monkeypatch):
+    # the walk's third insertion, of the first word 1 1 1 1 1 into the
+    # tableau 1 1, goes wrong; the reference example inserts no 1 into a
+    # tableau of two boxes, so it runs as before
+    calls = []
+    real = berele.insert
+
+    def faulty(P, x):
+        calls.append(x)
+        if x == 1 and sum(map(len, P.rows)) == 2:
+            return SymplecticTableau([[1, 1], [2]])
+        return real(P, x)
+
+    monkeypatch.setattr(berele, "insert", faulty)
+    with pytest.raises(ValueError) as walk_exc:
+        check_insertion()
+    assert calls == [6, 3, 2, 6, 1, 3, 1, 1, 1, 1]
+    with pytest.raises(ValueError) as word_exc:
+        process_word((1, 1, 1), 2)
+    assert str(walk_exc.value) == str(word_exc.value) == "S3 violated: entry 1~ < 2 in row 2"

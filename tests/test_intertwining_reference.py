@@ -1,6 +1,7 @@
 """Pins of the intertwining result lists against
 ``data/intertwining_reference.json``, the once-per-source build of the
-helper rows inside one verify call, and the level-length checks of the
+helper rows inside one verify call, the failure of the identity when one
+helper entry is added or dropped, and the level-length checks of the
 helper rows."""
 import json
 from collections import Counter
@@ -12,7 +13,7 @@ import pytest
 from sympgt import dynamics
 from sympgt.acceptance import _two_level_probes
 from sympgt.algebra import QSeriesCtx
-from sympgt.combinatorics import interlacings
+from sympgt.combinatorics import _chains, interlacings
 from sympgt.dynamics import (
     helper_randomized,
     helper_row_cascade,
@@ -72,6 +73,35 @@ def test_each_helper_row_is_built_once_per_verify_call(monkeypatch):
     calls = _counting(monkeypatch, "helper_row_cascade")
     verify_intertwining_cascade(2, CASCADE_PROBES, CTX, A2)
     assert set(calls.values()) == {1} and len(calls) == 90
+
+
+def _mutated_source(N, probe, ctx, a, has_entry):
+    """The first source over the probe's bottom level other than the probe
+    whose helper row has (has_entry) or lacks an entry into the probe."""
+    return next(src for src in _chains(probe[-1], (len(probe[0]),))
+                if src != probe and (probe in helper_randomized(N, *src, ctx, a)[0]) == has_entry)
+
+
+@pytest.mark.parametrize("has_entry", [False, True], ids=["extra-entry", "dropped-entry"])
+def test_one_wrong_helper_entry_fails_the_identity(monkeypatch, has_entry):
+    # skipping the zero entries of the helper rows must not hide a row that
+    # gains or loses one nonzero entry into a probe
+    N, probes, ctx, a = RANDOMIZED["randomized-N4"]
+    probe = tuple(map(tuple, probes[0]))
+    source = _mutated_source(N, probe, ctx, a, has_entry)
+    inner = dynamics.helper_randomized
+
+    def mutated(N, x, y, ctx, a):
+        row, diagonal = inner(N, x, y, ctx, a)
+        if (x, y) == source:
+            row = {k: v for k, v in row.items() if k != probe}
+            if not has_entry:
+                row[probe] = F(1, 7)
+        return row, diagonal
+
+    monkeypatch.setattr(dynamics, "helper_randomized", mutated)
+    failed = [(r[0], r[1]) for r in verify_intertwining_randomized(N, probes, ctx, a) if not r[-1]]
+    assert failed == [(probe, probe[-1])]
 
 
 @pytest.mark.parametrize("call, expected", [
