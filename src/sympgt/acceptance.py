@@ -33,7 +33,6 @@ from .continuous import (
     kernel_identity_residuals,
     phi2_bessel_errors,
     phi_eigen_residuals,
-    polymer_identity_check,
     polymer_reversal_gap,
 )
 from .dynamics import (
@@ -261,10 +260,11 @@ def check_intertwining():
 def check_simulation_vs_law():
     """Empirical time-2 bottom-shape law at rank 1, a = 1, q = 1/2 against the
     truncated matrix exponential's empty-shape row, by uniformization
-    (TV <= 0.01), and the torus-integral law (TV <= 0.02), 1e5 replicas.
-    The two references, the Fraction generator row and ``law``'s rank-1
-    Bessel sum, are gated against each other at TV <= 1e-12."""
-    tols = {"expm": 0.01, "torus": 0.02, "references": 1e-12}
+    (TV <= 0.01), 1e5 replicas.  The two references, the Fraction generator
+    row and ``law``'s rank-1 Bessel sum, are gated against each other at
+    TV <= 1e-12, so the TV to the torus-integral law, at most the sum of the
+    two, is reported and needs no gate of its own."""
+    tols = {"expm": 0.01, "references": 1e-12}
     cfg = SimConfig("randomized", 2, (1.0,), 0.5, 2.0, 100000, 20260826)
     hist = simulate(cfg)
     emp = ShapeLaw({z: c / cfg.replicas for z, c in hist.items()}, 0.0)
@@ -272,8 +272,7 @@ def check_simulation_vs_law():
     torus = law(1, 2.0, (1.0,), 0.5, 40)
     tv_expm, tv_law, tv_refs = emp.tv(row), emp.tv(torus), row.tv(torus)
     return {"name": "simulation-vs-law",
-            "passed": (tv_expm <= tols["expm"] and tv_law <= tols["torus"]
-                       and tv_refs <= tols["references"]),
+            "passed": tv_expm <= tols["expm"] and tv_refs <= tols["references"],
             "replicas": cfg.replicas, "seed": cfg.seed,
             "tv_vs_expm": tv_expm, "tv_vs_torus_law": tv_law,
             "tv_between_references": tv_refs,
@@ -352,23 +351,21 @@ def check_continuous_kernels():
 
 def check_polymer_identity():
     """The polymer identity between the hierarchy top Z^N(t) and the
-    integrated single-path partition function of the reversed drifts.  At
-    level 1 it is a time reversal (Matsumoto-Yor), gated path by path: over
-    2000 paths driven by the same normals, one copy reversed, max |Z - Y|
-    <= 1e-12 max(1, max |Z|).  At level 2 it holds in law only (O'Connell),
-    gated at two-sample KS <= 0.02 over 2e4 replicas per side."""
-    # the samplers run block-major and hold about 3 MB of buffers each, and
-    # level 1 draws its normals 256 paths (1 MB) at a time; neither order
-    # changes a figure, since each level has its own seed.  Every draw comes
-    # from SFC64 (continuous._polymer_generator): the normals are most of
-    # the check's cost, and SFC64 draws them about a third faster than Philox
-    rep2 = polymer_identity_check(2, (0.9, 0.4), 2.0, replicas=20000, seed=8)
-    rep1 = polymer_reversal_gap(0.9, 2.0, paths=2000, seed=7)
+    integrated single-path partition function of the reversed drift ladder,
+    gated path by path at levels 1 and 2: over 2000 paths, Y's level j
+    driven by the normals of Z's level N + 1 - j reversed in time, max
+    |Z - Y| <= 1e-12 max(1, max |Z|).  The identity holds on every path at
+    every level: reversing time on each path and renumbering the levels from
+    the top maps the one integral onto the other, and the trapezoid weights
+    are symmetric under reversal."""
+    tol = 1e-12
+    rep1 = polymer_reversal_gap(1, (0.9,), 2.0, paths=2000, seed=7)
+    rep2 = polymer_reversal_gap(2, (0.9, 0.4), 2.0, paths=2000, seed=8)
     return {"name": "polymer-identity",
-            "passed": rep1["relative_gap"] <= 1e-12 and rep2["ks"] <= 0.02,
-            "level1": rep1,
-            "level2": {"ks": rep2["ks"], "pvalue": rep2["pvalue"]},
-            "note": rep2["conditional"]}
+            "passed": rep1["relative_gap"] <= tol and rep2["relative_gap"] <= tol,
+            "level1": rep1, "level2": rep2, "tolerance": tol,
+            "note": "the identity holds path by path; "
+                    "links to pattern diffusions remain conjectural"}
 
 
 def check_orthogonality_conjecture():

@@ -207,9 +207,8 @@ def _cmd_sde(args) -> int:
 
 
 def _cmd_polymer(args) -> int:
-    from .continuous import polymer_identity_check
-    rep = polymer_identity_check(args.N, args.lam, args.t,
-                                 replicas=args.replicas, seed=args.seed)
+    from .continuous import polymer_reversal_gap
+    rep = polymer_reversal_gap(args.N, args.lam, args.t, paths=args.replicas, seed=args.seed)
     _report({"schema": SCHEMA, "N": args.N, "lambda": list(args.lam),
              "t": args.t, "seed": args.seed, **rep})
     return 0
@@ -329,11 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "default: a wedge near minus infinity")
     p.set_defaults(fn=_cmd_sde)
 
-    p = sub.add_parser("polymer", help="partition-function identity check")
+    p = sub.add_parser("polymer", help="partition-function identity, path by path at level N")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=_floats, default=(0.9, 0.4))
     p.add_argument("--t", type=float, default=2.0)
-    p.add_argument("--replicas", type=int, required=True)
+    p.add_argument("--replicas", type=int, required=True, help="number of paths")
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(fn=_cmd_polymer)
 

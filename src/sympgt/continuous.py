@@ -1,21 +1,20 @@
 """Diffusion-level machinery: wall Toda operators, the Phi kernel family,
 interacting SDEs on real patterns, and the polymer identity check.
 
-At level 1 the polymer identity is the time reversal of one Brownian path,
-so polymer_reversal_gap checks it path by path: both samplers run on the
-same normals, one copy reversed in time.  From level 2 on it is an
-identity in law only (O'Connell), and polymer_identity_check compares two
-Monte Carlo samples by the two-sample Kolmogorov-Smirnov test, computed
-here in numpy: the statistic is ``scipy.stats.ks_2samp``'s, and the
-p-value is Stephens' asymptotic tail
-Q_KS((sqrt(en) + 0.12 + 0.11 / sqrt(en)) D), en = n1 n2 / (n1 + n2).  The
-sampler runs block-major: each block of replicas draws its levels in turn
-and runs the whole recurrence, keeping a running log-integral between
-levels, except on the last level of Z, where only the endpoint log I_N(t)
-is computed.  The two samples, Z and Y, run on two threads at once.  Every
-polymer draw comes from an SFC64 generator (_polymer_generator): the
-standard normals are most of the sampler's cost, and SFC64 draws the same
-ziggurat normals as Philox about a third faster."""
+The polymer identity holds path by path at every level, and
+polymer_reversal_gap checks it so: Z, the top of the hierarchy of
+partition functions, and Y, the integrated partition function of the
+reversed drift ladder, run on the same normals.  Reversing time on each
+path and renumbering the levels from the top maps Z's integral onto Y's
+(the time reversal of Matsumoto-Yor, applied to every level), and the
+trapezoid weights are symmetric under reversal, so the two agree to
+rounding.  The sampler runs block-major: each block of paths draws its
+levels in turn and runs the whole recurrence, keeping a running
+log-integral between levels, except on the last level of Z, where only the
+endpoint log I_N(t) is computed.  Every polymer draw comes from an SFC64
+generator (_polymer_generator): the standard normals are most of the
+sampler's cost, and SFC64 draws the same ziggurat normals as Philox about
+a third faster."""
 
 from __future__ import annotations
 
@@ -580,98 +579,39 @@ class _Replay:
         return out
 
 
-def polymer_reversal_gap(lam: float, t: float, paths: int, seed: int) -> dict:
-    """Level 1 of the polymer identity, path by path.  Z^1(t) = log int_0^t
-    e^{b(t) - b(s)} ds, and the Y side log int_0^t e^{b'(s)} ds with b'(s) =
-    b(t) - b(t - s) the time reversal of b, which has the same drift lam
-    (Matsumoto-Yor).  The normals of one (paths, 512 steps) draw from
-    ``SFC64(SeedSequence(seed))`` (see _polymer_generator) drive Z's
-    sampler, and the same normals with their steps reversed drive Y's; both
-    run through _polymer_samples.  The draw is taken _BLOCK paths at a time,
-    as a C-order draw split into row blocks gives the same normals, and each
-    block runs Z and Y before the next is drawn, so only one block of
-    normals is held.  Returns ``paths``, the gap max |Z - Y| and
-    ``relative_gap``, the gap over max(1, max |Z|)."""
-    rng = _polymer_generator(np.random.SeedSequence(seed))
-    gap = top = 0.0
-    for r0 in range(0, paths, _BLOCK):
-        normals = rng.standard_normal((min(_BLOCK, paths - r0), _STEPS))
-        z = _polymer_samples(_Replay(normals), (lam,), t, len(normals), integrated=False)[0]
-        y = _polymer_samples(_Replay(normals[:, ::-1]), (lam,), t, len(normals),
-                             integrated=True)[0]
-        gap = max(gap, float(np.abs(z - y).max()))
-        top = max(top, float(np.abs(z).max()))
-    return {"paths": paths, "gap": gap, "relative_gap": gap / max(1.0, top)}
-
-
-def _kolmogorov_sf(x: float) -> float:
-    """Q_KS(x) = P(sup |bridge| > x), the Kolmogorov distribution's tail:
-    1 - sqrt(2 pi) / x sum_k exp(-(2k - 1)^2 pi^2 / (8 x^2)) (the Jacobi
-    theta form) below x = 1, 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2) above.
-    Eight terms of either reach double precision."""
-    if x <= 0:
-        return 1.0
-    k = np.arange(8.0, 0.0, -1.0)  # smallest terms first
-    if x < 1:
-        return float(1 - math.sqrt(2 * math.pi) / x
-                     * np.exp(-(2 * k - 1) ** 2 * (math.pi ** 2 / (8 * x * x))).sum())
-    return float(2 * (np.where(k % 2, 1.0, -1.0) * np.exp(-2 * k * k * x * x)).sum())
-
-
-def _ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple:
-    """Two-sample Kolmogorov-Smirnov statistic D, by ks_2samp's formula,
-    and its p-value Q_KS((sqrt(en) + 0.12 + 0.11 / sqrt(en)) D) with
-    en = n1 n2 / (n1 + n2), clipped to [0, 1] (Stephens, JRSS B 1970).
-    Up to 10^4 points per sample D is rounded, as ks_2samp rounds it, to
-    the nearest multiple of 1 / lcm(n1, n2)."""
-    x, y = np.sort(x), np.sort(y)
-    both = np.concatenate([x, y])
-    diff = (np.searchsorted(x, both, side="right") / len(x)
-            - np.searchsorted(y, both, side="right") / len(y))
-    stat = float(max(diff.max(), np.clip(-diff.min(), 0, 1)))
-    if max(len(x), len(y)) <= 10000:
-        lcm = math.lcm(len(x), len(y))
-        stat = round(stat * lcm) / lcm
-    root_en = math.sqrt(len(x) * len(y) / (len(x) + len(y)))
-    pvalue = _kolmogorov_sf((root_en + 0.12 + 0.11 / root_en) * stat)
-    return stat, min(max(pvalue, 0.0), 1.0)
-
-
-def polymer_identity_check(N: int, lam: Sequence[float], t: float,
-                           replicas: int, seed: int) -> dict:
-    """Two-sample KS between Z^N(t) and log int_0^t e^{Y^N}: the reversed
-    drift vector for Y is the drift ladder of Z read backwards.  The
-    statistic is ks_2samp's; the p-value is Stephens' asymptotic tail
-    Q_KS((sqrt(en) + 0.12 + 0.11 / sqrt(en)) D), en = n1 n2 / (n1 + n2)
-    (see _ks_two_sample).  ``stats`` counts the rows, over both samples and
-    all levels, that took the exact wide-row path of the running
-    log-sum-exp; the last level of Z computes only its endpoint and never
-    does.  The Z and Y samples run at the same time on two threads; each
-    owns its SFC64 stream (SeedSequence(seed).spawn(2), see
-    _polymer_generator) and its buffers, so the report does not depend on
-    the threads' schedule; standard_normal and numpy's array loops release
-    the GIL, so the two overlap.  The report's ``generator`` names the bit
-    generator, so a seeded figure says which stream made it."""
-    # imported here, not at module level, where it would add ~7 ms to
-    # every import of the package
-    from concurrent.futures import ThreadPoolExecutor
-
-    _check_n_lambda_replicas(N, lam, replicas)
+def polymer_reversal_gap(N: int, lam: Sequence[float], t: float, paths: int,
+                         seed: int) -> dict:
+    """The polymer identity at level N, path by path.  Z^N(t) = log I_N(t) =
+    log int exp sum_k [b_k(u_{k+1}) - b_k(u_k)] over 0 < u_1 < ... < u_N <
+    u_{N+1} = t, b_k the Brownian path of level k with drift ladder[k], and
+    the Y side log int_0^t e^{Y^N(s)} ds runs on the ladder read backwards.
+    Y's level j is driven by Z's level N + 1 - j reversed in time: reversing
+    time on each path and renumbering the levels from the top maps the one
+    integral onto the other (at N = 1 the time reversal of Matsumoto-Yor),
+    and the trapezoid weights are symmetric under reversal, so Z = Y on
+    every path to rounding.  The paths run _BLOCK at a time: each block
+    draws one (N, n, 512 steps) array of normals from
+    ``SFC64(SeedSequence(seed))`` (see _polymer_generator), and both sides
+    run on it through _Replay and _polymer_samples before the next block is
+    drawn.  Returns ``paths``, the gap max |Z - Y|, ``relative_gap``, the
+    gap over max(1, max |Z|), and ``stats``, the rows of both sides that
+    took the wide-row path of the running log-sum-exp."""
+    _check_n_lambda_replicas(N, lam, paths)
     if not 0 < t < math.inf:
         raise ValueError(f"--t must be positive and finite, got {t}")
     ladder = _drift_ladder(lam, N)
-    ss = np.random.SeedSequence(seed).spawn(2)
-    # the pool's exit waits for the other sample when one raises
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        zf = pool.submit(_polymer_samples, _polymer_generator(ss[0]),
-                         ladder, t, replicas, False)
-        yf = pool.submit(_polymer_samples, _polymer_generator(ss[1]),
-                         ladder[::-1], t, replicas, True)
-        (z, wide_z), (y, wide_y) = zf.result(), yf.result()
-    stat, pvalue = _ks_two_sample(z, y)
-    return {"ks": stat, "pvalue": pvalue,
-            "replicas": replicas, "steps": _STEPS, "generator": "SFC64",
-            "z_mean": float(np.mean(z)), "y_mean": float(np.mean(y)),
-            "stats": {"wide_rows": wide_z + wide_y},
-            "conditional": "distributional identity holds unconditionally; "
-                           "links to pattern diffusions remain conjectural"}
+    rng = _polymer_generator(np.random.SeedSequence(seed))
+    gap = top = 0.0
+    wide = 0
+    for r0 in range(0, paths, _BLOCK):
+        n = min(_BLOCK, paths - r0)
+        normals = rng.standard_normal((N, n, _STEPS))
+        z, wide_z = _polymer_samples(_Replay(normals.reshape(-1, _STEPS)), ladder, t, n,
+                                     integrated=False)
+        y, wide_y = _polymer_samples(_Replay(normals[::-1, :, ::-1].reshape(-1, _STEPS)),
+                                     ladder[::-1], t, n, integrated=True)
+        gap = max(gap, float(np.abs(z - y).max()))
+        top = max(top, float(np.abs(z).max()))
+        wide += wide_z + wide_y
+    return {"paths": paths, "gap": gap, "relative_gap": gap / max(1.0, top),
+            "stats": {"wide_rows": wide}}

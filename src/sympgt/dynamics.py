@@ -496,10 +496,11 @@ def _verify_intertwining(N: int, probes: Sequence, ctx: QSeriesCtx, a: Sequence,
     rows hold no diagonal entry, so the nonzero terms and their order are
     those of adding every product.  rhs starts as m(s') * 0, the zero of
     the identity's scalars.  A source serves many (s', b) pairs
-    and a bottom shape b' many probes, so m, helper and the column
-    Q(., b') are computed at most once per source or b' within one call;
-    the cached rows are only read, never changed."""
+    and a bottom shape b' many probes, so m, helper, the sources of b and
+    the column Q(., b') are computed at most once per source, b or b'
+    within one call; the cached rows are only read, never changed."""
     m, helper = functools.cache(m), functools.cache(helper)
+    sources_of = functools.cache(lambda b: tuple(sources(b)))
 
     @functools.cache
     def column(bp):
@@ -514,7 +515,7 @@ def _verify_intertwining(N: int, probes: Sequence, ctx: QSeriesCtx, a: Sequence,
         for b, q_entry in column(probe[-1]):
             lhs = q_entry * m_target
             rhs = m_target * 0
-            for src in sources(b):
+            for src in sources_of(b):
                 row, diagonal = helper(*src)
                 v = row.get(probe, 0) + (diagonal if src == probe else 0)
                 if v != 0:

@@ -112,9 +112,10 @@ def test_rank_two_law_at_q_09_and_window_40(capsys):
      lambda out: abs(float(_csv_report(out)[0]["mass_defect"])) < 1e-6),
     (["moments", "--t", "1", "--a", "1.3", "--q", "0.5", "--k", "1", "--window", "10"],
      lambda out: set(json.loads(out)["moments"]["1"]) >= {"direct", "operator", "contour"}),
-    (["polymer", "--N", "1", "--replicas", "200", "--seed", "3"],
-     lambda out: json.loads(out)["replicas"] == 200
-     and json.loads(out)["generator"] == "SFC64"),
+    (["polymer", "--N", "2", "--replicas", "200", "--seed", "3"],
+     lambda out: json.loads(out)["paths"] == 200
+     and json.loads(out)["relative_gap"] <= 1e-12
+     and json.loads(out)["stats"] == {"wide_rows": 0}),
     (["verify", "branching", "--lambda", "2,1", "--nu", "1", "--q", "1/3"],
      lambda out: json.loads(out)["leading_term"] is True),
     (["verify", "continuous", "--which", "eigen"],
@@ -359,6 +360,8 @@ def test_moments_spread_is_the_ledgers(capsys):
      "--q 0.999 puts the torus weight's |(e^(i phi);q)_inf|^2 past double range"),
     (["limit", "--n", "1", "--lambda", "0.7", "--x", "0", "--eps", "nan"],
      "--eps must lie in (0,1), got nan"),
+    (["polymer", "--N", "1", "--t", "0", "--replicas", "10", "--seed", "1"],
+     "--t must be positive"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +14,14 @@ import pytest
 import sympgt
 import sympgt.continuous
 from sympgt.combinatorics import level_len
-from sympgt.continuous import (_BLOCK, _WIDE, _drift_ladder,
-                               _kolmogorov_sf, _ks_two_sample, _log_cumsum_exp,
+from sympgt.continuous import (_BLOCK, _STEPS, _WIDE, _drift_ladder, _log_cumsum_exp,
                                _log_q_nn_rest, _log_q_nnm1_rest,
                                _log_sum_exp, _log_trapz_weights, _phi_point,
                                _polymer_generator, _polymer_samples, _product_grid,
                                _Replay, _sde_drift,
                                grad_log_phi, h_b, h_d, log_phi, log_q_nn, log_q_nnm1,
                                phi, phi2_bessel,
-                               phi_eigen_residual, polymer_identity_check,
-                               polymer_reversal_gap,
+                               phi_eigen_residual, polymer_reversal_gap,
                                sde_simulate, verify_operator_identities,
                                wedge_start)
 
@@ -320,17 +317,15 @@ def test_wedge_start_shape():
 
 
 def test_polymer_identity_rank_one():
-    rep = polymer_identity_check(1, (0.8,), 1.0, replicas=20000, seed=7)
-    assert rep["ks"] <= 0.02
-    assert "conjectural" in rep["conditional"]
-    # the report names the bit generator that made its figures
-    assert rep["generator"] == type(_polymer_generator(0).bit_generator).__name__ == "SFC64"
+    rep = polymer_reversal_gap(1, (0.8,), 1.0, paths=2000, seed=7)
+    assert rep["paths"] == 2000 and rep["relative_gap"] <= 1e-12
+    assert type(_polymer_generator(0).bit_generator).__name__ == "SFC64"
 
 
 def test_polymer_identity_rank_two_reported():
-    rep = polymer_identity_check(2, (0.8,), 1.0, replicas=20000, seed=8)
-    # the ledger's gate; this seeded sample reads 0.013
-    assert rep["ks"] <= 0.02
+    # a partial last block, and a ladder (0.8, -0.8) other than the ledger's
+    rep = polymer_reversal_gap(2, (0.8,), 1.0, paths=2 * _BLOCK + 17, seed=8)
+    assert rep["paths"] == 2 * _BLOCK + 17 and rep["relative_gap"] <= 1e-12
 
 
 def test_log_cumsum_exp_matches_logaddexp_accumulate():
@@ -423,12 +418,9 @@ def test_endpoint_level_matches_logaddexp_reduce_on_wide_rows():
 
 @pytest.mark.parametrize("case", POLYMER["ledger"], ids=lambda c: f"N{c['N']}")
 def test_polymer_identity_ledger_figures_are_unchanged(case):
-    rep = polymer_identity_check(case["N"], tuple(case["lam"]), case["t"],
-                                 replicas=case["replicas"], seed=case["seed"])
-    assert (rep["ks"], rep["pvalue"]) == (case["ks"], case["pvalue"])
-    assert rep["z_mean"] == pytest.approx(case["z_mean"], abs=1e-12)
-    assert rep["y_mean"] == pytest.approx(case["y_mean"], abs=1e-12)
-    assert rep["stats"] == {"wide_rows": 0}
+    rep = polymer_reversal_gap(case["N"], tuple(case["lam"]), case["t"],
+                               paths=case["paths"], seed=case["seed"])
+    assert rep == {k: case[k] for k in ("paths", "gap", "relative_gap", "stats")}
 
 
 @pytest.mark.parametrize("case", POLYMER["summaries"],
@@ -448,7 +440,7 @@ def test_polymer_samples_are_unchanged(case):
 
 @pytest.mark.parametrize("t", [2.0, 2000.0])
 def test_level_one_is_a_time_reversal_path_by_path(t):
-    rep = polymer_reversal_gap(0.9, t, paths=2000, seed=7)
+    rep = polymer_reversal_gap(1, (0.9,), t, paths=2000, seed=7)
     assert rep["paths"] == 2000
     assert rep["relative_gap"] <= 1e-12
     if t == 2000.0:
@@ -470,8 +462,8 @@ def test_level_one_gap_is_pinned(paths, gap, relative):
     # recorded from SFC64 on seed 7; the Philox stream of that seed read
     # gaps 9.8e-15, 8.0e-15, 7.1e-15 and 7.1e-15, the same whether the
     # whole (paths, 512) draw was taken at once or _BLOCK paths at a time
-    assert polymer_reversal_gap(0.9, 2.0, paths, seed=7) == {
-        "paths": paths, "gap": gap, "relative_gap": relative}
+    assert polymer_reversal_gap(1, (0.9,), 2.0, paths, seed=7) == {
+        "paths": paths, "gap": gap, "relative_gap": relative, "stats": {"wide_rows": 0}}
 
 
 def test_level_one_gap_needs_the_reversal():
@@ -492,126 +484,62 @@ def test_replay_hands_out_rows_in_order():
     assert np.array_equal(out[:2], rows[4:])
 
 
-@pytest.mark.parametrize("levels", [1, 2, 3])
-@pytest.mark.parametrize("t", [2.0, 400.0])
-def test_threaded_samples_keep_the_serial_stream_order(monkeypatch, levels, t):
-    # Z and Y run on two threads; each sample and the report equal the two
-    # samples drawn one after the other on this thread, on every rerun
-    lam, replicas, seed = (0.9, 0.4), 2 * _BLOCK + 17, levels
-    sample, got = sympgt.continuous._polymer_samples, {}
-
-    def recorded(rng, drifts, t, replicas, integrated):
-        got[integrated] = sample(rng, drifts, t, replicas, integrated)
-        return got[integrated]
-
-    monkeypatch.setattr(sympgt.continuous, "_polymer_samples", recorded)
-    rep = polymer_identity_check(levels, lam, t, replicas, seed)
-    assert polymer_identity_check(levels, lam, t, replicas, seed) == rep
-    ss, ladder = np.random.SeedSequence(seed).spawn(2), _drift_ladder(lam, levels)
-    z, wide_z = sample(_polymer_generator(ss[0]), ladder, t, replicas, False)
-    y, wide_y = sample(_polymer_generator(ss[1]), ladder[::-1], t, replicas, True)
-    assert np.array_equal(got[False][0], z) and np.array_equal(got[True][0], y)
-    assert (rep["ks"], rep["pvalue"]) == _ks_two_sample(z, y)
-    assert (rep["z_mean"], rep["y_mean"]) == (float(np.mean(z)), float(np.mean(y)))
-    assert rep["stats"] == {"wide_rows": wide_z + wide_y}
-    # at t = 400 and 3 levels some rows of a block take the wide-row path
-    assert wide_z + wide_y > 0 or t == 2.0 or levels < 3
-
-
-class _FailingGenerator:
-    def __init__(self, fail_at):
-        self.calls, self.fail_at = 0, fail_at
-        self.raised = FloatingPointError("draw failed")
-
-    def standard_normal(self, out):
-        self.calls += 1
-        if self.calls == self.fail_at:
-            raise self.raised
-        out[...] = 0.0
-        return out
-
-
-def test_a_failing_draw_is_raised_and_its_thread_ends(monkeypatch):
-    # a draw that raises in either sample, Z or Y, leaves
-    # polymer_identity_check as itself, and both pool threads end
-    sample = sympgt.continuous._polymer_samples
-    for failing in (False, True):
-        rng = _FailingGenerator(fail_at=3)
-
-        def failing_sample(gen, drifts, t, replicas, integrated):
-            return sample(rng if integrated == failing else gen, drifts, t, replicas,
-                          integrated)
-
-        monkeypatch.setattr(sympgt.continuous, "_polymer_samples", failing_sample)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError) as raised:
-            polymer_identity_check(2, (0.9, 0.4), 1.0, replicas=2 * _BLOCK, seed=1)
-        assert raised.value is rng.raised
-        assert rng.calls == 3
-        assert threading.active_count() == before
-
-
-@pytest.mark.slow
 @pytest.mark.parametrize("N", [3, 4])
-def test_polymer_identity_holds_in_law_at_levels_three_and_four(N):
-    rep = polymer_identity_check(N, (0.9, 0.4), 2.0, replicas=20000, seed=N + 6)
-    assert rep["ks"] <= 0.02
+def test_polymer_identity_holds_path_by_path_at_levels_three_and_four(N):
+    rep = polymer_reversal_gap(N, (0.9, 0.4), 2.0, paths=2000, seed=N + 6)
+    assert rep["paths"] == 2000 and rep["relative_gap"] <= 1e-12
+
+
+def _one_block_gap(N, seed, y_lam=(0.9, 0.4), reverse_ladder=True, reverse_time=True):
+    """polymer_reversal_gap's relative gap over one block of _BLOCK paths at
+    t = 2 and lam = (0.9, 0.4), with Y built from ``y_lam``, its ladder
+    read forwards unless ``reverse_ladder``, and its normals renumbered
+    from the top but not reversed in time unless ``reverse_time``."""
+    normals = _polymer_generator(np.random.SeedSequence(seed)).standard_normal(
+        (N, _BLOCK, _STEPS))
+    z, _ = _polymer_samples(_Replay(normals.reshape(-1, _STEPS)),
+                            _drift_ladder((0.9, 0.4), N), 2.0, _BLOCK, integrated=False)
+    y_ladder = _drift_ladder(y_lam, N)
+    y_normals = normals[::-1, :, ::-1] if reverse_time else normals[::-1]
+    y, _ = _polymer_samples(_Replay(y_normals.reshape(-1, _STEPS)),
+                            y_ladder[::-1] if reverse_ladder else y_ladder, 2.0, _BLOCK,
+                            integrated=True)
+    return float(np.abs(z - y).max()) / max(1.0, float(np.abs(z).max()))
+
+
+@pytest.mark.parametrize("N, y_lam, reverse_ladder, reverse_time", [
+    (2, (0.85, 0.4), True, True),
+    (2, (0.9, 0.4), False, True),
+    (2, (0.9, 0.4), True, False),
+    # the level-2 ladder (0.9, -0.9) never reads lam_2; level 3 does
+    (3, (0.9, 0.35), True, True),
+], ids=["lambda1-0.85", "unreversed-ladder", "unreversed-time", "N3-lambda2-0.35"])
+def test_the_gap_gate_fails_a_wrong_y(N, y_lam, reverse_ladder, reverse_time):
+    seed = N + 6
+    assert _one_block_gap(N, seed) == polymer_reversal_gap(
+        N, (0.9, 0.4), 2.0, paths=_BLOCK, seed=seed)["relative_gap"] <= 1e-12
+    # 1.5e-2 for lambda_1 = 0.85, 0.46 and 0.52 unreversed, 1.6e-2 for lambda_2
+    assert _one_block_gap(N, seed, y_lam, reverse_ladder, reverse_time) > 1e-3
 
 
 def test_polymer_wide_rows_are_reported():
-    rep = polymer_identity_check(2, (0.9, 0.4), 2000.0, replicas=300, seed=5)
+    rep = polymer_reversal_gap(2, (0.9, 0.4), 2000.0, paths=300, seed=5)
     # every row of Z's first level and of the one Y recurrence level is
     # wide; Z's last level computes only its endpoint, by a max-shifted
     # log-sum-exp that is exact at any row width, so it never takes that path
     assert rep["stats"] == {"wide_rows": 2 * 300}
-    assert math.isfinite(rep["z_mean"]) and math.isfinite(rep["y_mean"])
+    assert rep["relative_gap"] <= 1e-12
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(N=0, lam=(0.9,), t=1.0, replicas=10), "--N must be at least 1"),
-    (dict(N=3, lam=(0.9,), t=1.0, replicas=10), "--lambda needs at least 2 values"),
-    (dict(N=1, lam=(0.9,), t=-1.0, replicas=10), "--t must be positive"),
-    (dict(N=1, lam=(0.9,), t=1.0, replicas=0), "--replicas must be at least 1"),
+    (dict(N=0, lam=(0.9,), t=1.0, paths=10), "--N must be at least 1"),
+    (dict(N=3, lam=(0.9,), t=1.0, paths=10), "--lambda needs at least 2 values"),
+    (dict(N=1, lam=(0.9,), t=-1.0, paths=10), "--t must be positive"),
+    (dict(N=1, lam=(0.9,), t=1.0, paths=0), "--replicas must be at least 1"),
 ])
 def test_polymer_identity_check_rejects_bad_input(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        polymer_identity_check(seed=1, **kwargs)
-
-
-def _ks_pairs():
-    rng = np.random.default_rng(12)
-    yield rng.standard_normal(3000), rng.standard_normal(3000)            # equal sizes
-    yield rng.standard_normal(2500), rng.standard_normal(1700)            # unequal sizes
-    yield rng.integers(0, 12, 900) * 1.0, rng.integers(0, 12, 1300) * 1.0  # ties across
-    yield rng.standard_normal(4000), rng.standard_normal(3000) + 0.08     # shifted
-    # past 10^4 points ks_2samp keeps D unrounded, as at the ledger sizes
-    yield rng.standard_normal(12000), rng.standard_normal(10500) + 0.03
-
-
-@pytest.mark.parametrize("pair", list(_ks_pairs()),
-                         ids=["equal", "unequal", "ties", "shifted", "large"])
-def test_ks_statistic_equals_scipy_bitwise(pair):
-    from scipy.stats import ks_2samp
-    assert _ks_two_sample(*pair)[0] == ks_2samp(*pair).statistic
-
-
-@pytest.mark.parametrize("n1, n2, shift", [(2000, 2000, 0.0), (2000, 2000, 0.06),
-                                           (5000, 3000, 0.03), (20000, 20000, 0.0),
-                                           (20000, 20000, 0.02)])
-def test_ks_pvalue_is_near_scipy_asymptotic(n1, n2, shift):
-    from scipy.stats import ks_2samp
-    rng = np.random.default_rng(n1 + n2)
-    x, y = rng.standard_normal(n1), rng.standard_normal(n2) + shift
-    assert n1 * n2 / (n1 + n2) >= 1000
-    want = ks_2samp(x, y, method="asymp").pvalue
-    assert abs(_ks_two_sample(x, y)[1] - want) <= 5e-3
-
-
-def test_kolmogorov_tail_matches_scipy():
-    from scipy.special import kolmogorov
-    for x in np.linspace(0.05, 4.0, 400):  # crosses the switch at x = 1
-        assert abs(_kolmogorov_sf(float(x)) - kolmogorov(x)) <= 1e-14
-    assert _kolmogorov_sf(0.0) == 1.0
+        polymer_reversal_gap(seed=1, **kwargs)
 
 
 def _loaded_after_importing_every_module(module: str) -> bool:
@@ -630,16 +558,15 @@ def test_importing_every_module_leaves_scipy_stats_unloaded():
 
 
 def test_importing_every_module_leaves_concurrent_futures_unloaded():
-    # polymer_identity_check imports it when it runs: it pulls in logging, and
-    # every import of the package would pay for that
+    # it pulls in logging, and every import of the package would pay for that
     assert not _loaded_after_importing_every_module("concurrent.futures")
 
 
 def test_markov_ledger_checks_load_no_scipy():
     code = ("import sys\n"
             "from sympgt.acceptance import check_simulation_vs_law\n"
-            "from sympgt.continuous import polymer_identity_check\n"
-            "polymer_identity_check(2, (0.9, 0.4), 1.0, replicas=500, seed=1)\n"
+            "from sympgt.continuous import polymer_reversal_gap\n"
+            "polymer_reversal_gap(2, (0.9, 0.4), 1.0, paths=500, seed=1)\n"
             "check_simulation_vs_law()\n"
             "print(sorted(m for m in ('scipy.stats', 'scipy.linalg', 'scipy.special')\n"
             "             if m in sys.modules))")

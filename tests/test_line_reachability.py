@@ -192,19 +192,6 @@ _ALLOWED_LINES = {
         "characters._fraction_sums": [
             "acc[exps] = N * d + n * D, D * d",
         ],
-        # the ledger's one KS argument lies above 1 (D = 0.01305 at 2e4
-        # replicas per side)
-        "continuous._kolmogorov_sf": [
-            "return 1.0",
-            "return float(1 - math.sqrt(2 * math.pi) / x",
-            "* np.exp(-(2 * k - 1) ** 2 * (math.pi ** 2 / (8 * x * x))).sum())",
-        ],
-        # the KS rounding, taken only up to 10^4 samples per side; the ledger
-        # draws more
-        "continuous._ks_two_sample": [
-            "lcm = math.lcm(len(x), len(y))",
-            "stat = round(stat * lcm) / lcm",
-        ],
         "continuous.sde_simulate": [
             "start = [np.asarray(lv, dtype=float).tolist() for lv in x0]",
         ],

@@ -14,9 +14,11 @@ from sympgt.continuous import _BLOCK, _drift_ladder, _polymer_samples
 
 
 def test_polymer_identity_check_peak_rss():
-    # block-major, each sampler holds three (256, 513) buffers and its
-    # output, and level 1 draws 256 paths of normals at a time: the check
-    # peaked at 47 MB (35 MB of it the imports), at 52 MB with level 1's
+    # both levels run path by path, 256 paths at a time: each block holds
+    # its (N, 256, 512) normals, Y's time-reversed copy of them, and the
+    # three (256, 513) buffers of each sampler. The check peaked at 46.6 MB
+    # (33.8 MB of it the imports), as it did with level 2 a two-sample test
+    # over 2e4 replicas per side on two threads; at 52 MB with level 1's
     # (2000, 512) normals drawn at once, and with the level-major sampler's
     # (2e4, 513) running integral at 122 MB.
     # VmHWM is the peak of this process image alone; ru_maxrss keeps the
