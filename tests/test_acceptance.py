@@ -58,7 +58,8 @@ def test_simulation_vs_law_is_unchanged():
     assert rep["tv_vs_torus_law"] <= rep["tv_vs_expm"] + rep["tv_between_references"] + 1e-15
 
 
-def test_polymer_identity_gates_levels_one_and_two_path_by_path():
+def test_polymer_identity_gates_level_one_by_path_and_level_two_in_law():
+    # level 2 is gated path by path, which implies its identity in law
     rep = acceptance.check_polymer_identity()
     assert rep["passed"] and "soft" not in rep
     assert rep["tolerance"] == 1e-12 and "conjectural" in rep["note"]
