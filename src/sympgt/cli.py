@@ -7,9 +7,10 @@ flags + seed give byte-identical output.  Reports embed the quadrature sizes,
 tolerances and seeds that produced them.
 
 Schema ``sympgt-report/2`` replaces ``sympgt-report/1``: ``simulate`` and
-``sde`` now advance all replicas as one batch drawn from one Philox stream
-per seed, so a seed gives different (equally distributed) samples than it
-did under schema 1.  The ``simulate`` report has dropped its ``truncation``
+``sde`` advance all replicas as one batch drawn from one Philox stream per
+seed (``sde``: one particle-major array, one block of normals per substep),
+so a seed gives different (equally distributed) samples than it did under
+schema 1.  The ``simulate`` report has dropped its ``truncation``
 key, and ``simulate`` its ``--truncation`` flag: the simulator reads no
 truncation depth.  Bad input (a ``ValueError``) exits with code 2 and a
 one-line message on stderr.

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .combinatorics import level_len
+from .dynamics import _Layout
 
 
 def _drift_ladder(lam: Sequence[float], N: int) -> tuple:
@@ -344,37 +345,29 @@ def phi_eigen_residuals(lam: float) -> dict:
 # SDE simulation on the triangular array
 # ---------------------------------------------------------------------------
 
-def _sde_drift(levels: list, bar: tuple) -> list:
-    """Drift vector per level: Brownian drift plus interaction terms.  A
-    level's coordinates run along its last axis; leading axes (one row per
-    replica) broadcast, so 1-D levels give the drift of a single pattern."""
-    out = []
-    for k in range(1, len(levels) + 1):
-        x = levels[k - 1]
-        below = levels[k - 2] if k > 1 else None
-        l = x.shape[-1]
-        d = np.full(x.shape, float(bar[k - 1]))
-        if k == 1:
-            d[..., 0] += np.exp(-x[..., 0])
-            out.append(d)
-            continue
-        d[..., 0] += np.exp(below[..., 0] - x[..., 0])
-        for m in range(1, l):
-            if k % 2 == 1 and m == l - 1:
-                d[..., m] += np.exp(-x[..., m]) - np.exp(x[..., m] - below[..., m - 1])
-            else:
-                d[..., m] += (np.exp(below[..., m] - x[..., m])
-                              - np.exp(x[..., m] - below[..., m - 1]))
-        out.append(d)
-    return out
+def _sde_terms(lay: _Layout, lam: Sequence[float]) -> tuple:
+    """The tables ``_sde_drift`` reads, one entry per particle (k, j) of the
+    layout: the row of (k - 1, j), which is the 0 sentinel row where level
+    k - 1 has no such particle; the row of (k - 1, j - 1), or at j = 1 the
+    particle's own row; 1.0 where j >= 2, else 0.0; and the Brownian drift
+    of level k.  The last two are columns, to broadcast over replicas."""
+    k, j = lay.k, lay.j
+    has_left = j > 1
+    return (lay.col[k - 1, j], np.where(has_left, lay.col[k - 1, j - 1], np.arange(lay.P)),
+            has_left[:, None].astype(float), np.array(_drift_ladder(lam, lay.N))[k - 1, None])
 
 
-def _max_abs(drift: list) -> np.ndarray:
-    """Largest |drift| coordinate of each replica, over all levels."""
-    out = np.abs(drift[0]).max(axis=-1)
-    for d in drift[1:]:
-        np.maximum(out, np.abs(d).max(axis=-1), out=out)
-    return out
+def _sde_drift(X: np.ndarray, terms: tuple) -> np.ndarray:
+    """Drift of every particle of a batch X laid out by ``_Layout``, one row
+    per particle and one column per replica, with ``terms`` from
+    ``_sde_terms``: bar_k + e^(x(k-1, j) - x) - [j >= 2] e^(x - x(k-1, j-1)).
+    Past the end of level k - 1 the first term is the wall term e^(-x).  At
+    j = 1 the second term is 0.0 times e^0: an e^(-inf) there would be exact
+    too, but numpy's exp runs several times slower on it."""
+    below, below_left, has_left, bar = terms
+    x = X[:len(below)]
+    return (np.exp(X.take(below, axis=0) - x)
+            - has_left * np.exp(x - X.take(below_left, axis=0)) + bar)
 
 
 def wedge_start(N: int) -> list:
@@ -392,24 +385,29 @@ def wedge_start(N: int) -> list:
 def sde_simulate(N: int, lam: Sequence[float], x0: list, t: float,
                  h: float, replicas: int, seed: int) -> dict:
     """Euler-Maruyama paths of all replicas as one batch; returns the
-    bottom-level endpoints and the count of replicas flagged, either for a
-    substep whose largest drift times the substep exceeds 50 or for a
-    non-finite endpoint.
+    bottom-level endpoints and the count of replicas flagged for a substep
+    whose largest drift times the substep exceeds 50.  A substep moves only
+    the replicas that pass that test, so from a finite start every endpoint
+    is finite.
 
-    All replicas share one grid of outer steps of length h.  At the start of
-    each outer step a replica splits it into nsub equal substeps, nsub =
-    ceil(2 max(1, step max|drift|)) capped at 4096, so always at least 2;
-    the substeps then advance in lockstep over the replicas that still have
-    one left.  All draws come from one ``Philox(SeedSequence(seed))`` stream: each substep
-    draws, over the replicas it advances, one block of standard normals of
-    shape (replicas, level size) per level, level 1 first.
+    The batch is one particle-major array of shape (P + 2, replicas) laid
+    out by ``_Layout(N)``: particle (k, j) is row ``col[k, j]``, and the two
+    sentinel rows follow.  All replicas share one grid of outer steps of
+    length h.  At the start of each outer step a replica splits it into nsub
+    equal substeps, nsub = ceil(2 max(1, step max|drift|)) capped at 4096,
+    so always at least 2; the substeps then advance in lockstep over the
+    replicas that still have one left.  All draws come from one
+    ``Philox(SeedSequence(seed))`` stream: each substep draws one block of
+    n P standard normals for the n replicas it advances, split level by
+    level, level 1 first, into (n, level size) blocks read row-major.  That
+    is the stream that one draw per level per substep consumed.
 
     Bad input raises a one-line ValueError: lam not strictly decreasing or
     not positive, and, naming the CLI flag, N < 1, fewer than ceil(N / 2)
     lam values, t < 0 or not finite, h <= 0 (the clock would never advance)
-    or not finite, or replicas < 1.  At t = 0 the start is returned.  A run
-    that flags every replica raises a one-line ValueError that names the
-    start."""
+    or not finite, replicas < 1, or a start coordinate that is not finite.
+    At t = 0 the start is returned.  A run that flags every replica raises a
+    one-line ValueError that names the start."""
     if any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError("lam must be strictly decreasing")
     if lam[-1] <= 0:
@@ -419,46 +417,66 @@ def sde_simulate(N: int, lam: Sequence[float], x0: list, t: float,
         raise ValueError(f"--t must be nonnegative and finite, got {t}")
     if not 0 < h < math.inf:
         raise ValueError(f"--h must be positive and finite, got {h}")
-    bar = _drift_ladder(lam, N)
+    coords = np.concatenate([np.asarray(lv, dtype=float) for lv in x0])
+    if not np.isfinite(coords).all():
+        raise ValueError(f"--start coordinates must be finite, got {coords.tolist()}")
+    lay = _Layout(N)
+    P, terms = lay.P, _sde_terms(lay, lam)
+    # (row offset, size) of each level, in the order the noise is drawn
+    blocks = [(lay.off[k], lay.lens[k]) for k in range(1, N + 1)]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    levels = [np.tile(np.asarray(lv, dtype=float), (replicas, 1)) for lv in x0]
+    X = np.ascontiguousarray(lay.empty(replicas).T)
+    X[:P] = coords[:, None]
     ok = np.ones(replicas, dtype=bool)
     clock = 0.0
     # exp overflows to inf on runaway paths, and inf - inf gives NaN drifts;
     # a non-finite largest drift fails the substep test, so those replicas
     # are flagged
     with np.errstate(over="ignore", invalid="ignore"):
-        while clock < t - 1e-12:
+        # once every replica is flagged no step has any work
+        while clock < t - 1e-12 and ok.any():
             step = min(h, t - clock)
-            live = np.flatnonzero(ok)
-            x = [lv[live] for lv in levels]
-            drift = _sde_drift(x, bar)
-            scale = np.maximum(1.0, step * _max_abs(drift))
-            nsub = np.fmin(4096, np.ceil(2 * scale))
-            for s in range(int(nsub.max(initial=0))):
-                busy = (nsub > s) & ok[live]
-                rows, sub = live[busy], step / nsub[busy, None]
-                # at substep 0 every live replica is busy and sits at the
-                # step's start, whose drift is already known
-                if s:
-                    x = [lv[rows] for lv in levels]
-                    drift = _sde_drift(x, bar)
-                fine = _max_abs(drift) * sub[:, 0] <= 50.0
-                ok[rows[~fine]] = False
-                rows, sub = rows[fine], sub[fine]
-                root = np.sqrt(sub)
-                for lv, xv, d in zip(levels, x, drift):
-                    noise = rng.standard_normal((len(rows), lv.shape[1]))
-                    lv[rows] = xv[fine] + sub * d[fine] + root * noise
+            # Y carries the replicas of this step that have a substep left,
+            # in replica order; it shrinks only when a replica runs out of
+            # substeps or is flagged, and writes back to X as it shrinks, to
+            # nothing when the step ends
+            cols = ok.nonzero()[0]
+            Y = X.take(cols, axis=1)
+            drift = _sde_drift(Y, terms)
+            top = np.abs(drift).max(axis=0)
+            nsub = np.fmin(4096, np.ceil(2 * np.maximum(1.0, step * top)))
+            sub = step / nsub
+            root, last = np.sqrt(sub), nsub.max()
+            s = 0
+            while True:
+                busy = nsub > s
+                go = busy & (top * sub <= 50.0)
+                keep = go.nonzero()[0]
+                if len(keep) < len(cols):
+                    ok[cols[busy & ~go]] = False
+                    X[:, cols] = Y
+                    Y, drift, top, cols, nsub, sub, root = (
+                        a.take(keep, axis=-1) for a in (Y, drift, top, cols, nsub, sub, root))
+                    if not cols.size:
+                        break
+                n = len(cols)
+                noise = rng.standard_normal(n * P)
+                Z = np.concatenate([noise[n * o:n * (o + l)].reshape(n, l).T for o, l in blocks])
+                Y[:P] += sub * drift
+                Y[:P] += root * Z
+                s += 1
+                # after the last substep no replica is busy and top goes unread
+                if s < last:
+                    drift = _sde_drift(Y, terms)
+                    top = np.abs(drift).max(axis=0)
             clock += step
-    for lv in levels:
-        ok &= np.isfinite(lv).all(axis=1)
     if not ok.any():
         start = [np.asarray(lv, dtype=float).tolist() for lv in x0]
         raise ValueError(f"all {replicas} replicas were flagged: from the start {start} "
                          f"the drift outruns 4096 substeps of --h {h}; give a --start whose "
                          "level 1 sits nearer 0, where its wall drift e^(-x) is small")
-    return {"bottom": levels[N - 1][ok], "flagged": int(replicas - ok.sum())}
+    return {"bottom": np.ascontiguousarray(X[lay.level(N), ok].T),
+            "flagged": int(replicas - ok.sum())}
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,8 @@ def test_polymer_identity_gates_level_one_by_path_and_level_two_in_law():
 def test_scaling_limit_check_passes():
     rep = check_scaling_limit()
     assert rep["passed"] and rep["monotone"]
-    assert max(rep["final_errors"].values()) <= 5e-2
+    assert rep["tolerance"] == 1.5e-2
+    assert max(rep["final_errors"].values()) <= rep["tolerance"]
 
 
 def test_threads_flag_is_rejected():

@@ -362,6 +362,10 @@ def test_moments_spread_is_the_ledgers(capsys):
      "--eps must lie in (0,1), got nan"),
     (["polymer", "--N", "1", "--t", "0", "--replicas", "10", "--seed", "1"],
      "--t must be positive"),
+    (["sde", "--N", "1", "--lambda", "0.9", "--t", "0.1", "--replicas", "2", "--seed", "1",
+      "--start", "nan"], "--start coordinates must be finite, got [nan]"),
+    (["sde", "--N", "2", "--lambda", "0.9", "--t", "0.1", "--replicas", "2", "--seed", "1",
+      "--start", "0,inf"], "--start coordinates must be finite, got [0.0, inf]"),
 ])
 def test_bad_input_is_one_line_and_exit_code_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -18,12 +18,13 @@ from sympgt.continuous import (_BLOCK, _STEPS, _WIDE, _drift_ladder, _log_cumsum
                                _log_q_nn_rest, _log_q_nnm1_rest,
                                _log_sum_exp, _log_trapz_weights, _phi_point,
                                _polymer_generator, _polymer_samples, _product_grid,
-                               _Replay, _sde_drift,
+                               _Replay, _sde_drift, _sde_terms,
                                grad_log_phi, h_b, h_d, log_phi, log_q_nn, log_q_nnm1,
                                phi, phi2_bessel,
                                phi_eigen_residual, polymer_reversal_gap,
                                sde_simulate, verify_operator_identities,
                                wedge_start)
+from sympgt.dynamics import _Layout
 
 POLYMER = json.loads((Path(__file__).parent / "data" / "polymer_reference.json").read_text())
 PHI = json.loads((Path(__file__).parent / "data" / "phi_reference.json").read_text())
@@ -237,13 +238,22 @@ def test_phi_flattening_on_ray():
     assert deltas[0] > deltas[1] > deltas[2]
 
 
+def _drift_by_level(lam, levels):
+    """_sde_drift of the one pattern ``levels``, split back into levels."""
+    lay = _Layout(len(levels))
+    X = np.ascontiguousarray(lay.empty(1).T)
+    X[:lay.P, 0] = np.concatenate(levels)
+    d = _sde_drift(X, _sde_terms(lay, lam))[:, 0]
+    return [d[lay.level(k)] for k in range(1, lay.N + 1)]
+
+
 def test_sde_drift_fields():
     # N=1 wall drift is always positive in the zero-noise reading
-    d = _sde_drift([np.array([0.3])], (0.9,))
+    d = _drift_by_level((0.9,), [np.array([0.3])])
     assert d[0][0] == pytest.approx(0.9 + math.exp(-0.3))
-    # N=3 wall particle: e^{-x} - e^{x - below}
+    # N=3 wall particle: e^{-x} - e^{x - below}; the ladder is (0.9, -0.9, 0.4)
     levels = [np.array([0.5]), np.array([0.8]), np.array([1.2, -0.1])]
-    d3 = _sde_drift(levels, (0.9, -0.9, 0.4))
+    d3 = _drift_by_level((0.9, 0.4), levels)
     assert d3[2][1] == pytest.approx(0.4 + math.exp(0.1) - math.exp(-0.1 - 0.8))
     assert d3[2][0] == pytest.approx(0.4 + math.exp(0.8 - 1.2))
 
@@ -287,6 +297,20 @@ def test_sde_reproducible_and_finite():
      [[-0.13923496467309646, -0.057905711991042164], [0.2537783335170887, -0.38040797142967614],
       [-0.39113412163369726, -1.8073445251325344], [1.299167114167458, -0.36171937067835236],
       [0.6433403743928292, -0.6391069245159093], [-1.2112329789677982, -1.1646839800324822]]),
+    # the wall drift e^6 sets 243 substeps in the first step; the second
+    # step is the partial one of length 0.2
+    (1, (0.9,), [[-6.0]], 0.5, 0.3, 7, 3, 0,
+     [[-0.372497512106493], [-0.5960188180411268], [-1.121867243231487],
+      [-0.21980321339935838], [-0.08711203899686591], [-0.28926996077937167],
+      [-0.47122996948513085]]),
+    # the first step hits the cap of 4096 substeps; in the second some
+    # replicas take 2 substeps and some 3, so the busy set shrinks mid-step
+    (3, (0.9, 0.4), [[-16.0], [-8.0], [0.0, -8.0]], 0.05, 1e-3, 10, 2, 0,
+     [[0.0073031141369551454, -3.7001464350283113], [-0.020509564932912828, -3.575308054634781],
+      [-0.32124018635138585, -3.7382777051730613], [-0.025241365667986015, -3.628121258798201],
+      [-0.3891318499118608, -3.4990636003816165], [0.10804358489645516, -3.238701571360815],
+      [0.0688224952877562, -3.444451848877702], [0.07087169954032922, -3.384156776770268],
+      [0.01913482402170984, -3.6832500962397816], [0.1398317922046845, -3.2904481375806713]]),
 ])
 def test_sde_seeded_paths_are_pinned(N, lam, x0, t, h, replicas, seed, flagged, bottom):
     # recorded when each substep computed its own drift, the first one

@@ -31,7 +31,7 @@ PACKAGE = ROOT / "src" / "sympgt"
 SEED = 1
 
 ITEM_1 = "ROADMAP item 1: no ledger check runs the direct moment route at rank >= 2"
-ITEM_3 = "ROADMAP item 3: no ledger identity runs the SDE's interior drift or grad_log_phi"
+ITEM_3 = "ROADMAP item 3: no ledger identity runs grad_log_phi"
 ITEM_7 = "ROADMAP item 7: kept for the ledger check of the q = 0 cascade"
 ITEM_13 = "ROADMAP item 13: reached only by tests, or by a CLI route that no op runs"
 SCALAR_ADD = ("kept: a scalar plus a polynomial (sum() starts from 0) goes through "
@@ -52,12 +52,6 @@ _ALLOWED_LINES = {
         ],
     },
     ITEM_3: {
-        "continuous._sde_drift": [
-            "- np.exp(x[..., m] - below[..., m - 1]))",
-            "d[..., m] += (np.exp(below[..., m] - x[..., m])",
-            "d[..., m] += np.exp(-x[..., m]) - np.exp(x[..., m] - below[..., m - 1])",
-            "if k % 2 == 1 and m == l - 1:",
-        ],
         "continuous.grad_log_phi": [
             "f = lambda xv: log_phi(N, lam, xv)",
             "f0 = f(x)",
