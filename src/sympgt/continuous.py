@@ -405,7 +405,8 @@ def sde_simulate(N: int, lam: Sequence[float], x0: list, t: float,
     Bad input raises a one-line ValueError: lam not strictly decreasing or
     not positive, and, naming the CLI flag, N < 1, fewer than ceil(N / 2)
     lam values, t < 0 or not finite, h <= 0 (the clock would never advance)
-    or not finite, replicas < 1, or a start coordinate that is not finite.
+    or not finite, replicas < 1, or a start coordinate that is not finite;
+    and x0 not of one vector of level_len(k) coordinates per level k = 1..N.
     At t = 0 the start is returned.  A run that flags every replica raises a
     one-line ValueError that names the start."""
     if any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
@@ -417,7 +418,12 @@ def sde_simulate(N: int, lam: Sequence[float], x0: list, t: float,
         raise ValueError(f"--t must be nonnegative and finite, got {t}")
     if not 0 < h < math.inf:
         raise ValueError(f"--h must be positive and finite, got {h}")
-    coords = np.concatenate([np.asarray(lv, dtype=float) for lv in x0])
+    levels = [np.asarray(lv, dtype=float) for lv in x0]
+    sizes = [(level_len(k),) for k in range(1, N + 1)]
+    if [lv.shape for lv in levels] != sizes:
+        raise ValueError(f"x0 needs levels of shapes {sizes} for N = {N}, "
+                         f"got {[lv.shape for lv in levels]}")
+    coords = np.concatenate(levels)
     if not np.isfinite(coords).all():
         raise ValueError(f"--start coordinates must be finite, got {coords.tolist()}")
     lay = _Layout(N)

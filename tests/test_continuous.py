@@ -38,6 +38,10 @@ def test_params_validation():
         sde_simulate(2, (0.4, 0.9), x0, t=0.0, h=0.1, replicas=1, seed=0)
     with pytest.raises(ValueError, match="lam must be positive"):
         sde_simulate(2, (-0.5,), x0, t=0.0, h=0.1, replicas=1, seed=0)
+    # one level short, one level of two coordinates, a level too long
+    for bad in ([[0.0]], [[0.0, 1.0]], [[0.0], [1.0, 2.0]]):
+        with pytest.raises(ValueError, match=r"x0 needs levels of shapes \[\(1,\), \(1,\)\]"):
+            sde_simulate(2, (0.9,), bad, t=0.1, h=0.01, replicas=3, seed=1)
     assert _drift_ladder((0.9, 0.4), 4) == (0.9, -0.9, 0.4, -0.4)
 
 
